@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, kmwterm, termparse
 from .finring import RingError, make_ring
@@ -181,10 +180,12 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())
         gw_cols = {"hopf_rank", "hopf_torsion", "reduced_rank", "reduced_torsion",
                    "plus_rank", "minus_rank"}
+        hopf_lattice = None
         if gw_cols & set(metrics):
             reduced = present(ring, PresentationKind.REDUCED)
             if "hopf_rank" in metrics or "hopf_torsion" in metrics:
                 hopf = present(ring, PresentationKind.HOPF)
+                hopf_lattice = hopf.lattice
                 row["hopf_rank"] = hopf.rank
                 row["hopf_torsion"] = list(hopf.torsion)
             row["reduced_rank"] = reduced.rank
@@ -194,7 +195,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
                 row["plus_rank"] = split.plus_rank
                 row["minus_rank"] = split.minus_rank
         if "comparison" in metrics:
-            row["comparison"] = compare_presentations(ring).extra_relations_implied
+            row["comparison"] = compare_presentations(ring, hopf_lattice).extra_relations_implied
     except (RingError, QformError, ValueError) as exc:
         row["error"] = str(exc)
     return row
@@ -219,8 +220,7 @@ def cmd_table(args) -> tuple[int, str]:
             raise RingError(f"unknown metric {name!r}; choose from {sorted(TABLE_METRICS)}")
         metrics.extend(TABLE_METRICS[name])
     columns = ["ring"] + [c for c in TABLE_COLUMNS[1:] if c in metrics]
-    with ThreadPoolExecutor(max_workers=min(8, len(specs))) as pool:
-        rows = list(pool.map(lambda s: _table_row(s, metrics), specs))
+    rows = [_table_row(spec, metrics) for spec in specs]
     failed = any("error" in row for row in rows)
     if failed:
         columns = columns + ["error"]

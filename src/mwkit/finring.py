@@ -22,7 +22,7 @@ lifts of that choice to {0, ..., p-1}.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_ELEMENT_BOUND = 1 << 16
@@ -291,18 +291,25 @@ class Ring:
 
     def coerce(self, x) -> RingElement:
         if isinstance(x, RingElement):
-            if x.ring is not self:
+            if x.ring is self:
+                return x
+            if x.ring != self:
                 raise RingError("ring mismatch")
-            return x
+            return RingElement(self, x.coords)
         if isinstance(x, int):
             return self.from_int(x)
         raise RingError(f"cannot coerce {x!r} into {self.spec_string()}")
 
     def from_int(self, n: int) -> RingElement:
+        """n times the identity, by double-and-add on n mod the characteristic."""
+        n %= self.characteristic()
         out = self.zero
-        step = self.one if n >= 0 else self.neg(self.one)
-        for _ in range(abs(n)):
-            out = self.add(out, step)
+        step = self.one
+        while n:
+            if n & 1:
+                out = self.add(out, step)
+            step = self.add(step, step)
+            n >>= 1
         return out
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
@@ -344,14 +351,6 @@ class Ring:
     @property
     def is_field(self) -> bool:
         return False
-
-    def characteristic(self) -> int:
-        n = 1
-        acc = self.one
-        while not acc.is_zero():
-            acc = self.add(acc, self.one)
-            n += 1
-        return n
 
     def _eq_key(self):
         return (type(self).__name__, self.spec_string())
@@ -671,6 +670,12 @@ class ProductRing(Ring):
         # first factor varies fastest, matching the base-q digit orders above
         return rec(0)
 
+    def characteristic(self) -> int:
+        return lcm(*(f.characteristic() for f in self.factors))
+
+    def from_int(self, n: int) -> RingElement:
+        return RingElement(self, tuple(f.from_int(n) for f in self.factors))
+
     def format_element(self, el: RingElement) -> str:
         return "(" + ",".join(str(x) for x in el.coords) + ")"
 
@@ -726,6 +731,11 @@ def elementary_factorization(ring: Ring, a: RingElement):
 #   Z/<m>   GF(<p>^<k>)   GF(<p>^<k>;<poly>)   GR(<p>^<e>,<k>)   prod(...)
 
 
+def _is_digits(text: str) -> bool:
+    """True for a nonempty run of ASCII digits, the only numbers specs take."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_poly(text: str, token_context: str) -> tuple[int, ...]:
     text = text.replace(" ", "")
     if not text:
@@ -755,15 +765,15 @@ def _parse_poly(text: str, token_context: str) -> tuple[int, ...]:
         if "x" in t:
             coef_s, _, exp_s = t.partition("x")
             coef_s = coef_s.rstrip("*")
-            coef = int(coef_s) if coef_s else 1
-            if exp_s.startswith("^"):
-                exp = int(exp_s[1:])
-            elif exp_s == "":
-                exp = 1
-            else:
+            if exp_s == "":
+                exp_s = "^1"
+            if not (exp_s.startswith("^") and _is_digits(exp_s[1:])
+                    and (coef_s == "" or _is_digits(coef_s))):
                 raise RingSpecError(f"bad polynomial term {term!r}", term)
+            coef = int(coef_s) if coef_s else 1
+            exp = int(exp_s[1:])
         else:
-            if not t.isdigit():
+            if not _is_digits(t):
                 raise RingSpecError(f"bad polynomial term {term!r}", term)
             coef = int(t)
             exp = 0
@@ -794,13 +804,13 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     """Parse 'p^k' or a plain prime power q, returning (p, k)."""
     if "^" in text:
         p_s, _, k_s = text.partition("^")
-        if not (p_s.strip().isdigit() and k_s.strip().isdigit()):
+        if not (_is_digits(p_s.strip()) and _is_digits(k_s.strip())):
             raise RingSpecError(f"bad prime power {text!r}", text)
         p = int(p_s)
         if not _is_prime(p):
             raise RingSpecError(f"{p} is not prime in {text!r}", p_s.strip())
         return p, int(k_s)
-    if not text.strip().isdigit():
+    if not _is_digits(text.strip()):
         raise RingSpecError(f"bad prime power {text!r}", text)
     q = int(text)
     for p in range(2, q + 1):
@@ -820,7 +830,7 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
     s = spec.strip()
     if s.startswith("Z/"):
         body = s[2:].strip()
-        if not body.lstrip("-").isdigit():
+        if not _is_digits(body.lstrip("-")):
             raise RingSpecError(f"bad modulus {body!r} in {spec!r}", body)
         return Zmod(int(body), max_elements=max_elements)
     if s.startswith("GF(") and s.endswith(")"):
@@ -836,7 +846,7 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
         if len(parts) != 2:
             raise RingSpecError(f"GR spec needs two arguments in {spec!r}", head)
         p, e = _parse_prime_power(parts[0].strip())
-        if not parts[1].strip().isdigit():
+        if not _is_digits(parts[1].strip()):
             raise RingSpecError(f"bad degree {parts[1]!r} in {spec!r}", parts[1])
         k = int(parts[1])
         modulus = _parse_poly(poly, spec) if poly else None

@@ -15,8 +15,9 @@ generate, i.e. it is closed under multiplication by units.  Families (i) and
 (ii) instance sets are already closed under unit translation, and for the
 reduced kind family (iii) is as well (the translate of a (iii) row differs
 from another (iii) row by an (i) row).  For the hopf kind the unit
-translates of family (iii) genuinely enlarge the lattice and are generated
-explicitly; without them multiplication would not descend to the quotient.
+translates of family (iii) genuinely enlarge the lattice; without them
+multiplication would not descend to the quotient.  They are reached by
+spinning the untranslated rows up under a generating set of the unit group.
 """
 
 from __future__ import annotations
@@ -142,51 +143,131 @@ def _dense_row(index: dict, signed_units) -> tuple[int, ...]:
     return tuple(row)
 
 
-def build_relations(ring, kind) -> list[tuple[int, ...]]:
-    """Generating rows of the relation lattice in Z^{units}, deduplicated.
+def _sparse_key(signed) -> tuple:
+    """Nonzero (index, coefficient) pairs of a signed index list, sorted."""
+    coeffs: dict = {}
+    for sign, i in signed:
+        coeffs[i] = coeffs.get(i, 0) + sign
+    return tuple(sorted((i, c) for i, c in coeffs.items() if c))
 
-    Rows are emitted in a fixed order: family (ii) over units, family (iii)
-    over unordered unit pairs (with, for the hopf kind, all unit translates
-    of each instance), then family (i) over ordered unit pairs for the
-    reduced kind.  Zero rows and exact duplicates are dropped.
+
+def _dense(n: int, key: tuple) -> list[int]:
+    row = [0] * n
+    for i, c in key:
+        row[i] = c
+    return row
+
+
+def _family_rows(ring: Ring, index: dict, rep: Sequence[int]) -> list[tuple]:
+    """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
+
+    Every unit index i is replaced by rep[i].  Rows come in a fixed order:
+    family (ii) over units, then family (iii) over unordered unit pairs.
+    """
+    units = ring.units()
+    one, minus_one = index[ring.one], index[ring.minus_one()]
+    rows: dict = {}
+    for i, a in enumerate(units):
+        key = _sparse_key(((1, rep[i]), (1, rep[index[-a]]), (-1, rep[one]), (-1, rep[minus_one])))
+        if key:
+            rows.setdefault(key)
+    for i, a in enumerate(units):
+        for j in range(i, len(units)):
+            b = units[j]
+            s = a + b
+            k = index.get(s)  # a + b is a unit exactly when it is indexed
+            if k is None:
+                continue
+            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[index[s * a * b]])))
+            if key:
+                rows.setdefault(key)
+    return list(rows)
+
+
+def _unit_generators(ring: Ring, index: dict) -> list[list[int]]:
+    """Multiplication permutations of a greedy generating set of R^x.
+
+    A unit joins the set, in unit order, when the units chosen before it do
+    not generate it.  perm[i] is the index of g * units[i].
+    """
+    units = ring.units()
+    subgroup = {index[ring.one]}
+    perms = []
+    for i, g in enumerate(units):
+        if i in subgroup:
+            continue
+        perm = [index[g * u] for u in units]
+        perms.append(perm)
+        # <H, g> is the union of the cosets g^k H, k below the order of g mod H
+        coset = list(subgroup)
+        while True:
+            coset = [perm[j] for j in coset]
+            if coset[0] in subgroup:
+                break
+            subgroup.update(coset)
+    return perms
+
+
+def relation_lattice(ring, kind) -> ZLattice:
+    """The relation lattice of the chosen kind, built from unit-group structure.
+
+    hopf: the untranslated family (ii) and (iii) rows, closed under
+    multiplication by a generating set of R^x.  A Z-submodule closed under
+    the generators of a finite group is closed under the whole group, so
+    this is the ideal the families generate.
+
+    reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
+    rep(u) the first unit of u's square class, and modulo it the ideal of
+    families (ii) and (iii) is spanned by their untranslated rows with
+    every unit replaced by its representative.
     """
     ring = make_ring(ring)
     kind = PresentationKind.coerce(kind)
     units = ring.units()
+    n = len(units)
     index = {u: i for i, u in enumerate(units)}
-    one = ring.one
-    minus_one = ring.minus_one()
+    lattice = ZLattice(n)
+    if kind is PresentationKind.HOPF:
+        # spin-up: the rows that enlarged the lattice span it, so closing them
+        # under the generators closes the lattice.  They are translated rather
+        # than the echelon basis because they keep their small entries.
+        queue = []
+        for key in _family_rows(ring, index, range(n)):
+            row = _dense(n, key)
+            if lattice.add(row):
+                queue.append(row)
+        perms = _unit_generators(ring, index)
+        while queue:
+            vec = queue.pop()
+            for perm in perms:
+                image = [0] * n
+                for i, c in enumerate(vec):
+                    if c:
+                        image[perm[i]] = c
+                if lattice.add(image):
+                    queue.append(image)
+        return lattice
+    rep = list(range(n))
+    squares = {u * u for u in units}
+    for i, u in enumerate(units):
+        if rep[i] == i:
+            for q in squares:
+                rep[index[u * q]] = i
+    for i in range(n):
+        if rep[i] != i:
+            lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
+    for key in _family_rows(ring, index, rep):
+        lattice.add(_dense(n, key))
+    return lattice
 
-    rows: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
 
-    def emit(signed_units):
-        row = _dense_row(index, signed_units)
-        if any(row) and row not in seen:
-            seen.add(row)
-            rows.append(row)
+def build_relations(ring, kind) -> list[tuple[int, ...]]:
+    """Echelon basis of the relation lattice of the chosen kind in Z^{units}.
 
-    for a in units:
-        emit(((1, a), (1, -a), (-1, one), (-1, minus_one)))
-
-    for i, a in enumerate(units):
-        for b in units[i:]:
-            s = a + b
-            if not s.is_unit():
-                continue
-            sab = s * a * b
-            if kind is PresentationKind.HOPF:
-                for u in units:
-                    emit(((1, u * a), (1, u * b), (-1, u * s), (-1, u * sab)))
-            else:
-                emit(((1, a), (1, b), (-1, s), (-1, sab)))
-
-    if kind is PresentationKind.REDUCED:
-        for a in units:
-            for b in units:
-                emit(((1, a * b * b), (-1, a)))
-
-    return rows
+    See :func:`relation_lattice`; the basis rows are listed by increasing
+    pivot, and the empty list means the lattice is zero.
+    """
+    return relation_lattice(ring, kind).basis()
 
 
 @dataclass(frozen=True)
@@ -221,10 +302,10 @@ class GwPresentedRing:
         self.kind = kind
         self.units = ring.units()
         self.unit_index = {u: i for i, u in enumerate(self.units)}
-        self.relation_rows = build_relations(ring, kind)
-        self.lattice = ZLattice(len(self.units), self.relation_rows)
+        self.lattice = relation_lattice(ring, kind)
+        self.relation_rows = self.lattice.basis()
         self.presentation: SnfPresentation = presab.quotient(
-            len(self.units), self.lattice.basis()
+            len(self.units), self.relation_rows
         )
 
     @property
@@ -277,7 +358,8 @@ class GwPresentedRing:
         free = list(pres.free_coords)
         trace = sum(a[i][i] for i in free)
         rank = pres.rank
-        assert (rank + trace) % 2 == 0, "involution trace parity violated"
+        if (rank + trace) % 2:
+            raise RuntimeError("involution trace parity violated")
         plus_rank = (rank + trace) // 2
         minus_rank = (rank - trace) // 2
 
@@ -306,7 +388,8 @@ class GwPresentedRing:
             row[i] += 1
             rows.append(row)
         pres = presab.quotient(t, rows)
-        assert pres.rank == 0, "eigenpiece of a finite group must be finite"
+        if pres.rank:
+            raise RuntimeError("eigenpiece of a finite group must be finite")
         return pres.torsion
 
     def report(self, include_comparison: bool = True) -> dict:
@@ -321,7 +404,9 @@ class GwPresentedRing:
             "split": split.to_json(),
         }
         if include_comparison:
-            out["presentation_comparison"] = compare_presentations(self.ring).extra_relations_implied
+            hopf = self.lattice if self.kind is PresentationKind.HOPF else None
+            out["presentation_comparison"] = compare_presentations(
+                self.ring, hopf).extra_relations_implied
         return out
 
 
@@ -369,15 +454,32 @@ class ComparisonReport:
         }
 
 
-def compare_presentations(ring) -> ComparisonReport:
-    """Check whether each reduced relation row lies in the hopf lattice."""
+def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonReport:
+    """Check whether each reduced relation row lies in the hopf lattice.
+
+    ``hopf`` is the hopf relation lattice of ``ring`` when the caller has
+    already built it.  The hopf lattice is an ideal and <a b^2> - <a> =
+    <a>(<b^2> - 1), so every reduced row lies in it exactly when <g^2> - 1
+    does for each generator g of R^x.  Only when that test fails are the
+    rows scanned in (a, b) order for the first one outside, the witness.
+    """
     ring = make_ring(ring)
     units = ring.units()
     index = {u: i for i, u in enumerate(units)}
-    hopf = ZLattice(len(units), build_relations(ring, PresentationKind.HOPF))
+    if hopf is None:
+        hopf = relation_lattice(ring, PresentationKind.HOPF)
+    one = ring.one
+    gens = (units[perm[index[one]]] for perm in _unit_generators(ring, index))  # g * 1 = g
+    implied = all(hopf.contains(_dense_row(index, ((1, g * g), (-1, one)))) for g in gens)
+    witness = None if implied else _first_outside(hopf, units, index)
+    return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
+
+
+def _first_outside(lattice: ZLattice, units, index: dict) -> Optional[tuple[int, ...]]:
+    """First nonzero row <a b^2> - <a>, in (a, b) order, outside the lattice."""
     for a in units:
         for b in units:
             row = _dense_row(index, ((1, a * b * b), (-1, a)))
-            if any(row) and not hopf.contains(row):
-                return ComparisonReport(ring.spec_string(), False, row, tuple(units))
-    return ComparisonReport(ring.spec_string(), True, None, tuple(units))
+            if any(row) and not lattice.contains(row):
+                return row
+    return None

@@ -93,7 +93,8 @@ def unit_square_closure(ring) -> SumSquareResult:
                     key = (index[b], index[c])
                     if best is None or key < best[0]:
                         best = (key, (b, c))
-        assert best is not None
+        if best is None:
+            raise RuntimeError(f"no witness pair certifies the exponent of {s}")
         witnesses[s] = best[1]
 
     unreachable = frozenset(u for u in units if u not in exponent)

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from mwkit.cli import main
 
@@ -180,3 +183,17 @@ def test_gw_full_table_for_small_family(tmp_path, capsys):
     assert rows[1]["reduced_rank"] == 2
     assert rows[1]["plus_rank"] == 1 and rows[1]["minus_rank"] == 1
     assert rows[0]["comparison"] is True
+
+
+# stdout of each command, recorded from the all-pairs builders these replaced;
+# "{family}" stands for a family file with the listed ring specs
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden_output(case, tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    family.write_text(GOLDEN["family"])
+    argv = [str(family) if a == "{family}" else a for a in case["argv"]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (case["code"], case["stdout"])

@@ -177,6 +177,20 @@ def test_parse_ring_spec_errors_carry_token():
         parse_ring_spec("Z/x")
 
 
+@pytest.mark.parametrize("spec", [
+    "GF(3^2;x^a+1)", "GF(3^2;ax^2+1)", "GF(3^2;x^+1)", "GF(3^2;x*x+1)",
+    "GR(4,2;x^2+x+a)", "Z/\u00b2", "GF(3^\u00b2)",
+])
+def test_malformed_numbers_raise_spec_error(spec, capsys):
+    from mwkit.cli import main
+
+    with pytest.raises(RingSpecError):
+        parse_ring_spec(spec)
+    assert main(["ringinfo", "--ring", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_enumeration_order_is_stable():
     f9 = GaloisField(3, 2)
     first = [el.coords for el in f9.elements()]
@@ -184,6 +198,38 @@ def test_enumeration_order_is_stable():
     assert first == second
     assert first[0] == (0, 0)
     assert len(first) == 9
+
+
+def test_coerce_accepts_structurally_equal_ring():
+    first, second = parse_ring_spec("Z/5"), parse_ring_spec("Z/5")
+    a, b = first.from_int(2), second.from_int(4)
+    assert a + b == first.from_int(1)
+    assert a * b == second.from_int(3)
+    assert second.coerce(a).ring is second
+    p1, p2 = parse_ring_spec("prod(GF(3^2),Z/4)"), parse_ring_spec("prod(GF(3^2),Z/4)")
+    assert p1.units()[3] * p2.units()[5] == p1.units()[3] * p1.units()[5]
+
+
+def _from_int_by_loop(ring, n):
+    out = ring.zero
+    step = ring.one if n >= 0 else -ring.one
+    for _ in range(abs(n)):
+        out = out + step
+    return out
+
+
+def test_from_int_matches_repeated_addition(ring_family):
+    rings = list(ring_family) + [ProductRing([Zmod(4), GaloisField(3, 2)])]
+    for ring in rings:
+        for n in range(-40, 41):
+            assert ring.from_int(n) == _from_int_by_loop(ring, n), (ring, n)
+        big = 2_000_000 * ring.characteristic() + 7
+        assert ring.from_int(big) == ring.from_int(7)
+        assert ring.from_int(-big) == ring.from_int(-7)
+
+
+def test_product_ring_characteristic():
+    assert ProductRing([Zmod(4), GaloisField(3, 2), Zmod(6)]).characteristic() == 12
 
 
 def test_cross_instance_element_equality():

@@ -2,19 +2,27 @@ from itertools import product
 
 import pytest
 
+from conftest import GW_SPECS
+from gw_oracle import oracle_compare, oracle_relations
 from mwkit.finring import Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
+    GwPresentedRing,
     PresentationKind,
     build_relations,
     class_equal,
     compare_presentations,
     invert_two_split,
     mul,
+    relation_lattice,
     torsion_exponent,
 )
 from mwkit.presab import ZLattice, quotient
 from mwkit.sumsq import unit_square_closure
+
+# the presentation family plus two products; the comparison fails on Z/16
+# (witness <9> - <1>) and on prod(Z/4,GF(2^2))
+ORACLE_SPECS = GW_SPECS + ["prod(Z/3,Z/5)", "prod(Z/4,GF(2^2))"]
 
 
 def angle(ring, x):
@@ -49,6 +57,16 @@ def test_build_relations_f3_hopf_span():
 def test_build_relations_f2_empty():
     assert build_relations(Zmod(2), "hopf") == []
     assert build_relations(Zmod(2), "reduced") == []
+
+
+@pytest.mark.parametrize("kind", ["hopf", "reduced"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_relation_lattice_matches_oracle(spec, kind):
+    ring = parse_ring_spec(spec)
+    lattice = relation_lattice(ring, kind)
+    oracle = ZLattice(len(ring.units()), oracle_relations(ring, kind))
+    assert lattice.spans_same(oracle)
+    assert build_relations(ring, kind) == lattice.basis()
 
 
 def test_present_examples(presented):
@@ -219,17 +237,26 @@ def test_compare_presentations_deterministic_on_z16_and_z4():
             assert not hopf.contains(first.witness)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_compare_matches_oracle_scan(spec):
+    ring = parse_ring_spec(spec)
+    report = compare_presentations(ring)
+    assert (report.extra_relations_implied, report.witness) == oracle_compare(ring)
+    prebuilt = compare_presentations(ring, relation_lattice(ring, "hopf"))
+    assert prebuilt == report
+
+
 def test_multiplication_descends(presented, gw_family):
     # u * g stays in the lattice for every unit u and every generator g;
     # checking a lattice basis settles every generating row by linearity,
-    # and small rings are also checked against the raw emitted rows
+    # and small rings are also checked against the oracle's raw rows
     for ring in gw_family:
         units = ring.units()
         for kind in ("hopf", "reduced"):
             p = presented(ring, kind)
             gens = [g for g in p.lattice.basis()]
             if len(units) <= 8:
-                gens.extend(p.relation_rows)
+                gens.extend(oracle_relations(ring, kind))
             for g in gens:
                 vec = GroupRingVector(ring, dict(zip(units, g)))
                 for u in units:
@@ -261,6 +288,12 @@ def test_report_schema(presented):
     assert report["rank"] == 2
     assert report["minus_one_is_one"] is False
     assert report["kind"] == "reduced"
+
+
+def test_eigenpiece_check_survives_optimisation():
+    # a zero modulus leaves a free eigenpiece, which must raise, not assert
+    with pytest.raises(RuntimeError, match="finite"):
+        GwPresentedRing._odd_eigen_torsion([[1]], [0], sign=+1)
 
 
 def test_kind_coercion():
