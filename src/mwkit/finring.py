@@ -22,8 +22,8 @@ lifts of that choice to {0, ..., p-1}.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 DEFAULT_ELEMENT_BOUND = 1 << 16
 
@@ -332,13 +332,17 @@ class Ring:
     def units(self) -> list[RingElement]:
         if self._units is None:
             self._units = [x for x in self.elements() if x.is_unit()]
-            self._unit_index = {u: i for i, u in enumerate(self._units)}
+            self._unit_index = dict(zip(self._units, range(len(self._units))))
         return self._units
 
-    def unit_index(self, u: RingElement) -> int:
+    def unit_index_map(self) -> Mapping[RingElement, int]:
+        """Map from each unit to its position in ``units()``; shared, do not modify."""
         self.units()
+        return self._unit_index
+
+    def unit_index(self, u: RingElement) -> int:
         try:
-            return self._unit_index[u]
+            return self.unit_index_map()[u]
         except KeyError:
             raise RingError(f"{u} is not a unit of {self.spec_string()}") from None
 
@@ -813,16 +817,18 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
     if not _is_digits(text.strip()):
         raise RingSpecError(f"bad prime power {text!r}", text)
     q = int(text)
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise RingSpecError(f"{text!r} is not a prime power", text)
-            return p, k
-    raise RingSpecError(f"{text!r} is not a prime power", text)
+    # the smallest divisor d >= 2 with d * d <= q is prime; without one q is
+    # 0, 1 or a prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    if p < 2:
+        raise RingSpecError(f"{text!r} is not a prime power", text)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    if q != 1:
+        raise RingSpecError(f"{text!r} is not a prime power", text)
+    return p, k
 
 
 def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Ring:

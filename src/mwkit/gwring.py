@@ -117,9 +117,10 @@ class GroupRingVector:
     def augmentation(self) -> int:
         return sum(self.coeffs.values())
 
-    def to_dense(self, units: Sequence[RingElement]) -> tuple[int, ...]:
-        index = {u: i for i, u in enumerate(units)}
-        row = [0] * len(units)
+    def to_dense(self) -> tuple[int, ...]:
+        """Coefficients in the unit order of the ring."""
+        index = self.ring.unit_index_map()
+        row = [0] * len(index)
         for u, c in self.coeffs.items():
             row[index[u]] += c
         return tuple(row)
@@ -136,13 +137,6 @@ class GroupRingVector:
     __repr__ = __str__
 
 
-def _dense_row(index: dict, signed_units) -> tuple[int, ...]:
-    row = [0] * len(index)
-    for sign, u in signed_units:
-        row[index[u]] += sign
-    return tuple(row)
-
-
 def _sparse_key(signed) -> tuple:
     """Nonzero (index, coefficient) pairs of a signed index list, sorted."""
     coeffs: dict = {}
@@ -151,20 +145,21 @@ def _sparse_key(signed) -> tuple:
     return tuple(sorted((i, c) for i, c in coeffs.items() if c))
 
 
-def _dense(n: int, key: tuple) -> list[int]:
+def _dense(n: int, key: tuple) -> tuple[int, ...]:
     row = [0] * n
     for i, c in key:
         row[i] = c
-    return row
+    return tuple(row)
 
 
-def _family_rows(ring: Ring, index: dict, rep: Sequence[int]) -> list[tuple]:
+def _family_rows(ring: Ring, rep: Sequence[int]) -> list[tuple]:
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
     Every unit index i is replaced by rep[i].  Rows come in a fixed order:
     family (ii) over units, then family (iii) over unordered unit pairs.
     """
     units = ring.units()
+    index = ring.unit_index_map()
     one, minus_one = index[ring.one], index[ring.minus_one()]
     rows: dict = {}
     for i, a in enumerate(units):
@@ -184,13 +179,14 @@ def _family_rows(ring: Ring, index: dict, rep: Sequence[int]) -> list[tuple]:
     return list(rows)
 
 
-def _unit_generators(ring: Ring, index: dict) -> list[list[int]]:
+def _unit_generators(ring: Ring) -> list[list[int]]:
     """Multiplication permutations of a greedy generating set of R^x.
 
     A unit joins the set, in unit order, when the units chosen before it do
     not generate it.  perm[i] is the index of g * units[i].
     """
     units = ring.units()
+    index = ring.unit_index_map()
     subgroup = {index[ring.one]}
     perms = []
     for i, g in enumerate(units):
@@ -225,18 +221,18 @@ def relation_lattice(ring, kind) -> ZLattice:
     kind = PresentationKind.coerce(kind)
     units = ring.units()
     n = len(units)
-    index = {u: i for i, u in enumerate(units)}
+    index = ring.unit_index_map()
     lattice = ZLattice(n)
     if kind is PresentationKind.HOPF:
         # spin-up: the rows that enlarged the lattice span it, so closing them
         # under the generators closes the lattice.  They are translated rather
         # than the echelon basis because they keep their small entries.
         queue = []
-        for key in _family_rows(ring, index, range(n)):
+        for key in _family_rows(ring, range(n)):
             row = _dense(n, key)
             if lattice.add(row):
                 queue.append(row)
-        perms = _unit_generators(ring, index)
+        perms = _unit_generators(ring)
         while queue:
             vec = queue.pop()
             for perm in perms:
@@ -256,7 +252,7 @@ def relation_lattice(ring, kind) -> ZLattice:
     for i in range(n):
         if rep[i] != i:
             lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
-    for key in _family_rows(ring, index, rep):
+    for key in _family_rows(ring, rep):
         lattice.add(_dense(n, key))
     return lattice
 
@@ -301,7 +297,7 @@ class GwPresentedRing:
         self.ring = ring
         self.kind = kind
         self.units = ring.units()
-        self.unit_index = {u: i for i, u in enumerate(self.units)}
+        self.unit_index = ring.unit_index_map()
         self.lattice = relation_lattice(ring, kind)
         self.relation_rows = self.lattice.basis()
         self.presentation: SnfPresentation = presab.quotient(
@@ -320,7 +316,7 @@ class GwPresentedRing:
         return GroupRingVector.angle(self.ring, self.ring.coerce(u))
 
     def dense(self, x: GroupRingVector) -> tuple[int, ...]:
-        return x.to_dense(self.units)
+        return x.to_dense()
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
         return self.lattice.contains(self.dense(x - y))
@@ -465,21 +461,25 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
     """
     ring = make_ring(ring)
     units = ring.units()
-    index = {u: i for i, u in enumerate(units)}
+    index = ring.unit_index_map()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)
-    one = ring.one
-    gens = (units[perm[index[one]]] for perm in _unit_generators(ring, index))  # g * 1 = g
-    implied = all(hopf.contains(_dense_row(index, ((1, g * g), (-1, one)))) for g in gens)
-    witness = None if implied else _first_outside(hopf, units, index)
+    one = index[ring.one]
+    gens = (units[perm[one]] for perm in _unit_generators(ring))  # g * 1 = g
+    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[g * g]), (-1, one)))))
+                  for g in gens)
+    witness = None if implied else _first_outside(hopf, ring)
     return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
 
 
-def _first_outside(lattice: ZLattice, units, index: dict) -> Optional[tuple[int, ...]]:
+def _first_outside(lattice: ZLattice, ring: Ring) -> Optional[tuple[int, ...]]:
     """First nonzero row <a b^2> - <a>, in (a, b) order, outside the lattice."""
+    units, index = ring.units(), ring.unit_index_map()
     for a in units:
         for b in units:
-            row = _dense_row(index, ((1, a * b * b), (-1, a)))
-            if any(row) and not lattice.contains(row):
-                return row
+            key = _sparse_key(((1, index[a * b * b]), (-1, index[a])))
+            if key:
+                row = _dense(len(units), key)
+                if not lattice.contains(row):
+                    return row
     return None

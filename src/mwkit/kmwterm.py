@@ -135,13 +135,7 @@ class Unit:
         return _make_unit(Fraction(rn, rd), {a: e // 2 for a, e in self.factors})
 
     def sum_atoms(self) -> frozenset:
-        out = set()
-        for a, _ in self.factors:
-            if a[0] == SUM:
-                out.add(a)
-                for _, f in a[1]:
-                    out |= _factors_sum_atoms(f)
-        return frozenset(out)
+        return frozenset(_factors_sum_atoms(self.factors))
 
     def __str__(self):
         return render_unit(self)
@@ -707,7 +701,7 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
     return ordered, set(ordered)
 
 
-def _moves(term: Term, schemas, cands, cand_set, declared_sums, cfg):
+def _moves(term: Term, schemas, cands, cand_set, declared_sums):
     """All anchored exact-coefficient moves applicable to a term."""
     out = []
     schema_names = {s.name for s in schemas}
@@ -813,7 +807,7 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
         for node in sorted(frontier, key=_frontier_order):
-            for move in _moves(node.term, schemas, cands, cand_set, declared, cfg):
+            for move in _moves(node.term, schemas, cands, cand_set, declared):
                 t2 = _apply(node.term, move)
                 if len(t2.words) > cfg.max_term_words:
                     continue

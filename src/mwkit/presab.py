@@ -11,6 +11,7 @@ pivot growth during elimination can never overflow.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -115,13 +116,12 @@ class ZLattice:
             j = next((k for k, x in enumerate(v) if x), None)
             if j is None:
                 return grew
-            pos = self._pivot_pos(j)
-            if pos is None:
+            pos = bisect_left(self._pivots, j)
+            if pos == len(self._pivots) or self._pivots[pos] != j:
                 if v[j] < 0:
                     v = [-x for x in v]
-                where = self._insert_pos(j)
-                self._rows.insert(where, v)
-                self._pivots.insert(where, j)
+                self._rows.insert(pos, v)
+                self._pivots.insert(pos, j)
                 return True
             row = self._rows[pos]
             a, b = row[j], v[j]
@@ -167,28 +167,6 @@ class ZLattice:
         return all(other.contains(r) for r in self._rows) and all(
             self.contains(r) for r in other._rows
         )
-
-    def _pivot_pos(self, j: int) -> Optional[int]:
-        lo, hi = 0, len(self._pivots)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pivots[mid] < j:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._pivots) and self._pivots[lo] == j:
-            return lo
-        return None
-
-    def _insert_pos(self, j: int) -> int:
-        lo, hi = 0, len(self._pivots)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pivots[mid] < j:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
 
 def contains(relations: IntMatrix, v: Sequence[int]) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .finring import Ring, RingElement, make_ring
-from .gwring import PresentationKind, build_relations, present
+from .gwring import PresentationKind, present
 from .presab import ZLattice
 
 MAX_FIELD_ORDER = 13
@@ -132,7 +132,7 @@ def oracle_lattice(field) -> list[tuple[int, ...]]:
     """Rows <a> - <c> and <a> + <b> - <c> - <d> for isometric form pairs."""
     field = _check_field(make_ring(field))
     units = field.units()
-    index = {u: i for i, u in enumerate(units)}
+    index = field.unit_index_map()
     n = len(units)
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -179,13 +179,6 @@ class CrossValidation:
 def cross_validate(field) -> CrossValidation:
     """Mutual containment of the oracle lattice and the reduced relations."""
     field = _check_field(make_ring(field))
-    n = len(field.units())
-    oracle_rows = oracle_lattice(field)
-    gw_rows = build_relations(field, PresentationKind.REDUCED)
-    oracle_lat = ZLattice(n, oracle_rows)
-    gw_lat = ZLattice(n, gw_rows)
-    equal = all(gw_lat.contains(r) for r in oracle_rows) and all(
-        oracle_lat.contains(r) for r in gw_rows
-    )
     pres = present(field, PresentationKind.REDUCED)
+    equal = ZLattice(len(pres.units), oracle_lattice(field)).spans_same(pres.lattice)
     return CrossValidation(field.spec_string(), equal, (pres.rank, pres.torsion))

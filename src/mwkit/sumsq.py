@@ -55,47 +55,23 @@ def unit_square_closure(ring) -> SumSquareResult:
             exponent[sq] = 0
 
     rounds = 0
-    frontier = True
-    while frontier:
-        frontier = False
-        rounds += 1
+    while True:
         reached = [u for u in units if u in exponent]
-        new: dict = {}
+        grew = False
         for b in reached:
             for c in reached:
                 s = b + c
-                if s in exponent or s in new:
+                if s in exponent or not s.is_unit():
                     continue
-                if not s.is_unit():
-                    continue
-                new[s] = (b, c)
-        if new:
-            frontier = True
-            for s, (b, c) in new.items():
-                exponent[s] = rounds
+                # reached lists the units of exponent at most rounds in unit
+                # order, so the first pair found is the lexicographically
+                # least one that certifies the exponent rounds + 1 of s
+                exponent[s] = rounds + 1
                 witnesses[s] = (b, c)
-        else:
-            rounds -= 1
-
-    # lexicographically least witness pair by unit enumeration index, among
-    # pairs whose exponents certify the recorded minimal exponent
-    index = {u: i for i, u in enumerate(units)}
-    for s in list(witnesses):
-        n = exponent[s]
-        best = None
-        for b in units:
-            if exponent.get(b, n) >= n:
-                continue
-            for c in units:
-                if exponent.get(c, n) >= n:
-                    continue
-                if b + c == s:
-                    key = (index[b], index[c])
-                    if best is None or key < best[0]:
-                        best = (key, (b, c))
-        if best is None:
-            raise RuntimeError(f"no witness pair certifies the exponent of {s}")
-        witnesses[s] = best[1]
+                grew = True
+        if not grew:
+            break
+        rounds += 1
 
     unreachable = frozenset(u for u in units if u not in exponent)
     return SumSquareResult(ring, exponent, witnesses, unreachable, rounds)

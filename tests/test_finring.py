@@ -1,4 +1,7 @@
+import copy
+import pickle
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -9,6 +12,7 @@ from mwkit.finring import (
     RingError,
     RingSpecError,
     Zmod,
+    _parse_prime_power,
     elementary_factorization,
     mat2_mul,
     parse_ring_spec,
@@ -240,3 +244,40 @@ def test_cross_instance_element_equality():
     assert a != c
     with pytest.raises(RingError, match="mismatch"):
         a + c
+
+
+def _trial_division_prime_power(q):
+    """The first prime dividing q, tried in increasing order, and its exponent."""
+    for p in range(2, q + 1):
+        if q % p == 0 and all(p % d for d in range(2, isqrt(p) + 1)):
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    return None
+
+
+def test_parse_prime_power_matches_trial_division():
+    for q in range(2001):
+        expected = _trial_division_prime_power(q)
+        if expected is None:
+            with pytest.raises(RingSpecError):
+                _parse_prime_power(str(q))
+        else:
+            assert _parse_prime_power(str(q)) == expected, q
+
+
+@pytest.mark.parametrize("spec", ["GF(1000003)", "GR(1000003,1)"])
+def test_large_prime_power_refused(spec):
+    with pytest.raises(RingError, match="bound"):
+        parse_ring_spec(spec)
+
+
+def test_unit_index_map_survives_copies():
+    ring = parse_ring_spec("GR(4,2)")
+    units = ring.units()
+    assert [ring.unit_index_map()[u] for u in units] == list(range(len(units)))
+    for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+        assert clone == ring
+        assert clone.unit_index_map() == ring.unit_index_map()

@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
+from mwkit import gwring
 from mwkit.finring import GaloisField, Zmod, parse_ring_spec
+from mwkit.gwring import PresentationKind
 from mwkit.presab import ZLattice
 from mwkit.qform import CrossValidation, DiagForm, QformError, cross_validate, isometric, oracle_lattice
 
@@ -92,3 +94,16 @@ def test_cross_validate_f3_f5():
         assert payload["lattices_equal"] is True
         assert payload["rank"] == 1
         assert payload["torsion"] == [2]
+
+
+def test_cross_validate_builds_the_reduced_lattice_once(monkeypatch):
+    calls = []
+    build = gwring.relation_lattice
+
+    def counted(ring, kind):
+        calls.append(PresentationKind.coerce(kind))
+        return build(ring, kind)
+
+    monkeypatch.setattr(gwring, "relation_lattice", counted)
+    assert cross_validate(Zmod(5)).lattices_equal is True
+    assert calls == [PresentationKind.REDUCED]

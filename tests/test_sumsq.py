@@ -1,5 +1,8 @@
 from itertools import product
 
+import pytest
+
+from conftest import RING_SPECS
 from mwkit.finring import GaloisField, GaloisRing, Zmod, parse_ring_spec
 from mwkit.gwring import GroupRingVector
 from mwkit.sumsq import minus_one_exponent, unit_square_closure
@@ -69,8 +72,9 @@ def test_galois_ring_43_reaches_minus_one_at_exponent_two():
     assert res.exponent(m1) == 2
 
 
-def test_witnesses_are_lexicographically_least():
-    ring = Zmod(9)
+@pytest.mark.parametrize("spec", RING_SPECS + ["Z/61", "GR(9,2)", "prod(Z/5,GF(2^2))"])
+def test_witnesses_are_lexicographically_least(spec):
+    ring = parse_ring_spec(spec)
     res = unit_square_closure(ring)
     units = ring.units()
     index = {u: i for i, u in enumerate(units)}
