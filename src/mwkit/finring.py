@@ -3,10 +3,10 @@
 Supported ring kinds:
 
 * ``Zmod(m)``, the integers mod m,
-* ``GaloisField(p, k, modulus)``, the field with p^k elements presented as
-  Z/p[x] modulo a monic irreducible polynomial,
 * ``GaloisRing(p, e, k, modulus)``, the local ring Z/p^e[x] modulo a monic
   lift of an irreducible polynomial, with residue field GF(p^k),
+* ``GaloisField(p, k, modulus)``, the field with p^k elements: the Galois
+  ring with e = 1, Z/p[x] modulo a monic irreducible polynomial,
 * ``ProductRing(rings)``, finite products.
 
 Every ring enumerates its elements in a fixed canonical order, so unit
@@ -127,23 +127,23 @@ def _poly_divmod_field(a, b, p):
     return _poly_trim(q), _poly_trim([x % p for x in a])
 
 
+def _digits(idx: int, base: int, n: int) -> tuple[int, ...]:
+    """The n lowest base-`base` digits of idx, least significant first."""
+    out = []
+    for _ in range(n):
+        idx, d = divmod(idx, base)
+        out.append(d)
+    return tuple(out)
+
+
 def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
     """Exhaustive trial division by all monic polynomials of degree <= k/2."""
     k = len(mod) - 1
     if k < 1:
         return False
-    if k == 1:
-        return True
     for deg in range(1, k // 2 + 1):
         for idx in range(p**deg):
-            cand = []
-            v = idx
-            for _ in range(deg):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            _, rem = _poly_divmod_field(list(mod), cand, p)
-            if not rem:
+            if not _poly_rem_monic(mod, _digits(idx, p, deg) + (1,), p):
                 return False
     return True
 
@@ -151,16 +151,11 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over Z/p."""
     for idx in range(p**k):
-        coeffs = []
-        v = idx
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
         # idx counts with the constant term fastest, which is exactly
         # lexicographic order on (a_{k-1}, ..., a_0)
-        coeffs.append(1)
+        coeffs = _digits(idx, p, k) + (1,)
         if _poly_is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise RingError(f"no irreducible polynomial of degree {k} over Z/{p}")
 
 
@@ -427,130 +422,50 @@ class Zmod(Ring):
         return f"Z/{self.m}"
 
 
-class GaloisField(Ring):
-    """GF(p^k) = Z/p[x] / (modulus); elements are coefficient tuples."""
-
-    def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None,
-                 max_elements: int = DEFAULT_ELEMENT_BOUND):
-        super().__init__()
-        if not _is_prime(p):
-            raise RingError(f"GF({p}^{k}): {p} is not prime")
-        if k < 1:
-            raise RingError(f"GF({p}^{k}): degree must be positive")
-        if p**k > max_elements:
-            raise RingError(f"GF({p}^{k}) exceeds the element bound {max_elements}")
-        self.p = p
-        self.k = k
-        self._canonical_modulus = modulus is None
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise RingError(f"GF({p}^{k}): modulus must be monic of degree {k}")
-        if not _poly_is_irreducible(modulus, p):
-            raise RingError(f"GF({p}^{k}): reducible modulus {_poly_str(modulus)}")
-        self.modulus = modulus
-        self.card = p**k
-
-    def _pad(self, coeffs):
-        return tuple(coeffs) + (0,) * (self.k - len(coeffs))
-
-    def _zero_coords(self):
-        return (0,) * self.k
-
-    def _one_coords(self):
-        return self._pad((1,)) if self.k else ()
-
-    def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def _mul(self, a, b):
-        prod = _poly_mul(_poly_trim(list(a)), _poly_trim(list(b)), self.p)
-        return self._pad(_poly_rem_monic(prod, self.modulus, self.p))
-
-    def _inverse_or_none(self, a):
-        a_t = _poly_trim(list(a))
-        if not a_t:
-            return None
-        # extended Euclid over Z/p[x]
-        r0, r1 = tuple(self.modulus), a_t
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod_field(list(r0), list(r1), self.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, _poly_neg(_poly_mul(q, s1, self.p), self.p), self.p)
-        # r0 is a nonzero constant gcd
-        inv_c = pow(r0[0], -1, self.p)
-        inv = _poly_mul(s0, (inv_c,), self.p)
-        return self._pad(_poly_rem_monic(inv, self.modulus, self.p))
-
-    def _enumerate_coords(self):
-        for idx in range(self.card):
-            coords = []
-            v = idx
-            for _ in range(self.k):
-                coords.append(v % self.p)
-                v //= self.p
-            yield tuple(coords)
-
-    def gen(self) -> RingElement:
-        """The class of x."""
-        if self.k == 1:
-            return RingElement(self, self._pad(_poly_rem_monic((0, 1), self.modulus, self.p)))
-        return RingElement(self, self._pad((0, 1)))
-
-    @property
-    def is_field(self) -> bool:
-        return True
-
-    def characteristic(self) -> int:
-        return self.p
-
-    def format_element(self, el: RingElement) -> str:
-        return _poly_str(el.coords)
-
-    def _eq_key(self):
-        return ("GaloisField", self.p, self.k, self.modulus)
-
-    def spec_string(self) -> str:
-        if self._canonical_modulus:
-            return f"GF({self.p}^{self.k})"
-        return f"GF({self.p}^{self.k};{_poly_str(self.modulus)})"
-
-
 class GaloisRing(Ring):
-    """GR(p^e, k) = Z/p^e[x] / (monic lift of an irreducible over Z/p)."""
+    """GR(p^e, k) = Z/p^e[x] / (monic lift of an irreducible over Z/p).
+
+    Elements are coefficient tuples with entries in 0..p^e-1.  The e = 1
+    case is the field GF(p^k), built by the subclass ``GaloisField``.
+    """
+
+    # wording of two construction errors; GaloisField words them for e = 1
+    _positive = "exponent and degree must be positive"
+    _reducible_suffix = " mod {p}"
 
     def __init__(self, p: int, e: int, k: int, modulus: Optional[Sequence[int]] = None,
                  max_elements: int = DEFAULT_ELEMENT_BOUND):
         super().__init__()
-        if not _is_prime(p):
-            raise RingError(f"GR({p}^{e},{k}): {p} is not prime")
-        if e < 1 or k < 1:
-            raise RingError(f"GR({p}^{e},{k}): exponent and degree must be positive")
-        if p ** (e * k) > max_elements:
-            raise RingError(f"GR({p}^{e},{k}) exceeds the element bound {max_elements}")
         self.p = p
         self.e = e
         self.k = k
+        label = self._label()
+        if e < 1 or k < 1:
+            raise RingError(f"{label}: {self._positive}")
+        # with p >= 2, an e*k above the bound's bit length exceeds it: refuse
+        # before building the power or testing a huge p for primality
+        if p > 1 and (e * k > max_elements.bit_length() or p ** (e * k) > max_elements):
+            raise RingError(f"{label} exceeds the element bound {max_elements}")
+        if not _is_prime(p):
+            raise RingError(f"{label}: {p} is not prime")
         self.q = p**e
         self._canonical_modulus = modulus is None
         if modulus is None:
             modulus = smallest_irreducible(p, k)  # lift is coefficientwise
         modulus = tuple(c % self.q for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise RingError(f"GR({p}^{e},{k}): modulus must be monic of degree {k}")
+            raise RingError(f"{label}: modulus must be monic of degree {k}")
         reduced = tuple(c % p for c in modulus)
         if not _poly_is_irreducible(reduced, p):
-            raise RingError(
-                f"GR({p}^{e},{k}): reducible modulus {_poly_str(modulus)} mod {p}"
-            )
+            raise RingError(f"{label}: reducible modulus {_poly_str(modulus)}"
+                            + self._reducible_suffix.format(p=p))
         self.modulus = modulus
-        self.residue_field = GaloisField(p, k, reduced, max_elements=max_elements)
-        self.card = p ** (e * k)
+        self.residue_field = (self if isinstance(self, GaloisField)
+                              else GaloisField(p, k, reduced, max_elements=max_elements))
+        self.card = self.q**k
+
+    def _label(self, tail: str = "") -> str:
+        return f"GR({self.p}^{self.e},{self.k}{tail})"
 
     def _pad(self, coeffs):
         return tuple(coeffs) + (0,) * (self.k - len(coeffs))
@@ -576,12 +491,23 @@ class GaloisRing(Ring):
         return RingElement(self.residue_field, tuple(c % self.p for c in el.coords))
 
     def _inverse_or_none(self, a):
-        res = tuple(c % self.p for c in a)
-        inv0 = self.residue_field._inverse_or_none(res)
-        if inv0 is None:
+        p = self.p
+        r1 = _poly_trim([c % p for c in a])
+        if not r1:
             return None
+        # extended Euclid over Z/p[x] against the modulus mod p
+        reduced = r0 = self.residue_field.modulus
+        s0, s1 = (), (1,)
+        while r1:
+            q, r = _poly_divmod_field(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_add(s0, _poly_neg(_poly_mul(q, s1, p), p), p)
+        # r0 is a nonzero constant gcd
+        inv = _poly_mul(s0, (pow(r0[0], -1, p),), p)
+        y = self._pad(_poly_rem_monic(inv, reduced, p))
+        if self.e == 1:
+            return y
         # Newton lift: y -> y(2 - a y) doubles p-adic precision
-        y = tuple(c % self.q for c in inv0)
         one = self._one_coords()
         for _ in range(self.e.bit_length() + 1):
             ay = self._mul(a, y)
@@ -592,17 +518,11 @@ class GaloisRing(Ring):
         return y if self._mul(a, y) == one else None
 
     def _enumerate_coords(self):
-        for idx in range(self.card):
-            coords = []
-            v = idx
-            for _ in range(self.k):
-                coords.append(v % self.q)
-                v //= self.q
-            yield tuple(coords)
+        return (_digits(idx, self.q, self.k) for idx in range(self.card))
 
     def gen(self) -> RingElement:
-        return RingElement(self, self._pad((0, 1)) if self.k > 1 else
-                           self._pad(_poly_rem_monic((0, 1), self.modulus, self.q)))
+        """The class of x."""
+        return RingElement(self, self._pad(_poly_rem_monic((0, 1), self.modulus, self.q)))
 
     @property
     def is_field(self) -> bool:
@@ -618,9 +538,24 @@ class GaloisRing(Ring):
         return ("GaloisRing", self.p, self.e, self.k, self.modulus)
 
     def spec_string(self) -> str:
-        if self._canonical_modulus:
-            return f"GR({self.p}^{self.e},{self.k})"
-        return f"GR({self.p}^{self.e},{self.k};{_poly_str(self.modulus)})"
+        return self._label("" if self._canonical_modulus else ";" + _poly_str(self.modulus))
+
+
+class GaloisField(GaloisRing):
+    """GF(p^k) = Z/p[x] / (modulus), the Galois ring GR(p^1, k); its own residue field."""
+
+    _positive = "degree must be positive"
+    _reducible_suffix = ""
+
+    def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None,
+                 max_elements: int = DEFAULT_ELEMENT_BOUND):
+        super().__init__(p, 1, k, modulus, max_elements=max_elements)
+
+    def _label(self, tail: str = "") -> str:
+        return f"GF({self.p}^{self.k}{tail})"
+
+    def _eq_key(self):
+        return ("GaloisField", self.p, self.k, self.modulus)
 
 
 class ProductRing(Ring):
@@ -740,7 +675,15 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _parse_poly(text: str, token_context: str) -> tuple[int, ...]:
+def _spec_int(digits: str) -> int:
+    """The value of a checked digit run; one too long for ``int()`` is a spec error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise RingSpecError(f"number of {len(digits)} digits is too long", digits) from None
+
+
+def _parse_poly(text: str, token_context: str, max_elements: int) -> tuple[int, ...]:
     text = text.replace(" ", "")
     if not text:
         raise RingSpecError("empty polynomial", token_context)
@@ -774,12 +717,17 @@ def _parse_poly(text: str, token_context: str) -> tuple[int, ...]:
             if not (exp_s.startswith("^") and _is_digits(exp_s[1:])
                     and (coef_s == "" or _is_digits(coef_s))):
                 raise RingSpecError(f"bad polynomial term {term!r}", term)
-            coef = int(coef_s) if coef_s else 1
-            exp = int(exp_s[1:])
+            coef = _spec_int(coef_s) if coef_s else 1
+            exp = _spec_int(exp_s[1:])
+            # a ring within the bound has p^k >= 2^k elements, so a larger
+            # degree names none; refuse it before spelling out its coefficients
+            if exp > max_elements.bit_length():
+                raise RingSpecError(
+                    f"degree of {term!r} exceeds the element bound {max_elements}", term)
         else:
             if not _is_digits(t):
                 raise RingSpecError(f"bad polynomial term {term!r}", term)
-            coef = int(t)
+            coef = _spec_int(t)
             exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     deg = max(coeffs)
@@ -804,19 +752,24 @@ def _split_top_commas(text: str) -> list[str]:
     return parts
 
 
-def _parse_prime_power(text: str) -> tuple[int, int]:
-    """Parse 'p^k' or a plain prime power q, returning (p, k)."""
-    if "^" in text:
-        p_s, _, k_s = text.partition("^")
-        if not (_is_digits(p_s.strip()) and _is_digits(k_s.strip())):
-            raise RingSpecError(f"bad prime power {text!r}", text)
-        p = int(p_s)
-        if not _is_prime(p):
-            raise RingSpecError(f"{p} is not prime in {text!r}", p_s.strip())
-        return p, int(k_s)
-    if not _is_digits(text.strip()):
+def _parse_prime_power(text: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> tuple[int, int]:
+    """Parse 'p^k' or a plain prime power q, returning (p, k).
+
+    A p or q above max_elements comes back untested, as (p, k) or (q, 1):
+    every ring over it exceeds the bound, and the ring constructors refuse
+    it on size before any primality test.
+    """
+    base_s, caret, k_s = text.partition("^")
+    base_s, k_s = base_s.strip(), k_s.strip()
+    if not (_is_digits(base_s) and (not caret or _is_digits(k_s))):
         raise RingSpecError(f"bad prime power {text!r}", text)
-    q = int(text)
+    q = _spec_int(base_s)
+    if q > max_elements:
+        return q, _spec_int(k_s) if caret else 1
+    if caret:
+        if not _is_prime(q):
+            raise RingSpecError(f"{q} is not prime in {text!r}", base_s)
+        return q, _spec_int(k_s)
     # the smallest divisor d >= 2 with d * d <= q is prime; without one q is
     # 0, 1 or a prime
     p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
@@ -836,14 +789,14 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
     s = spec.strip()
     if s.startswith("Z/"):
         body = s[2:].strip()
-        if not _is_digits(body.lstrip("-")):
+        if not _is_digits(body.removeprefix("-")):
             raise RingSpecError(f"bad modulus {body!r} in {spec!r}", body)
-        return Zmod(int(body), max_elements=max_elements)
+        return Zmod(_spec_int(body), max_elements=max_elements)
     if s.startswith("GF(") and s.endswith(")"):
         body = s[3:-1]
         head, _, poly = body.partition(";")
-        p, k = _parse_prime_power(head.strip())
-        modulus = _parse_poly(poly, spec) if poly else None
+        p, k = _parse_prime_power(head.strip(), max_elements)
+        modulus = _parse_poly(poly, spec, max_elements) if poly else None
         return GaloisField(p, k, modulus, max_elements=max_elements)
     if s.startswith("GR(") and s.endswith(")"):
         body = s[3:-1]
@@ -851,11 +804,11 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
         parts = _split_top_commas(head)
         if len(parts) != 2:
             raise RingSpecError(f"GR spec needs two arguments in {spec!r}", head)
-        p, e = _parse_prime_power(parts[0].strip())
+        p, e = _parse_prime_power(parts[0].strip(), max_elements)
         if not _is_digits(parts[1].strip()):
             raise RingSpecError(f"bad degree {parts[1]!r} in {spec!r}", parts[1])
-        k = int(parts[1])
-        modulus = _parse_poly(poly, spec) if poly else None
+        k = _spec_int(parts[1].strip())
+        modulus = _parse_poly(poly, spec, max_elements) if poly else None
         return GaloisRing(p, e, k, modulus, max_elements=max_elements)
     if s.startswith("prod(") and s.endswith(")"):
         inner = s[5:-1]

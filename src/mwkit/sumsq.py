@@ -55,13 +55,15 @@ def unit_square_closure(ring) -> SumSquareResult:
             exponent[sq] = 0
 
     rounds = 0
-    while True:
+    index = ring.unit_index_map()
+    while len(exponent) < len(units):
         reached = [u for u in units if u in exponent]
         grew = False
-        for b in reached:
-            for c in reached:
+        for i, b in enumerate(reached):
+            # b + c = c + b, so the pairs with c before b were scanned already
+            for c in reached[i:]:
                 s = b + c
-                if s in exponent or not s.is_unit():
+                if s in exponent or s not in index:
                     continue
                 # reached lists the units of exponent at most rounds in unit
                 # order, so the first pair found is the lexicographically

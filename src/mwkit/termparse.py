@@ -60,9 +60,9 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -110,6 +110,14 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def int_value(self, tok: Token) -> int:
+        """The value of an INT token; one too long for ``int()`` is a parse error."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"integer of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
+
     # terms ----------------------------------------------------------------
 
     def parse_term(self) -> km.Term:
@@ -136,7 +144,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            term = km.integer(int(tok.text))
+            term = km.integer(self.int_value(tok))
         elif tok.kind == "IDENT":
             if tok.text == "eta":
                 self.next()
@@ -168,7 +176,7 @@ class _Parser:
         while self.peek().kind == "^":
             self.next()
             exp = self.expect("INT")
-            term = term ** int(exp.text)
+            term = term ** self.int_value(exp)
         return term
 
     # unit expressions -----------------------------------------------------
@@ -208,7 +216,7 @@ class _Parser:
             self.next()
             if tok.text == "0":
                 raise ParseError("0 is not a unit", tok.line, tok.col)
-            u = km.uint(int(tok.text))
+            u = km.uint(self.int_value(tok))
         elif tok.kind == "IDENT":
             self.next()
             u = km.uvar(tok.text)
@@ -225,7 +233,7 @@ class _Parser:
                 self.next()
                 neg = True
             exp = self.expect("INT")
-            n = int(exp.text)
+            n = self.int_value(exp)
             u = u ** (-n if neg else n)
         return u
 

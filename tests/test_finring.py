@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 from itertools import product
 from math import isqrt
@@ -183,7 +184,13 @@ def test_parse_ring_spec_errors_carry_token():
 
 @pytest.mark.parametrize("spec", [
     "GF(3^2;x^a+1)", "GF(3^2;ax^2+1)", "GF(3^2;x^+1)", "GF(3^2;x*x+1)",
-    "GR(4,2;x^2+x+a)", "Z/\u00b2", "GF(3^\u00b2)",
+    "GR(4,2;x^2+x+a)", "Z/\u00b2", "GF(3^\u00b2)", "Z/--5",
+    # more digits than int() converts
+    pytest.param("Z/" + "9" * 5000, id="Z/<5000 nines>"),
+    pytest.param("GF(3^2;x^2+" + "1" * 5000 + ")", id="GF(3^2;x^2+<5000 ones>)"),
+    pytest.param("GF(3^2;x^" + "9" * 5000 + "+1)", id="GF(3^2;x^<5000 nines>+1)"),
+    pytest.param("GF(2^" + "9" * 5000 + ")", id="GF(2^<5000 nines>)"),
+    pytest.param("GR(4," + "9" * 5000 + ")", id="GR(4,<5000 nines>)"),
 ])
 def test_malformed_numbers_raise_spec_error(spec, capsys):
     from mwkit.cli import main
@@ -268,16 +275,75 @@ def test_parse_prime_power_matches_trial_division():
             assert _parse_prime_power(str(q)) == expected, q
 
 
-@pytest.mark.parametrize("spec", ["GF(1000003)", "GR(1000003,1)"])
+@pytest.mark.parametrize("spec", [
+    "GF(1000003)", "GR(1000003,1)",
+    # refused on size before the prime is tested or the power is built
+    "GF(100000000000000000039)", "GF(100000000000000000039^1)",
+    "GR(100000000000000000039,1)", "GF(3^20000000)", "GR(3^20000000,1)",
+    # refused before a coefficient tuple of that length is spelled out
+    "GF(2^2;x^1000000+1)",
+])
 def test_large_prime_power_refused(spec):
     with pytest.raises(RingError, match="bound"):
         parse_ring_spec(spec)
 
 
 def test_unit_index_map_survives_copies():
-    ring = parse_ring_spec("GR(4,2)")
-    units = ring.units()
-    assert [ring.unit_index_map()[u] for u in units] == list(range(len(units)))
-    for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
-        assert clone == ring
-        assert clone.unit_index_map() == ring.unit_index_map()
+    # a GaloisField is its own residue field, so its copies hold a cycle
+    for spec in ("GR(4,2)", "GF(3^2)"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        assert [ring.unit_index_map()[u] for u in units] == list(range(len(units)))
+        for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+            assert clone == ring
+            assert clone.unit_index_map() == ring.unit_index_map()
+
+
+# sha256 of each ring's element order, + and * tables, inverses, spec,
+# characteristic and is_field, recorded when GaloisField and GaloisRing were
+# still two separate copies of the arithmetic
+GALOIS_TABLE_DIGESTS = {
+    "GF(2^1)": "17c4075f4d12e7749295ad6f02e7917220534f184f0eea344d87a2941f31bc53",
+    "GF(2^2)": "00fd14a936bcff0e5cce683ff35b7d5a802cb7e8eae06bd1f44a97016f3e7356",
+    "GF(2^3)": "4369f83cddc61cf3fe06db8ec7d86bf2529eacab6919d64ccd4ef9568b52bc8c",
+    "GF(2^5)": "7b4f75956c0bada33e259f24d02e562e321efcf91987776e1c669277888b1538",
+    "GF(3^2)": "65d2c5772c1ae34d15a3788a45cb717cd11f8903196d09d0cbcb483bb023d50a",
+    "GF(3^3)": "fec5b813f50031621d0889309329571b2b78bacd66c3b04a40795816063d9ed9",
+    "GF(5^2)": "5be18955c3d3cc51ea61e896ac5d1b2245a5056f81cc2ff6e9365fd610a8201b",
+    "GF(7^2)": "14fb366d25dcef8aca2795f402b80ff8ef3cbac00eb79e5a630f1becc7a64866",
+    "GF(3^2;x^2+x+2)": "e4d93946b2baf51c289f8e475f183f165ba845016ddcb7e0c35a778f313c95f0",
+    "GR(4,2)": "84402bebbab185aa33da1cd81e528b9851339acc2372ec19bc7c7112e44ae807",
+    "GR(4,3)": "6b300cd196db27cd76177ebc0e270ac5727be0b6e2b8e387154610f6f9a826bb",
+    "GR(8,2)": "1b1d99c6606a439d4be87d352681ce64bb67f644c9d23d38de126b2d97164348",
+    "GR(9,2)": "0516586f8c3a6843049b74394ec23e32bdefece02efddd8d2c16d29831ac72a6",
+    "GR(25,1)": "0a33e6d7eeab182d50926fb46a89f042220805981c45222387c6058b2949213f",
+    "GR(3,2)": "4ec3053b411aa1d4ccf640f436a5cba79435c43c5244947530c68223f27d6ea5",
+    "prod(GF(2^2),GR(4,2))": "6c03c96ba83bac6d845871c02f41fba8280ebcef0f227ce9652e4eb657496305",
+}
+
+
+def _table_digest(ring):
+    els = list(ring.elements())
+    index = {x: i for i, x in enumerate(els)}
+    h = hashlib.sha256()
+    h.update(repr((ring.spec_string(), ring.characteristic(), ring.is_field,
+                   [str(x) for x in els])).encode())
+    for a in els:
+        inv = ring.inverse_or_none(a)
+        h.update(repr(([index[a + b] for b in els], [index[a * b] for b in els],
+                       -1 if inv is None else index[inv])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec", list(GALOIS_TABLE_DIGESTS))
+def test_galois_tables_match_parent(spec):
+    assert _table_digest(parse_ring_spec(spec)) == GALOIS_TABLE_DIGESTS[spec]
+
+
+def test_galois_field_is_the_unramified_case():
+    field, ring = parse_ring_spec("GF(3^2)"), parse_ring_spec("GR(3^1,2)")
+    assert field != ring
+    assert isinstance(field, GaloisRing) and field.residue_field is field
+    assert isinstance(ring.residue_field, GaloisField)
+    assert ring.residue_field == field.residue_field
+    assert ring.is_field and ring.spec_string() == "GR(3^1,2)"

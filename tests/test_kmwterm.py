@@ -349,6 +349,12 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_term("\n  <a> @")
     assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        parse_identity("[a] = " + "9" * 5000 + " [a]")  # more digits than int() converts
+    assert (exc.value.line, exc.value.col) == (1, 7)
+    with pytest.raises(ParseError) as exc:
+        parse_identity("[a] = \u00b2 [a]")  # a digit but not a decimal one
+    assert (exc.value.line, exc.value.col) == (1, 7)
 
 
 def test_parse_identity_round_trip():

@@ -72,7 +72,8 @@ def test_galois_ring_43_reaches_minus_one_at_exponent_two():
     assert res.exponent(m1) == 2
 
 
-@pytest.mark.parametrize("spec", RING_SPECS + ["Z/61", "GR(9,2)", "prod(Z/5,GF(2^2))"])
+@pytest.mark.parametrize("spec", RING_SPECS + ["Z/61", "GR(9,2)", "prod(Z/5,GF(2^2))",
+                                  "GF(2^8)", "Z/127"])
 def test_witnesses_are_lexicographically_least(spec):
     ring = parse_ring_spec(spec)
     res = unit_square_closure(ring)
