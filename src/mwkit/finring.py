@@ -26,6 +26,9 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 DEFAULT_ELEMENT_BOUND = 1 << 16
+# parentheses in a ring spec nest at most this deep; parsing, spec strings
+# and element enumeration recurse once or more per product level
+MAX_SPEC_NESTING = 16
 
 
 class RingError(ValueError):
@@ -784,9 +787,23 @@ def _parse_prime_power(text: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> 
     return p, k
 
 
+def _nesting(text: str) -> int:
+    """The deepest nesting of parentheses in text."""
+    depth = most = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            most = max(most, depth)
+        elif ch == ")":
+            depth -= 1
+    return most
+
+
 def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Ring:
     """Parse the ring spec mini-language into a ring handle."""
     s = spec.strip()
+    if _nesting(s) > MAX_SPEC_NESTING:
+        raise RingSpecError(f"parentheses nest more than {MAX_SPEC_NESTING} deep", s)
     if s.startswith("Z/"):
         body = s[2:].strip()
         if not _is_digits(body.removeprefix("-")):

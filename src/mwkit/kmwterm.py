@@ -25,12 +25,20 @@ The prover runs a bidirectional breadth-first search whose moves add an
 exact multiple of an instantiated axiom difference inside a word context.
 Every step of the returned certificate is independently replayable by
 ``check_proof``.  A ``None`` result means Unknown, never disproved.
+
+The search spends its time looking up terms, whose keys are tuples of
+units.  A ``Unit`` therefore hashes once, at construction; library-internal
+term arithmetic builds terms from words that are already normal without
+re-checking them; and one ``prove`` call builds each axiom instance, and
+the R2 candidate splits of each letter, once.  These memos live in the
+call, not in the module, and ``check_proof`` shares none of them: it
+rebuilds every instance from the certificate and compares structurally.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
@@ -77,19 +85,43 @@ def _factors_key(factors):
     return tuple((_atom_key(a), e) for a, e in factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit:
-    """Canonical unit expression: rational content times a sorted monomial."""
+    """Canonical unit expression: rational content times a sorted monomial.
+
+    The hash is computed once, at construction: words and term keys are
+    tuples of units, and the prover hashes them on every state lookup.
+    """
 
     content: Fraction
     factors: tuple  # ((atom, nonzero int exponent), ...) sorted by atom key
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.content, self.factors)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Unit):
+            return NotImplemented
+        return (self._hash == other._hash and self.content == other.content
+                and self.factors == other.factors)
+
+    def __reduce__(self):
+        # rebuild through the constructor: a pickled hash of str atoms is
+        # stale in a process with another PYTHONHASHSEED
+        return (Unit, (self.content, self.factors))
 
     def key(self):
         return (_frac_key(self.content), _factors_key(self.factors))
 
     @property
     def is_one(self) -> bool:
-        return self.content == 1 and not self.factors
+        return not self.factors and self.content == 1
 
     @property
     def is_minus_one(self) -> bool:
@@ -316,6 +348,17 @@ class Term:
                     if not self.words[w]:
                         del self.words[w]
 
+    @classmethod
+    def _of(cls, words: dict) -> "Term":
+        """A term from words already in normal form: drops zero coefficients only.
+
+        For internal arithmetic whose words concatenate normal words, so
+        no letter can be the unit 1.
+        """
+        t = cls.__new__(cls)
+        t.words = {w: c for w, c in words.items() if c}
+        return t
+
     def key(self):
         return frozenset(self.words.items())
 
@@ -332,10 +375,10 @@ class Term:
         out = dict(self.words)
         for w, c in other.words.items():
             out[w] = out.get(w, 0) + c
-        return Term(out)
+        return Term._of(out)
 
     def __neg__(self) -> "Term":
-        return Term({w: -c for w, c in self.words.items()})
+        return Term._of({w: -c for w, c in self.words.items()})
 
     def __sub__(self, other: "Term") -> "Term":
         return self + (-other)
@@ -343,7 +386,7 @@ class Term:
     def __rmul__(self, scalar: int) -> "Term":
         if not isinstance(scalar, int):
             return NotImplemented
-        return Term({w: scalar * c for w, c in self.words.items()})
+        return Term._of({w: scalar * c for w, c in self.words.items()})
 
     def __mul__(self, other) -> "Term":
         if isinstance(other, int):
@@ -353,7 +396,7 @@ class Term:
             for (e2, b2), c2 in other.words.items():
                 w = (e1 + e2, b1 + b2)
                 out[w] = out.get(w, 0) + c1 * c2
-        return Term(out)
+        return Term._of(out)
 
     def __pow__(self, n: int) -> "Term":
         if n < 0:
@@ -392,16 +435,20 @@ class Term:
     def __str__(self):
         if not self.words:
             return "0"
+        # by degree, eta power, then the rendered letters; each letter renders once
+        words = sorted(
+            (((len(brs) - e, e, tuple(render_unit(u) for u in brs)), c)
+             for (e, brs), c in self.words.items()),
+            key=lambda t: t[0],
+        )
         rendered = []
-        for (e, brs), c in sorted(
-            self.words.items(), key=lambda t: (len(t[0][1]) - t[0][0], t[0][0], _factors_key(tuple((("var", str(u)), 1) for u in t[0][1])))
-        ):
+        for (_, e, letters), c in words:
             bits = []
             if e == 1:
                 bits.append("eta")
             elif e > 1:
                 bits.append(f"eta^{e}")
-            bits.extend(f"[{render_unit(u)}]" for u in brs)
+            bits.extend(f"[{r}]" for r in letters)
             if not bits:
                 bits = [str(abs(c))]
                 coeff = ""
@@ -643,18 +690,20 @@ class CheckReport:
 
 
 def _embed(core: Term, pos_eta: int, left: tuple, right: tuple, coeff: int) -> Term:
+    """coeff * eta^pos_eta * left core right; left and right must hold no unit 1."""
     out: dict = {}
     for (e, brs), c in core.words.items():
         w = (e + pos_eta, left + brs + right)
         out[w] = out.get(w, 0) + c * coeff
-    return Term(out)
+    return Term._of(out)
 
 
 def _step_delta(step: ProofStep) -> Term:
     schema = AXIOMS[step.axiom]
     lhs, rhs, _ = schema.build(step.binding)
     core = rhs - lhs if step.direction == "forward" else lhs - rhs
-    return _embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff)
+    # a certificate's positions are input, so the delta is re-normalised
+    return normalize(_embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff))
 
 
 @dataclass
@@ -701,20 +750,34 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
     return ordered, set(ordered)
 
 
-def _moves(term: Term, schemas, cands, cand_set, declared_sums):
-    """All anchored exact-coefficient moves applicable to a term."""
+def _r2_splits(m: Unit, cands, cand_set) -> list:
+    """The pairs (x, y) of candidates, neither of them 1, with x * y = m."""
+    out = []
+    for x in cands:
+        if x.is_one:
+            continue
+        y = m * x.inverse()
+        if y.is_one or y not in cand_set:
+            continue
+        out.append((x, y))
+    return out
+
+
+def _moves(term: Term, schemas, cands, cand_set, declared_sums, splits: dict):
+    """All anchored exact-coefficient moves applicable to a term.
+
+    ``splits`` memoises ``_r2_splits`` per letter for one search.
+    """
     out = []
     schema_names = {s.name for s in schemas}
     for (s, brs), coeff in term.words.items():
         if "R2" in schema_names:
             for i, m in enumerate(brs):
                 left, right = brs[:i], brs[i + 1 :]
-                for x in cands:
-                    if x.is_one:
-                        continue
-                    y = m * x.inverse()
-                    if y.is_one or y not in cand_set:
-                        continue
+                split = splits.get(m)
+                if split is None:
+                    split = splits[m] = _r2_splits(m, cands, cand_set)
+                for x, y in split:
                     out.append(("R2", "forward", {"a": x, "b": y}, coeff, (s, left, right)))
             if s >= 1:
                 for i in range(len(brs) - 1):
@@ -745,11 +808,15 @@ def _moves(term: Term, schemas, cands, cand_set, declared_sums):
     return out
 
 
-def _apply(term: Term, move) -> Term:
-    axiom, direction, binding, coeff, (pe, pl, pr) = move
-    lhs, rhs, _ = AXIOMS[axiom].build(binding)
-    core = rhs - lhs if direction == "forward" else lhs - rhs
-    return term + _embed(core, pe, pl, pr, coeff)
+def _core(move, cores: dict) -> Term:
+    """The axiom difference a move adds; ``cores`` memoises it for one search."""
+    axiom, direction, binding = move[:3]
+    key = (axiom, direction, tuple(sorted(binding.items())))
+    core = cores.get(key)
+    if core is None:
+        lhs, rhs, _ = AXIOMS[axiom].build(binding)
+        core = cores[key] = rhs - lhs if direction == "forward" else lhs - rhs
+    return core
 
 
 def _path(node: _Node) -> list:
@@ -799,6 +866,9 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
     frontier_r = [right[goal.key()]]
     depth_total = 0
     states = 2
+    # per-search memos, shared with no other search and not with check_proof
+    cores: dict = {}
+    splits: dict = {}
 
     while (frontier_l or frontier_r) and depth_total < cfg.max_depth:
         if frontier_l and (not frontier_r or len(frontier_l) <= len(frontier_r)):
@@ -807,8 +877,13 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
         for node in sorted(frontier, key=_frontier_order):
-            for move in _moves(node.term, schemas, cands, cand_set, declared):
-                t2 = _apply(node.term, move)
+            for move in _moves(node.term, schemas, cands, cand_set, declared, splits):
+                core = _core(move, cores)
+                # each word of the core cancels at most one word of the term
+                if len(node.term.words) - len(core.words) > cfg.max_term_words:
+                    continue
+                coeff, (pe, pl, pr) = move[3:]
+                t2 = node.term + _embed(core, pe, pl, pr, coeff)
                 if len(t2.words) > cfg.max_term_words:
                     continue
                 k2 = t2.key()

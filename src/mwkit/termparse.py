@@ -18,6 +18,23 @@ Compared to the strictest reading of the grammar this accepts sums directly
 inside [..], <..> and unit(..) without extra parentheses, a leading minus
 sign, and ^ exponents on unit atoms; rendered unit expressions round-trip.
 Parse errors carry 1-based line and column numbers.
+
+What an identity may build is bounded, so that no input makes the parser
+build huge integers or terms, and every integer renders (``str`` refuses
+ints of more than 4300 digits):
+
+* an exponent after ``^`` and every exponent in a unit are at most
+  ``MAX_EXPONENT``;
+* the eta power of a word and its number of symbols are at most
+  ``MAX_WORD_LENGTH`` (a power of a term costs about the cube of its
+  longest word to build);
+* a coefficient, and every numerator and denominator in a unit, has at
+  most ``MAX_INT_BITS`` bits (about 1233 digits);
+* a term has at most ``MAX_TERM_WORDS`` words, and a product of terms
+  pairs at most that many.
+
+Powers are checked before they are built, products and sums as they are
+built; a breach is a ``ParseError`` at the offending token.
 """
 
 from __future__ import annotations
@@ -43,6 +60,11 @@ class Token:
 
 
 _SYMBOLS = "+-*/^()[]<>=,"
+
+MAX_EXPONENT = 1000
+MAX_WORD_LENGTH = 64
+MAX_INT_BITS = 4096
+MAX_TERM_WORDS = 4096
 
 
 def tokenize(text: str) -> list[Token]:
@@ -118,6 +140,53 @@ class _Parser:
             raise ParseError(f"integer of {len(tok.text)} digits is too long",
                              tok.line, tok.col) from None
 
+    def exponent(self, tok: Token) -> int:
+        """The value of an exponent token, at most ``MAX_EXPONENT``."""
+        n = self.int_value(tok)
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent {n} exceeds the bound {MAX_EXPONENT}", tok.line, tok.col)
+        return n
+
+    # bounds ---------------------------------------------------------------
+
+    def bounded_unit(self, u: km.Unit, tok: Token) -> km.Unit:
+        """``u``, unless an integer or exponent in it exceeds its bound."""
+        for content, factors in _unit_parts(u):
+            if max(abs(content.numerator), content.denominator).bit_length() > MAX_INT_BITS:
+                raise ParseError(f"a unit's numerator or denominator exceeds {MAX_INT_BITS} bits",
+                                 tok.line, tok.col)
+            if any(abs(e) > MAX_EXPONENT for _, e in factors):
+                raise ParseError(f"a unit exponent exceeds the bound {MAX_EXPONENT}",
+                                 tok.line, tok.col)
+        return u
+
+    def unit_power(self, u: km.Unit, n: int, tok: Token) -> km.Unit:
+        """``u ** n``, refused before it is built when its content is surely too long."""
+        for x in (u.content.numerator, u.content.denominator):
+            # x ** n has at least (bits(x) - 1) * n + 1 bits
+            if (abs(x).bit_length() - 1) * abs(n) + 1 > MAX_INT_BITS:
+                raise ParseError(f"a unit's numerator or denominator exceeds {MAX_INT_BITS} bits",
+                                 tok.line, tok.col)
+        return self.bounded_unit(u**n, tok)
+
+    def bounded_term(self, term: km.Term, tok: Token) -> km.Term:
+        """``term``, unless its size, a coefficient or a word exceeds its bound."""
+        if len(term.words) > MAX_TERM_WORDS:
+            raise ParseError(f"term exceeds {MAX_TERM_WORDS} words", tok.line, tok.col)
+        for (e, brs), c in term.words.items():
+            if c.bit_length() > MAX_INT_BITS:
+                raise ParseError(f"coefficient exceeds {MAX_INT_BITS} bits", tok.line, tok.col)
+            if e > MAX_WORD_LENGTH or len(brs) > MAX_WORD_LENGTH:
+                raise ParseError(f"a word exceeds {MAX_WORD_LENGTH} eta factors or symbols",
+                                 tok.line, tok.col)
+        return term
+
+    def term_product(self, a: km.Term, b: km.Term, tok: Token) -> km.Term:
+        """``a * b``, refused before it is built when it pairs too many words."""
+        if len(a.words) * len(b.words) > MAX_TERM_WORDS:
+            raise ParseError(f"product of terms exceeds {MAX_TERM_WORDS} words", tok.line, tok.col)
+        return self.bounded_term(a * b, tok)
+
     # terms ----------------------------------------------------------------
 
     def parse_term(self) -> km.Term:
@@ -129,22 +198,23 @@ class _Parser:
         if negate:
             term = -term
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            op = self.next()
             rhs = self.parse_prod()
-            term = term + rhs if op == "+" else term - rhs
+            term = self.bounded_term(term + rhs if op.kind == "+" else term - rhs, op)
         return term
 
     def parse_prod(self) -> km.Term:
         term = self.parse_atom()
         while self.peek().kind in ("INT", "IDENT", "[", "<", "("):
-            term = term * self.parse_atom()
+            tok = self.peek()
+            term = self.term_product(term, self.parse_atom(), tok)
         return term
 
     def parse_atom(self) -> km.Term:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            term = km.integer(self.int_value(tok))
+            term = self.bounded_term(km.integer(self.int_value(tok)), tok)
         elif tok.kind == "IDENT":
             if tok.text == "eta":
                 self.next()
@@ -176,7 +246,9 @@ class _Parser:
         while self.peek().kind == "^":
             self.next()
             exp = self.expect("INT")
-            term = term ** self.int_value(exp)
+            base, term = term, km.integer(1)
+            for _ in range(self.exponent(exp)):
+                term = self.term_product(term, base, exp)
         return term
 
     # unit expressions -----------------------------------------------------
@@ -194,17 +266,19 @@ class _Parser:
             nxt = self.parse_uexpr()
             parts.append(nxt if op == "+" else -nxt)
         tok = self.peek()
+        if len(parts) == 1:
+            return parts[0]
         try:
-            return km.usum(parts) if len(parts) > 1 else parts[0]
+            return self.bounded_unit(km.usum(parts), tok)
         except km.UnitExprError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
     def parse_uexpr(self) -> km.Unit:
         u = self.parse_uatom()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            op = self.next()
             v = self.parse_uatom()
-            u = u * v if op == "*" else u / v
+            u = self.bounded_unit(u * v if op.kind == "*" else u / v, op)
         return u
 
     def parse_uatom(self) -> km.Unit:
@@ -216,7 +290,7 @@ class _Parser:
             self.next()
             if tok.text == "0":
                 raise ParseError("0 is not a unit", tok.line, tok.col)
-            u = km.uint(self.int_value(tok))
+            u = self.bounded_unit(km.uint(self.int_value(tok)), tok)
         elif tok.kind == "IDENT":
             self.next()
             u = km.uvar(tok.text)
@@ -233,9 +307,20 @@ class _Parser:
                 self.next()
                 neg = True
             exp = self.expect("INT")
-            n = self.int_value(exp)
-            u = u ** (-n if neg else n)
+            n = self.exponent(exp)
+            u = self.unit_power(u, -n if neg else n, exp)
         return u
+
+
+def _unit_parts(u: km.Unit):
+    """Each (content, factors) pair of a unit and of the sums nested in it."""
+    work = [(u.content, u.factors)]
+    while work:
+        content, factors = work.pop()
+        yield content, factors
+        for atom, _ in factors:
+            if atom[0] == km.SUM:
+                work.extend(atom[1])
 
 
 def parse_term(text: str) -> km.Term:

@@ -197,3 +197,37 @@ def test_cli_golden_output(case, tmp_path, capsys):
     argv = [str(family) if a == "{family}" else a for a in case["argv"]]
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (case["code"], case["stdout"])
+
+
+# prove --out json for the benchmark's corpus and [a][1-a] = 0, and three
+# searches that end on their state budget with the sha256 of the states they
+# create, in order; all recorded before the prover's hashing and memoisation
+# changed, so a change to the search order fails here
+PROVE_GOLDEN = json.loads((Path(__file__).parent / "prove_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", PROVE_GOLDEN["cases"], ids=lambda c: c["argv"][1])
+def test_prove_golden_output(case, capsys):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", PROVE_GOLDEN["budget"], ids=lambda c: c["identity"])
+def test_prove_budget_searches_stay_unknown(case, monkeypatch):
+    import hashlib
+
+    from mwkit import kmwterm, termparse
+
+    states = hashlib.sha256()
+
+    class LoggedNode(kmwterm._Node):
+        def __init__(self, term, parent, step):
+            super().__init__(term, parent, step)
+            states.update(str(term).encode() + b"\n")
+
+    monkeypatch.setattr(kmwterm, "_Node", LoggedNode)
+    identity = termparse.parse_identity(case["identity"], case["hyp"])
+    proof = kmwterm.prove(identity, case["mode"],
+                          kmwterm.ProveConfig(max_states=case["max_states"]))
+    assert ("unknown" if proof is None else "proved") == case["status"]
+    assert states.hexdigest() == case["states_sha256"]

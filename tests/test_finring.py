@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 from mwkit.finring import (
+    MAX_SPEC_NESTING,
     GaloisField,
     GaloisRing,
     ProductRing,
@@ -286,6 +287,28 @@ def test_parse_prime_power_matches_trial_division():
 def test_large_prime_power_refused(spec):
     with pytest.raises(RingError, match="bound"):
         parse_ring_spec(spec)
+
+
+def _nested(levels: int, leaf: str) -> str:
+    return "prod(" * levels + leaf + ")" * levels
+
+
+def test_deeply_nested_product_refused(capsys):
+    from mwkit.cli import main
+
+    # 400 levels ended in a RecursionError traceback
+    for spec in (_nested(400, "Z/2"), _nested(MAX_SPEC_NESTING + 1, "Z/2"),
+                 _nested(MAX_SPEC_NESTING, "GF(2^2)"), "prod(Z/2," + _nested(100, "Z/3") + ")"):
+        with pytest.raises(RingSpecError, match="nest"):
+            parse_ring_spec(spec)
+        assert main(["ringinfo", "--ring", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+    # the deepest allowed nest is a ring like any other
+    ring = parse_ring_spec(_nested(MAX_SPEC_NESTING, "Z/3"))
+    assert ring.spec_string() == _nested(MAX_SPEC_NESTING, "Z/3")
+    assert len(ring.units()) == 2 and ring.characteristic() == 3
+    assert parse_ring_spec(_nested(MAX_SPEC_NESTING - 1, "GF(2^2)")).card == 4
 
 
 def test_unit_index_map_survives_copies():

@@ -1,13 +1,30 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mwkit import kmwterm as km
 from mwkit.finring import Zmod
 from mwkit.gwring import GroupRingVector
-from mwkit.termparse import ParseError, parse_hypotheses, parse_identity, parse_term, parse_unit
+from mwkit.termparse import (
+    MAX_EXPONENT,
+    MAX_INT_BITS,
+    MAX_TERM_WORDS,
+    MAX_WORD_LENGTH,
+    ParseError,
+    parse_hypotheses,
+    parse_identity,
+    parse_term,
+    parse_unit,
+)
 
 A = km.uvar("a")
 B = km.uvar("b")
@@ -76,6 +93,46 @@ def test_unit_render_round_trip():
         Fraction(1, 2) and km.uint(1) / km.uint(2),
     ]:
         assert parse_unit(km.render_unit(u)) == u
+
+
+def test_equal_units_from_different_paths_hash_alike():
+    f7 = Zmod(7)
+    three, five = km.uconst(f7.from_int(3)), km.uconst(f7.from_int(5))
+    pairs = [
+        (km.usum([km.UNIT_ONE, -km.one_minus(A)]), A),  # 1 - (1 - a) flattens
+        (A * B / B, A),
+        (three * five, km.UNIT_ONE),  # 15 = 1 in Z/7: the constant drops out
+        (three * three * A, A * km.uconst(f7.from_int(2))),
+        (km._make_unit(Fraction(2), {("const", f7.from_int(3)): 2, ("var", "a"): 0}),
+         km.uint(2) * km.uconst(f7.from_int(2))),
+    ]
+    for built, direct in pairs:
+        assert built is not direct
+        assert built == direct and hash(built) == hash(direct)
+        assert {built} == {direct}
+    assert A != B and A != km.uint(2) and A != "a"
+
+
+_LOOKUP_IN_FRESH_PROCESS = """
+import pickle, sys
+from mwkit import kmwterm as km
+from mwkit.termparse import parse_unit
+units = pickle.loads(sys.stdin.buffer.read())
+fresh = {parse_unit(km.render_unit(u)) for u in units}
+print(all(u in fresh for u in units), all(hash(u) == hash(parse_unit(km.render_unit(u))) for u in units))
+"""
+
+
+def test_pickled_unit_rehashes_under_another_hash_seed():
+    units = [A, km.one_minus(A), A * B**-2, km.uint(3) * km.usum([A, B]) / km.one_minus(B)]
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=str(Path(km.__file__).resolve().parents[1]))
+    for seed in ("12345", "54321"):  # at least one differs from this process's seed
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", _LOOKUP_IN_FRESH_PROCESS],
+                             input=pickle.dumps(units), capture_output=True, env=env,
+                             timeout=60, check=True)
+        assert out.stdout.split() == [b"True", b"True"], out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +265,41 @@ def test_check_proof_detects_corruption():
     report = km.check_proof(bad)
     assert not report.ok
     assert report.failed_step == 0
+
+
+def _rebuilt_by_parsing(proof: km.Proof) -> km.Proof:
+    """The certificate with every unit and term rendered and parsed back."""
+    def unit(u):
+        return parse_unit(km.render_unit(u))
+
+    ident = proof.identity
+    identity = parse_identity(str(ident), ",".join(f"unit({km.render_unit(h)})"
+                                                    for h in ident.hypotheses))
+    steps = tuple(
+        km.ProofStep(s.axiom, s.direction, {k: unit(v) for k, v in s.binding.items()},
+                     s.coeff, s.pos_eta, tuple(map(unit, s.pos_left)),
+                     tuple(map(unit, s.pos_right)), parse_term(str(s.before)),
+                     parse_term(str(s.after)))
+        for s in proof.steps)
+    return km.Proof(identity, proof.mode, steps)
+
+
+@pytest.mark.parametrize("text,mode,hyp", [CORPUS[4], CORPUS[8], CORPUS[9]])
+def test_check_proof_shares_no_object_with_the_search(text, mode, hyp):
+    proof = km.prove(parse_identity(text, hyp), mode)
+    assert proof is not None and proof.steps
+    for clone in (copy.deepcopy(proof), _rebuilt_by_parsing(proof)):
+        for step, orig in zip(clone.steps, proof.steps):
+            assert step.binding == orig.binding
+            assert all(u is not v for u, v in zip(step.binding.values(), orig.binding.values()))
+            assert step.after == orig.after and step.after is not orig.after
+        assert bool(km.check_proof(clone)), km.check_proof(clone).message
+        for i, step in enumerate(clone.steps):
+            tampered = replace(step, after=step.after + km.integer(1))
+            bad = km.Proof(clone.identity, clone.mode,
+                           clone.steps[:i] + (tampered,) + clone.steps[i + 1:])
+            report = km.check_proof(bad)
+            assert not report.ok and report.failed_step == i
 
 
 def test_check_proof_rejects_wrong_mode():
@@ -355,6 +447,53 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_identity("[a] = \u00b2 [a]")  # a digit but not a decimal one
     assert (exc.value.line, exc.value.col) == (1, 7)
+
+
+# inputs that built huge integers or terms; each is refused at the token given
+OVERSIZED = [
+    ("[2^300000] = 0", (1, 4)),  # was a ValueError traceback from render_unit
+    ("[2^30000000] = 0", (1, 4)),  # ran without end
+    ("eta^3000000 = 0", (1, 5)),  # took seconds to end Unknown
+    (f"[a^{MAX_EXPONENT + 1}] = 0", (1, 4)),
+    (f"[a^{MAX_EXPONENT}^{MAX_EXPONENT}] = 0", (1, 9)),
+    ("[a^600*a^600] = 0", (1, 7)),
+    ("[2^1000^1000] = 0", (1, 9)),
+    (f"[{'9' * 2000}] = 0", (1, 2)),
+    (f"[{'9' * 1000}*{'9' * 1000}] = 0", (1, 1002)),
+    (f"[1/{'9' * 1000} + 1/1{'0' * 1000}] = 0", (1, 2010)),  # content 1/lcm
+    (f"{'9' * 2000} [a] = 0", (1, 1)),
+    ("2^1000^1000 = 0", (1, 8)),
+    (f"<a>^{MAX_WORD_LENGTH + 1} = 0", (1, 5)),
+    ("(<a>+<b>+<c>)^9 = 0", (1, 15)),
+]
+
+
+@pytest.mark.parametrize("text,pos", OVERSIZED, ids=lambda v: str(v)[:40])
+def test_oversized_identities_are_refused_quickly(text, pos, capsys):
+    from mwkit.cli import main
+
+    start = time.process_time()
+    with pytest.raises(ParseError) as exc:
+        parse_identity(text)
+    assert (exc.value.line, exc.value.col) == pos
+    assert main(["prove", text]) == 1
+    assert time.process_time() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
+def test_identities_at_the_bounds_parse():
+    big = "9" * ((MAX_INT_BITS * 3) // 10)  # just under MAX_INT_BITS bits
+    assert parse_unit(f"a^{MAX_EXPONENT}") == A**MAX_EXPONENT
+    assert parse_unit(f"a^{MAX_EXPONENT}/a^{MAX_EXPONENT}*b") == B
+    assert parse_unit("2^1000").content == 2**1000
+    assert parse_unit(big).content == int(big)
+    assert len(parse_term(f"<a>^{MAX_WORD_LENGTH}").words) == MAX_WORD_LENGTH + 1
+    assert parse_term(f"2^{MAX_EXPONENT}") == km.integer(2**MAX_EXPONENT)
+    words = parse_term("(<a>+<b>+<c>)^5").words
+    assert len(words) <= MAX_TERM_WORDS
+    ident = parse_identity(f"{big} [a] = {big} [a]")
+    assert km.prove(ident, "hopf").steps == ()
 
 
 def test_parse_identity_round_trip():

@@ -6,7 +6,13 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from hypothesis import given, settings  # noqa: E402
 
-from mwkit.finring import DEFAULT_ELEMENT_BOUND, Ring, RingError, parse_ring_spec  # noqa: E402
+from mwkit.finring import (  # noqa: E402
+    DEFAULT_ELEMENT_BOUND,
+    MAX_SPEC_NESTING,
+    Ring,
+    RingError,
+    parse_ring_spec,
+)
 
 # small primes, small numbers, numbers above the element bound, and digit
 # runs longer than int() converts; exponents stay small enough that a parser
@@ -53,8 +59,16 @@ def specs(draw, depth=0):
     return f"GR({n}^{draw(SMALL)},{draw(SMALL)}{poly})"
 
 
+@st.composite
+def nested(draw):
+    """A spec wrapped in one-factor products, up to past the nesting bound."""
+    levels = draw(st.one_of(st.integers(0, MAX_SPEC_NESTING + 4), st.just(400)))
+    return "prod(" * levels + draw(specs()) + ")" * levels
+
+
 SPEC_TEXT = st.one_of(
     specs(),
+    nested(),
     st.text(alphabet="ZGFRprod/()^,;x+-*0123456789 ²", max_size=30),
 )
 
