@@ -22,6 +22,7 @@ lifts of that choice to {0, ..., p-1}.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -186,19 +187,24 @@ class RingElement:
 
     Elements of two structurally equal rings (same kind, parameters and
     modulus) compare and hash alike even when the handles are distinct.
+    The three slots are written once, by the constructor; assigning any
+    attribute raises ``AttributeError``.  Pickles and copies rebuild an
+    element through the constructor, so its hash is recomputed in the
+    process that loads it.
     """
 
     __slots__ = ("ring", "coords", "_hash")
 
     def __init__(self, ring: "Ring", coords):
-        self.ring = ring
-        self.coords = coords
-        object.__setattr__(self, "_hash", hash((hash(ring), coords)))
+        _set_ring(self, ring)
+        _set_coords(self, coords)
+        _set_hash(self, hash((hash(ring), coords)))
 
     def __setattr__(self, name, value):
-        if name in ("ring", "coords") and hasattr(self, "_hash"):
-            raise AttributeError("RingElement is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("RingElement is immutable")
+
+    def __reduce__(self):
+        return (RingElement, (self.ring, self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):
@@ -210,8 +216,14 @@ class RingElement:
     def __hash__(self):
         return self._hash
 
+    # an operand of the same ring needs no coerce; Ring.add, Ring.neg and
+    # Ring.mul still build every result
+
     def __add__(self, other):
-        return self.ring.add(self, self.ring.coerce(other))
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = ring.coerce(other)
+        return ring.add(self, other)
 
     __radd__ = __add__
 
@@ -219,10 +231,16 @@ class RingElement:
         return self.ring.neg(self)
 
     def __sub__(self, other):
-        return self.ring.add(self, self.ring.neg(self.ring.coerce(other)))
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = ring.coerce(other)
+        return ring.add(self, ring.neg(other))
 
     def __mul__(self, other):
-        return self.ring.mul(self, self.ring.coerce(other))
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = ring.coerce(other)
+        return ring.mul(self, other)
 
     __rmul__ = __mul__
 
@@ -241,7 +259,7 @@ class RingElement:
         return acc
 
     def is_unit(self) -> bool:
-        return self.ring.inverse_or_none(self) is not None
+        return self.ring._is_unit(self.coords)
 
     def inverse(self) -> "RingElement":
         inv = self.ring.inverse_or_none(self)
@@ -259,6 +277,17 @@ class RingElement:
         return f"<{self} in {self.ring.spec_string()}>"
 
 
+# setters of the element slots, for the one write each gets in the constructor
+_set_ring = RingElement.ring.__set__
+_set_coords = RingElement.coords.__set__
+_set_hash = RingElement._hash.__set__
+
+# per-ring caches: they hold elements, which rebuild through their
+# constructor and so need a complete ring, and hashes, which differ
+# between processes; a pickled or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache")
+
+
 class Ring:
     """Common interface for the concrete ring kinds."""
 
@@ -271,7 +300,7 @@ class Ring:
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
 
-    # subclasses implement: _add, _neg, _mul, _inverse_or_none,
+    # subclasses implement: _add, _neg, _mul, _is_unit, _inverse_or_none,
     # _enumerate_coords, _zero_coords, _one_coords, format_element,
     # spec_string, characteristic
 
@@ -329,7 +358,8 @@ class Ring:
 
     def units(self) -> list[RingElement]:
         if self._units is None:
-            self._units = [x for x in self.elements() if x.is_unit()]
+            self._units = [RingElement(self, c) for c in self._enumerate_coords()
+                           if self._is_unit(c)]
             self._unit_index = dict(zip(self._units, range(len(self._units))))
         return self._units
 
@@ -363,11 +393,13 @@ class Ring:
         return isinstance(other, Ring) and self._eq_key() == other._eq_key()
 
     def __hash__(self):
-        cached = getattr(self, "_hash_cache", None)
+        cached = self._hash_cache
         if cached is None:
-            cached = hash(self._eq_key())
-            object.__setattr__(self, "_hash_cache", cached)
+            cached = self._hash_cache = hash(self._eq_key())
         return cached
+
+    def __getstate__(self):
+        return {**self.__dict__, **dict.fromkeys(_RING_CACHES)}
 
     def __repr__(self):
         return self.spec_string()
@@ -400,10 +432,11 @@ class Zmod(Ring):
     def _mul(self, a, b):
         return (a * b) % self.m
 
+    def _is_unit(self, a):
+        return gcd(a, self.m) == 1
+
     def _inverse_or_none(self, a):
-        if gcd(a, self.m) != 1:
-            return None
-        return pow(a, -1, self.m)
+        return pow(a, -1, self.m) if self._is_unit(a) else None
 
     def _enumerate_coords(self):
         return range(self.m)
@@ -492,6 +525,11 @@ class GaloisRing(Ring):
     def residue(self, el: RingElement) -> RingElement:
         """Image in the residue field GF(p^k)."""
         return RingElement(self.residue_field, tuple(c % self.p for c in el.coords))
+
+    def _is_unit(self, a):
+        # the units of this local ring are the elements outside (p)
+        p = self.p
+        return any(c % p for c in a)
 
     def _inverse_or_none(self, a):
         p = self.p
@@ -591,6 +629,9 @@ class ProductRing(Ring):
     def _mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
+    def _is_unit(self, a):
+        return all(f._is_unit(x.coords) for f, x in zip(self.factors, a))
+
     def _inverse_or_none(self, a):
         out = []
         for f, x in zip(self.factors, a):
@@ -601,16 +642,9 @@ class ProductRing(Ring):
         return tuple(out)
 
     def _enumerate_coords(self):
-        def rec(i):
-            if i == len(self.factors):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for x in self.factors[i].elements():
-                    yield (x,) + rest
-
         # first factor varies fastest, matching the base-q digit orders above
-        return rec(0)
+        columns = [list(f.elements()) for f in reversed(self.factors)]
+        return (t[::-1] for t in itertools.product(*columns))
 
     def characteristic(self) -> int:
         return lcm(*(f.characteristic() for f in self.factors))

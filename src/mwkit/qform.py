@@ -6,11 +6,17 @@ for an invertible change of basis P with P^T diag(f) P = diag(g).  The
 isometry classes feed a relation lattice on Z^{units} that cross-validates
 the presented Grothendieck-Witt style rings computed by :mod:`mwkit.gwring`
 along an entirely independent code path.
+
+The search runs on integer tables: each field's elements are numbered in
+``field.elements()`` order, and + and * become tables of those positions,
+filled once per field by the field's own operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 from .finring import Ring, RingElement, make_ring
 from .gwring import PresentationKind, present
 from .presab import ZLattice
@@ -52,6 +58,51 @@ class DiagForm:
         return len(self.entries)
 
 
+class _Tables:
+    """A field's elements by position in ``field.elements()``, with + and *
+    as tables of positions, filled by the field's own operations."""
+
+    def __init__(self, field: Ring):
+        self.elements = elements = list(field.elements())
+        self.position = position = {x: i for i, x in enumerate(elements)}
+        self.add = [[position[x + y] for y in elements] for x in elements]
+        self.mul = [[position[x * y] for y in elements] for x in elements]
+        self.zero = position[field.zero]
+        self.is_unit = [x.is_unit() for x in elements]
+        # units() filters elements() in order, so unit order is position order
+        self.units = [i for i, unit in enumerate(self.is_unit) if unit]
+
+
+_tables = lru_cache(maxsize=16)(_Tables)
+
+
+def _orbit(t: _Tables, a: int, b: int, first=None):
+    """Yield (c, d) for every invertible P = [[x1, x2], [y1, y2]] taking
+    diag(a, b) to P^T diag(a, b) P = diag(c, d) with c and d units, all as
+    positions; when ``first`` is given, only the P with c == first."""
+    add, mul, zero, is_unit = t.add, t.mul, t.zero, t.is_unit
+    n = len(t.elements)
+    a_sq = [mul[a][mul[x][x]] for x in range(n)]
+    b_sq = [mul[b][mul[y][y]] for y in range(n)]
+    for x1 in range(n):
+        ax1 = mul[mul[a][x1]]
+        mul_x1 = mul[x1]
+        for y1 in range(n):
+            c = add[a_sq[x1]][b_sq[y1]]
+            if not is_unit[c] or (first is not None and c != first):
+                continue
+            by1 = mul[mul[b][y1]]
+            for x2 in range(n):
+                for y2 in range(n):
+                    if mul_x1[y2] == mul[x2][y1]:
+                        continue  # singular P
+                    if add[ax1[x2]][by1[y2]] != zero:
+                        continue
+                    d = add[a_sq[x2]][b_sq[y2]]
+                    if is_unit[d]:
+                        yield c, d
+
+
 def isometric(f: DiagForm, g: DiagForm) -> bool:
     """Exhaustively decide P^T diag(f) P = diag(g) over invertible P."""
     if f.field != g.field:
@@ -60,27 +111,13 @@ def isometric(f: DiagForm, g: DiagForm) -> bool:
         raise QformError("forms must have equal rank")
     if f.rank > 2:
         raise QformError("only ranks 1 and 2 are supported")
-    field = _check_field(f.field)
+    t = _tables(_check_field(f.field))
+    pos = t.position
     if f.rank == 1:
-        a, b = f.entries[0], g.entries[0]
-        return any(p * p * a == b for p in field.units())
-    a, b = f.entries
-    c, d = g.entries
-    elements = list(field.elements())
-    zero = field.zero
-    for x1 in elements:
-        for y1 in elements:
-            if a * x1 * x1 + b * y1 * y1 != c:
-                continue
-            for x2 in elements:
-                for y2 in elements:
-                    if x1 * y2 - x2 * y1 == zero:
-                        continue  # singular P
-                    if a * x1 * x2 + b * y1 * y2 != zero:
-                        continue
-                    if a * x2 * x2 + b * y2 * y2 == d:
-                        return True
-    return False
+        a, b = pos[f.entries[0]], pos[g.entries[0]]
+        return any(t.mul[t.mul[p][p]][a] == b for p in t.units)
+    (a, b), (c, d) = ([pos[x] for x in h.entries] for h in (f, g))
+    return any(reached == d for _, reached in _orbit(t, a, b, c))
 
 
 def _rank2_classes(field: Ring) -> list[set[tuple]]:
@@ -90,41 +127,18 @@ def _rank2_classes(field: Ring) -> list[set[tuple]]:
     by enumerating all invertible matrices columnwise; forms landing in the
     orbit join the class, so later forms reuse earlier enumerations.
     """
-    units = field.units()
-    elements = list(field.elements())
-    zero = field.zero
-    forms = []
-    for i, a in enumerate(units):
-        for b in units[i:]:
-            forms.append((a, b))
-    classified: dict[tuple, int] = {}
+    t = _tables(field)
+    els = t.elements
+    forms = [(a, b) for i, a in enumerate(t.units) for b in t.units[i:]]
+    classified: set[tuple] = set()
     classes: list[set[tuple]] = []
     for form in forms:
         if form in classified:
             continue
-        a, b = form
-        orbit = set()
-        for x1 in elements:
-            for y1 in elements:
-                c = a * x1 * x1 + b * y1 * y1
-                if c == zero or not c.is_unit():
-                    continue
-                for x2 in elements:
-                    for y2 in elements:
-                        if x1 * y2 - x2 * y1 == zero:
-                            continue
-                        if a * x1 * x2 + b * y1 * y2 != zero:
-                            continue
-                        d = a * x2 * x2 + b * y2 * y2
-                        if not d.is_unit():
-                            continue
-                        key = (c, d) if field.unit_index(c) <= field.unit_index(d) else (d, c)
-                        orbit.add(key)
+        orbit = {(c, d) if c <= d else (d, c) for c, d in _orbit(t, *form)}
         orbit.add(form)
-        idx = len(classes)
-        classes.append(orbit)
-        for member in orbit:
-            classified[member] = idx
+        classified |= orbit
+        classes.append({(els[c], els[d]) for c, d in orbit})
     return classes
 
 

@@ -1,16 +1,22 @@
 import copy
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import mwkit
 from mwkit.finring import (
     MAX_SPEC_NESTING,
     GaloisField,
     GaloisRing,
     ProductRing,
+    RingElement,
     RingError,
     RingSpecError,
     Zmod,
@@ -320,6 +326,65 @@ def test_unit_index_map_survives_copies():
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
             assert clone == ring
             assert clone.unit_index_map() == ring.unit_index_map()
+
+
+def test_is_unit_agrees_with_inverse(ring_family):
+    rings = list(ring_family) + [parse_ring_spec("prod(Z/4,GF(2^2))"), parse_ring_spec("GR(9,2)")]
+    for ring in rings:
+        for x in ring.elements():
+            has_inverse = ring._inverse_or_none(x.coords) is not None
+            assert ring._is_unit(x.coords) == has_inverse == x.is_unit(), (ring, x)
+
+
+def test_elements_are_immutable():
+    for spec in ("Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        x = ring.units()[-1]
+        before = (x.ring, x.coords, hash(x))
+        for name, value in (("ring", Zmod(5)), ("coords", ring.one.coords), ("_hash", 0)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert (x.ring, x.coords, hash(x)) == before
+
+
+def test_element_copies_equal_and_hash_alike():
+    # one ring of each kind, and products whose coordinates are elements,
+    # one of them nesting another product
+    for spec in ("Z/12", "GF(3^2)", "GR(9,2)", "prod(Z/4,GF(2^2))",
+                 "prod(GR(4,2),prod(Z/3,GF(2^2)))"):
+        ring = parse_ring_spec(spec)
+        for x in ring.elements():
+            for clone in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)):
+                assert type(clone) is RingElement
+                assert clone == x and hash(clone) == hash(x)
+                assert clone * clone == x * x and clone.is_unit() == x.is_unit()
+
+
+_LOOKUP_IN_FRESH_PROCESS = """
+import pickle, sys
+from mwkit.finring import make_ring
+for ring, units in pickle.loads(sys.stdin.buffer.read()):
+    fresh = make_ring(ring.spec_string())
+    index = fresh.unit_index_map()
+    print(hash(ring) == hash(fresh),
+          all(u in index for u in units),
+          all(len({u, v}) == 1 and hash(u) == hash(v) for u, v in zip(units, fresh.units())),
+          ring.unit_index_map() == index)
+"""
+
+
+def test_pickled_ring_and_units_rehash_under_another_hash_seed():
+    payload = []
+    for spec in ("GF(3^2)", "Z/7", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        payload.append((ring, ring.units()))  # the ring's unit caches are filled
+    env = dict(os.environ, PYTHONPATH=str(Path(mwkit.__file__).resolve().parents[1]))
+    for seed in ("12345", "54321"):  # at least one differs from this process's seed
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", _LOOKUP_IN_FRESH_PROCESS],
+                             input=pickle.dumps(payload), capture_output=True, env=env,
+                             timeout=60, check=True)
+        assert out.stdout.split() == [b"True"] * 4 * len(payload), out.stderr
 
 
 # sha256 of each ring's element order, + and * tables, inverses, spec,

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the `test` extra
+    st = None
+
 from mwkit.presab import (
     ZLattice,
+    _smith,
     contains,
     det,
     element_order,
@@ -55,6 +61,59 @@ def test_snf_random_matrices():
         cols = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         assert_snf_valid(m)
+
+
+def _sample_matrices():
+    """Seeded small matrices, with zero, repeated and dependent rows mixed in."""
+    rng = random.Random(31)
+    out = [[[0]], [[0, 0, 0]], [[5], [0], [-10]], [[2, 4], [4, 8]], [[0, 0], [0, 7]]]
+    for _ in range(80):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = [[rng.randrange(-12, 13) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            q = rng.randrange(-3, 4)
+            m[-1] = [q * x for x in m[0]]
+        out.append(m)
+    return out
+
+
+def test_smith_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for m in _sample_matrices():
+        _, d, _, _ = _smith(m)
+        expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        assert d == [[int(x) for x in expected.row(i)] for i in range(expected.rows)], m
+
+
+def _check_smith(m):
+    u, d, v, vinv = _smith(m)
+    rows, cols = len(m), len(m[0])
+    assert mat_mul(mat_mul(u, m), v) == d
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert mat_mul(v, vinv) == mat_identity(cols)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    # d1 | d2 | ...: every entry divides the next, so zeros come last
+    assert all(diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
+               for i in range(len(diag) - 1))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_smith_properties_on_random_matrices():
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    matrices = shapes.flatmap(lambda rc: st.lists(
+        st.lists(st.integers(-30, 30), min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0]))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(matrices)
+    def check(m):
+        _check_smith(m)
+
+    check()
 
 
 def random_unimodular(rng, n, steps=12):

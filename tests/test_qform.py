@@ -6,7 +6,16 @@ from mwkit import gwring
 from mwkit.finring import GaloisField, Zmod, parse_ring_spec
 from mwkit.gwring import PresentationKind
 from mwkit.presab import ZLattice
-from mwkit.qform import CrossValidation, DiagForm, QformError, cross_validate, isometric, oracle_lattice
+from mwkit.qform import (
+    CrossValidation,
+    DiagForm,
+    QformError,
+    _rank2_classes,
+    cross_validate,
+    isometric,
+    oracle_lattice,
+)
+from qform_oracle import oracle_isometric_rank2, oracle_rank2_classes
 
 
 def form(field, *entries):
@@ -45,6 +54,21 @@ def test_isometric_is_an_equivalence_on_small_fields():
         for f, g, h in product(rank2[: len(units) * 2], repeat=3):
             if isometric(f, g) and isometric(g, h):
                 assert isometric(f, h)
+
+
+@pytest.mark.parametrize("spec", ["Z/3", "Z/5", "Z/7", "Z/11", "Z/13", "GF(3^2)"])
+def test_rank2_classes_match_oracle(spec):
+    field = parse_ring_spec(spec)
+    assert _rank2_classes(field) == oracle_rank2_classes(field)
+
+
+@pytest.mark.parametrize("spec", ["Z/3", "Z/5", "Z/7"])
+def test_rank2_isometric_matches_oracle(spec):
+    field = parse_ring_spec(spec)
+    units = field.units()
+    forms = [DiagForm(field, (a, b)) for a in units for b in units]
+    for f, g in product(forms, repeat=2):
+        assert isometric(f, g) == oracle_isometric_rank2(f, g), (f, g)
 
 
 def test_unsupported_inputs():
