@@ -96,12 +96,19 @@ class GroupRingVector:
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        out: dict = {}
+        # accumulate on coordinates and build one element per distinct
+        # product; keys keep their first-occurrence order.  coerce keeps
+        # what an element product did with a key of another ring
+        ring = self.ring
+        coerce, coord_mul = ring.coerce, ring._mul
+        ys = [(coerce(v).coords, cv) for v, cv in other.coeffs.items()]
+        acc: dict = {}
         for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                w = u * v
-                out[w] = out.get(w, 0) + cu * cv
-        return GroupRingVector(self.ring, out)
+            uc = coerce(u).coords
+            for vc, cv in ys:
+                w = coord_mul(uc, vc)
+                acc[w] = acc.get(w, 0) + cu * cv
+        return GroupRingVector(ring, {RingElement(ring, w): c for w, c in acc.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector):
@@ -318,12 +325,26 @@ class GwPresentedRing:
     def dense(self, x: GroupRingVector) -> tuple[int, ...]:
         return x.to_dense()
 
+    def _indices(self, x: GroupRingVector) -> list[int]:
+        """Unit index of each basis vector of x, in the order of ``x.coeffs``."""
+        if x.ring is not self.ring and x.ring != self.ring:
+            raise ValueError("ring mismatch")
+        try:
+            return list(map(self.unit_index.__getitem__, x.coeffs))
+        except KeyError as exc:
+            raise ValueError(f"<{exc.args[0]}> requires a unit, got a non-unit of "
+                             f"{self.ring.spec_string()}") from None
+
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
-        return self.lattice.contains(self.dense(x - y))
+        # x - y on unit indices; a unit in both supports is listed twice,
+        # which the class, being linear, adds up
+        indices = self._indices(x) + self._indices(y)
+        values = [*x.coeffs.values(), *(-c for c in y.coeffs.values())]
+        return self.presentation.sparse_order(indices, values) == 1
 
     def torsion_exponent(self, x: GroupRingVector) -> Optional[int]:
         """Additive order of the class of x; None means infinite order."""
-        return self.presentation.element_order(self.dense(x))
+        return self.presentation.sparse_order(self._indices(x), x.coeffs.values())
 
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -142,8 +142,13 @@ class ZLattice:
         if len(vec) != self.n:
             raise ValueError(f"expected vector of length {self.n}, got {len(vec)}")
         v = list(vec)
+        # v[k] == 0 for every k < lead; elimination at pivot j only changes
+        # entries k >= j, so the leading nonzero index only moves right
+        lead = 0
         for pos, j in enumerate(self._pivots):
-            if any(v[k] for k in range(j)):
+            while lead < j and not v[lead]:
+                lead += 1
+            if lead < j:
                 return False
             if v[j] == 0:
                 continue
@@ -290,6 +295,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], l
     return u, d, v
 
 
+def _dot(column: Sequence[int], indices: Sequence[int], values: Iterable[int]) -> int:
+    """Entry of v V at one coordinate, v given by values[k] at indices[k]."""
+    return sum([c * column[i] for i, c in zip(indices, values)])
+
+
 @dataclass(frozen=True)
 class SnfPresentation:
     """Canonical coordinates for Z^n modulo an integer relation lattice.
@@ -298,6 +308,11 @@ class SnfPresentation:
     divisibility order.  ``to_canonical`` maps an ambient vector to its class
     (torsion residues followed by free coordinates); ``from_canonical`` is a
     section of it.
+
+    A vector v lies in the relation lattice exactly when y = v V is divisible
+    by d_i at each torsion coordinate and zero at each free one; coordinates
+    with d_i = 1 carry nothing.  The class readers therefore use only the
+    columns of V at the torsion and the free coordinates.
     """
 
     ambient: int
@@ -308,6 +323,8 @@ class SnfPresentation:
     _vinv: tuple[tuple[int, ...], ...]
     _torsion_idx: tuple[int, ...]
     _free_idx: tuple[int, ...]
+    _torsion_columns: tuple[tuple[int, ...], ...]  # V at _torsion_idx
+    _free_columns: tuple[tuple[int, ...], ...]  # V at _free_idx
 
     @property
     def basis_change(self) -> tuple[tuple[int, ...], ...]:
@@ -336,11 +353,33 @@ class SnfPresentation:
             raise ValueError("vector has wrong ambient dimension")
         return mat_vec(vec, self._v)
 
+    def sparse_order(self, indices: Sequence[int], values: Collection[int]) -> Optional[int]:
+        """Additive order of the class of values[k] at indices[k]; None means infinite.
+
+        Indices lie in range(ambient), a repeated index adds its values and
+        an absent one is zero; both sequences are read once per column used.
+        The free coordinates are read first, and the first nonzero one ends
+        the reading.
+        """
+        for col in self._free_columns:
+            if _dot(col, indices, values):
+                return None
+        order = 1
+        for col, d in zip(self._torsion_columns, self.torsion):
+            order = lcm(order, d // gcd(d, _dot(col, indices, values)))
+        return order
+
+    def _support(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
+        if len(vec) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
+        indices = [i for i, c in enumerate(vec) if c]
+        return indices, [vec[i] for i in indices]
+
     def to_canonical(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        y = self.canonical_vector(vec)
-        tor = tuple(y[i] % self._diag[i] for i in self._torsion_idx)
-        free = tuple(y[i] for i in self._free_idx)
-        return tor, free
+        indices, values = self._support(vec)
+        tor = tuple(_dot(col, indices, values) % d
+                    for col, d in zip(self._torsion_columns, self.torsion))
+        return tor, tuple(_dot(col, indices, values) for col in self._free_columns)
 
     def from_canonical(self, cls: tuple[Sequence[int], Sequence[int]]) -> list[int]:
         tor, free = cls
@@ -354,19 +393,28 @@ class SnfPresentation:
         return mat_vec(y, self._vinv)
 
     def class_is_zero(self, vec: Sequence[int]) -> bool:
-        tor, free = self.to_canonical(vec)
-        return not any(tor) and not any(free)
+        return self.sparse_order(*self._support(vec)) == 1
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
         """Additive order of the class of ``vec``; None means infinite."""
-        y = self.canonical_vector(vec)
-        if any(y[i] for i in self._free_idx):
-            return None
-        order = 1
-        for i in self._torsion_idx:
-            d = self._diag[i]
-            order = lcm(order, d // gcd(d, y[i]))
-        return order
+        return self.sparse_order(*self._support(vec))
+
+
+def _presentation(n: int, diag: Sequence[int], v: IntMatrix, vinv: IntMatrix) -> SnfPresentation:
+    torsion_idx = tuple(i for i, x in enumerate(diag) if x >= 2)
+    free_idx = tuple(i for i, x in enumerate(diag) if x == 0)
+    return SnfPresentation(
+        ambient=n,
+        rank=len(free_idx),
+        torsion=tuple(diag[i] for i in torsion_idx),
+        _diag=tuple(diag),
+        _v=tuple(tuple(row) for row in v),
+        _vinv=tuple(tuple(row) for row in vinv),
+        _torsion_idx=torsion_idx,
+        _free_idx=free_idx,
+        _torsion_columns=tuple(tuple(row[j] for row in v) for j in torsion_idx),
+        _free_columns=tuple(tuple(row[j] for row in v) for j in free_idx),
+    )
 
 
 def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
@@ -379,33 +427,13 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
     basis = lat.basis()
     n = ambient_rank
     if not basis:
-        ident = tuple(tuple(row) for row in mat_identity(n))
-        return SnfPresentation(
-            ambient=n,
-            rank=n,
-            torsion=(),
-            _diag=tuple([0] * n),
-            _v=ident,
-            _vinv=ident,
-            _torsion_idx=(),
-            _free_idx=tuple(range(n)),
-        )
+        ident = mat_identity(n)
+        return _presentation(n, [0] * n, ident, ident)
     _, d, v, vinv = _smith(basis)
     diag = [0] * n
     for i in range(min(len(basis), n)):
         diag[i] = d[i][i]
-    torsion_idx = tuple(i for i, x in enumerate(diag) if x >= 2)
-    free_idx = tuple(i for i, x in enumerate(diag) if x == 0)
-    return SnfPresentation(
-        ambient=n,
-        rank=len(free_idx),
-        torsion=tuple(diag[i] for i in torsion_idx),
-        _diag=tuple(diag),
-        _v=tuple(tuple(row) for row in v),
-        _vinv=tuple(tuple(row) for row in vinv),
-        _torsion_idx=torsion_idx,
-        _free_idx=free_idx,
-    )
+    return _presentation(n, diag, v, vinv)
 
 
 def element_order(pres: SnfPresentation, vec: Sequence[int]) -> Optional[int]:

@@ -1,14 +1,22 @@
-"""Reference builders for the relation lattices, kept for tests only.
+"""Reference paths of ``mwkit.gwring``, kept for tests only.
 
-These are the direct enumerations that ``mwkit.gwring`` replaced: every
-family instance as a dense row (with all unit translates of family (iii)
-for the hopf kind), and the all-pairs scan of the reduced-only rows
-against the hopf lattice.  They are cubic in the number of units, so the
-tests run them on small rings only.
+The relation-lattice builders are the direct enumerations that
+``mwkit.gwring`` replaced: every family instance as a dense row (with all
+unit translates of family (iii) for the hopf kind), and the all-pairs scan
+of the reduced-only rows against the hopf lattice.  They are cubic in the
+number of units, so the tests run them on small rings only.
+
+The query oracles answer on dense vectors and ring elements, where
+``GwPresentedRing`` reads sparse vectors against a few Smith columns and
+multiplies coordinates: membership of the dense difference in the echelon
+lattice, the order of a class from the full product x V, and the group-ring
+product with one element product per pair.
 """
 
+from math import gcd, lcm
+
 from mwkit.finring import make_ring
-from mwkit.gwring import PresentationKind
+from mwkit.gwring import GroupRingVector, PresentationKind
 from mwkit.presab import ZLattice
 
 
@@ -79,3 +87,31 @@ def oracle_compare(ring):
             if any(row) and not hopf.contains(row):
                 return False, row
     return True, None
+
+
+def oracle_class_equal(p, x, y):
+    """Whether the dense difference x - y lies in the relation lattice."""
+    return p.lattice.contains((x - y).to_dense())
+
+
+def oracle_torsion_exponent(p, x):
+    """Order of the class of x read from y = x V in full; None if infinite."""
+    pres = p.presentation
+    y = pres.canonical_vector(x.to_dense())
+    if any(y[i] for i in pres.free_coords):
+        return None
+    order = 1
+    for i in pres.torsion_coords:
+        d = pres.diagonal[i]
+        order = lcm(order, d // gcd(d, y[i]))
+    return order
+
+
+def oracle_product(x, y):
+    """Group-ring product with one ``RingElement`` product per pair of units."""
+    out = {}
+    for u, cu in x.coeffs.items():
+        for v, cv in y.coeffs.items():
+            w = u * v
+            out[w] = out.get(w, 0) + cu * cv
+    return GroupRingVector(x.ring, out)

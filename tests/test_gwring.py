@@ -1,9 +1,16 @@
+import random
 from itertools import product
 
 import pytest
 
 from conftest import GW_SPECS
-from gw_oracle import oracle_compare, oracle_relations
+from gw_oracle import (
+    oracle_class_equal,
+    oracle_compare,
+    oracle_product,
+    oracle_relations,
+    oracle_torsion_exponent,
+)
 from mwkit.finring import Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
@@ -95,6 +102,12 @@ def test_mul_examples():
 def test_mul_ring_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         mul(angle(Zmod(7), 3), angle(Zmod(5), 3))
+    f7 = Zmod(7)
+    foreign = GroupRingVector(f7, {Zmod(5).coerce(3): 1})  # a key of another ring
+    with pytest.raises(ValueError, match="mismatch"):
+        mul(foreign, angle(f7, 3))
+    with pytest.raises(ValueError, match="mismatch"):
+        mul(angle(f7, 3), foreign)
 
 
 def test_mul_commutative_associative_exhaustive(gw_family):
@@ -152,6 +165,91 @@ def test_torsion_exponent_examples(presented):
     p4 = presented(z4, "reduced")
     assert torsion_exponent(p4, angle(z4, 3) - angle(z4, 1)) is None
     assert p4.torsion_exponent(GroupRingVector.zero(z4)) == 1
+
+
+def test_queries_refuse_a_vector_of_another_ring(presented):
+    z8, z5 = Zmod(8), Zmod(5)  # both have four units
+    p = presented(z8, "reduced")
+    x, y = angle(z5, 2), angle(z5, 3)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        p.class_equal(x, y)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        p.class_equal(angle(z8, 3), y)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        p.torsion_exponent(x - y)
+
+
+def test_queries_refuse_a_non_unit_basis_vector(presented):
+    z4 = Zmod(4)
+    p = presented(z4, "reduced")
+    zero_vec = GroupRingVector(z4, {z4.zero: 1})
+    with pytest.raises(ValueError, match="<0> requires a unit"):
+        p.torsion_exponent(zero_vec)
+    with pytest.raises(ValueError, match="<2> requires a unit"):
+        p.class_equal(angle(z4, 1), GroupRingVector(z4, {z4.coerce(2): 1}))
+
+
+def test_queries_accept_a_structurally_equal_ring(presented):
+    z7 = Zmod(7)
+    p = presented(z7, "reduced")
+    twin = Zmod(7)
+    assert twin is not z7
+    assert p.class_equal(angle(twin, 4), angle(twin, 2))  # 4 = 2^2 * 1, 2 = 3^2 * 1
+    assert p.class_equal(angle(twin, 3), angle(z7, 5))
+    assert not p.class_equal(angle(twin, 3), angle(z7, 4))
+    assert p.torsion_exponent(angle(twin, 3) - angle(twin, 1)) == 2
+
+
+def _random_vector(rng, ring, units):
+    """Seeded coefficients on a random support of 1 to |U| units."""
+    support = rng.sample(units, rng.randint(1, len(units)))
+    return GroupRingVector(ring, {u: rng.choice((-3, -2, -1, 1, 2, 3)) for u in support})
+
+
+def _random_relation(rng, p):
+    """A small integer combination of the lattice basis, as a group-ring vector."""
+    coeffs: dict = {}
+    for row in p.relation_rows:
+        c = rng.randint(-2, 2)
+        for u, x in zip(p.units, row):
+            if c and x:
+                coeffs[u] = coeffs.get(u, 0) + c * x
+    return GroupRingVector(p.ring, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["hopf", "reduced"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_class_queries_match_dense_oracles(presented, spec, kind):
+    ring = parse_ring_spec(spec)
+    p = presented(ring, kind)
+    units = p.units
+    rng = random.Random(f"queries {spec} {kind}")
+    answers = set()
+    for _ in range(40):
+        x = _random_vector(rng, ring, units)
+        inside = x + _random_relation(rng, p)
+        outside = inside + angle(ring, rng.choice(units))
+        for y in (inside, outside, _random_vector(rng, ring, units)):
+            want = oracle_class_equal(p, x, y)
+            assert p.class_equal(x, y) == want, (x, y)
+            answers.add(want)
+        assert p.class_equal(x, inside)
+        assert p.torsion_exponent(x) == oracle_torsion_exponent(p, x), x
+        # augmentation 0 makes a torsion class whenever the rank is 1
+        z = x - x.augmentation() * angle(ring, rng.choice(units))
+        assert p.torsion_exponent(z) == oracle_torsion_exponent(p, z), z
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_product_matches_element_oracle(spec):
+    ring = parse_ring_spec(spec)
+    units = ring.units()
+    rng = random.Random(f"product {spec}")
+    for _ in range(30):
+        x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
+        got, want = x * y, oracle_product(x, y)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (x, y)
 
 
 def test_field_reduced_presentations_split_off_augmentation(presented, odd_fields):

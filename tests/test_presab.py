@@ -1,4 +1,5 @@
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from mwkit.presab import (
     element_order,
     mat_identity,
     mat_mul,
+    mat_vec,
     quotient,
     smith_normal_form,
 )
@@ -87,6 +89,14 @@ def test_smith_matches_sympy():
         assert d == [[int(x) for x in expected.row(i)] for i in range(expected.rows)], m
 
 
+def _matrices(max_entry):
+    """Integer matrices of 1 to 5 rows and 1 to 5 columns."""
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    return shapes.flatmap(lambda rc: st.lists(
+        st.lists(st.integers(-max_entry, max_entry), min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0]))
+
+
 def _check_smith(m):
     u, d, v, vinv = _smith(m)
     rows, cols = len(m), len(m[0])
@@ -103,15 +113,67 @@ def _check_smith(m):
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
 def test_smith_properties_on_random_matrices():
-    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
-    matrices = shapes.flatmap(lambda rc: st.lists(
-        st.lists(st.integers(-30, 30), min_size=rc[1], max_size=rc[1]),
-        min_size=rc[0], max_size=rc[0]))
-
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(matrices)
+    @given(_matrices(30))
     def check(m):
         _check_smith(m)
+
+    check()
+
+
+def _dense_class(p, vec):
+    """to_canonical by its definition: the full product y = vec V."""
+    y = mat_vec(vec, p.basis_change)
+    return (tuple(y[i] % p.diagonal[i] for i in p.torsion_coords),
+            tuple(y[i] for i in p.free_coords))
+
+
+def _dense_order(p, vec):
+    y = mat_vec(vec, p.basis_change)
+    if any(y[i] for i in p.free_coords):
+        return None
+    order = 1
+    for i in p.torsion_coords:
+        order = lcm(order, p.diagonal[i] // gcd(p.diagonal[i], y[i]))
+    return order
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_class_readers_match_their_dense_definitions():
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_matrices(30), st.data())
+    def check(m, data):
+        n = len(m[0])
+        p = quotient(n, m)
+        vec = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+        cls = _dense_class(p, vec)
+        assert p.to_canonical(vec) == cls
+        assert p.class_is_zero(vec) == (not any(cls[0]) and not any(cls[1]))
+        assert p.element_order(vec) == _dense_order(p, vec)
+        assert p.to_canonical(p.from_canonical(cls)) == cls
+        for bad in (vec[:-1], vec + [0]):
+            for reader in (p.to_canonical, p.class_is_zero, p.element_order):
+                with pytest.raises(ValueError):
+                    reader(bad)
+
+    check()
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_lattice_membership_matches_smith_coordinates():
+    # two independent membership tests: echelon elimination and the Smith
+    # coordinates of the quotient
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_matrices(6), st.data())
+    def check(m, data):
+        n = len(m[0])
+        lat, p = ZLattice(n, m), quotient(n, m)
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+        inside = [sum(w * row[k] for w, row in zip(weights, m)) for k in range(n)]
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        for vec in (inside, [a + b for a, b in zip(inside, noise)]):
+            assert lat.contains(vec) == p.class_is_zero(vec), (m, vec)
+        assert lat.contains(inside)
 
     check()
 
@@ -146,6 +208,8 @@ def test_quotient_examples():
     assert (p.rank, p.torsion) == (1, (2,))
     p = quotient(2, [])
     assert (p.rank, p.torsion) == (2, ())
+    assert p.to_canonical([3, -1]) == ((), (3, -1))
+    assert p.element_order([0, 0]) == 1 and p.element_order([0, 1]) is None
     p = quotient(1, [[0]])
     assert (p.rank, p.torsion) == (1, ())
     assert p.rank + len(p.torsion) <= 1
