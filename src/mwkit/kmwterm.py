@@ -33,6 +33,11 @@ re-checking them; and one ``prove`` call builds each axiom instance, and
 the R2 candidate splits of each letter, once.  These memos live in the
 call, not in the module, and ``check_proof`` shares none of them: it
 rebuilds every instance from the certificate and compares structurally.
+
+The search also orders each frontier by the rendered text of its terms, so
+a ``Unit`` keeps its text after its first render, and a child term is built
+from its parent's words in one pass (``_apply``) instead of through an
+intermediate term.
 """
 
 from __future__ import annotations
@@ -90,15 +95,19 @@ class Unit:
     """Canonical unit expression: rational content times a sorted monomial.
 
     The hash is computed once, at construction: words and term keys are
-    tuples of units, and the prover hashes them on every state lookup.
+    tuples of units, and the prover hashes them on every state lookup.  The
+    text is stored by the first ``render_unit`` call: the prover renders
+    every frontier term to order the frontier.
     """
 
     content: Fraction
     factors: tuple  # ((atom, nonzero int exponent), ...) sorted by atom key
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.content, self.factors)))
+        object.__setattr__(self, "_text", None)
 
     def __hash__(self):
         return self._hash
@@ -113,7 +122,8 @@ class Unit:
 
     def __reduce__(self):
         # rebuild through the constructor: a pickled hash of str atoms is
-        # stale in a process with another PYTHONHASHSEED
+        # stale in a process with another PYTHONHASHSEED (the text is
+        # rendered again on demand)
         return (Unit, (self.content, self.factors))
 
     def key(self):
@@ -266,7 +276,19 @@ def one_minus(u: Unit) -> Unit:
 
 
 def render_unit(u: Unit) -> str:
-    """Render in the identity-language uexpr syntax (with ^ exponents)."""
+    """Render in the identity-language uexpr syntax (with ^ exponents).
+
+    The text is stored on the unit, so each unit renders once.
+    """
+    text = u._text
+    if text is None:
+        text = _render_text(u)
+        object.__setattr__(u, "_text", text)
+    return text
+
+
+def _render_text(u: Unit) -> str:
+    """The text ``render_unit`` stores, rendered afresh on each call."""
 
     def atom_str(atom) -> str:
         if atom[0] == VAR:
@@ -275,7 +297,7 @@ def render_unit(u: Unit) -> str:
             return f"#{atom[1]}"
         parts = []
         for c, f in atom[1]:
-            mono = render_unit(Unit(abs(c), f))
+            mono = _render_text(Unit(abs(c), f))
             parts.append(("-" if c < 0 else "+") + mono)
         body = "".join(parts)
         return "(" + (body[1:] if body.startswith("+") else body) + ")"
@@ -698,6 +720,31 @@ def _embed(core: Term, pos_eta: int, left: tuple, right: tuple, coeff: int) -> T
     return Term._of(out)
 
 
+def _apply(term: Term, core: Term, pos_eta: int, left: tuple, right: tuple,
+           coeff: int) -> Term:
+    """``term + _embed(core, pos_eta, left, right, coeff)``, built in one pass.
+
+    The parent's dict is copied once (a dict copy keeps the stored hashes)
+    and the embedded words are added in place, so only the core's words are
+    hashed.  Words and their order are those of the two-step sum: existing
+    words update in place, a word whose coefficient reaches 0 drops out,
+    and new words follow in the core's order.  Distinct core words embed
+    to distinct words, and ``coeff`` and the core's coefficients are
+    nonzero, so a word that reaches 0 is one of the term's.
+    """
+    out = dict(term.words)
+    for (e, brs), c in core.words.items():
+        w = (e + pos_eta, left + brs + right)
+        c2 = out.get(w, 0) + c * coeff
+        if c2:
+            out[w] = c2
+        else:
+            del out[w]
+    t = Term.__new__(Term)
+    t.words = out
+    return t
+
+
 def _step_delta(step: ProofStep) -> Term:
     schema = AXIOMS[step.axiom]
     lhs, rhs, _ = schema.build(step.binding)
@@ -883,7 +930,7 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
                 if len(node.term.words) - len(core.words) > cfg.max_term_words:
                     continue
                 coeff, (pe, pl, pr) = move[3:]
-                t2 = node.term + _embed(core, pe, pl, pr, coeff)
+                t2 = _apply(node.term, core, pe, pl, pr, coeff)
                 if len(t2.words) > cfg.max_term_words:
                     continue
                 k2 = t2.key()
@@ -908,8 +955,42 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
     return None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _malformed(step: ProofStep) -> Optional[str]:
+    """Why a step's fields cannot form a rewrite, or None when they can.
+
+    A certificate is input: a negative eta position would multiply an axiom
+    by eta^-1, and a field of the wrong type would crash the replay.
+    """
+    if not isinstance(step, ProofStep):
+        return f"{type(step).__name__} is not a proof step"
+    if not isinstance(step.axiom, str):
+        return f"axiom {step.axiom!r} is not a name"
+    if not (_is_int(step.pos_eta) and step.pos_eta >= 0):
+        return f"eta position {step.pos_eta!r} is not a non-negative integer"
+    if not (_is_int(step.coeff) and step.coeff != 0):
+        return f"coefficient {step.coeff!r} is not a nonzero integer"
+    if not isinstance(step.binding, dict):
+        return "binding is not a dict"
+    for k, v in step.binding.items():
+        if not isinstance(v, Unit):
+            return f"binding {k!r} is not a unit expression"
+    for side in (step.pos_left, step.pos_right):
+        if not (isinstance(side, tuple) and all(isinstance(u, Unit) for u in side)):
+            return "a position is not a tuple of unit expressions"
+    if not (isinstance(step.before, Term) and isinstance(step.after, Term)):
+        return "a step's before or after is not a term"
+    return None
+
+
 def check_proof(proof: Proof) -> CheckReport:
-    """Replay a certificate independently of the search that produced it."""
+    """Replay a certificate independently of the search that produced it.
+
+    A step whose fields cannot form a rewrite is refused, never replayed.
+    """
     identity = proof.identity
     try:
         mode = ProverMode.coerce(proof.mode)
@@ -919,6 +1000,9 @@ def check_proof(proof: Proof) -> CheckReport:
     declared = identity.declared_sum_atoms()
     current = normalize(identity.lhs)
     for i, step in enumerate(proof.steps):
+        bad = _malformed(step)
+        if bad is not None:
+            return CheckReport(False, i, f"malformed step: {bad}")
         if step.axiom not in AXIOMS:
             return CheckReport(False, i, f"unknown axiom {step.axiom}")
         if step.axiom not in allowed:

@@ -31,7 +31,9 @@ ints of more than 4300 digits):
 * a coefficient, and every numerator and denominator in a unit, has at
   most ``MAX_INT_BITS`` bits (about 1233 digits);
 * a term has at most ``MAX_TERM_WORDS`` words, and a product of terms
-  pairs at most that many.
+  pairs at most that many;
+* brackets of any kind nest, and unary minus signs repeat, at most
+  ``MAX_NESTING`` deep (the parser recurses once or more per level).
 
 Powers are checked before they are built, products and sums as they are
 built; a breach is a ``ParseError`` at the offending token.
@@ -65,6 +67,7 @@ MAX_EXPONENT = 1000
 MAX_WORD_LENGTH = 64
 MAX_INT_BITS = 4096
 MAX_TERM_WORDS = 4096
+MAX_NESTING = 64
 
 
 def tokenize(text: str) -> list[Token]:
@@ -108,9 +111,23 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _check_nesting(tokens: list[Token]) -> None:
+    """Refuse brackets nested, or minus signs repeated, past ``MAX_NESTING``."""
+    depth = run = 0
+    for tok in tokens:
+        if tok.kind in ("(", "[", "<"):
+            depth += 1
+        elif tok.kind in (")", "]", ">"):
+            depth -= 1
+        run = run + 1 if tok.kind == "-" else 0
+        if depth > MAX_NESTING or run > MAX_NESTING:
+            raise ParseError(f"nesting exceeds {MAX_NESTING} levels", tok.line, tok.col)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        _check_nesting(self.tokens)
         self.pos = 0
 
     def peek(self) -> Token:

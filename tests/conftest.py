@@ -2,6 +2,16 @@ import pytest
 
 from mwkit.gwring import PresentationKind, present
 
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis comes with the `test` extra
+    pass
+else:
+    # every property test replays the same examples and writes no example
+    # database into the checkout; each test sets only its max_examples
+    settings.register_profile("mwkit", derandomize=True, deadline=None, database=None)
+    settings.load_profile("mwkit")
+
 # Every ring here has at most 256 elements, so structural laws are checked
 # exhaustively.  GR(4,3) is kept out of the presentation-heavy family: its
 # 56 units make the unit-translated hopf lattice large and slow without

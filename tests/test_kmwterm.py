@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import pickle
 import random
@@ -11,12 +12,18 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the `test` extra
+    st = None
+
 from mwkit import kmwterm as km
 from mwkit.finring import Zmod
 from mwkit.gwring import GroupRingVector
 from mwkit.termparse import (
     MAX_EXPONENT,
     MAX_INT_BITS,
+    MAX_NESTING,
     MAX_TERM_WORDS,
     MAX_WORD_LENGTH,
     ParseError,
@@ -42,6 +49,10 @@ CORPUS = [
     ("<a> + <1-a> = 1 + <a*(1-a)>", "hopf-steinberg", "unit(a),unit(1-a)"),
     ("<a*b^2> = <a>", "reduced", ""),
 ]
+
+# the three searches that end on their state budget: (identity, mode, hypotheses)
+BUDGET = [(c["identity"], c["mode"], c["hyp"]) for c in json.loads(
+    (Path(__file__).parent / "prove_golden.json").read_text())["budget"]]
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +122,72 @@ def test_equal_units_from_different_paths_hash_alike():
         assert built == direct and hash(built) == hash(direct)
         assert {built} == {direct}
     assert A != B and A != km.uint(2) and A != "a"
+
+
+def _check_render_cache(unit):
+    """A unit renders as the uncached renderer does and stores its text;
+    copies and equality ignore the stored text.
+
+    The checks run on copies rebuilt through the constructor, which start
+    unrendered even when ``unit`` is shared (``UNIT_ONE``) or was rendered.
+    """
+    u, fresh = pickle.loads(pickle.dumps(unit)), pickle.loads(pickle.dumps(unit))
+    assert u._text is None and fresh._text is None
+    text = km.render_unit(u)
+    assert text == km._render_text(u) and u._text == text
+    assert km.render_unit(u) is text and str(u) == text
+    for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert clone._text is None and km.render_unit(clone) == text
+    # a rendered unit and an unrendered one are the same key
+    assert u == fresh and fresh == u and hash(u) == hash(fresh)
+    assert {fresh: 1}[u] == 1
+
+
+def test_render_cache_on_corpus_and_budget_letters():
+    units = set()
+    for text, _, hyp in CORPUS + BUDGET:
+        ident = parse_identity(text, hyp)
+        units |= ident.lhs.letters() | ident.rhs.letters() | set(ident.hypotheses)
+    assert len(units) >= 8
+    for u in units:
+        _check_render_cache(u)
+
+
+if st is not None:
+    def _built(op, x, y, n):
+        """x op y (or x ^ n); x itself where the result is no unit (a sum
+        that cancels)."""
+        try:
+            return {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
+                    "/": lambda: x / y, "^": lambda: x**n}[op]()
+        except km.UnitExprError:
+            return x
+
+    # sums (and sums that cancel), negative exponents and fractional content
+    UNITS = st.recursive(
+        st.one_of(st.sampled_from("abc").map(km.uvar),
+                  st.integers(-6, 6).filter(bool).map(km.uint)),
+        lambda parts: st.builds(_built, st.sampled_from("+-*/^"), parts, parts,
+                                st.integers(-3, 3)),
+        max_leaves=8,
+    )
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_render_cache_on_generated_units():
+    seen = []
+
+    @settings(max_examples=300)
+    @given(UNITS)
+    def check(u):
+        seen.append(u)
+        _check_render_cache(u)
+
+    check()
+    # the generated units reach every shape the renderer distinguishes
+    assert any(u.sum_atoms() for u in seen)
+    assert any(e < 0 for u in seen for _, e in u.factors)
+    assert any(u.content.denominator != 1 for u in seen)
 
 
 _LOOKUP_IN_FRESH_PROCESS = """
@@ -302,6 +379,72 @@ def test_check_proof_shares_no_object_with_the_search(text, mode, hyp):
             assert not report.ok and report.failed_step == i
 
 
+def test_check_proof_refuses_a_negative_eta_position():
+    # R4 times eta^-1 is eta[-1] + 2 = h, so this one step would "prove"
+    # h = 0, which is false: h has rank 2
+    ident = parse_identity("h = 0")
+    forged = km.ProofStep("R4", "forward", {}, 1, -1, (), (), ident.lhs, km.zero())
+    report = km.check_proof(km.Proof(ident, "hopf", (forged,)))
+    assert not report.ok and report.failed_step == 0
+    assert "eta position" in report.message
+    report = km.check_proof(km.Proof(ident, "hopf", ({"axiom": "R4"},)))
+    assert not report.ok and report.failed_step == 0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("axiom", ["R2"]),
+    ("pos_eta", -1), ("pos_eta", 1.0), ("pos_eta", True), ("pos_eta", "0"),
+    ("coeff", 0), ("coeff", "2"), ("coeff", Fraction(1, 2)), ("coeff", True),
+    ("coeff", 1.0),
+    ("binding", {"a": "x", "b": B}), ("binding", {"a": 1, "b": B}), ("binding", [A, B]),
+    ("pos_left", ("x",)), ("pos_left", [A]), ("pos_right", (A, None)),
+    ("before", "<a*b>"), ("after", None),
+])
+def test_check_proof_refuses_malformed_steps(field, value):
+    proof = km.prove(parse_identity("<a*b> = <a><b>"), "hopf")
+    assert proof is not None and proof.steps and bool(km.check_proof(proof))
+    i = len(proof.steps) - 1
+    bad = replace(proof.steps[i], **{field: value})
+    report = km.check_proof(km.Proof(proof.identity, proof.mode, proof.steps[:i] + (bad,)))
+    assert not report.ok and report.failed_step == i
+    assert report.message.startswith("malformed step")
+
+
+def _expanded_moves(text, mode, hyp, layers):
+    """(term, move) for each move of each node a search expands in its
+    first ``layers`` layers."""
+    seen = []
+    moves = km._moves
+
+    def logged(term, *args):
+        out = moves(term, *args)
+        seen.extend((term, move) for move in out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_moves", logged)
+        km.prove(parse_identity(text, hyp), mode, km.ProveConfig(max_depth=layers))
+    return seen
+
+
+def test_apply_matches_the_sum_with_the_embedded_core():
+    cancelled = appended = 0
+    for text, mode, hyp in CORPUS + BUDGET:
+        seen = _expanded_moves(text, mode, hyp, layers=3)
+        assert seen
+        for term, move in seen:
+            core = km._core(move, {})
+            coeff, (pe, pl, pr) = move[3:]
+            child = km._apply(term, core, pe, pl, pr, coeff)
+            # dict order included: it fixes the order of moves and states
+            assert isinstance(child, km.Term)
+            assert (list(child.words.items())
+                    == list((term + km._embed(core, pe, pl, pr, coeff)).words.items()))
+            cancelled += any(w not in child.words for w in term.words)
+            appended += any(w not in term.words for w in child.words)
+    assert cancelled and appended
+
+
 def test_check_proof_rejects_wrong_mode():
     ident = parse_identity("<a*b^2> = <a>")
     proof = km.prove(ident, "reduced")
@@ -465,6 +608,11 @@ OVERSIZED = [
     ("2^1000^1000 = 0", (1, 8)),
     (f"<a>^{MAX_WORD_LENGTH + 1} = 0", (1, 5)),
     ("(<a>+<b>+<c>)^9 = 0", (1, 15)),
+    # were RecursionError tracebacks
+    ("(" * 3000 + "1" + ")" * 3000 + " = 1", (1, MAX_NESTING + 1)),
+    ("[" + "(" * 3000 + "a" + ")" * 3000 + "] = 0", (1, MAX_NESTING + 1)),
+    ("[" + "-" * 3000 + "a] = 0", (1, MAX_NESTING + 2)),
+    ("<" * (MAX_NESTING + 1) + "a" + ">" * (MAX_NESTING + 1) + " = 0", (1, MAX_NESTING + 1)),
 ]
 
 
@@ -494,6 +642,14 @@ def test_identities_at_the_bounds_parse():
     assert len(words) <= MAX_TERM_WORDS
     ident = parse_identity(f"{big} [a] = {big} [a]")
     assert km.prove(ident, "hopf").steps == ()
+    deep = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_term(deep) == km.integer(1)
+    assert parse_unit("-" * MAX_NESTING + "a") == A
+    nested = "a"
+    for _ in range(MAX_NESTING - 2):  # [ and unit( are a level each
+        nested = f"a*(1-{nested})"
+    ident = parse_identity(f"[{nested}] = 0", f"unit({nested})")
+    assert parse_identity(str(ident), f"unit({nested})") == ident
 
 
 def test_parse_identity_round_trip():

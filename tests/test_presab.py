@@ -113,7 +113,7 @@ def _check_smith(m):
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
 def test_smith_properties_on_random_matrices():
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(_matrices(30))
     def check(m):
         _check_smith(m)
@@ -140,7 +140,7 @@ def _dense_order(p, vec):
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
 def test_class_readers_match_their_dense_definitions():
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(_matrices(30), st.data())
     def check(m, data):
         n = len(m[0])
@@ -163,7 +163,7 @@ def test_class_readers_match_their_dense_definitions():
 def test_lattice_membership_matches_smith_coordinates():
     # two independent membership tests: echelon elimination and the Smith
     # coordinates of the quotient
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(_matrices(6), st.data())
     def check(m, data):
         n = len(m[0])

@@ -73,7 +73,7 @@ SPEC_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(SPEC_TEXT)
 def test_ring_spec_yields_ring_or_ring_error(spec):
     try:
