@@ -265,10 +265,11 @@ def relation_lattice(ring, kind) -> ZLattice:
 
 
 def build_relations(ring, kind) -> list[tuple[int, ...]]:
-    """Echelon basis of the relation lattice of the chosen kind in Z^{units}.
+    """Reduced Hermite basis of the relation lattice of the chosen kind in Z^{units}.
 
     See :func:`relation_lattice`; the basis rows are listed by increasing
-    pivot, and the empty list means the lattice is zero.
+    pivot, and the empty list means the lattice is zero.  The basis depends
+    only on the lattice, so equal lattices give equal lists.
     """
     return relation_lattice(ring, kind).basis()
 

@@ -1,7 +1,7 @@
 """Finitely presented abelian groups over the integers.
 
 A subgroup of Z^n is handled in two forms: as a :class:`ZLattice` kept in
-row echelon (Hermite) form for fast membership tests, and through the Smith
+reduced Hermite normal form for fast membership tests, and through the Smith
 normal form of a relation matrix, which exposes the invariant factors of the
 quotient Z^n / rowspan(relations).
 
@@ -11,9 +11,11 @@ pivot growth during elimination can never overflow.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, lcm
+from operator import index
 from typing import Collection, Iterable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -95,83 +97,152 @@ def det(m: IntMatrix) -> int:
 class ZLattice:
     """Subgroup of Z^n spanned by integer row vectors.
 
-    The basis is kept in echelon form with strictly increasing, positive
-    pivots, so membership of a vector reduces to a single elimination pass.
+    The basis is kept in reduced Hermite normal form: one row per pivot
+    column, pivots strictly increasing and positive, zeros left of each
+    pivot, and every entry above a pivot d in [0, d).  That basis is unique:
+    it depends only on the lattice, not on the rows inserted or their order.
+    Each row is a dict of its nonzero entries, so an elimination step
+    touches only the support of the pivot row.
     """
 
     def __init__(self, n: int, rows: Iterable[Sequence[int]] = ()):
         self.n = n
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> row
         for row in rows:
             self.add(row)
 
+    def _sparse(self, vec: Sequence[int]) -> dict[int, int]:
+        if len(vec) != self.n:
+            raise ValueError(f"expected vector of length {self.n}, got {len(vec)}")
+        # compress finds the nonzero entries in C; most rows are mostly zero
+        return {k: index(vec[k]) for k in compress(range(self.n), vec)}
+
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; return True when the lattice grew."""
-        if len(vec) != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got {len(vec)}")
-        v = list(vec)
+        v = self._sparse(vec)
+        rows = self._rows
         grew = False
-        while True:
-            j = next((k for k, x in enumerate(v) if x), None)
-            if j is None:
-                return grew
-            pos = bisect_left(self._pivots, j)
-            if pos == len(self._pivots) or self._pivots[pos] != j:
+        while v:
+            j = min(v)
+            row = rows.get(j)
+            if row is None:
                 if v[j] < 0:
-                    v = [-x for x in v]
-                self._rows.insert(pos, v)
-                self._pivots.insert(pos, j)
+                    v = {k: -x for k, x in v.items()}
+                rows[j] = v
+                self._restore(j)
                 return True
-            row = self._rows[pos]
             a, b = row[j], v[j]
             if b % a == 0:
-                q = b // a
-                for k in range(j, self.n):
-                    v[k] -= q * row[k]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                for k in range(j, self.n):
-                    rk, vk = row[k], v[k]
-                    row[k] = x * rk + y * vk
-                    v[k] = -bg * rk + ag * vk
-                grew = True
+                _addmul(v, row, -(b // a))
+                continue
+            # replace the pivot row by x row + y v, whose pivot is gcd(a, b),
+            # and go on with the combination that clears column j
+            g, x, y = xgcd(a, b)
+            ag, bg = a // g, b // g
+            shrunk, rest = {}, {}
+            for k in row.keys() | v.keys():
+                rk, vk = row.get(k, 0), v.get(k, 0)
+                t = x * rk + y * vk
+                if t:
+                    shrunk[k] = t
+                t = ag * vk - bg * rk
+                if t:
+                    rest[k] = t
+            rows[j] = shrunk
+            self._restore(j)
+            v = rest
+            grew = True
+        return grew
+
+    def _restore(self, j: int) -> None:
+        """Make the basis reduced again after the row at pivot j changed.
+
+        That row is reduced against the later pivots; then each earlier row
+        with an entry outside [0, d) at column j is reduced there, and at
+        every later pivot column the subtraction reaches.
+        """
+        rows = self._rows
+        row = rows[j]
+        self._reduce(row, [k for k in row if k > j and k in rows])
+        d = row[j]
+        later = [k for k in row if k > j and k in rows]
+        for p, above in rows.items():
+            x = above.get(j)
+            if p < j and x is not None and not 0 < x < d:
+                _addmul(above, row, -(x // d))
+                self._reduce(above, later)
+
+    def _reduce(self, row: dict[int, int], cols: Iterable[int]) -> None:
+        """Bring the entries of ``row`` at the pivot columns ``cols`` into [0, pivot).
+
+        Columns are taken in increasing order; subtracting the row of pivot
+        p changes entries right of p only, so a later pivot column that the
+        subtraction reaches is queued and reduced in its turn.
+        """
+        rows = self._rows
+        pending = sorted(cols)
+        i, last = 0, -1
+        while i < len(pending):
+            p = pending[i]
+            i += 1
+            if p == last:
+                continue
+            last = p
+            x = row.get(p)
+            pivot_row = rows[p]
+            d = pivot_row[p]
+            if x is None or 0 < x < d:
+                continue
+            q = x // d
+            for k, s in pivot_row.items():
+                t = row.get(k, 0) - q * s
+                if t:
+                    row[k] = t
+                else:
+                    del row[k]
+                if k != p and k in rows:
+                    insort(pending, k, i)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.n:
-            raise ValueError(f"expected vector of length {self.n}, got {len(vec)}")
-        v = list(vec)
-        # v[k] == 0 for every k < lead; elimination at pivot j only changes
-        # entries k >= j, so the leading nonzero index only moves right
-        lead = 0
-        for pos, j in enumerate(self._pivots):
-            while lead < j and not v[lead]:
-                lead += 1
-            if lead < j:
+        v = self._sparse(vec)
+        rows = self._rows
+        while v:
+            j = min(v)
+            row = rows.get(j)
+            if row is None:
                 return False
-            if v[j] == 0:
-                continue
-            row = self._rows[pos]
-            if v[j] % row[j]:
+            q, r = divmod(v[j], row[j])
+            if r:
                 return False
-            q = v[j] // row[j]
-            for k in range(j, self.n):
-                v[k] -= q * row[k]
-        return not any(v)
+            _addmul(v, row, -q)
+        return True
 
     def basis(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self._rows]
+        """The reduced Hermite basis as dense rows, by increasing pivot."""
+        out = []
+        for p in sorted(self._rows):
+            dense = [0] * self.n
+            for k, x in self._rows[p].items():
+                dense[k] = x
+            out.append(tuple(dense))
+        return out
 
     def rank(self) -> int:
         return len(self._rows)
 
     def spans_same(self, other: "ZLattice") -> bool:
-        if self.n != other.n:
-            return False
-        return all(other.contains(r) for r in self._rows) and all(
-            self.contains(r) for r in other._rows
-        )
+        # the reduced Hermite basis is unique, so equal lattices store equal rows
+        return self.n == other.n and self._rows == other._rows
+
+
+def _addmul(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse rows, q nonzero; zeroed entries are dropped."""
+    for k, s in src.items():
+        t = dst.get(k, 0) + q * s
+        if t:
+            dst[k] = t
+        else:
+            del dst[k]
 
 
 def contains(relations: IntMatrix, v: Sequence[int]) -> bool:

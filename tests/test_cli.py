@@ -199,6 +199,21 @@ def test_cli_golden_output(case, tmp_path, capsys):
     assert (code, out) == (case["code"], case["stdout"])
 
 
+# gw and compare on larger rings, recorded from the dense echelon lattice
+# that the reduced Hermite lattice replaced
+@pytest.mark.parametrize("case", GOLDEN["rungs"], ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden_rungs(case, capsys):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+def test_compare_finishes_on_gf128(capsys):
+    # the dense echelon lattice did not finish this in 200 s
+    code, out, _ = run_cli(capsys, "compare", "--ring", "GF(2^7)")
+    assert code == 0
+    assert json.loads(out)["extra_relations_implied"] is True
+
+
 # prove --out json for the benchmark's corpus and [a][1-a] = 0, and three
 # searches that end on their state budget with the sha256 of the states they
 # create, in order; all recorded before the prover's hashing and memoisation

@@ -76,6 +76,15 @@ def test_relation_lattice_matches_oracle(spec, kind):
     assert build_relations(ring, kind) == lattice.basis()
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_equal_lattices_have_equal_bases(spec):
+    # the reduced lattice contains the hopf one, so they are equal exactly
+    # when the comparison holds, and then their reduced Hermite bases agree
+    ring = parse_ring_spec(spec)
+    same = build_relations(ring, "hopf") == build_relations(ring, "reduced")
+    assert same == compare_presentations(ring).extra_relations_implied
+
+
 def test_present_examples(presented):
     p = presented(Zmod(2), "reduced")
     assert (p.rank, p.torsion) == (1, ())

@@ -3,11 +3,16 @@ from math import gcd, lcm
 
 import pytest
 
+from conftest import GW_SPECS
+from presab_oracle import EchelonLattice
+
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
+from mwkit import gwring
+from mwkit.finring import parse_ring_spec
 from mwkit.presab import (
     ZLattice,
     _smith,
@@ -286,3 +291,131 @@ def test_det_values():
     assert det([[1, 2], [3, 4]]) == -2
     assert det(mat_identity(4)) == 1
     assert det([[0, 1], [1, 0]]) == -1
+
+
+def test_entries_must_be_integers():
+    # a float or a str entry was kept as it was: quotient(1, [[2.5]]) had
+    # torsion (2.5,) and [1.5, 0] spanned a lattice holding [3, 0]
+    for bad in (2.5, "3", 1.0):
+        with pytest.raises(TypeError):
+            quotient(1, [[bad]])
+        with pytest.raises(TypeError):
+            ZLattice(2, [[bad, 0]])
+        with pytest.raises(TypeError):
+            ZLattice(2).contains([0, bad])
+        with pytest.raises(TypeError):
+            contains([[1, 0]], [bad, 0])
+    with pytest.raises(TypeError):
+        ZLattice(2, [[1.5, 0]]).contains([3, 0])
+    # zeros are never read, and bools are stored as the ints they equal
+    assert ZLattice(2, [[0.0, 2]]).basis() == [(0, 2)]
+    lat = ZLattice(2, [[True, False]])
+    assert [tuple(map(type, row)) for row in lat.basis()] == [(int, int)]
+    assert lat.basis() == [(1, 0)] and lat.contains([False, False])
+
+
+def _check_against_echelon(n, rows, rng):
+    """add answers, contains answers and the span agree with the dense echelon oracle."""
+    lat, oracle = ZLattice(n), EchelonLattice(n)
+    assert [lat.add(r) for r in rows] == [oracle.add(r) for r in rows]
+    assert lat.rank() == oracle.rank()
+    for _ in range(8):
+        weights = [rng.randrange(-3, 4) for _ in rows]
+        member = [sum(w * r[k] for w, r in zip(weights, rows)) for k in range(n)]
+        perturbed = list(member)
+        perturbed[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        for vec in (member, perturbed):
+            assert lat.contains(vec) == oracle.contains(vec), (rows, vec)
+        assert lat.contains(member)
+    assert all(oracle.contains(r) for r in lat.basis())
+    assert all(lat.contains(r) for r in oracle.basis())
+    assert lat.spans_same(ZLattice(n, oracle.basis()))
+
+
+def _row_lists(max_entry, max_rows=8, max_cols=6):
+    """Lists of 0 to max_rows integer rows of one width, often sparse."""
+    entries = st.one_of(st.just(0), st.integers(-max_entry, max_entry))
+    return st.integers(1, max_cols).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), max_size=max_rows).map(lambda rows: (n, rows)))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_lattice_matches_echelon_oracle_on_random_rows():
+    @settings(max_examples=300)
+    @given(_row_lists(12), st.randoms(use_true_random=False))
+    def check(shape, rng):
+        _check_against_echelon(*shape, rng)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["hopf", "reduced"])
+@pytest.mark.parametrize("spec", GW_SPECS)
+def test_lattice_matches_echelon_oracle_on_relation_rows(spec, kind, monkeypatch):
+    rows = []  # the rows relation_lattice inserts, in order
+
+    class Recording(ZLattice):
+        def add(self, vec):
+            rows.append(list(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(gwring, "ZLattice", Recording)
+    ring = parse_ring_spec(spec)
+    gwring.relation_lattice(ring, kind)
+    _check_against_echelon(len(ring.units()), rows, random.Random(spec + kind))
+
+
+def _pivots(basis):
+    return [next(k for k, x in enumerate(row) if x) for row in basis]
+
+
+def _assert_reduced_hermite(basis):
+    pivots = _pivots(basis)
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(basis, pivots):
+        assert row[p] > 0
+        for other, q in zip(basis, pivots):
+            if q > p:
+                assert 0 <= row[q] < other[q], (basis, p, q)
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_basis_is_the_unique_reduced_hermite_form():
+    @settings(max_examples=300)
+    @given(_row_lists(30), st.randoms(use_true_random=False))
+    def check(shape, rng):
+        n, rows = shape
+        basis = ZLattice(n, rows).basis()
+        _assert_reduced_hermite(basis)
+        for _ in range(4):
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert ZLattice(n, shuffled).basis() == basis
+        # the basis spans the same lattice, so it is its own reduced form
+        assert ZLattice(n, basis).basis() == basis
+
+    check()
+
+
+def test_hopf_basis_of_gf64_is_reduced():
+    # the dense echelon basis of this lattice had 300-digit entries
+    basis = gwring.relation_lattice("GF(2^6)", "hopf").basis()
+    assert basis
+    _assert_reduced_hermite(basis)
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_pivots_of_a_full_rank_square_input_multiply_to_its_determinant():
+    square = st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n))
+
+    @settings(max_examples=300)
+    @given(square.filter(det))
+    def check(m):
+        basis = ZLattice(len(m), m).basis()
+        product = 1
+        for row, p in zip(basis, _pivots(basis)):
+            product *= row[p]
+        assert len(basis) == len(m) and product == abs(det(m))
+
+    check()
