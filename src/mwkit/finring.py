@@ -23,6 +23,7 @@ lifts of that choice to {0, ..., p-1}.
 from __future__ import annotations
 
 import itertools
+import struct
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -179,12 +180,99 @@ def _poly_str(coeffs: Sequence[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Galois products by Kronecker substitution: each coefficient tuple is packed
+# into one integer with w-byte slots, the two integers are multiplied once,
+# and the k - 1 slots above degree k - 1 fold back onto the low k slots
+# through packed rows of x^j mod f
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(q: int, k: int) -> int:
+    """Bytes per slot, so no slot of a product or of its fold can carry.
+
+    A product slot is a sum of at most k terms below q^2, and the fold adds
+    to each low slot k - 1 such sums, each times a row entry below q.
+    """
+    bound = k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))
+    width = next((w for w in (1, 2, 4, 8) if bound >> (8 * w) == 0), None)
+    return width or -(-bound.bit_length() // 8)
+
+
+def _slot_codec(w: int, n: int):
+    """pack(*values) and unpack(data) for n little-endian w-byte slots."""
+    if w in _STRUCT_CODES:
+        st = struct.Struct(f"<{n}{_STRUCT_CODES[w]}")
+        return st.pack, st.unpack
+
+    def pack(*values):
+        return b"".join(v.to_bytes(w, "little") for v in values)
+
+    def unpack(data):
+        return tuple(int.from_bytes(data[i:i + w], "little") for i in range(0, n * w, w))
+
+    return pack, unpack
+
+
+def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
+    """The product of two canonical coordinate tuples of Z/q[x]/(modulus).
+
+    Exact only on canonical coordinates: k entries, each in [0, q).
+    """
+    if k == 1:
+        return lambda a, b: (a[0] * b[0] % q,)
+    w = _slot_bytes(q, k)
+    from_bytes = int.from_bytes
+    low_bits, low_bytes, high_bytes = 8 * k * w, k * w, (k - 1) * w
+    low_mask = (1 << low_bits) - 1
+    # x^j mod f for j = k .. 2k - 2, each from the last by one shift
+    rows = []
+    row = [(-c) % q for c in modulus[:k]]
+    for _ in range(k - 1):
+        rows.append(row)
+        top = row[-1]
+        row = [(c - top * m) % q for c, m in zip([0] + row[:-1], modulus)]
+    if w == 1:
+        # bytes in and out; translate reduces every slot mod q at once
+        table = bytes(v % q for v in range(256))
+        packed = [from_bytes(bytes(r), "little") for r in rows]
+
+        def mul(a, b):
+            c = from_bytes(bytes(a), "little") * from_bytes(bytes(b), "little")
+            high = (c >> low_bits).to_bytes(high_bytes, "little").translate(table)
+            c &= low_mask
+            for h, r in zip(high, packed):
+                if h:
+                    c += h * r
+            return tuple(c.to_bytes(low_bytes, "little").translate(table))
+
+        return mul
+    pack, unpack_low = _slot_codec(w, k)
+    unpack_high = _slot_codec(w, k - 1)[1]
+    packed = [from_bytes(pack(*r), "little") for r in rows]
+
+    def mul(a, b):
+        c = from_bytes(pack(*a), "little") * from_bytes(pack(*b), "little")
+        high = unpack_high((c >> low_bits).to_bytes(high_bytes, "little"))
+        c &= low_mask
+        for h, r in zip(high, packed):
+            c += h * r
+        return tuple([v % q for v in unpack_low(c.to_bytes(low_bytes, "little"))])
+
+    return mul
+
+
+# ---------------------------------------------------------------------------
 # elements
 
 
 class RingElement:
     """Immutable element of a finite ring, identified by canonical coords.
 
+    Coordinates are canonical: a residue in [0, m) for ``Z/m``, a tuple of
+    k entries in [0, p^e) for a Galois ring, and a tuple of the factors'
+    canonical coordinates for a product.  Every ring operation returns
+    canonical coordinates, and the Galois product is exact only on them.
     Elements of two structurally equal rings (same kind, parameters and
     modulus) compare and hash alike even when the handles are distinct.
     The three slots are written once, by the constructor; assigning any
@@ -283,9 +371,10 @@ _set_coords = RingElement.coords.__set__
 _set_hash = RingElement._hash.__set__
 
 # per-ring caches: they hold elements, which rebuild through their
-# constructor and so need a complete ring, and hashes, which differ
-# between processes; a pickled or copied ring leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache")
+# constructor and so need a complete ring, hashes, which differ between
+# processes, and a Galois ring's product kernel, a closure, which does not
+# pickle; a pickled or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
 
 
 class Ring:
@@ -300,9 +389,9 @@ class Ring:
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
 
-    # subclasses implement: _add, _neg, _mul, _is_unit, _inverse_or_none,
-    # _enumerate_coords, _zero_coords, _one_coords, format_element,
-    # spec_string, characteristic
+    # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
+    # _inverse_or_none, _from_int, _enumerate_coords, _zero_coords,
+    # _one_coords, _format; and spec_string, characteristic
 
     @property
     def zero(self) -> RingElement:
@@ -328,16 +417,8 @@ class Ring:
         raise RingError(f"cannot coerce {x!r} into {self.spec_string()}")
 
     def from_int(self, n: int) -> RingElement:
-        """n times the identity, by double-and-add on n mod the characteristic."""
-        n %= self.characteristic()
-        out = self.zero
-        step = self.one
-        while n:
-            if n & 1:
-                out = self.add(out, step)
-            step = self.add(step, step)
-            n >>= 1
-        return out
+        """n times the identity."""
+        return RingElement(self, self._from_int(n))
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
         return RingElement(self, self._add(a.coords, b.coords))
@@ -398,8 +479,11 @@ class Ring:
             cached = self._hash_cache = hash(self._eq_key())
         return cached
 
+    def format_element(self, el: RingElement) -> str:
+        return self._format(el.coords)
+
     def __getstate__(self):
-        return {**self.__dict__, **dict.fromkeys(_RING_CACHES)}
+        return {**self.__dict__, **dict.fromkeys(self.__dict__.keys() & _RING_CACHES)}
 
     def __repr__(self):
         return self.spec_string()
@@ -438,11 +522,11 @@ class Zmod(Ring):
     def _inverse_or_none(self, a):
         return pow(a, -1, self.m) if self._is_unit(a) else None
 
+    def _from_int(self, n):
+        return n % self.m
+
     def _enumerate_coords(self):
         return range(self.m)
-
-    def from_int(self, n: int) -> RingElement:
-        return RingElement(self, n % self.m)
 
     @property
     def is_field(self) -> bool:
@@ -451,8 +535,8 @@ class Zmod(Ring):
     def characteristic(self) -> int:
         return self.m
 
-    def format_element(self, el: RingElement) -> str:
-        return str(el.coords)
+    def _format(self, a):
+        return str(a)
 
     def spec_string(self) -> str:
         return f"Z/{self.m}"
@@ -499,6 +583,7 @@ class GaloisRing(Ring):
         self.residue_field = (self if isinstance(self, GaloisField)
                               else GaloisField(p, k, reduced, max_elements=max_elements))
         self.card = self.q**k
+        self._mul_kernel = None
 
     def _label(self, tail: str = "") -> str:
         return f"GR({self.p}^{self.e},{self.k}{tail})"
@@ -513,14 +598,21 @@ class GaloisRing(Ring):
         return self._pad((1,))
 
     def _add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
+        q = self.q
+        return tuple([(x + y) % q for x, y in zip(a, b)])
 
     def _neg(self, a):
-        return tuple((-x) % self.q for x in a)
+        q = self.q
+        return tuple([(-x) % q for x in a])
 
     def _mul(self, a, b):
-        prod = _poly_mul(_poly_trim(list(a)), _poly_trim(list(b)), self.q)
-        return self._pad(_poly_rem_monic(prod, self.modulus, self.q))
+        kernel = self._mul_kernel
+        if kernel is None:
+            kernel = self._mul_kernel = _galois_mul_kernel(self.q, self.k, self.modulus)
+        return kernel(a, b)
+
+    def _from_int(self, n):
+        return self._pad((n % self.q,))
 
     def residue(self, el: RingElement) -> RingElement:
         """Image in the residue field GF(p^k)."""
@@ -559,7 +651,8 @@ class GaloisRing(Ring):
         return y if self._mul(a, y) == one else None
 
     def _enumerate_coords(self):
-        return (_digits(idx, self.q, self.k) for idx in range(self.card))
+        # the constant term varies fastest: index order of the base-q digits
+        return (t[::-1] for t in itertools.product(range(self.q), repeat=self.k))
 
     def gen(self) -> RingElement:
         """The class of x."""
@@ -572,8 +665,8 @@ class GaloisRing(Ring):
     def characteristic(self) -> int:
         return self.q
 
-    def format_element(self, el: RingElement) -> str:
-        return _poly_str(el.coords)
+    def _format(self, a):
+        return _poly_str(a)
 
     def _eq_key(self):
         return ("GaloisRing", self.p, self.e, self.k, self.modulus)
@@ -600,7 +693,11 @@ class GaloisField(GaloisRing):
 
 
 class ProductRing(Ring):
-    """Finite product of rings; elements are tuples of components."""
+    """Finite product of rings; coordinates are tuples of factor coordinates.
+
+    Every operation runs factor-wise on coordinates, through the factors'
+    coordinate methods, so no factor element is built.
+    """
 
     def __init__(self, factors: Sequence[Ring], max_elements: int = DEFAULT_ELEMENT_BOUND):
         super().__init__()
@@ -615,45 +712,45 @@ class ProductRing(Ring):
         self.card = card
 
     def _zero_coords(self):
-        return tuple(f.zero for f in self.factors)
+        return tuple(f._zero_coords() for f in self.factors)
 
     def _one_coords(self):
-        return tuple(f.one for f in self.factors)
+        return tuple(f._one_coords() for f in self.factors)
 
     def _add(self, a, b):
-        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([f._add(x, y) for f, x, y in zip(self.factors, a, b)])
 
     def _neg(self, a):
-        return tuple(f.neg(x) for f, x in zip(self.factors, a))
+        return tuple([f._neg(x) for f, x in zip(self.factors, a)])
 
     def _mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([f._mul(x, y) for f, x, y in zip(self.factors, a, b)])
 
     def _is_unit(self, a):
-        return all(f._is_unit(x.coords) for f, x in zip(self.factors, a))
+        return all(f._is_unit(x) for f, x in zip(self.factors, a))
 
     def _inverse_or_none(self, a):
         out = []
         for f, x in zip(self.factors, a):
-            inv = f.inverse_or_none(x)
+            inv = f._inverse_or_none(x)
             if inv is None:
                 return None
             out.append(inv)
         return tuple(out)
 
+    def _from_int(self, n):
+        return tuple(f._from_int(n) for f in self.factors)
+
     def _enumerate_coords(self):
         # first factor varies fastest, matching the base-q digit orders above
-        columns = [list(f.elements()) for f in reversed(self.factors)]
+        columns = [list(f._enumerate_coords()) for f in reversed(self.factors)]
         return (t[::-1] for t in itertools.product(*columns))
 
     def characteristic(self) -> int:
         return lcm(*(f.characteristic() for f in self.factors))
 
-    def from_int(self, n: int) -> RingElement:
-        return RingElement(self, tuple(f.from_int(n) for f in self.factors))
-
-    def format_element(self, el: RingElement) -> str:
-        return "(" + ",".join(str(x) for x in el.coords) + ")"
+    def _format(self, a):
+        return "(" + ",".join(f._format(x) for f, x in zip(self.factors, a)) + ")"
 
     def spec_string(self) -> str:
         return "prod(" + ",".join(f.spec_string() for f in self.factors) + ")"

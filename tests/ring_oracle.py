@@ -1,0 +1,118 @@
+"""The ring arithmetic that the coordinate kernels replaced, kept as an oracle.
+
+* ``schoolbook_mul``: the Galois product as ``_poly_mul`` then
+  ``_poly_rem_monic`` on coefficient tuples, before Kronecker substitution.
+* Element-wise product arithmetic: a product element is taken apart into
+  factor elements, every factor operation builds a factor element, and the
+  result is put together from their coordinates, as when product
+  coordinates were tuples of factor elements.  Galois factors multiply by
+  ``schoolbook_mul`` and nested products recurse, so no result here comes
+  from the kernels under test; ``Z/m`` keeps its one modular operation.
+
+Every function takes and returns ``RingElement`` values, except
+``schoolbook_mul``, which works on coordinates.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from mwkit.finring import (
+    GaloisRing,
+    ProductRing,
+    RingElement,
+    _digits,
+    _poly_mul,
+    _poly_rem_monic,
+    _poly_str,
+    _poly_trim,
+)
+
+
+def schoolbook_mul(ring: GaloisRing, a, b):
+    prod = _poly_mul(_poly_trim(list(a)), _poly_trim(list(b)), ring.q)
+    return ring._pad(_poly_rem_monic(prod, ring.modulus, ring.q))
+
+
+def factor_elements(x: RingElement) -> list[RingElement]:
+    return [RingElement(f, c) for f, c in zip(x.ring.factors, x.coords)]
+
+
+def _assemble(ring: ProductRing, parts) -> RingElement:
+    return RingElement(ring, tuple(p.coords for p in parts))
+
+
+def add(x: RingElement, y: RingElement) -> RingElement:
+    ring = x.ring
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, map(add, factor_elements(x), factor_elements(y)))
+    if isinstance(ring, GaloisRing):
+        return RingElement(ring, tuple((a + b) % ring.q for a, b in zip(x.coords, y.coords)))
+    return RingElement(ring, (x.coords + y.coords) % ring.m)
+
+
+def neg(x: RingElement) -> RingElement:
+    ring = x.ring
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, map(neg, factor_elements(x)))
+    if isinstance(ring, GaloisRing):
+        return RingElement(ring, tuple((-a) % ring.q for a in x.coords))
+    return RingElement(ring, (-x.coords) % ring.m)
+
+
+def mul(x: RingElement, y: RingElement) -> RingElement:
+    ring = x.ring
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, map(mul, factor_elements(x), factor_elements(y)))
+    if isinstance(ring, GaloisRing):
+        return RingElement(ring, schoolbook_mul(ring, x.coords, y.coords))
+    return RingElement(ring, x.coords * y.coords % ring.m)
+
+
+def zero(ring) -> RingElement:
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, map(zero, ring.factors))
+    if isinstance(ring, GaloisRing):
+        return RingElement(ring, (0,) * ring.k)
+    return RingElement(ring, 0)
+
+
+def one(ring) -> RingElement:
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, map(one, ring.factors))
+    if isinstance(ring, GaloisRing):
+        return RingElement(ring, (1,) + (0,) * (ring.k - 1))
+    return RingElement(ring, 1 % ring.m)
+
+
+def from_int(ring, n: int) -> RingElement:
+    """n times the identity, by double-and-add on n mod the characteristic."""
+    if isinstance(ring, ProductRing):
+        return _assemble(ring, (from_int(f, n) for f in ring.factors))
+    n %= ring.characteristic()
+    out, step = zero(ring), one(ring)
+    while n:
+        if n & 1:
+            out = add(out, step)
+        step = add(step, step)
+        n >>= 1
+    return out
+
+
+def elements(ring) -> list[RingElement]:
+    """Every element in enumeration order: base-q digit order, first factor fastest."""
+    if isinstance(ring, ProductRing):
+        columns = [elements(f) for f in reversed(ring.factors)]
+        return [_assemble(ring, t[::-1]) for t in itertools.product(*columns)]
+    if isinstance(ring, GaloisRing):
+        return [RingElement(ring, _digits(i, ring.q, ring.k)) for i in range(ring.card)]
+    return [RingElement(ring, i) for i in range(ring.m)]
+
+
+def format_element(x: RingElement) -> str:
+    ring = x.ring
+    if isinstance(ring, ProductRing):
+        return "(" + ",".join(format_element(f) for f in factor_elements(x)) + ")"
+    if isinstance(ring, GaloisRing):
+        return _poly_str(x.coords)
+    return str(x.coords)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -205,6 +206,16 @@ def test_cli_golden_output(case, tmp_path, capsys):
 def test_cli_golden_rungs(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+# sha256 of the stdout of ringinfo, sumsq and validate, recorded while Galois
+# products still went through _poly_mul and _poly_rem_monic and product
+# coordinates were factor elements
+@pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden_arith(case, capsys):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (case["code"],
+                                                                case["stdout_sha256"])
 
 
 def test_compare_finishes_on_gf128(capsys):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from itertools import product
@@ -9,6 +10,13 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+import ring_oracle as oracle
+from conftest import RING_SPECS
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the `test` extra
+    st = None
 
 import mwkit
 from mwkit.finring import (
@@ -21,6 +29,7 @@ from mwkit.finring import (
     RingSpecError,
     Zmod,
     _parse_prime_power,
+    _slot_bytes,
     elementary_factorization,
     mat2_mul,
     parse_ring_spec,
@@ -348,8 +357,8 @@ def test_elements_are_immutable():
 
 
 def test_element_copies_equal_and_hash_alike():
-    # one ring of each kind, and products whose coordinates are elements,
-    # one of them nesting another product
+    # one ring of each kind, and products whose coordinates are tuples of
+    # factor coordinates, one of them nesting another product
     for spec in ("Z/12", "GF(3^2)", "GR(9,2)", "prod(Z/4,GF(2^2))",
                  "prod(GR(4,2),prod(Z/3,GF(2^2)))"):
         ring = parse_ring_spec(spec)
@@ -361,7 +370,7 @@ def test_element_copies_equal_and_hash_alike():
 
 
 _LOOKUP_IN_FRESH_PROCESS = """
-import pickle, sys
+import copy, pickle, sys
 from mwkit.finring import make_ring
 for ring, units in pickle.loads(sys.stdin.buffer.read()):
     fresh = make_ring(ring.spec_string())
@@ -370,7 +379,20 @@ for ring, units in pickle.loads(sys.stdin.buffer.read()):
           all(u in index for u in units),
           all(len({u, v}) == 1 and hash(u) == hash(v) for u, v in zip(units, fresh.units())),
           ring.unit_index_map() == index)
+    # products from the loaded ring and from a deep copy of it, whose
+    # Galois kernels are rebuilt here, find their fresh twins
+    for clone in (ring, copy.deepcopy(ring)):
+        products = [x * y for x in clone.units() for y in units]
+        print(all(p in fresh.unit_index_map() for p in products),
+              products == [x * y for x in fresh.units() for y in fresh.units()])
 """
+
+
+def _galois_kernels(ring):
+    """The product kernel slot of every Galois ring in ring, factors included."""
+    if isinstance(ring, ProductRing):
+        return [k for f in ring.factors for k in _galois_kernels(f)]
+    return [ring._mul_kernel] if isinstance(ring, GaloisRing) else []
 
 
 def test_pickled_ring_and_units_rehash_under_another_hash_seed():
@@ -378,13 +400,35 @@ def test_pickled_ring_and_units_rehash_under_another_hash_seed():
     for spec in ("GF(3^2)", "Z/7", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         payload.append((ring, ring.units()))  # the ring's unit caches are filled
+    for spec in ("GF(3^2)", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        assert units[-1] * units[-1] in ring.unit_index_map()  # the kernel is built
+        assert all(_galois_kernels(ring))
+        for clone in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert not any(_galois_kernels(clone))
+        payload.append((ring, units))
     env = dict(os.environ, PYTHONPATH=str(Path(mwkit.__file__).resolve().parents[1]))
     for seed in ("12345", "54321"):  # at least one differs from this process's seed
         env["PYTHONHASHSEED"] = seed
         out = subprocess.run([sys.executable, "-c", _LOOKUP_IN_FRESH_PROCESS],
                              input=pickle.dumps(payload), capture_output=True, env=env,
                              timeout=60, check=True)
-        assert out.stdout.split() == [b"True"] * 4 * len(payload), out.stderr
+        assert out.stdout.split() == [b"True"] * 8 * len(payload), out.stderr
+
+
+def test_deepcopied_ring_rebuilds_its_kernel():
+    for spec in ("GF(3^2)", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        squares = [u * u for u in units]  # the kernel is built
+        clone = copy.deepcopy(ring)
+        assert clone == ring and hash(clone) == hash(ring)
+        assert not any(_galois_kernels(clone))
+        clone_squares = [u * u for u in clone.units()]
+        assert all(_galois_kernels(clone))
+        assert clone_squares == squares
+        assert [hash(x) for x in clone_squares] == [hash(x) for x in squares]
 
 
 # sha256 of each ring's element order, + and * tables, inverses, spec,
@@ -435,3 +479,120 @@ def test_galois_field_is_the_unramified_case():
     assert isinstance(ring.residue_field, GaloisField)
     assert ring.residue_field == field.residue_field
     assert ring.is_field and ring.spec_string() == "GR(3^1,2)"
+
+
+# ---------------------------------------------------------------------------
+# the coordinate kernels against the arithmetic they replaced (ring_oracle)
+
+ORACLE_SPECS = sorted(
+    {s for s in RING_SPECS if not s.startswith("Z/")} | set(GALOIS_TABLE_DIGESTS)
+    | {"prod(Z/4,GF(2^2))", "prod(Z/5,GF(2^4))", "prod(Z/2,prod(Z/3,GR(4,2)))"})
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_arithmetic_matches_oracle_on_all_pairs(spec):
+    ring = parse_ring_spec(spec)
+    assert ring.card <= 256
+    els = list(ring.elements())
+    assert els == oracle.elements(ring)
+    assert [str(x) for x in els] == [oracle.format_element(x) for x in els]
+    assert (ring.zero, ring.one) == (oracle.zero(ring), oracle.one(ring))
+    one = oracle.one(ring)
+    for x in els:
+        assert -x == oracle.neg(x)
+        inverse = None
+        for y in els:
+            assert x + y == oracle.add(x, y)
+            xy = oracle.mul(x, y)
+            assert x * y == xy, (x, y)
+            if xy == one:
+                inverse = y
+        assert ring.inverse_or_none(x) == inverse
+        assert x.is_unit() == (inverse is not None)
+    for n in range(-3 * ring.characteristic(), 3 * ring.characteristic() + 1):
+        assert ring.from_int(n) == oracle.from_int(ring, n)
+
+
+# every slot width the kernel picks: 1, 2 and 4 bytes within the default
+# element bound, 8 bytes and a wider slot for rings built past it
+WIDE_RINGS = {
+    "GR(2^16,2)": lambda: GaloisRing(2, 16, 2, max_elements=1 << 32),
+    "GR(2^30,2)": lambda: GaloisRing(2, 30, 2, max_elements=1 << 60),
+}
+RANDOM_PAIR_SPECS = ["GF(2^12)", "GF(2^16)", "GF(5^4)", "GR(16,2)", "GR(9,2)", "GF(251^2)",
+                     "GF(65521)", *WIDE_RINGS]
+
+
+def test_random_pairs_cover_every_slot_width():
+    rings = [WIDE_RINGS[s]() if s in WIDE_RINGS else parse_ring_spec(s)
+             for s in RANDOM_PAIR_SPECS]
+    widths = {_slot_bytes(r.q, r.k) for r in rings if r.k > 1}
+    assert {1, 2, 4, 8} < widths
+
+
+@pytest.mark.parametrize("spec", RANDOM_PAIR_SPECS)
+def test_galois_product_matches_schoolbook_on_random_pairs(spec):
+    ring = WIDE_RINGS[spec]() if spec in WIDE_RINGS else parse_ring_spec(spec)
+    rng = random.Random(spec)
+    # the extremes first: all zero, all q - 1
+    pairs = [((0,) * ring.k, (ring.q - 1,) * ring.k), ((ring.q - 1,) * ring.k,) * 2]
+    for _ in range(2000):
+        pairs.append(tuple(tuple(rng.randrange(ring.q) for _ in range(ring.k)) for _ in "ab"))
+    for a, b in pairs:
+        assert ring._mul(a, b) == oracle.schoolbook_mul(ring, a, b), (a, b)
+
+
+def _is_canonical(ring, coords) -> bool:
+    if isinstance(ring, ProductRing):
+        return (type(coords) is tuple and len(coords) == len(ring.factors)
+                and all(map(_is_canonical, ring.factors, coords)))
+    if isinstance(ring, GaloisRing):
+        return (type(coords) is tuple and len(coords) == ring.k
+                and all(type(c) is int and 0 <= c < ring.q for c in coords))
+    return type(coords) is int and 0 <= coords < ring.m
+
+
+CANONICAL_SPECS = ["GF(2^12)", "GF(251^2)", "GF(65521)", "GR(16,2)", "GR(9,2)", "GR(4,3)",
+                   "GF(3^2;x^2+x+2)", "prod(GF(2^6),Z/61)", "prod(Z/4,GF(2^2))",
+                   "prod(GR(4,2),prod(Z/3,GF(2^2)))"]
+
+
+def _coords(ring):
+    """A strategy for canonical coordinates of ring."""
+    if isinstance(ring, ProductRing):
+        return st.tuples(*map(_coords, ring.factors))
+    if isinstance(ring, GaloisRing):
+        return st.tuples(*[st.integers(0, ring.q - 1)] * ring.k)
+    return st.integers(0, ring.m - 1)
+
+
+def _galois_parts(x):
+    """x's factor elements in every Galois factor, nested products included."""
+    if isinstance(x.ring, ProductRing):
+        return [g for f in oracle.factor_elements(x) for g in _galois_parts(f)]
+    return [x] if isinstance(x.ring, GaloisRing) else []
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_every_operation_returns_canonical_coordinates():
+    rings = {spec: parse_ring_spec(spec) for spec in CANONICAL_SPECS}
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def check(data):
+        spec = data.draw(st.sampled_from(CANONICAL_SPECS))
+        ring = rings[spec]
+        x, y = (RingElement(ring, data.draw(_coords(ring))) for _ in "xy")
+        n = data.draw(st.integers(-(1 << 70), 1 << 70))
+        made = [x + y, -x, x - y, x * y, x * x * y, y ** 3, ring.from_int(n), n * x, x + n,
+                ring.coerce(n), parse_ring_spec(spec).coerce(x), ring.zero, ring.one,
+                ring.minus_one()]
+        inv = ring.inverse_or_none(x)
+        if inv is not None:
+            made += [inv, x.inverse(), x ** -3]
+        for g in _galois_parts(x):
+            made += [g.ring.residue(g), g.ring.gen(), g * g.ring.gen()]
+        for el in made:
+            assert _is_canonical(el.ring, el.coords), (spec, el.coords)
+
+    check()
