@@ -188,30 +188,16 @@ def _poly_str(coeffs: Sequence[int]) -> str:
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _slot_bytes(q: int, k: int) -> int:
+def _slot_bytes(q: int, k: int) -> Optional[int]:
     """Bytes per slot, so no slot of a product or of its fold can carry.
 
     A product slot is a sum of at most k terms below q^2, and the fold adds
-    to each low slot k - 1 such sums, each times a row entry below q.
+    to each low slot k - 1 such sums, each times a row entry below q.  None
+    when no struct code is wide enough; within the default element bound
+    every ring fits in 4 bytes.
     """
     bound = k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))
-    width = next((w for w in (1, 2, 4, 8) if bound >> (8 * w) == 0), None)
-    return width or -(-bound.bit_length() // 8)
-
-
-def _slot_codec(w: int, n: int):
-    """pack(*values) and unpack(data) for n little-endian w-byte slots."""
-    if w in _STRUCT_CODES:
-        st = struct.Struct(f"<{n}{_STRUCT_CODES[w]}")
-        return st.pack, st.unpack
-
-    def pack(*values):
-        return b"".join(v.to_bytes(w, "little") for v in values)
-
-    def unpack(data):
-        return tuple(int.from_bytes(data[i:i + w], "little") for i in range(0, n * w, w))
-
-    return pack, unpack
+    return next((w for w in _STRUCT_CODES if bound >> (8 * w) == 0), None)
 
 
 def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
@@ -222,6 +208,10 @@ def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
     if k == 1:
         return lambda a, b: (a[0] * b[0] % q,)
     w = _slot_bytes(q, k)
+    if w is None:
+        # no struct code is wide enough: the schoolbook product
+        pad = (0,) * k
+        return lambda a, b: (_poly_rem_monic(_poly_mul(a, b, q), modulus, q) + pad)[:k]
     from_bytes = int.from_bytes
     low_bits, low_bytes, high_bytes = 8 * k * w, k * w, (k - 1) * w
     low_mask = (1 << low_bits) - 1
@@ -232,23 +222,9 @@ def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
         rows.append(row)
         top = row[-1]
         row = [(c - top * m) % q for c, m in zip([0] + row[:-1], modulus)]
-    if w == 1:
-        # bytes in and out; translate reduces every slot mod q at once
-        table = bytes(v % q for v in range(256))
-        packed = [from_bytes(bytes(r), "little") for r in rows]
-
-        def mul(a, b):
-            c = from_bytes(bytes(a), "little") * from_bytes(bytes(b), "little")
-            high = (c >> low_bits).to_bytes(high_bytes, "little").translate(table)
-            c &= low_mask
-            for h, r in zip(high, packed):
-                if h:
-                    c += h * r
-            return tuple(c.to_bytes(low_bytes, "little").translate(table))
-
-        return mul
-    pack, unpack_low = _slot_codec(w, k)
-    unpack_high = _slot_codec(w, k - 1)[1]
+    low_slots = struct.Struct(f"<{k}{_STRUCT_CODES[w]}")
+    pack, unpack_low = low_slots.pack, low_slots.unpack
+    unpack_high = struct.Struct(f"<{k - 1}{_STRUCT_CODES[w]}").unpack
     packed = [from_bytes(pack(*r), "little") for r in rows]
 
     def mul(a, b):
