@@ -218,6 +218,15 @@ def test_cli_golden_arith(case, capsys):
                                                                 case["stdout_sha256"])
 
 
+# sha256 of the stdout of gw in both kinds and of compare on rings of 32 to
+# 256 units, recorded while every lattice was seeded from all unit pairs
+@pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden_ladder(case, capsys):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (case["code"],
+                                                                case["stdout_sha256"])
+
+
 def test_compare_finishes_on_gf128(capsys):
     # the dense echelon lattice did not finish this in 200 s
     code, out, _ = run_cli(capsys, "compare", "--ring", "GF(2^7)")
