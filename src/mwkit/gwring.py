@@ -18,6 +18,13 @@ from another (iii) row by an (i) row).  For the hopf kind the unit
 translates of family (iii) genuinely enlarge the lattice; without them
 multiplication would not descend to the quotient.  They are reached by
 spinning the untranslated rows up under a generating set of the unit group.
+
+Neither kind scans all unit pairs when it does not have to.  The hopf
+lattice is seeded with the family (ii) rows and the (iii) rows with a = 1,
+about 2|U| rows, and the spin-up's result is certified by the test that
+<g^2> - <1> lies in it for every generator g; only when that test fails are
+all unordered pairs scanned.  The reduced kind lets a range over the
+representatives of the square classes, C |U| pairs for C classes.
 """
 
 from __future__ import annotations
@@ -159,22 +166,27 @@ def _dense(n: int, key: tuple) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _family_rows(ring: Ring, rep: Sequence[int]) -> list[tuple]:
+def _family_rows(ring: Ring, rep: Sequence[int],
+                 firsts: Optional[Sequence[int]] = None) -> list[tuple]:
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
     Every unit index i is replaced by rep[i].  Rows come in a fixed order:
-    family (ii) over units, then family (iii) over unordered unit pairs.
+    family (ii) over units, then family (iii) over the pairs (a, b) with a
+    the unit of an index in ``firsts`` and b any unit, or over unordered
+    unit pairs when ``firsts`` is None.
     """
     units = ring.units()
     index = ring.unit_index_map()
+    n = len(units)
     one, minus_one = index[ring.one], index[ring.minus_one()]
     rows: dict = {}
     for i, a in enumerate(units):
         key = _sparse_key(((1, rep[i]), (1, rep[index[-a]]), (-1, rep[one]), (-1, rep[minus_one])))
         if key:
             rows.setdefault(key)
-    for i, a in enumerate(units):
-        for j in range(i, len(units)):
+    for i in range(n) if firsts is None else firsts:
+        a = units[i]
+        for j in range(i if firsts is None else 0, n):
             b = units[j]
             s = a + b
             k = index.get(s)  # a + b is a unit exactly when it is indexed
@@ -211,18 +223,36 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
     return perms
 
 
+def _generator_squares_in(lattice: ZLattice, ring: Ring, perms: list[list[int]]) -> bool:
+    """Whether <g^2> - <1> lies in the lattice for the generator g of each perm."""
+    n = len(ring.units())
+    one = ring.unit_index_map()[ring.one]
+    # perm[one] is the index of g, and perm[perm[one]] that of g^2
+    return all(lattice.contains(_dense(n, _sparse_key(((1, perm[perm[one]]), (-1, one)))))
+               for perm in perms)
+
+
 def relation_lattice(ring, kind) -> ZLattice:
     """The relation lattice of the chosen kind, built from unit-group structure.
 
-    hopf: the untranslated family (ii) and (iii) rows, closed under
-    multiplication by a generating set of R^x.  A Z-submodule closed under
+    hopf: with r(a,b) = <a> + <b> - <a+b> - <(a+b)ab> the family (iii) row,
+
+        r(a,b) = <a> r(1, b/a) + <(a+b)b/a> (1 - <a^2>).
+
+    The family (ii) rows and the rows r(1,c) are closed under
+    multiplication by a generating set of R^x; a Z-submodule closed under
     the generators of a finite group is closed under the whole group, so
-    this is the ideal the families generate.
+    this is the ideal J they generate.  If J holds 1 - <g^2> for each
+    generator g, it holds 1 - <a^2> for every unit a, so it holds every
+    r(a,b) and is the hopf ideal.  Otherwise every unordered pair of units
+    is scanned and its rows join the same spin-up.
 
     reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
     rep(u) the first unit of u's square class, and modulo it the ideal of
     families (ii) and (iii) is spanned by their untranslated rows with
-    every unit replaced by its representative.
+    every unit replaced by its representative.  Such a row does not change
+    when (a, b) becomes (sa, sb) for a square s, so a ranges over the
+    representatives only.
     """
     ring = make_ring(ring)
     kind = PresentationKind.coerce(kind)
@@ -231,24 +261,31 @@ def relation_lattice(ring, kind) -> ZLattice:
     index = ring.unit_index_map()
     lattice = ZLattice(n)
     if kind is PresentationKind.HOPF:
-        # spin-up: the rows that enlarged the lattice span it, so closing them
-        # under the generators closes the lattice.  They are translated rather
-        # than the echelon basis because they keep their small entries.
-        queue = []
-        for key in _family_rows(ring, range(n)):
-            row = _dense(n, key)
-            if lattice.add(row):
-                queue.append(row)
         perms = _unit_generators(ring)
-        while queue:
-            vec = queue.pop()
-            for perm in perms:
-                image = [0] * n
-                for i, c in enumerate(vec):
-                    if c:
-                        image[perm[i]] = c
-                if lattice.add(image):
-                    queue.append(image)
+
+        def spin_up(keys):
+            # the rows that enlarged the lattice span it, so closing them
+            # under the generators closes the lattice.  They are translated
+            # rather than the echelon basis because they keep their small
+            # entries.
+            queue = []
+            for key in keys:
+                row = _dense(n, key)
+                if lattice.add(row):
+                    queue.append(row)
+            while queue:
+                vec = queue.pop()
+                for perm in perms:
+                    image = [0] * n
+                    for i, c in enumerate(vec):
+                        if c:
+                            image[perm[i]] = c
+                    if lattice.add(image):
+                        queue.append(image)
+
+        spin_up(_family_rows(ring, range(n), (index[ring.one],)))
+        if not _generator_squares_in(lattice, ring, perms):
+            spin_up(_family_rows(ring, range(n)))
         return lattice
     rep = list(range(n))
     squares = {u * u for u in units}
@@ -259,7 +296,7 @@ def relation_lattice(ring, kind) -> ZLattice:
     for i in range(n):
         if rep[i] != i:
             lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
-    for key in _family_rows(ring, rep):
+    for key in _family_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
         lattice.add(_dense(n, key))
     return lattice
 
@@ -483,13 +520,9 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
     """
     ring = make_ring(ring)
     units = ring.units()
-    index = ring.unit_index_map()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)
-    one = index[ring.one]
-    gens = (units[perm[one]] for perm in _unit_generators(ring))  # g * 1 = g
-    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[g * g]), (-1, one)))))
-                  for g in gens)
+    implied = _generator_squares_in(hopf, ring, _unit_generators(ring))
     witness = None if implied else _first_outside(hopf, ring)
     return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
 

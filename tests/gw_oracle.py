@@ -6,6 +6,11 @@ unit translates of family (iii) for the hopf kind), and the all-pairs scan
 of the reduced-only rows against the hopf lattice.  They are cubic in the
 number of units, so the tests run them on small rings only.
 
+``oracle_relation_lattice`` is the builder that seeded both kinds from all
+unordered unit pairs of families (ii) and (iii), the hopf kind then spun up
+under a generating set of R^x.  It is quadratic in the number of units, so
+it runs on rings of up to a few hundred units.
+
 The query oracles answer on dense vectors and ring elements, where
 ``GwPresentedRing`` reads sparse vectors against a few Smith columns and
 multiplies coordinates: membership of the dense difference in the echelon
@@ -14,9 +19,10 @@ product with one element product per pair.
 """
 
 from math import gcd, lcm
+from typing import Sequence
 
-from mwkit.finring import make_ring
-from mwkit.gwring import GroupRingVector, PresentationKind
+from mwkit.finring import Ring, make_ring
+from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
 from mwkit.presab import ZLattice
 
 
@@ -72,6 +78,86 @@ def oracle_relations(ring, kind):
                 emit(((1, a * b * b), (-1, a)))
 
     return rows
+
+
+def oracle_family_rows(ring: Ring, rep: Sequence[int]) -> list[tuple]:
+    """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
+
+    Every unit index i is replaced by rep[i].  Rows come in a fixed order:
+    family (ii) over units, then family (iii) over unordered unit pairs.
+    """
+    units = ring.units()
+    index = ring.unit_index_map()
+    one, minus_one = index[ring.one], index[ring.minus_one()]
+    rows: dict = {}
+    for i, a in enumerate(units):
+        key = _sparse_key(((1, rep[i]), (1, rep[index[-a]]), (-1, rep[one]), (-1, rep[minus_one])))
+        if key:
+            rows.setdefault(key)
+    for i, a in enumerate(units):
+        for j in range(i, len(units)):
+            b = units[j]
+            s = a + b
+            k = index.get(s)  # a + b is a unit exactly when it is indexed
+            if k is None:
+                continue
+            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[index[s * a * b]])))
+            if key:
+                rows.setdefault(key)
+    return list(rows)
+
+
+def oracle_relation_lattice(ring, kind) -> ZLattice:
+    """The relation lattice of the chosen kind, seeded from all unit pairs.
+
+    hopf: the untranslated family (ii) and (iii) rows, closed under
+    multiplication by a generating set of R^x.  A Z-submodule closed under
+    the generators of a finite group is closed under the whole group, so
+    this is the ideal the families generate.
+
+    reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
+    rep(u) the first unit of u's square class, and modulo it the ideal of
+    families (ii) and (iii) is spanned by their untranslated rows with
+    every unit replaced by its representative.
+    """
+    ring = make_ring(ring)
+    kind = PresentationKind.coerce(kind)
+    units = ring.units()
+    n = len(units)
+    index = ring.unit_index_map()
+    lattice = ZLattice(n)
+    if kind is PresentationKind.HOPF:
+        # spin-up: the rows that enlarged the lattice span it, so closing them
+        # under the generators closes the lattice.  They are translated rather
+        # than the echelon basis because they keep their small entries.
+        queue = []
+        for key in oracle_family_rows(ring, range(n)):
+            row = _dense(n, key)
+            if lattice.add(row):
+                queue.append(row)
+        perms = _unit_generators(ring)
+        while queue:
+            vec = queue.pop()
+            for perm in perms:
+                image = [0] * n
+                for i, c in enumerate(vec):
+                    if c:
+                        image[perm[i]] = c
+                if lattice.add(image):
+                    queue.append(image)
+        return lattice
+    rep = list(range(n))
+    squares = {u * u for u in units}
+    for i, u in enumerate(units):
+        if rep[i] == i:
+            for q in squares:
+                rep[index[u * q]] = i
+    for i in range(n):
+        if rep[i] != i:
+            lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
+    for key in oracle_family_rows(ring, rep):
+        lattice.add(_dense(n, key))
+    return lattice
 
 
 def oracle_compare(ring):
