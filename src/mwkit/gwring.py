@@ -19,12 +19,10 @@ translates of family (iii) genuinely enlarge the lattice; without them
 multiplication would not descend to the quotient.  They are reached by
 spinning the untranslated rows up under a generating set of the unit group.
 
-Neither kind scans all unit pairs when it does not have to.  The hopf
-lattice is seeded with the family (ii) rows and the (iii) rows with a = 1,
-about 2|U| rows, and the spin-up's result is certified by the test that
-<g^2> - <1> lies in it for every generator g; only when that test fails are
-all unordered pairs scanned.  The reduced kind lets a range over the
-representatives of the square classes, C |U| pairs for C classes.
+Neither kind scans all unit pairs.  The hopf lattice is the spin-up of the
+family (ii) rows and the (iii) rows with a = 1, about 2|U| rows.  The
+reduced kind lets a range over the representatives of the square classes,
+C |U| pairs for C classes.
 """
 
 from __future__ import annotations
@@ -166,28 +164,24 @@ def _dense(n: int, key: tuple) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _family_rows(ring: Ring, rep: Sequence[int],
-                 firsts: Optional[Sequence[int]] = None) -> list[tuple]:
+def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[tuple]:
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
     Every unit index i is replaced by rep[i].  Rows come in a fixed order:
     family (ii) over units, then family (iii) over the pairs (a, b) with a
-    the unit of an index in ``firsts`` and b any unit, or over unordered
-    unit pairs when ``firsts`` is None.
+    the unit of an index in ``firsts`` and b any unit.
     """
     units = ring.units()
     index = ring.unit_index_map()
-    n = len(units)
     one, minus_one = index[ring.one], index[ring.minus_one()]
     rows: dict = {}
     for i, a in enumerate(units):
         key = _sparse_key(((1, rep[i]), (1, rep[index[-a]]), (-1, rep[one]), (-1, rep[minus_one])))
         if key:
             rows.setdefault(key)
-    for i in range(n) if firsts is None else firsts:
+    for i in firsts:
         a = units[i]
-        for j in range(i if firsts is None else 0, n):
-            b = units[j]
+        for j, b in enumerate(units):
             s = a + b
             k = index.get(s)  # a + b is a unit exactly when it is indexed
             if k is None:
@@ -223,15 +217,6 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
     return perms
 
 
-def _generator_squares_in(lattice: ZLattice, ring: Ring, perms: list[list[int]]) -> bool:
-    """Whether <g^2> - <1> lies in the lattice for the generator g of each perm."""
-    n = len(ring.units())
-    one = ring.unit_index_map()[ring.one]
-    # perm[one] is the index of g, and perm[perm[one]] that of g^2
-    return all(lattice.contains(_dense(n, _sparse_key(((1, perm[perm[one]]), (-1, one)))))
-               for perm in perms)
-
-
 def relation_lattice(ring, kind) -> ZLattice:
     """The relation lattice of the chosen kind, built from unit-group structure.
 
@@ -239,13 +224,21 @@ def relation_lattice(ring, kind) -> ZLattice:
 
         r(a,b) = <a> r(1, b/a) + <(a+b)b/a> (1 - <a^2>).
 
-    The family (ii) rows and the rows r(1,c) are closed under
-    multiplication by a generating set of R^x; a Z-submodule closed under
-    the generators of a finite group is closed under the whole group, so
-    this is the ideal J they generate.  If J holds 1 - <g^2> for each
-    generator g, it holds 1 - <a^2> for every unit a, so it holds every
-    r(a,b) and is the hopf ideal.  Otherwise every unordered pair of units
-    is scanned and its rows join the same spin-up.
+    The family (ii) rows and the rows r(1,c), 1 + c a unit, are closed
+    under multiplication by a generating set of R^x; a Z-submodule closed
+    under the generators of a finite group is closed under the whole group,
+    so this is the ideal J they generate.  J is the hopf ideal.  If some
+    residue field of R is F_2, no sum of two units is a unit, family (iii)
+    is empty and J is the ideal of family (ii).  Otherwise J holds every
+    1 - <c^2> with 1 + c a unit: r(c,1) = r(1,c) and 1 + 1/c is a unit, so
+
+        <(c+1)/c> (1 - <c^2>) = r(1,c) - <c> r(1, 1/c).
+
+    Every unit a is c1 c2 z with 1 + c1 and 1 + c2 units and z^2 = 1 (in
+    each local factor, c1 with residue away from -1 and -a if the residue
+    field has 4 or more elements, c1 = 1 and z = +-1 if it is F_3), so J holds
+    1 - <a^2> = (1 - <c1^2>) + <c1^2> (1 - <c2^2>) for every unit a, and by
+    the identity above every r(a,b).
 
     reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
     rep(u) the first unit of u's square class, and modulo it the ideal of
@@ -261,31 +254,24 @@ def relation_lattice(ring, kind) -> ZLattice:
     index = ring.unit_index_map()
     lattice = ZLattice(n)
     if kind is PresentationKind.HOPF:
+        # spin-up: the rows that enlarged the lattice span it, so closing them
+        # under the generators closes the lattice.  They are translated rather
+        # than the echelon basis because they keep their small entries.
+        queue = []
+        for key in _family_rows(ring, range(n), (index[ring.one],)):
+            row = _dense(n, key)
+            if lattice.add(row):
+                queue.append(row)
         perms = _unit_generators(ring)
-
-        def spin_up(keys):
-            # the rows that enlarged the lattice span it, so closing them
-            # under the generators closes the lattice.  They are translated
-            # rather than the echelon basis because they keep their small
-            # entries.
-            queue = []
-            for key in keys:
-                row = _dense(n, key)
-                if lattice.add(row):
-                    queue.append(row)
-            while queue:
-                vec = queue.pop()
-                for perm in perms:
-                    image = [0] * n
-                    for i, c in enumerate(vec):
-                        if c:
-                            image[perm[i]] = c
-                    if lattice.add(image):
-                        queue.append(image)
-
-        spin_up(_family_rows(ring, range(n), (index[ring.one],)))
-        if not _generator_squares_in(lattice, ring, perms):
-            spin_up(_family_rows(ring, range(n)))
+        while queue:
+            vec = queue.pop()
+            for perm in perms:
+                image = [0] * n
+                for i, c in enumerate(vec):
+                    if c:
+                        image[perm[i]] = c
+                if lattice.add(image):
+                    queue.append(image)
         return lattice
     rep = list(range(n))
     squares = {u * u for u in units}
@@ -520,9 +506,13 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
     """
     ring = make_ring(ring)
     units = ring.units()
+    index = ring.unit_index_map()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)
-    implied = _generator_squares_in(hopf, ring, _unit_generators(ring))
+    one = index[ring.one]
+    gens = (units[perm[one]] for perm in _unit_generators(ring))  # g * 1 = g
+    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[g * g]), (-1, one)))))
+                  for g in gens)
     witness = None if implied else _first_outside(hopf, ring)
     return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
 
