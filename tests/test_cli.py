@@ -219,7 +219,9 @@ def test_cli_golden_arith(case, capsys):
 
 
 # sha256 of the stdout of gw in both kinds and of compare on rings of 32 to
-# 256 units, recorded while every lattice was seeded from all unit pairs
+# 256 units, recorded while every lattice was seeded from all unit pairs; gw
+# on Z/509 and reduced gw on GF(2^8) recorded while the Smith form ran over
+# the whole Hermite basis
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
