@@ -297,7 +297,7 @@ def main(argv=None) -> int:
             kmwterm.UnitExprError, kmwterm.EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

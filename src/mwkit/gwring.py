@@ -373,19 +373,6 @@ class GwPresentedRing:
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))
 
-    def _action_matrix(self) -> list[list[int]]:
-        """Matrix of multiplication by <-1> on canonical coordinates."""
-        n = len(self.units)
-        s = [[0] * n for _ in range(n)]
-        minus_one = self.ring.minus_one()
-        for i, u in enumerate(self.units):
-            s[i][self.unit_index[minus_one * u]] = 1
-        pres = self.presentation
-        return presab.mat_mul(
-            presab.mat_mul([list(r) for r in pres.basis_change_inv], s),
-            [list(r) for r in pres.basis_change],
-        )
-
     def invert_two_split(self) -> SplitReport:
         """Split the presentation after inverting 2 by the <-1> involution.
 
@@ -395,19 +382,19 @@ class GwPresentedRing:
         defined once 2 is invertible.
         """
         pres = self.presentation
-        a = self._action_matrix()
-        free = list(pres.free_coords)
-        trace = sum(a[i][i] for i in free)
+        minus_one = self.ring.minus_one()
+        a = pres.induced_matrix([self.unit_index[minus_one * u] for u in self.units])
+        t = len(pres.torsion)  # canonical coordinates: torsion, then free
+        trace = sum(a[i][i] for i in range(t, t + pres.rank))
         rank = pres.rank
         if (rank + trace) % 2:
             raise RuntimeError("involution trace parity violated")
         plus_rank = (rank + trace) // 2
         minus_rank = (rank - trace) // 2
 
-        odd_idx = [i for i in pres.torsion_coords if _odd_part(pres.diagonal[i]) >= 3]
-        odd_mod = [_odd_part(pres.diagonal[i]) for i in odd_idx]
-        t = len(odd_idx)
-        if t == 0:
+        odd_idx = [i for i, d in enumerate(pres.torsion) if _odd_part(d) >= 3]
+        odd_mod = [_odd_part(pres.torsion[i]) for i in odd_idx]
+        if not odd_idx:
             return SplitReport(plus_rank, minus_rank, (), ())
         b = [[a[i][j] % odd_mod[jj] for jj, j in enumerate(odd_idx)]
              for i in odd_idx]

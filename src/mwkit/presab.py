@@ -1,9 +1,10 @@
 """Finitely presented abelian groups over the integers.
 
-A subgroup of Z^n is handled in two forms: as a :class:`ZLattice` kept in
-reduced Hermite normal form for fast membership tests, and through the Smith
-normal form of a relation matrix, which exposes the invariant factors of the
-quotient Z^n / rowspan(relations).
+A subgroup of Z^n is kept as a :class:`ZLattice` in reduced Hermite normal
+form, for fast membership tests.  :func:`quotient` presents Z^n modulo it:
+the pivot-1 rows of that basis are eliminated first, and the Smith normal
+form of the small block that remains gives the invariant factors and the
+canonical coordinates of the quotient.
 
 All arithmetic is exact; matrices are plain lists of Python ints so that
 pivot growth during elimination can never overflow.
@@ -38,33 +39,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
-    rows_b = len(b)
-    cols_b = len(b[0]) if rows_b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols_b
-        for k, av in enumerate(row):
-            if av:
-                brow = b[k]
-                for j in range(cols_b):
-                    acc[j] += av * brow[j]
-        out.append(acc)
-    return out
-
-
-def mat_vec(v: Sequence[int], m: IntMatrix) -> list[int]:
-    """Row vector times matrix."""
-    cols = len(m[0]) if m else 0
-    out = [0] * cols
-    for i, vi in enumerate(v):
-        if vi:
-            row = m[i]
-            for j in range(cols):
-                out[j] += vi * row[j]
-    return out
 
 
 def det(m: IntMatrix) -> int:
@@ -367,7 +341,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], l
 
 
 def _dot(column: Sequence[int], indices: Sequence[int], values: Iterable[int]) -> int:
-    """Entry of v V at one coordinate, v given by values[k] at indices[k]."""
+    """Value of one projection on v, v given by values[k] at indices[k]."""
     return sum([c * column[i] for i, c in zip(indices, values)])
 
 
@@ -376,67 +350,39 @@ class SnfPresentation:
     """Canonical coordinates for Z^n modulo an integer relation lattice.
 
     ``rank`` is the free rank, ``torsion`` the invariant factors >= 2 in
-    divisibility order.  ``to_canonical`` maps an ambient vector to its class
-    (torsion residues followed by free coordinates); ``from_canonical`` is a
+    divisibility order.  The canonical coordinates are numbered torsion
+    first, then free.  ``to_canonical`` maps an ambient vector to its class
+    (torsion residues, then free coordinates); ``from_canonical`` is a
     section of it.
 
-    A vector v lies in the relation lattice exactly when y = v V is divisible
-    by d_i at each torsion coordinate and zero at each free one; coordinates
-    with d_i = 1 carry nothing.  The class readers therefore use only the
-    columns of V at the torsion and the free coordinates.
+    Only the kept coordinates are stored, each as a projection (a length-n
+    vector whose dot product with v is that coordinate of v's class, before
+    the torsion residue is taken) and a lift (a length-n vector whose class
+    is that unit coordinate).  A vector lies in the relation lattice exactly
+    when each torsion projection is divisible by its invariant factor and
+    each free projection is zero.
     """
 
     ambient: int
     rank: int
     torsion: tuple[int, ...]
-    _diag: tuple[int, ...]
-    _v: tuple[tuple[int, ...], ...]
-    _vinv: tuple[tuple[int, ...], ...]
-    _torsion_idx: tuple[int, ...]
-    _free_idx: tuple[int, ...]
-    _torsion_columns: tuple[tuple[int, ...], ...]  # V at _torsion_idx
-    _free_columns: tuple[tuple[int, ...], ...]  # V at _free_idx
-
-    @property
-    def basis_change(self) -> tuple[tuple[int, ...], ...]:
-        """Unimodular V with ambient_vector @ V = canonical coordinates."""
-        return self._v
-
-    @property
-    def basis_change_inv(self) -> tuple[tuple[int, ...], ...]:
-        return self._vinv
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        """Full diagonal in canonical coordinates (0 marks a free coordinate)."""
-        return self._diag
-
-    @property
-    def torsion_coords(self) -> tuple[int, ...]:
-        return self._torsion_idx
-
-    @property
-    def free_coords(self) -> tuple[int, ...]:
-        return self._free_idx
-
-    def canonical_vector(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
-        return mat_vec(vec, self._v)
+    _projections: tuple[tuple[int, ...], ...]
+    _lifts: tuple[tuple[int, ...], ...]
 
     def sparse_order(self, indices: Sequence[int], values: Collection[int]) -> Optional[int]:
         """Additive order of the class of values[k] at indices[k]; None means infinite.
 
         Indices lie in range(ambient), a repeated index adds its values and
-        an absent one is zero; both sequences are read once per column used.
-        The free coordinates are read first, and the first nonzero one ends
-        the reading.
+        an absent one is zero; both sequences are read once per projection
+        used.  The free coordinates are read first, and the first nonzero
+        one ends the reading.
         """
-        for col in self._free_columns:
+        t = len(self.torsion)
+        for col in self._projections[t:]:
             if _dot(col, indices, values):
                 return None
         order = 1
-        for col, d in zip(self._torsion_columns, self.torsion):
+        for col, d in zip(self._projections, self.torsion):
             order = lcm(order, d // gcd(d, _dot(col, indices, values)))
         return order
 
@@ -446,22 +392,37 @@ class SnfPresentation:
         indices = [i for i, c in enumerate(vec) if c]
         return indices, [vec[i] for i in indices]
 
+    def _class(self, indices: Sequence[int], values: Sequence[int]) -> tuple[tuple, tuple]:
+        y = [_dot(col, indices, values) for col in self._projections]
+        t = len(self.torsion)
+        return tuple(x % d for x, d in zip(y, self.torsion)), tuple(y[t:])
+
     def to_canonical(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        indices, values = self._support(vec)
-        tor = tuple(_dot(col, indices, values) % d
-                    for col, d in zip(self._torsion_columns, self.torsion))
-        return tor, tuple(_dot(col, indices, values) for col in self._free_columns)
+        return self._class(*self._support(vec))
 
     def from_canonical(self, cls: tuple[Sequence[int], Sequence[int]]) -> list[int]:
         tor, free = cls
-        if len(tor) != len(self._torsion_idx) or len(free) != len(self._free_idx):
+        if len(tor) != len(self.torsion) or len(free) != self.rank:
             raise ValueError("canonical class has wrong shape")
-        y = [0] * self.ambient
-        for val, i in zip(tor, self._torsion_idx):
-            y[i] = val
-        for val, i in zip(free, self._free_idx):
-            y[i] = val
-        return mat_vec(y, self._vinv)
+        vec = [0] * self.ambient
+        for c, lift in zip((*tor, *free), self._lifts):
+            for k in compress(range(self.ambient), lift):
+                vec[k] += c * lift[k]
+        return vec
+
+    def induced_matrix(self, perm: Sequence[int]) -> list[list[int]]:
+        """Matrix, on the canonical coordinates, of the map induced by e_k -> e_perm[k].
+
+        Row i is the class of the image of lift i, torsion entries reduced,
+        so a class with coordinates c maps to the class c M.  The
+        permutation must carry the relation lattice into itself.
+        """
+        rows = []
+        for lift in self._lifts:
+            indices = list(compress(range(self.ambient), lift))
+            tor, free = self._class([perm[k] for k in indices], [lift[k] for k in indices])
+            rows.append([*tor, *free])
+        return rows
 
     def class_is_zero(self, vec: Sequence[int]) -> bool:
         return self.sparse_order(*self._support(vec)) == 1
@@ -471,40 +432,51 @@ class SnfPresentation:
         return self.sparse_order(*self._support(vec))
 
 
-def _presentation(n: int, diag: Sequence[int], v: IntMatrix, vinv: IntMatrix) -> SnfPresentation:
-    torsion_idx = tuple(i for i, x in enumerate(diag) if x >= 2)
-    free_idx = tuple(i for i, x in enumerate(diag) if x == 0)
-    return SnfPresentation(
-        ambient=n,
-        rank=len(free_idx),
-        torsion=tuple(diag[i] for i in torsion_idx),
-        _diag=tuple(diag),
-        _v=tuple(tuple(row) for row in v),
-        _vinv=tuple(tuple(row) for row in vinv),
-        _torsion_idx=torsion_idx,
-        _free_idx=free_idx,
-        _torsion_columns=tuple(tuple(row[j] for row in v) for j in torsion_idx),
-        _free_columns=tuple(tuple(row[j] for row in v) for j in free_idx),
-    )
-
-
 def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
-    """Present Z^ambient_rank modulo the row span of ``relations``."""
-    lat = ZLattice(ambient_rank)
+    """Present Z^ambient_rank modulo the row span of ``relations``.
+
+    In the reduced Hermite basis of the lattice a row of pivot 1 at column p
+    is e_p + r_p, r_p zero at every pivot-1 column, and no other row has an
+    entry at p; a row of pivot d >= 2 is zero at every pivot-1 column.  So
+    the quotient is Z^K / C, K the other columns and C the rows of pivot
+    >= 2 on K, through the projection e_p -> -r_p, e_k -> e_k for k in K.
+    The Smith form runs on C only (eliminating the unit pivots first, as in
+    Dumas, Saunders and Villard, JSC 2001); with U C V = D, kept coordinate
+    i projects by column i of V after that projection and lifts to row i of
+    V^-1 placed on K.
+    """
+    n = ambient_rank
+    lat = ZLattice(n)
     for row in relations:
-        if len(row) != ambient_rank:
+        if len(row) != n:
             raise ValueError("relation rows must have ambient_rank entries")
         lat.add(row)
-    basis = lat.basis()
-    n = ambient_rank
-    if not basis:
-        ident = mat_identity(n)
-        return _presentation(n, [0] * n, ident, ident)
-    _, d, v, vinv = _smith(basis)
-    diag = [0] * n
-    for i in range(min(len(basis), n)):
-        diag[i] = d[i][i]
-    return _presentation(n, diag, v, vinv)
+    rows = lat._rows
+    unit_pivots = [p for p in sorted(rows) if rows[p][p] == 1]
+    cols = sorted(set(range(n)).difference(unit_pivots))  # K
+    core = [[rows[p].get(k, 0) for k in cols] for p in sorted(rows) if rows[p][p] > 1]
+    # a zero row when C is empty: its Smith form is the identity on K
+    _, d, v, vinv = _smith(core or [[0] * len(cols)])
+    diag = [d[i][i] if i < len(d) else 0 for i in range(len(cols))]
+    kept = [i for i, x in enumerate(diag) if x >= 2] + [i for i, x in enumerate(diag) if x == 0]
+    projections, lifts = [], []
+    for i in kept:
+        proj = [0] * n
+        lift = [0] * n
+        for k, v_row, x in zip(cols, v, vinv[i]):
+            proj[k] = v_row[i]
+            lift[k] = x
+        for p in unit_pivots:
+            proj[p] = -sum([x * proj[k] for k, x in rows[p].items() if k != p])
+        projections.append(tuple(proj))
+        lifts.append(tuple(lift))
+    return SnfPresentation(
+        ambient=n,
+        rank=diag.count(0),
+        torsion=tuple(diag[i] for i in kept if diag[i]),
+        _projections=tuple(projections),
+        _lifts=tuple(lifts),
+    )
 
 
 def element_order(pres: SnfPresentation, vec: Sequence[int]) -> Optional[int]:

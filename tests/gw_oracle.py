@@ -12,18 +12,20 @@ under a generating set of R^x.  It is quadratic in the number of units, so
 it runs on rings of up to a few hundred units.
 
 The query oracles answer on dense vectors and ring elements, where
-``GwPresentedRing`` reads sparse vectors against a few Smith columns and
-multiplies coordinates: membership of the dense difference in the echelon
-lattice, the order of a class from the full product x V, and the group-ring
+``GwPresentedRing`` reads sparse vectors against a few projections and
+multiplies coordinates: membership of the dense difference in the lattice,
+the order of a class from the full product x V of the dense Smith
+presentation, the split from its n x n action of <-1>, and the group-ring
 product with one element product per pair.
 """
 
-from math import gcd, lcm
+from functools import lru_cache
 from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
 from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
 from mwkit.presab import ZLattice
+from presab_oracle import oracle_quotient
 
 
 def _dense_row(index, signed_units):
@@ -180,17 +182,51 @@ def oracle_class_equal(p, x, y):
     return p.lattice.contains((x - y).to_dense())
 
 
+@lru_cache(maxsize=None)
+def oracle_presentation(p):
+    """The dense Smith presentation of p's relation lattice; p is hashed by identity."""
+    return oracle_quotient(len(p.units), p.relation_rows)
+
+
 def oracle_torsion_exponent(p, x):
     """Order of the class of x read from y = x V in full; None if infinite."""
-    pres = p.presentation
-    y = pres.canonical_vector(x.to_dense())
-    if any(y[i] for i in pres.free_coords):
-        return None
-    order = 1
-    for i in pres.torsion_coords:
-        d = pres.diagonal[i]
-        order = lcm(order, d // gcd(d, y[i]))
-    return order
+    return oracle_presentation(p).element_order(x.to_dense())
+
+
+def _odd_part(d):
+    while d % 2 == 0:
+        d //= 2
+    return d
+
+
+def _oracle_eigen_torsion(b, mods, sign):
+    """Invariant factors of T_odd/(1 -+ sigma), presented by the dense route."""
+    t = len(mods)
+    rows = [[mods[j] if k == j else 0 for k in range(t)] for j in range(t)]
+    for i in range(t):
+        row = [(-sign) * b[i][j] for j in range(t)]
+        row[i] += 1
+        rows.append(row)
+    pres = oracle_quotient(t, rows)
+    assert pres.rank == 0
+    return pres.torsion
+
+
+def oracle_invert_two_split(p):
+    """(plus_rank, minus_rank, plus_torsion_odd, minus_torsion_odd) from the
+    n x n action V^-1 S V of <-1> on the dense Smith coordinates."""
+    pres = oracle_presentation(p)
+    minus_one = p.ring.minus_one()
+    a = pres.action_matrix([p.unit_index[minus_one * u] for u in p.units])
+    trace = sum(a[i][i] for i in pres.free_coords)
+    plus_rank, minus_rank = (pres.rank + trace) // 2, (pres.rank - trace) // 2
+    odd_idx = [i for i in pres.torsion_coords if _odd_part(pres.diagonal[i]) >= 3]
+    if not odd_idx:
+        return plus_rank, minus_rank, (), ()
+    odd_mod = [_odd_part(pres.diagonal[i]) for i in odd_idx]
+    b = [[a[i][j] % odd_mod[jj] for jj, j in enumerate(odd_idx)] for i in odd_idx]
+    return (plus_rank, minus_rank, _oracle_eigen_torsion(b, odd_mod, +1),
+            _oracle_eigen_torsion(b, odd_mod, -1))
 
 
 def oracle_product(x, y):

@@ -1,16 +1,132 @@
-"""The dense echelon lattice that ``mwkit.presab.ZLattice`` replaced, kept for tests only.
+"""Dense paths that ``mwkit.presab`` replaced, kept for tests only.
 
-It stores every basis row as a dense list and never reduces the entries
-above its pivots, so its basis depends on the order of insertion and its
-entries grow without bound; the lattice it spans, its growth answers and
-its membership answers are those of ``ZLattice``.  The class is the
-earlier ``ZLattice`` unchanged but for its name.
+``EchelonLattice`` is the dense echelon lattice that ``ZLattice``
+replaced.  It stores every basis row as a dense list and never reduces the
+entries above its pivots, so its basis depends on the order of insertion
+and its entries grow without bound; the lattice it spans, its growth
+answers and its membership answers are those of ``ZLattice``.  The class
+is the earlier ``ZLattice`` unchanged but for its name.
+
+``oracle_quotient`` is the presentation ``mwkit.presab.quotient`` built
+before it eliminated the unit pivots: the Smith form of the whole reduced
+Hermite basis, V and V^-1 kept as n x n matrices, every reader a full
+product with them, and the n x n matrix of a permutation's action.  Its
+canonical coordinates are those of its own Smith basis, so only
+basis-free answers (ranks, invariant factors, orders, which vectors share
+a class) can be compared with ``quotient``'s.
 """
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
-from mwkit.presab import xgcd
+from mwkit.presab import IntMatrix, ZLattice, _smith, mat_identity, xgcd
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    rows_b = len(b)
+    cols_b = len(b[0]) if rows_b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols_b
+        for k, av in enumerate(row):
+            if av:
+                brow = b[k]
+                for j in range(cols_b):
+                    acc[j] += av * brow[j]
+        out.append(acc)
+    return out
+
+
+def mat_vec(v: Sequence[int], m: IntMatrix) -> list[int]:
+    """Row vector times matrix."""
+    cols = len(m[0]) if m else 0
+    out = [0] * cols
+    for i, vi in enumerate(v):
+        if vi:
+            row = m[i]
+            for j in range(cols):
+                out[j] += vi * row[j]
+    return out
+
+
+@dataclass(frozen=True)
+class DensePresentation:
+    """Z^n modulo a lattice in the coordinates y = v V of one Smith form U B V = D."""
+
+    ambient: int
+    rank: int
+    torsion: tuple[int, ...]
+    diagonal: tuple[int, ...]  # full diagonal in canonical coordinates, 0 marks a free one
+    basis_change: tuple[tuple[int, ...], ...]  # V
+    basis_change_inv: tuple[tuple[int, ...], ...]  # V^-1
+    torsion_coords: tuple[int, ...]
+    free_coords: tuple[int, ...]
+
+    def canonical_vector(self, vec: Sequence[int]) -> list[int]:
+        if len(vec) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
+        return mat_vec(vec, self.basis_change)
+
+    def to_canonical(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        y = self.canonical_vector(vec)
+        return (tuple(y[i] % self.diagonal[i] for i in self.torsion_coords),
+                tuple(y[i] for i in self.free_coords))
+
+    def from_canonical(self, cls: tuple[Sequence[int], Sequence[int]]) -> list[int]:
+        tor, free = cls
+        y = [0] * self.ambient
+        for val, i in zip(tor, self.torsion_coords):
+            y[i] = val
+        for val, i in zip(free, self.free_coords):
+            y[i] = val
+        return mat_vec(y, self.basis_change_inv)
+
+    def element_order(self, vec: Sequence[int]) -> Optional[int]:
+        y = self.canonical_vector(vec)
+        if any(y[i] for i in self.free_coords):
+            return None
+        order = 1
+        for i in self.torsion_coords:
+            d = self.diagonal[i]
+            order = lcm(order, d // gcd(d, y[i]))
+        return order
+
+    def class_is_zero(self, vec: Sequence[int]) -> bool:
+        return self.element_order(vec) == 1
+
+    def action_matrix(self, perm: Sequence[int]) -> list[list[int]]:
+        """V^-1 S V, S the matrix of e_k -> e_perm[k], on all n canonical coordinates."""
+        n = self.ambient
+        s = [[0] * n for _ in range(n)]
+        for k in range(n):
+            s[k][perm[k]] = 1
+        return mat_mul(mat_mul([list(r) for r in self.basis_change_inv], s),
+                       [list(r) for r in self.basis_change])
+
+
+def oracle_quotient(ambient_rank: int, relations: IntMatrix) -> DensePresentation:
+    """Present Z^ambient_rank modulo the row span of ``relations`` by the dense route."""
+    n = ambient_rank
+    basis = ZLattice(n, relations).basis()
+    if basis:
+        _, d, v, vinv = _smith(basis)
+    else:
+        d, v, vinv = [], mat_identity(n), mat_identity(n)
+    diag = [d[i][i] if i < len(d) else 0 for i in range(n)]
+    torsion_coords = tuple(i for i, x in enumerate(diag) if x >= 2)
+    free_coords = tuple(i for i, x in enumerate(diag) if x == 0)
+    return DensePresentation(
+        ambient=n,
+        rank=len(free_coords),
+        torsion=tuple(diag[i] for i in torsion_coords),
+        diagonal=tuple(diag),
+        basis_change=tuple(tuple(row) for row in v),
+        basis_change_inv=tuple(tuple(row) for row in vinv),
+        torsion_coords=torsion_coords,
+        free_coords=free_coords,
+    )
 
 
 class EchelonLattice:

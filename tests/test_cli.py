@@ -76,6 +76,16 @@ def test_parse_error_exit_one(capsys):
     assert "error:" in err and "column" in err
 
 
+@pytest.mark.parametrize("flag", ["prove --file", "table --family"])
+def test_non_utf8_input_file_exit_one(flag, tmp_path, capsys):
+    # a file starting with a UTF-16 byte-order mark ended in a UnicodeDecodeError traceback
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfeZ/3\n")
+    code, out, err = run_cli(capsys, *flag.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_ring_error_exit_one(capsys):
     code, out, err = run_cli(capsys, "gw", "--ring", "Z/1")
     assert code == 1

@@ -7,6 +7,8 @@ from conftest import GW_SPECS
 from gw_oracle import (
     oracle_class_equal,
     oracle_compare,
+    oracle_invert_two_split,
+    oracle_presentation,
     oracle_product,
     oracle_relation_lattice,
     oracle_relations,
@@ -25,8 +27,9 @@ from mwkit.gwring import (
     relation_lattice,
     torsion_exponent,
 )
-from mwkit.presab import ZLattice, quotient
+from mwkit.presab import ZLattice
 from mwkit.sumsq import unit_square_closure
+from presab_oracle import oracle_quotient
 
 # the presentation family plus two products; the comparison fails on Z/16
 # (witness <9> - <1>) and on prod(Z/4,GF(2^2))
@@ -311,7 +314,8 @@ def coinvariant_invariants(p, sign):
 
     These are the invariants of the +-1 eigenpiece after inverting 2,
     computed by a route (coinvariants of the involution on the ambient
-    presentation) that shares nothing with the production code path.
+    presentation, through the dense Smith oracle) that shares nothing with
+    the production code path.
     """
     n = len(p.units)
     minus_one = p.ring.minus_one()
@@ -321,7 +325,7 @@ def coinvariant_invariants(p, sign):
         row[i] += 1
         row[p.unit_index[minus_one * u]] -= sign
         rows.append(row)
-    pres = quotient(n, rows)
+    pres = oracle_quotient(n, rows)
     odd = []
     for d in pres.torsion:
         while d % 2 == 0:
@@ -352,6 +356,36 @@ def test_invert_two_split_matches_coinvariant_oracle(presented, gw_family):
             assert tuple(sorted(split.plus_torsion_odd)) == plus_odd
             assert tuple(sorted(split.minus_torsion_odd)) == minus_odd
             assert split.plus_rank + split.minus_rank == p.rank
+
+
+# the presentation family and larger rings: a 2-power cyclic unit group, a
+# Galois ring, products, a reduced core of 1 x 2, and two rings whose
+# quotient has both torsion and a -1 eigenpiece of the free part
+DENSE_SPECS = GW_SPECS + ["Z/64", "GR(16,2)", "prod(Z/16,Z/5)", "Z/127", "prod(Z/3,Z/5)", "Z/105"]
+
+
+@pytest.mark.parametrize("kind", ["hopf", "reduced"])
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_presentation_matches_dense_smith_oracle(presented, spec, kind):
+    p = presented(parse_ring_spec(spec), kind)
+    pres, dense = p.presentation, oracle_presentation(p)
+    assert (pres.rank, pres.torsion) == (dense.rank, dense.torsion)
+    assert len(pres._projections) == len(pres._lifts) == pres.rank + len(pres.torsion)
+    rng = random.Random(f"dense {spec} {kind}")
+    n = len(p.units)
+    relations = [row for row in p.relation_rows if rng.random() < 0.5]
+    for _ in range(30):
+        vec = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(n)]
+        inside = [x + sum(r[k] for r in relations) for k, x in enumerate(vec)]
+        torsion_part = [a - b for a, b in zip(vec, pres.from_canonical(
+            ((0,) * len(pres.torsion), pres.to_canonical(vec)[1])))]
+        for v in (vec, inside, torsion_part):
+            assert pres.element_order(v) == dense.element_order(v)
+            assert pres.class_is_zero(v) == dense.class_is_zero(v)
+        assert pres.to_canonical(vec) == pres.to_canonical(inside)
+    split = p.invert_two_split()
+    assert (split.plus_rank, split.minus_rank, split.plus_torsion_odd,
+            split.minus_torsion_odd) == oracle_invert_two_split(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,26 @@
 import random
-from math import gcd, lcm
+from dataclasses import fields
 
 import pytest
 
 from conftest import GW_SPECS
-from presab_oracle import EchelonLattice
+from presab_oracle import EchelonLattice, mat_mul, oracle_quotient
 
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
-from mwkit import gwring
+from mwkit import gwring, presab
 from mwkit.finring import parse_ring_spec
 from mwkit.presab import (
+    SnfPresentation,
     ZLattice,
     _smith,
     contains,
     det,
     element_order,
     mat_identity,
-    mat_mul,
-    mat_vec,
     quotient,
     smith_normal_form,
 )
@@ -126,36 +125,25 @@ def test_smith_properties_on_random_matrices():
     check()
 
 
-def _dense_class(p, vec):
-    """to_canonical by its definition: the full product y = vec V."""
-    y = mat_vec(vec, p.basis_change)
-    return (tuple(y[i] % p.diagonal[i] for i in p.torsion_coords),
-            tuple(y[i] for i in p.free_coords))
-
-
-def _dense_order(p, vec):
-    y = mat_vec(vec, p.basis_change)
-    if any(y[i] for i in p.free_coords):
-        return None
-    order = 1
-    for i in p.torsion_coords:
-        order = lcm(order, p.diagonal[i] // gcd(p.diagonal[i], y[i]))
-    return order
-
-
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
 def test_class_readers_match_their_dense_definitions():
+    # the dense oracle reads every class through the full product vec V of
+    # its own Smith basis; orders and which vectors share a class do not
+    # depend on the basis
     @settings(max_examples=300)
     @given(_matrices(30), st.data())
     def check(m, data):
         n = len(m[0])
-        p = quotient(n, m)
+        p, dense = quotient(n, m), oracle_quotient(n, m)
         vec = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
-        cls = _dense_class(p, vec)
-        assert p.to_canonical(vec) == cls
+        cls = p.to_canonical(vec)
+        assert (p.rank, p.torsion) == (dense.rank, dense.torsion)
+        assert all(0 <= x < d for x, d in zip(cls[0], p.torsion)) and len(cls[1]) == p.rank
+        assert p.class_is_zero(vec) == dense.class_is_zero(vec)
         assert p.class_is_zero(vec) == (not any(cls[0]) and not any(cls[1]))
-        assert p.element_order(vec) == _dense_order(p, vec)
+        assert p.element_order(vec) == dense.element_order(vec)
         assert p.to_canonical(p.from_canonical(cls)) == cls
+        assert dense.class_is_zero([a - b for a, b in zip(vec, p.from_canonical(cls))])
         for bad in (vec[:-1], vec + [0]):
             for reader in (p.to_canonical, p.class_is_zero, p.element_order):
                 with pytest.raises(ValueError):
@@ -181,6 +169,151 @@ def test_lattice_membership_matches_smith_coordinates():
         assert lat.contains(inside)
 
     check()
+
+
+def _mixed_pivot_matrices():
+    """Rows whose Hermite form mixes pivots 1 with larger ones, plus dependent rows.
+
+    Each chosen column gets one row with its pivot there and random entries
+    to its right; the rows are then mixed by row operations, so the input is
+    not yet in Hermite form.
+    """
+    pivots = st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6, 9])
+
+    def rows(n):
+        return st.lists(st.tuples(pivots, st.lists(st.integers(-20, 20), min_size=n, max_size=n)),
+                        min_size=n, max_size=n).flatmap(lambda spec: _mix(n, spec))
+
+    return st.integers(1, 6).flatmap(rows)
+
+
+def _mix(n, spec):
+    chosen = [(c, d, tail) for c, (d, tail) in enumerate(spec) if tail[0] % 3]
+    base = [[0] * c + [d] + tail[c + 1:] for c, d, tail in chosen] or [[0] * n]
+    ops = st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, len(base) - 1),
+                             st.integers(-3, 3)), max_size=6)
+
+    def apply(steps):
+        m = [list(r) for r in base]
+        for i, j, q in steps:
+            if i != j:
+                m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+        return m + [[a + b for a, b in zip(m[0], m[-1])]]
+
+    return ops.map(apply)
+
+
+def _check_against_dense_oracle(m, vecs, cls_draw):
+    n = len(m[0])
+    p, dense = quotient(n, m), oracle_quotient(n, m)
+    assert (p.rank, p.torsion) == (dense.rank, dense.torsion)
+    assert len(p._projections) == len(p._lifts) == p.rank + len(p.torsion)
+    for v in vecs:
+        assert p.element_order(v) == dense.element_order(v), (m, v)
+        for w in vecs:
+            diff = [a - b for a, b in zip(v, w)]
+            assert (p.to_canonical(v) == p.to_canonical(w)) == dense.class_is_zero(diff), (m, v, w)
+    tor, free = cls_draw(p)
+    assert p.to_canonical(p.from_canonical((tor, free))) == (tor, free)
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+@pytest.mark.parametrize("matrices", ["random", "mixed pivots"])
+def test_quotient_matches_dense_smith_oracle(matrices):
+    strategy = _matrices(30) if matrices == "random" else _mixed_pivot_matrices()
+
+    @settings(max_examples=300)
+    @given(strategy, st.data())
+    def check(m, data):
+        n = len(m[0])
+        vec = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+        vecs = data.draw(st.lists(vec, min_size=1, max_size=4))
+        # a vector and its translate by a lattice vector share a class
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(m), max_size=len(m)))
+        vecs.append([x + sum(w * r[k] for w, r in zip(weights, m)) for k, x in enumerate(vecs[0])])
+
+        def cls_draw(p):
+            tor = tuple(data.draw(st.integers(0, d - 1)) for d in p.torsion)
+            return tor, tuple(data.draw(st.integers(-9, 9)) for _ in range(p.rank))
+
+        _check_against_dense_oracle(m, vecs, cls_draw)
+
+    check()
+
+
+def test_presentation_stores_only_kept_coordinates():
+    assert [f.name for f in fields(SnfPresentation)] == [
+        "ambient", "rank", "torsion", "_projections", "_lifts"]
+    p = quotient(4, [[1, 2, 0, 5], [0, 0, 3, 0]])
+    assert (p.rank, p.torsion) == (2, (3,))
+    assert len(p._projections) == len(p._lifts) == 3
+    assert all(len(vec) == 4 for vec in p._projections + p._lifts)
+    p = quotient(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert (p.rank, p.torsion, p._projections, p._lifts) == (0, (), (), ())
+    assert p.from_canonical(((), ())) == [0, 0, 0] and p.class_is_zero([4, -1, 7])
+
+
+@pytest.mark.parametrize("spec", ["Z/127", "Z/257", "GF(2^8)"])
+def test_smith_runs_on_the_core_block_only(spec, monkeypatch):
+    # every pivot of these reduced bases but at most one is 1, so the Smith
+    # form sees at most one row; the whole basis is 125 x 126 and larger
+    shapes = []
+    smith = presab._smith
+
+    def recording(m):
+        shapes.append((len(m), len(m[0])))
+        return smith(m)
+
+    monkeypatch.setattr(presab, "_smith", recording)
+    gwring.present(spec, "reduced")
+    assert shapes and all(rows <= 1 and cols <= 2 for rows, cols in shapes), shapes
+
+
+def _permutations():
+    return st.integers(1, 6).flatmap(lambda n: st.permutations(range(n)))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_induced_matrix_is_the_map_on_classes():
+    # row i is the class of the permuted lift i; on a lattice the permutation
+    # carries into itself (rows closed under it), it is the map on classes
+    @settings(max_examples=300)
+    @given(_permutations(), st.data())
+    def check(perm, data):
+        n = len(perm)
+        row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+        seeds = data.draw(st.lists(row, min_size=1, max_size=3))
+        closed = []
+        for r in seeds:
+            image = r
+            while True:  # the orbit of r
+                closed.append(image)
+                image = _permuted(perm, image)
+                if image == r:
+                    break
+        for m, invariant in ((seeds, False), (closed, True)):
+            p = quotient(n, m)
+            a = p.induced_matrix(perm)
+            assert len(a) == len(p._lifts)
+            for lift, got in zip(p._lifts, a):
+                tor, free = p.to_canonical(_permuted(perm, lift))
+                assert got == [*tor, *free]
+            if invariant:
+                vec = data.draw(row)
+                c = [*p.to_canonical(vec)[0], *p.to_canonical(vec)[1]]
+                image = [sum(x * r[j] for x, r in zip(c, a)) for j in range(len(c))]
+                t = len(p.torsion)
+                want = p.to_canonical(_permuted(perm, vec))
+                assert (tuple(x % d for x, d in zip(image, p.torsion)), tuple(image[t:])) == want
+
+    check()
+
+
+def _permuted(perm, vec):
+    out = [0] * len(vec)
+    for k, x in enumerate(vec):
+        out[perm[k]] = x
+    return out
 
 
 def random_unimodular(rng, n, steps=12):
@@ -258,9 +391,8 @@ def test_canonical_class_additivity():
         tw, fw = p.to_canonical(w)
         ts, fs = p.to_canonical([a + b for a, b in zip(v, w)])
         assert fs == tuple(a + b for a, b in zip(fv, fw))
-        assert ts == tuple(
-            (a + b) % d for a, b, d in zip(tv, tw, [p.diagonal[i] for i in p.torsion_coords])
-        )
+        assert ts == tuple((a + b) % d for a, b, d in zip(tv, tw, p.torsion))
+    assert p.torsion == oracle_quotient(3, [[2, 0, -2], [0, 4, 0]]).torsion
 
 
 def test_from_canonical_is_a_section():
