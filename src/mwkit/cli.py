@@ -129,10 +129,23 @@ def cmd_validate(args) -> tuple[int, str]:
     return 0, _emit_scalar(report, args.out)
 
 
+class InputFileError(ValueError):
+    """An input file could not be read as text."""
+
+
+def _read_text(path: str, option: str) -> str:
+    """The text of the UTF-8 file given to ``option``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFileError(
+            f"{option} {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def cmd_prove(args) -> tuple[int, str]:
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.file, "--file")
     else:
         text = args.identity
     if text is None:
@@ -144,7 +157,8 @@ def cmd_prove(args) -> tuple[int, str]:
         max_term_words=args.max_words,
         hint_units=hints,
     )
-    proof = kmwterm.prove(identity, args.mode, config)
+    result = kmwterm.search(identity, args.mode, config)
+    proof = result.proof
     base = {
         "identity": str(identity),
         "mode": args.mode,
@@ -152,6 +166,7 @@ def cmd_prove(args) -> tuple[int, str]:
     }
     if proof is None:
         base["status"] = "unknown"
+        base["reason"] = result.reason
         return 2, _emit_scalar(base, args.out)
     check = kmwterm.check_proof(proof)
     base["status"] = "proved"
@@ -204,11 +219,10 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
 def cmd_table(args) -> tuple[int, str]:
     specs = []
     if args.family:
-        with open(args.family, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    specs.append(line)
+        for line in _read_text(args.family, "--family").split("\n"):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                specs.append(line)
     if args.ring:
         specs.append(args.ring)
     if not specs:
@@ -293,11 +307,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, text = args.func(args)
-    except (RingError, QformError, ParseError, kmwterm.IdentityError,
-            kmwterm.UnitExprError, kmwterm.EvalError) as exc:
+    except (RingError, QformError, ParseError, InputFileError, kmwterm.IdentityError,
+            kmwterm.UnitExprError, kmwterm.EvalError, kmwterm.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

@@ -24,15 +24,20 @@ their hypothesis set and the prover refuses sums it cannot justify.
 The prover runs a bidirectional breadth-first search whose moves add an
 exact multiple of an instantiated axiom difference inside a word context.
 Every step of the returned certificate is independently replayable by
-``check_proof``.  A ``None`` result means Unknown, never disproved.
+``check_proof``.  A ``None`` result means Unknown, never disproved;
+``search`` also names the budget that ended an Unknown.
 
 The search spends its time looking up terms, whose keys are tuples of
 units.  A ``Unit`` therefore hashes once, at construction; library-internal
 term arithmetic builds terms from words that are already normal without
-re-checking them; and one ``prove`` call builds each axiom instance, and
-the R2 candidate splits of each letter, once.  These memos live in the
-call, not in the module, and ``check_proof`` shares none of them: it
-rebuilds every instance from the certificate and compares structurally.
+re-checking them; and one search builds each axiom instance once, and
+works out R2's candidate splits and R1's ``1 - a`` once per letter.  The search also keeps a letter table: every letter that
+enters one of its terms is swapped for the first equal unit it has seen,
+so its lookups compare letters by identity.  Each state is keyed by its
+words and a hash that is a sum over its words, which a move updates for
+the words it changes only.  These memos live in the call, not in the
+module, and ``check_proof`` shares none of them: it rebuilds every
+instance from the certificate and compares structurally.
 
 The search also orders each frontier by the rendered text of its terms, so
 a ``Unit`` keeps its text after its first render, and a child term is built
@@ -66,6 +71,10 @@ class IdentityError(ValueError):
 
 class EvalError(ValueError):
     """A term or unit expression cannot be evaluated in the given ring."""
+
+
+class ConfigError(ValueError):
+    """A prover limit is out of range."""
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +669,9 @@ class ProveConfig:
     def validate(self):
         for fld in ("max_depth", "max_term_words", "closure_depth", "max_candidates", "max_states"):
             if getattr(self, fld) <= 0 and fld != "closure_depth":
-                raise ValueError(f"config limit {fld} must be positive")
+                raise ConfigError(f"config limit {fld} must be positive")
         if self.closure_depth < 0:
-            raise ValueError("config limit closure_depth must be nonnegative")
+            raise ConfigError("config limit closure_depth must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -720,29 +729,46 @@ def _embed(core: Term, pos_eta: int, left: tuple, right: tuple, coeff: int) -> T
     return Term._of(out)
 
 
-def _apply(term: Term, core: Term, pos_eta: int, left: tuple, right: tuple,
-           coeff: int) -> Term:
-    """``term + _embed(core, pos_eta, left, right, coeff)``, built in one pass.
+def _words_hash(words: dict) -> int:
+    """The hash of a state: the sum of ``hash((word, coeff))`` over its words.
+
+    A sum does not depend on the order of the words, and a change to one
+    word changes one summand, so ``_apply`` keeps it up to date.
+    """
+    return sum(map(hash, words.items()))
+
+
+def _apply(term: Term, term_hash: int, core: Term, pos_eta: int, left: tuple,
+           right: tuple, coeff: int) -> tuple[Term, int]:
+    """``term + _embed(core, pos_eta, left, right, coeff)``, built in one
+    pass, and its ``_words_hash`` given the term's, ``term_hash``.
 
     The parent's dict is copied once (a dict copy keeps the stored hashes)
     and the embedded words are added in place, so only the core's words are
-    hashed.  Words and their order are those of the two-step sum: existing
-    words update in place, a word whose coefficient reaches 0 drops out,
-    and new words follow in the core's order.  Distinct core words embed
-    to distinct words, and ``coeff`` and the core's coefficients are
-    nonzero, so a word that reaches 0 is one of the term's.
+    hashed, and only their summands of the hash change: the old item's is
+    subtracted and the new one's added.  Words and their order are those of
+    the two-step sum: existing words update in place, a word whose
+    coefficient reaches 0 drops out, and new words follow in the core's
+    order.  Distinct core words embed to distinct words, and ``coeff`` and
+    the core's coefficients are nonzero, so a word that reaches 0 is one
+    of the term's.
     """
     out = dict(term.words)
+    h = term_hash
     for (e, brs), c in core.words.items():
         w = (e + pos_eta, left + brs + right)
-        c2 = out.get(w, 0) + c * coeff
+        c1 = out.get(w, 0)
+        c2 = c1 + c * coeff
+        if c1:
+            h -= hash((w, c1))
         if c2:
             out[w] = c2
+            h += hash((w, c2))
         else:
             del out[w]
     t = Term.__new__(Term)
     t.words = out
-    return t
+    return t, h
 
 
 def _step_delta(step: ProofStep) -> Term:
@@ -797,33 +823,97 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
     return ordered, set(ordered)
 
 
-def _r2_splits(m: Unit, cands, cand_set) -> list:
-    """The pairs (x, y) of candidates, neither of them 1, with x * y = m."""
-    out = []
-    for x in cands:
-        if x.is_one:
-            continue
-        y = m * x.inverse()
-        if y.is_one or y not in cand_set:
-            continue
-        out.append((x, y))
-    return out
+_UNSET = object()
 
 
-def _moves(term: Term, schemas, cands, cand_set, declared_sums, splits: dict):
+class _Letters:
+    """One search's letter table, and the move memos keyed by its letters.
+
+    ``canon`` swaps a unit for the first equal unit the table has seen
+    (hash-consing, for one search only).  Every letter that enters a search
+    term passes through it: the letters of the start and goal, the
+    candidates, and the letters of each axiom instance when it is built.
+    So the letters of every search term are shared objects, and every
+    lookup of a word, state or instance meets identical letters and takes
+    the identity fast path instead of ``Unit.__eq__``.  The table and the
+    memos belong to one ``search`` call and go with it; ``Unit`` itself is
+    unchanged, and ``check_proof`` reads none of this.
+    """
+
+    def __init__(self, cands: Sequence[Unit], declared_sums: frozenset):
+        self.table: dict = {}
+        self.declared = declared_sums
+        cands = [self.canon(u) for u in cands]
+        self.cand_set = set(cands)
+        # the candidates other than 1 with their inverses, for R2's splits
+        self.inverses = [(x, x.inverse()) for x in cands if not x.is_one]
+        self.splits: dict = {}  # letter m -> R2 splits (x, y) of m
+        self.steinberg: dict = {}  # letter a -> 1 - a for R1, or None
+        self.cores: dict = {}  # (axiom, direction, *binding values) -> instance difference
+
+    def canon(self, u: Unit) -> Unit:
+        return self.table.setdefault(u, u)
+
+    def term(self, t: Term) -> Term:
+        """``t`` with its letters swapped for the table's; words keep their order."""
+        canon = self.canon
+        return Term._of({(e, tuple(map(canon, brs))): c for (e, brs), c in t.words.items()})
+
+    def r2_splits(self, m: Unit) -> list:
+        """The pairs (x, y) of candidates, neither of them 1, with x * y = m."""
+        out = []
+        table, cand_set = self.table, self.cand_set
+        for x, x_inv in self.inverses:
+            y = m * x_inv
+            if y.is_one:
+                continue
+            y = table.get(y)
+            if y is not None and y in cand_set:
+                out.append((x, y))
+        self.splits[m] = out
+        return out
+
+    def steinberg_partner(self, a: Unit) -> Optional[Unit]:
+        """1 - a when [a][1-a] is an R1 instance whose sums the identity
+        declares, else None."""
+        try:
+            m = one_minus(a)
+        except UnitExprError:
+            m = None
+        else:
+            m = self.canon(m) if (m.sum_atoms() | a.sum_atoms()) <= self.declared else None
+        self.steinberg[a] = m
+        return m
+
+    def core(self, move) -> Term:
+        """The axiom difference a move adds, built once per instance."""
+        axiom, direction, binding = move[:3]
+        # _moves binds a before b, so the values name the instance
+        key = (axiom, direction, *binding.values())
+        core = self.cores.get(key)
+        if core is None:
+            lhs, rhs, _ = AXIOMS[axiom].build(binding)
+            core = self.cores[key] = self.term(rhs - lhs if direction == "forward" else lhs - rhs)
+        return core
+
+
+def _moves(term: Term, schema_names, letters: _Letters):
     """All anchored exact-coefficient moves applicable to a term.
 
-    ``splits`` memoises ``_r2_splits`` per letter for one search.
+    ``letters`` holds the search's per-letter memos: R2's splits and R1's
+    ``1 - a`` are each worked out once per letter.  The term's letters are
+    the table's, so a letter equals R1's ``1 - a`` exactly when it is that
+    object.
     """
     out = []
-    schema_names = {s.name for s in schemas}
+    splits, steinberg = letters.splits, letters.steinberg
     for (s, brs), coeff in term.words.items():
         if "R2" in schema_names:
             for i, m in enumerate(brs):
                 left, right = brs[:i], brs[i + 1 :]
                 split = splits.get(m)
                 if split is None:
-                    split = splits[m] = _r2_splits(m, cands, cand_set)
+                    split = letters.r2_splits(m)
                 for x, y in split:
                     out.append(("R2", "forward", {"a": x, "b": y}, coeff, (s, left, right)))
             if s >= 1:
@@ -841,11 +931,10 @@ def _moves(term: Term, schemas, cands, cand_set, declared_sums, splits: dict):
         if "R1" in schema_names:
             for i in range(len(brs) - 1):
                 a = brs[i]
-                try:
-                    m = one_minus(a)
-                except UnitExprError:
-                    continue
-                if brs[i + 1] == m and (m.sum_atoms() | a.sum_atoms()) <= declared_sums:
+                m = steinberg.get(a, _UNSET)
+                if m is _UNSET:
+                    m = letters.steinberg_partner(a)
+                if m is not None and brs[i + 1] is m:
                     out.append(("R1", "forward", {"a": a}, coeff, (s, brs[:i], brs[i + 2 :])))
         if "R5" in schema_names and s >= 1:
             for i, m in enumerate(brs):
@@ -853,17 +942,6 @@ def _moves(term: Term, schemas, cands, cand_set, declared_sums, splits: dict):
                 if r is not None and not r.is_one:
                     out.append(("R5", "forward", {"a": r}, coeff, (s - 1, brs[:i], brs[i + 1 :])))
     return out
-
-
-def _core(move, cores: dict) -> Term:
-    """The axiom difference a move adds; ``cores`` memoises it for one search."""
-    axiom, direction, binding = move[:3]
-    key = (axiom, direction, tuple(sorted(binding.items())))
-    core = cores.get(key)
-    if core is None:
-        lhs, rhs, _ = AXIOMS[axiom].build(binding)
-        core = cores[key] = rhs - lhs if direction == "forward" else lhs - rhs
-    return core
 
 
 def _path(node: _Node) -> list:
@@ -891,31 +969,86 @@ def _frontier_order(node: _Node):
     return (len(node.term.words), str(node.term))
 
 
+def _entry_order(entry):
+    return _frontier_order(entry[0])
+
+
+class _StateKey:
+    """A search state as a key of the left and right maps.
+
+    It holds the state's words dict and their ``_words_hash``, which
+    ``_apply`` keeps up to date from the parent's, so no lookup re-hashes
+    the state's letters.  Two keys are equal exactly when their words dicts
+    are, so a hash collision never merges two states.
+    """
+
+    __slots__ = ("words", "hash")
+
+    def __init__(self, words: dict, words_hash: int):
+        self.words = words
+        self.hash = words_hash
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.words == other.words
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """What a search ended with.
+
+    ``proof`` is the certificate, or None for Unknown.  ``reason`` is None
+    with a proof; otherwise it names the budget that ended the search:
+    ``"max_states"``, ``"max_depth"``, or ``"frontier_exhausted"`` when
+    neither side had a term left to expand.  ``states`` counts the distinct
+    terms the search reached, the start and goal included.
+    """
+
+    proof: Optional[Proof]
+    reason: Optional[str]
+    states: int
+
+
 def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Optional[Proof]:
     """Bidirectional bounded search; a Proof on success, None for Unknown."""
+    return search(identity, mode, config).proof
+
+
+def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> SearchResult:
+    """The search behind ``prove``, with the budget that ended an Unknown.
+
+    Each state is kept beside its ``_words_hash`` (in the frontier) and
+    under its ``_StateKey`` (in the maps); its letters are those of the
+    search's letter table (``_Letters``).
+    """
     cfg = config or ProveConfig()
     cfg.validate()
     mode = ProverMode.coerce(mode)
-    schemas = axioms(mode)
-    declared = identity.declared_sum_atoms()
+    schema_names = {s.name for s in axioms(mode)}
 
     start = normalize(identity.lhs)
     goal = normalize(identity.rhs)
     if start == goal:
-        return Proof(identity, mode, ())
-    cands, cand_set = candidate_units(
+        return SearchResult(Proof(identity, mode, ()), None, 1)
+    cands, _ = candidate_units(
         identity, cfg.hint_units, cfg.closure_depth, cfg.max_candidates
     )
+    # the letter table and the per-letter memos of this search only; shared
+    # with no other search and not with check_proof
+    letters = _Letters(cands, identity.declared_sum_atoms())
+    start, goal = letters.term(start), letters.term(goal)
 
-    left = {start.key(): _Node(start, None, None)}
-    right = {goal.key(): _Node(goal, None, None)}
-    frontier_l = [left[start.key()]]
-    frontier_r = [right[goal.key()]]
+    start_node, goal_node = _Node(start, None, None), _Node(goal, None, None)
+    start_hash, goal_hash = _words_hash(start.words), _words_hash(goal.words)
+    left = {_StateKey(start.words, start_hash): start_node}
+    right = {_StateKey(goal.words, goal_hash): goal_node}
+    frontier_l = [(start_node, start_hash)]
+    frontier_r = [(goal_node, goal_hash)]
+    max_words = cfg.max_term_words
     depth_total = 0
     states = 2
-    # per-search memos, shared with no other search and not with check_proof
-    cores: dict = {}
-    splits: dict = {}
 
     while (frontier_l or frontier_r) and depth_total < cfg.max_depth:
         if frontier_l and (not frontier_r or len(frontier_l) <= len(frontier_r)):
@@ -923,36 +1056,39 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
         else:
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
-        for node in sorted(frontier, key=_frontier_order):
-            for move in _moves(node.term, schemas, cands, cand_set, declared, splits):
-                core = _core(move, cores)
+        for node, term_hash in sorted(frontier, key=_entry_order):
+            term = node.term
+            n_words = len(term.words)
+            for move in _moves(term, schema_names, letters):
+                core = letters.core(move)
                 # each word of the core cancels at most one word of the term
-                if len(node.term.words) - len(core.words) > cfg.max_term_words:
+                if n_words - len(core.words) > max_words:
                     continue
                 coeff, (pe, pl, pr) = move[3:]
-                t2 = _apply(node.term, core, pe, pl, pr, coeff)
-                if len(t2.words) > cfg.max_term_words:
+                t2, h2 = _apply(term, term_hash, core, pe, pl, pr, coeff)
+                if len(t2.words) > max_words:
                     continue
-                k2 = t2.key()
+                k2 = _StateKey(t2.words, h2)
                 if k2 in own:
                     continue
                 child = _Node(t2, node, move)
-                if k2 in other:
-                    meet = other[k2]
+                meet = other.get(k2)
+                if meet is not None:
                     if from_left:
-                        return _stitch(identity, mode, child, meet)
-                    return _stitch(identity, mode, meet, child)
+                        return SearchResult(_stitch(identity, mode, child, meet), None, states)
+                    return SearchResult(_stitch(identity, mode, meet, child), None, states)
                 own[k2] = child
-                next_frontier.append(child)
+                next_frontier.append((child, h2))
                 states += 1
                 if states > cfg.max_states:
-                    return None
+                    return SearchResult(None, "max_states", states)
         if from_left:
             frontier_l = next_frontier
         else:
             frontier_r = next_frontier
         depth_total += 1
-    return None
+    reason = "max_depth" if frontier_l or frontier_r else "frontier_exhausted"
+    return SearchResult(None, reason, states)
 
 
 def _is_int(x) -> bool:

@@ -14,6 +14,10 @@ product with them, and the n x n matrix of a permutation's action.  Its
 canonical coordinates are those of its own Smith basis, so only
 basis-free answers (ranks, invariant factors, orders, which vectors share
 a class) can be compared with ``quotient``'s.
+
+``mat_mul``, ``mat_vec`` and ``det`` are the dense matrix helpers that
+no code under ``mwkit`` calls any more; the tests use them to check
+Smith forms.
 """
 
 from bisect import bisect_left
@@ -49,6 +53,33 @@ def mat_vec(v: Sequence[int], m: IntMatrix) -> list[int]:
             for j in range(cols):
                 out[j] += vi * row[j]
     return out
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)

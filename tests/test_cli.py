@@ -58,7 +58,20 @@ def test_prove_success_exit_zero(capsys):
 def test_prove_unknown_exit_two(capsys):
     code, out, _ = run_cli(capsys, "prove", "--depth", "2", "<a> = <-1>")
     assert code == 2
-    assert json.loads(out)["status"] == "unknown"
+    report = json.loads(out)
+    assert (report["status"], report["reason"]) == ("unknown", "max_depth")
+    code, out, _ = run_cli(capsys, "prove", "eta = 0", "--out", "csv")
+    assert code == 2
+    assert out.splitlines()[1].endswith(",unknown,frontier_exhausted")
+
+
+@pytest.mark.parametrize("flag,value", [("--depth", "0"), ("--max-words", "-1")])
+def test_prove_bad_limits_exit_one(flag, value, capsys):
+    # each ended in a ValueError traceback from ProveConfig.validate
+    code, out, err = run_cli(capsys, "prove", "eta h = 0", flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "must be positive" in err
 
 
 def test_prove_reads_file(tmp_path, capsys):
@@ -84,6 +97,8 @@ def test_non_utf8_input_file_exit_one(flag, tmp_path, capsys):
     code, out, err = run_cli(capsys, *flag.split(), str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    # the message names the option and the file
+    assert f"{flag.split()[1]} {path}" in err
 
 
 def test_ring_error_exit_one(capsys):

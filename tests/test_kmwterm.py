@@ -427,19 +427,26 @@ def _expanded_moves(text, mode, hyp, layers):
     return seen
 
 
+def _hash_from_scratch(term):
+    return sum(hash((w, c)) for w, c in term.words.items())
+
+
 def test_apply_matches_the_sum_with_the_embedded_core():
     cancelled = appended = 0
     for text, mode, hyp in CORPUS + BUDGET:
         seen = _expanded_moves(text, mode, hyp, layers=3)
         assert seen
+        letters = km._Letters((), frozenset())
         for term, move in seen:
-            core = km._core(move, {})
+            core = letters.core(move)
             coeff, (pe, pl, pr) = move[3:]
-            child = km._apply(term, core, pe, pl, pr, coeff)
+            child, child_hash = km._apply(term, _hash_from_scratch(term), core, pe, pl, pr, coeff)
             # dict order included: it fixes the order of moves and states
             assert isinstance(child, km.Term)
             assert (list(child.words.items())
                     == list((term + km._embed(core, pe, pl, pr, coeff)).words.items()))
+            # the hash updated from the parent's is the child's, from scratch
+            assert child_hash == _hash_from_scratch(child)
             cancelled += any(w not in child.words for w in term.words)
             appended += any(w not in term.words for w in child.words)
     assert cancelled and appended

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import GW_SPECS
-from presab_oracle import EchelonLattice, mat_mul, oracle_quotient
+from presab_oracle import EchelonLattice, det, mat_mul, oracle_quotient
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -18,7 +18,6 @@ from mwkit.presab import (
     ZLattice,
     _smith,
     contains,
-    det,
     element_order,
     mat_identity,
     quotient,
