@@ -97,13 +97,15 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 def cmd_ringinfo(args) -> tuple[int, str]:
     ring = make_ring(args.ring)
+    units = [str(u) for u in ring.units()]
+    index = ring.unit_coords_index()  # a unit square is a unit: format it once
     report = {
         "ring": ring.spec_string(),
         "cardinality": ring.card,
         "characteristic": ring.characteristic(),
-        "n_units": len(ring.units()),
-        "units": [str(u) for u in ring.units()],
-        "unit_squares": sorted(str(u) for u in ring.unit_squares()),
+        "n_units": len(units),
+        "units": units,
+        "unit_squares": sorted(units[index[s.coords]] for s in ring.unit_squares()),
     }
     return 0, _emit_scalar(report, args.out)
 
@@ -152,6 +154,10 @@ def cmd_prove(args) -> tuple[int, str]:
         raise ParseError("no identity given (positional argument or --file)", 1, 1)
     hints = tuple(termparse.parse_unit(h) for h in _split_list(args.hints))
     identity = termparse.parse_identity(text, args.hyp or "")
+    # ProveConfig.validate would name its fields; name the flags typed
+    for flag, value in (("--depth", args.depth), ("--max-words", args.max_words)):
+        if value <= 0:
+            raise kmwterm.ConfigError(f"{flag} must be positive")
     config = kmwterm.ProveConfig(
         max_depth=args.depth,
         max_term_words=args.max_words,

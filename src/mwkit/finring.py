@@ -348,9 +348,11 @@ _set_hash = RingElement._hash.__set__
 
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
-# processes, and a Galois ring's product kernel, a closure, which does not
-# pickle; a pickled or copied ring leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
+# processes, a Galois ring's product kernel, a closure, which does not
+# pickle, and the unit coordinates index, which is rebuilt from the units;
+# a pickled or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_coords_index", "_zero", "_one", "_hash_cache",
+                "_mul_kernel")
 
 
 class Ring:
@@ -361,6 +363,7 @@ class Ring:
     def __init__(self):
         self._units: Optional[list[RingElement]] = None
         self._unit_index: Optional[dict[RingElement, int]] = None
+        self._coords_index: Optional[dict] = None
         self._zero: Optional[RingElement] = None
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
@@ -424,6 +427,17 @@ class Ring:
         """Map from each unit to its position in ``units()``; shared, do not modify."""
         self.units()
         return self._unit_index
+
+    def unit_coords_index(self) -> Mapping:
+        """Map from each unit's coordinates to its position in ``units()``.
+
+        Shared, do not modify.  Coordinates are ints or tuples, so a lookup
+        hashes in C where ``unit_index_map`` calls ``RingElement.__hash__``.
+        Built on first use, for group-ring arithmetic on unit indices.
+        """
+        if self._coords_index is None:
+            self._coords_index = {u.coords: i for i, u in enumerate(self.units())}
+        return self._coords_index
 
     def unit_index(self, u: RingElement) -> int:
         try:

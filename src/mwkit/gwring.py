@@ -47,33 +47,67 @@ class PresentationKind(str, enum.Enum):
         return cls(str(kind).lower())
 
 
+def _non_unit(ring: Ring, u) -> ValueError:
+    return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
+
+
+def _unit_coords(ring: Ring, keys) -> list:
+    """Coordinates of each key, in order; ValueError unless every key is a unit of ring.
+
+    A key of a structurally equal ring handle is accepted, as
+    ``RingElement`` equality accepts it.
+    """
+    index = ring.unit_coords_index()
+    out = []
+    for u in keys:
+        if type(u) is not RingElement:
+            raise ValueError(f"<{u!r}> requires a unit of {ring.spec_string()}, "
+                             f"got a key of type {type(u).__name__}")
+        if u.ring is not ring and u.ring != ring:
+            raise ValueError("ring mismatch")
+        if u.coords not in index:
+            raise _non_unit(ring, u)
+        out.append(u.coords)
+    return out
+
+
 class GroupRingVector:
-    """Finitely supported integer combination of unit basis vectors <u>."""
+    """Finitely supported integer combination of unit basis vectors <u>.
+
+    ``coeffs`` maps units (``RingElement`` keys) to nonzero integers.  The
+    constructor drops zero coefficients and checks nothing else about the
+    keys; a product refuses a key that is not a unit of the vector's ring,
+    as the class queries of ``GwPresentedRing`` do.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs: Optional[dict] = None):
         self.ring = ring
-        self.coeffs = {}
-        if coeffs:
-            for u, c in coeffs.items():
-                if c:
-                    self.coeffs[u] = c
+        self.coeffs = {u: c for u, c in coeffs.items() if c} if coeffs else {}
+
+    @classmethod
+    def _of(cls, ring: Ring, coeffs: dict) -> "GroupRingVector":
+        """A vector on ``coeffs`` as given: a dict no one else holds, with no zero coefficient."""
+        x = cls.__new__(cls)
+        x.ring = ring
+        x.coeffs = coeffs
+        return x
 
     @classmethod
     def angle(cls, ring: Ring, u: RingElement) -> "GroupRingVector":
         u = ring.coerce(u)
         if not u.is_unit():
-            raise ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
-        return cls(ring, {u: 1})
+            raise _non_unit(ring, u)
+        return cls._of(ring, {u: 1})
 
     @classmethod
     def zero(cls, ring: Ring) -> "GroupRingVector":
-        return cls(ring)
+        return cls._of(ring, {})
 
     @classmethod
     def one(cls, ring: Ring) -> "GroupRingVector":
-        return cls(ring, {ring.one: 1})
+        return cls._of(ring, {ring.one: 1})
 
     def _check(self, other: "GroupRingVector"):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -84,10 +118,10 @@ class GroupRingVector:
         out = dict(self.coeffs)
         for u, c in other.coeffs.items():
             out[u] = out.get(u, 0) + c
-        return GroupRingVector(self.ring, out)
+        return GroupRingVector._of(self.ring, {u: c for u, c in out.items() if c})
 
     def __neg__(self) -> "GroupRingVector":
-        return GroupRingVector(self.ring, {u: -c for u, c in self.coeffs.items()})
+        return GroupRingVector._of(self.ring, {u: -c for u, c in self.coeffs.items()})
 
     def __sub__(self, other: "GroupRingVector") -> "GroupRingVector":
         return self + (-other)
@@ -95,25 +129,27 @@ class GroupRingVector:
     def __rmul__(self, scalar: int) -> "GroupRingVector":
         if not isinstance(scalar, int):
             return NotImplemented
-        return GroupRingVector(self.ring, {u: scalar * c for u, c in self.coeffs.items()})
+        if not scalar:
+            return GroupRingVector._of(self.ring, {})
+        return GroupRingVector._of(self.ring, {u: scalar * c for u, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "GroupRingVector":
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        # accumulate on coordinates and build one element per distinct
-        # product; keys keep their first-occurrence order.  coerce keeps
-        # what an element product did with a key of another ring
+        # multiply coordinates and accumulate on unit indices, in
+        # first-occurrence order; the keys are the ring's own units
         ring = self.ring
-        coerce, coord_mul = ring.coerce, ring._mul
-        ys = [(coerce(v).coords, cv) for v, cv in other.coeffs.items()]
+        index, coord_mul = ring.unit_coords_index(), ring._mul
+        ys = list(zip(_unit_coords(ring, other.coeffs), other.coeffs.values()))
         acc: dict = {}
-        for u, cu in self.coeffs.items():
-            uc = coerce(u).coords
+        get = acc.get
+        for uc, cu in zip(_unit_coords(ring, self.coeffs), self.coeffs.values()):
             for vc, cv in ys:
-                w = coord_mul(uc, vc)
-                acc[w] = acc.get(w, 0) + cu * cv
-        return GroupRingVector(ring, {RingElement(ring, w): c for w, c in acc.items()})
+                k = index[coord_mul(uc, vc)]
+                acc[k] = get(k, 0) + cu * cv
+        units = ring.units()
+        return GroupRingVector._of(ring, {units[k]: c for k, c in acc.items() if c})
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector):
@@ -356,8 +392,7 @@ class GwPresentedRing:
         try:
             return list(map(self.unit_index.__getitem__, x.coeffs))
         except KeyError as exc:
-            raise ValueError(f"<{exc.args[0]}> requires a unit, got a non-unit of "
-                             f"{self.ring.spec_string()}") from None
+            raise _non_unit(self.ring, exc.args[0]) from None
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
         # x - y on unit indices; a unit in both supports is listed twice,

@@ -1172,18 +1172,34 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
     """Evaluate a degree-0 term into Z[R^x] via eta[u] = <u> - <1>.
 
     Every word must have equal eta and symbol counts, i.e. be a product of
-    expanded angle generators; other terms are rejected.
+    expanded angle generators; other terms are rejected.  Each distinct
+    letter is evaluated once; a word's product of (<v_i> - <1>) is expanded
+    over the subsets of its brackets on coordinates, and the whole term is
+    summed on unit indices.
     """
-    acc = GroupRingVector.zero(ring)
-    one_vec = GroupRingVector.one(ring)
+    index, coord_mul = ring.unit_coords_index(), ring._mul
+    one = ring.one.coords
+    values: dict = {}  # letter -> coordinates of its unit value
+    acc: dict = {}
     for (e, brs), c in t.words.items():
         if e != len(brs):
             raise EvalError("term is not in the degree-0 span of angle generators")
-        prod = one_vec
+        prod = {one: c}
         for u in brs:
-            val = eval_unit(u, ring, assignment)
-            if not val.is_unit():
-                raise EvalError(f"symbol argument {render_unit(u)} evaluates to the non-unit {val}")
-            prod = prod * (GroupRingVector.angle(ring, val) - one_vec)
-        acc = acc + c * prod
-    return acc
+            v = values.get(u)
+            if v is None:
+                val = eval_unit(u, ring, assignment)
+                if not val.is_unit():
+                    raise EvalError(f"symbol argument {render_unit(u)} evaluates to the non-unit {val}")
+                v = values[u] = val.coords
+            nxt: dict = {}
+            for w, cw in prod.items():
+                nxt[w] = nxt.get(w, 0) - cw
+                wv = coord_mul(w, v)
+                nxt[wv] = nxt.get(wv, 0) + cw
+            prod = nxt
+        for w, cw in prod.items():
+            k = index[w]
+            acc[k] = acc.get(k, 0) + cw
+    units = ring.units()
+    return GroupRingVector._of(ring, {units[k]: c for k, c in acc.items() if c})

@@ -16,7 +16,9 @@ The query oracles answer on dense vectors and ring elements, where
 multiplies coordinates: membership of the dense difference in the lattice,
 the order of a class from the full product x V of the dense Smith
 presentation, the split from its n x n action of <-1>, and the group-ring
-product with one element product per pair.
+product with one element product per pair.  ``oracle_eval_in_ring`` is the
+term evaluation that ``kmwterm.eval_in_ring`` replaced: one group-ring
+product per bracket of every word.
 """
 
 from functools import lru_cache
@@ -24,6 +26,7 @@ from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
 from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
+from mwkit.kmwterm import EvalError, eval_unit, render_unit
 from mwkit.presab import ZLattice
 from presab_oracle import oracle_quotient
 
@@ -237,3 +240,22 @@ def oracle_product(x, y):
             w = u * v
             out[w] = out.get(w, 0) + cu * cv
     return GroupRingVector(x.ring, out)
+
+
+def oracle_eval_in_ring(t, ring, assignment):
+    """Evaluate a degree-0 term into Z[R^x] via eta[u] = <u> - <1>, word by
+    word, each bracket evaluated where it stands and multiplied in with
+    ``oracle_product``."""
+    acc = GroupRingVector.zero(ring)
+    one_vec = GroupRingVector.one(ring)
+    for (e, brs), c in t.words.items():
+        if e != len(brs):
+            raise EvalError("term is not in the degree-0 span of angle generators")
+        prod = one_vec
+        for u in brs:
+            val = eval_unit(u, ring, assignment)
+            if not val.is_unit():
+                raise EvalError(f"symbol argument {render_unit(u)} evaluates to the non-unit {val}")
+            prod = oracle_product(prod, GroupRingVector.angle(ring, val) - one_vec)
+        acc = acc + c * prod
+    return acc

@@ -71,7 +71,7 @@ def test_prove_bad_limits_exit_one(flag, value, capsys):
     code, out, err = run_cli(capsys, "prove", "eta h = 0", flag, value)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-    assert "must be positive" in err
+    assert f"error: {flag} must be positive" in err
 
 
 def test_prove_reads_file(tmp_path, capsys):

@@ -35,6 +35,7 @@ from mwkit.finring import (
     parse_ring_spec,
     smallest_irreducible,
 )
+from mwkit.gwring import GroupRingVector
 
 
 def test_zmod_basics():
@@ -420,6 +421,42 @@ def test_pickled_ring_and_units_rehash_under_another_hash_seed():
                              input=pickle.dumps(payload), capture_output=True, env=env,
                              timeout=60, check=True)
         assert out.stdout.split() == [b"True"] * 8 * len(payload), out.stderr
+
+
+_PRODUCT_IN_FRESH_PROCESS = """
+import copy, pickle, sys
+from mwkit.gwring import GroupRingVector
+for ring, coeffs, square in pickle.loads(sys.stdin.buffer.read()):
+    for clone in (ring, copy.deepcopy(ring)):
+        print(clone._coords_index is None)
+        x = GroupRingVector(clone, coeffs)
+        print(list((x * x).coeffs.items()) == square)
+"""
+
+
+def test_cloned_rings_drop_the_coords_index_and_multiply_alike():
+    # a group-ring product builds the coordinates index; a pickled or
+    # copied ring leaves it behind and rebuilds it, here and in a process
+    # with another hash seed, and its products keep their keys and order
+    payload = []
+    for spec in ("Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        coeffs = {u: i % 5 - 2 for i, u in enumerate(ring.units())}
+        square = list((GroupRingVector(ring, coeffs) * GroupRingVector(ring, coeffs)).coeffs.items())
+        assert ring._coords_index is not None
+        for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+            assert clone == ring and clone._coords_index is None
+            x = GroupRingVector(clone, {u: i % 5 - 2 for i, u in enumerate(clone.units())})
+            assert list((x * x).coeffs.items()) == square
+            assert clone.unit_coords_index() == ring.unit_coords_index()
+        payload.append((ring, coeffs, square))
+    env = dict(os.environ, PYTHONPATH=str(Path(mwkit.__file__).resolve().parents[1]))
+    for seed in ("12345", "54321"):  # at least one differs from this process's seed
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", _PRODUCT_IN_FRESH_PROCESS],
+                             input=pickle.dumps(payload), capture_output=True, env=env,
+                             timeout=60, check=True)
+        assert out.stdout.split() == [b"True"] * 4 * len(payload), out.stderr
 
 
 # sha256 of each ring's element order, + and * tables, inverses, spec,

@@ -7,6 +7,7 @@ from conftest import GW_SPECS
 from gw_oracle import (
     oracle_class_equal,
     oracle_compare,
+    oracle_eval_in_ring,
     oracle_invert_two_split,
     oracle_presentation,
     oracle_product,
@@ -14,6 +15,12 @@ from gw_oracle import (
     oracle_relations,
     oracle_torsion_exponent,
 )
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis comes with the `test` extra
+    st = None
+
+from mwkit import kmwterm as km
 from mwkit.finring import Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
@@ -152,6 +159,25 @@ def test_mul_ring_mismatch():
         mul(foreign, angle(f7, 3))
     with pytest.raises(ValueError, match="mismatch"):
         mul(angle(f7, 3), foreign)
+
+
+def test_mul_refuses_keys_that_are_not_units():
+    # construction checks no key; a product checks every key of both factors
+    z8 = Zmod(8)
+    one = GroupRingVector.one(z8)
+    for coeffs, message in (({0: 1}, "<0> requires a unit of Z/8, got a key of type int"),
+                            ({1: 1}, "<1> requires a unit of Z/8, got a key of type int"),
+                            ({z8.coerce(2): 1}, "<2> requires a unit, got a non-unit of Z/8"),
+                            ({Zmod(5).coerce(3): 1}, "ring mismatch")):
+        bad = GroupRingVector(z8, {**coeffs, z8.one: 1})
+        for x, y in ((bad, one), (one, bad), (bad, GroupRingVector.zero(z8))):
+            with pytest.raises(ValueError, match=message):
+                mul(x, y)
+    # a key of a structurally equal ring handle is a unit of this ring
+    twin = Zmod(8)
+    x = GroupRingVector(z8, {twin.coerce(3): 2, twin.coerce(5): -1})
+    assert mul(x, one) == mul(one, x) == 2 * angle(z8, 3) - angle(z8, 5)
+    assert mul(x, x) == 5 * angle(z8, 1) - 4 * angle(z8, 7)
 
 
 def test_mul_commutative_associative_exhaustive(gw_family):
@@ -294,6 +320,77 @@ def test_product_matches_element_oracle(spec):
         x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
         got, want = x * y, oracle_product(x, y)
         assert list(got.coeffs.items()) == list(want.coeffs.items()), (x, y)
+
+
+def _oracle_rings(gw_family):
+    """Every presentation-family ring with at most 20 units (GR(4,2) among them), plus Z/29."""
+    rings = [r for r in gw_family if len(r.units()) <= 20] + [parse_ring_spec("Z/29")]
+    assert parse_ring_spec("GR(4,2)") in rings
+    return rings
+
+
+def _draw_vector(data, ring):
+    units = ring.units()
+    support = data.draw(st.lists(st.integers(0, len(units) - 1), max_size=len(units)))
+    # repeated units and zero coefficients test the constructor's clean-up
+    return GroupRingVector(ring, {units[i]: data.draw(st.integers(-3, 3)) for i in support})
+
+
+def _draw_letter(data):
+    """A unit monomial in a, b and c, with a sign and an integer content."""
+    u = km.uint(data.draw(st.sampled_from((1, 1, 1, 2, 3))))
+    for name in "abc":
+        u = u * km.uvar(name) ** data.draw(st.integers(-2, 2))
+    return -u if data.draw(st.booleans()) else u
+
+
+def _draw_term(data):
+    """A sum of one to four words: products of angles, eta[u] and eps, and
+    now and then a degree-1 symbol, which evaluation refuses."""
+    term = km.zero()
+    for _ in range(data.draw(st.integers(1, 4))):
+        word = km.integer(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(("angle",) * 12 + ("eta", "eta", "eps", "symbol")))
+            if kind == "angle":
+                word = word * km.angle(_draw_letter(data))
+            elif kind == "eta":
+                word = word * km.eta() * km.bracket(_draw_letter(data))
+            elif kind == "eps":
+                word = word * km.epsilon()
+            else:
+                word = word * km.bracket(_draw_letter(data))
+        term = term + word
+    return term
+
+
+def _outcome(fn, *args):
+    """fn's result as a dict of coefficients, or the EvalError it raised."""
+    try:
+        return fn(*args).coeffs
+    except km.EvalError as exc:
+        return ("EvalError", str(exc))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_mul_and_eval_match_element_oracles(gw_family):
+    rings = _oracle_rings(gw_family)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from(rings))
+        x, y = _draw_vector(data, ring), _draw_vector(data, ring)
+        got, want = mul(x, y), oracle_product(x, y)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (x, y)
+        units = ring.units()
+        values = {v: units[data.draw(st.integers(0, len(units) - 1))] for v in "abc"}
+        term = _draw_term(data)
+        # key order may differ: the oracle orders keys by its vector sums
+        assert (_outcome(km.eval_in_ring, term, ring, values)
+                == _outcome(oracle_eval_in_ring, term, ring, values)), (term, values)
+
+    check()
 
 
 def test_field_reduced_presentations_split_off_augmentation(presented, odd_fields):
