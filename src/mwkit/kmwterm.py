@@ -27,22 +27,21 @@ Every step of the returned certificate is independently replayable by
 ``check_proof``.  A ``None`` result means Unknown, never disproved;
 ``search`` also names the budget that ended an Unknown.
 
-The search spends its time looking up terms, whose keys are tuples of
-units.  A ``Unit`` therefore hashes once, at construction; library-internal
-term arithmetic builds terms from words that are already normal without
-re-checking them; and one search builds each axiom instance once, and
-works out R2's candidate splits and R1's ``1 - a`` once per letter.  The search also keeps a letter table: every letter that
-enters one of its terms is swapped for the first equal unit it has seen,
-so its lookups compare letters by identity.  Each state is keyed by its
-words and a hash that is a sum over its words, which a move updates for
-the words it changes only.  These memos live in the call, not in the
-module, and ``check_proof`` shares none of them: it rebuilds every
-instance from the certificate and compares structurally.
-
-The search also orders each frontier by the rendered text of its terms, so
-a ``Unit`` keeps its text after its first render, and a child term is built
-from its parent's words in one pass (``_apply``) instead of through an
-intermediate term.
+The search spends its time looking up terms.  It runs on integer letters:
+a letter table gives each distinct letter of the search a small int, and
+the start, the goal, every state and every axiom instance are plain dicts
+from words ``(eta_count, tuple[int, ...])`` to coefficients, so hashing a
+word never calls back into Python.  One search builds each axiom instance
+once, and works out R2's candidate splits, R1's ``1 - a``, R4's ``-1`` and
+R5's square root once per letter.  Each state is keyed by its words and a
+hash that is a sum over its words, which a move updates for the words it
+changes only; a child is built from its parent's words in one pass
+(``_apply``).  Each frontier is ordered by the rendered text of its terms,
+rendered from the letter table's texts by the renderer ``Term.__str__``
+uses.  Only the certificate is decoded back to units and terms.  These
+memos live in the call, not in the module, and ``check_proof`` shares none
+of them: it rebuilds every instance from the certificate and compares
+structurally.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .finring import Ring, RingElement
@@ -103,10 +103,9 @@ def _factors_key(factors):
 class Unit:
     """Canonical unit expression: rational content times a sorted monomial.
 
-    The hash is computed once, at construction: words and term keys are
-    tuples of units, and the prover hashes them on every state lookup.  The
-    text is stored by the first ``render_unit`` call: the prover renders
-    every frontier term to order the frontier.
+    The hash is computed once, at construction: a term's words are tuples
+    of units, hashed on every lookup.  The text is stored by the first
+    ``render_unit`` call, so rendering a term renders each letter once.
     """
 
     content: Fraction
@@ -464,32 +463,40 @@ class Term:
         return frozenset(out)
 
     def __str__(self):
-        if not self.words:
-            return "0"
-        # by degree, eta power, then the rendered letters; each letter renders once
-        words = sorted(
-            (((len(brs) - e, e, tuple(render_unit(u) for u in brs)), c)
-             for (e, brs), c in self.words.items()),
-            key=lambda t: t[0],
-        )
-        rendered = []
-        for (_, e, letters), c in words:
-            bits = []
-            if e == 1:
-                bits.append("eta")
-            elif e > 1:
-                bits.append(f"eta^{e}")
-            bits.extend(f"[{r}]" for r in letters)
-            if not bits:
-                bits = [str(abs(c))]
-                coeff = ""
-            else:
-                coeff = "" if abs(c) == 1 else f"{abs(c)} "
-            rendered.append(("- " if c < 0 else "+ ") + coeff + " ".join(bits))
-        text = " ".join(rendered)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return _render_words(self.words, render_unit)
 
     __repr__ = __str__
+
+
+def _render_words(words: dict, letter_text) -> str:
+    """The text of the term with these words, ``letter_text`` giving each letter's.
+
+    ``Term.__str__`` passes ``render_unit``; the search passes its letter
+    table's texts for words on integer letters, so both render alike.
+    """
+    if not words:
+        return "0"
+    # by degree, eta power, then the rendered letters
+    ordered = sorted(
+        (((len(brs) - e, e, tuple(map(letter_text, brs))), c) for (e, brs), c in words.items()),
+        key=itemgetter(0),
+    )
+    rendered = []
+    for (_, e, letters), c in ordered:
+        bits = []
+        if e == 1:
+            bits.append("eta")
+        elif e > 1:
+            bits.append(f"eta^{e}")
+        bits.extend(f"[{r}]" for r in letters)
+        if not bits:
+            bits = [str(abs(c))]
+            coeff = ""
+        else:
+            coeff = "" if abs(c) == 1 else f"{abs(c)} "
+        rendered.append(("- " if c < 0 else "+ ") + coeff + " ".join(bits))
+    text = " ".join(rendered)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def zero() -> Term:
@@ -535,6 +542,16 @@ def normalize(t: Term) -> Term:
 # identities
 
 
+def _require_declared(atoms: frozenset, declared: frozenset):
+    """Raise IdentityError naming the sum atoms that ``declared`` lacks."""
+    missing = atoms - declared
+    if missing:
+        raise IdentityError(
+            "sum expressions need a unit(...) hypothesis: "
+            + ", ".join(sorted(render_unit(Unit(Fraction(1), ((a, 1),))) for a in missing))
+        )
+
+
 @dataclass(frozen=True)
 class Identity:
     lhs: Term
@@ -549,12 +566,7 @@ class Identity:
             raise IdentityError(f"sides have different degrees ({dl} vs {dr})")
         declared = self.declared_sum_atoms()
         for side in (self.lhs, self.rhs):
-            missing = side.sum_atoms() - declared
-            if missing:
-                raise IdentityError(
-                    "sum expressions need a unit(...) hypothesis: "
-                    + ", ".join(sorted(render_unit(Unit(Fraction(1), ((a, 1),))) for a in missing))
-                )
+            _require_declared(side.sum_atoms(), declared)
 
     def declared_sum_atoms(self) -> frozenset:
         out = set()
@@ -668,10 +680,18 @@ class ProveConfig:
 
     def validate(self):
         for fld in ("max_depth", "max_term_words", "closure_depth", "max_candidates", "max_states"):
-            if getattr(self, fld) <= 0 and fld != "closure_depth":
+            value = getattr(self, fld)
+            if not _is_int(value):
+                raise ConfigError(f"config limit {fld} must be an integer, not {type(value).__name__}")
+            if value <= 0 and fld != "closure_depth":
                 raise ConfigError(f"config limit {fld} must be positive")
         if self.closure_depth < 0:
             raise ConfigError("config limit closure_depth must be nonnegative")
+        if not isinstance(self.hint_units, (tuple, list)):
+            raise ConfigError("config hint_units must be a tuple or list of unit expressions")
+        for u in self.hint_units:
+            if not isinstance(u, Unit):
+                raise ConfigError(f"config hint {u!r} is not a unit expression")
 
 
 @dataclass(frozen=True)
@@ -738,24 +758,25 @@ def _words_hash(words: dict) -> int:
     return sum(map(hash, words.items()))
 
 
-def _apply(term: Term, term_hash: int, core: Term, pos_eta: int, left: tuple,
-           right: tuple, coeff: int) -> tuple[Term, int]:
-    """``term + _embed(core, pos_eta, left, right, coeff)``, built in one
-    pass, and its ``_words_hash`` given the term's, ``term_hash``.
+def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
+           right: tuple, coeff: int) -> tuple[dict, int]:
+    """The words of ``words`` plus ``coeff * eta^pos_eta * left core right``,
+    built in one pass, and their ``_words_hash`` given that of ``words``.
 
-    The parent's dict is copied once (a dict copy keeps the stored hashes)
-    and the embedded words are added in place, so only the core's words are
-    hashed, and only their summands of the hash change: the old item's is
-    subtracted and the new one's added.  Words and their order are those of
-    the two-step sum: existing words update in place, a word whose
+    Both are words dicts on the search's integer letters.  The parent's dict
+    is copied once (a dict copy keeps the stored hashes) and the embedded
+    words are added in place, so only the core's words are hashed, and only
+    their summands of the hash change: the old item's is subtracted and the
+    new one's added.  Words and their order are those of the two-step sum
+    ``term + _embed(...)``: existing words update in place, a word whose
     coefficient reaches 0 drops out, and new words follow in the core's
     order.  Distinct core words embed to distinct words, and ``coeff`` and
     the core's coefficients are nonzero, so a word that reaches 0 is one
-    of the term's.
+    of the parent's.
     """
-    out = dict(term.words)
-    h = term_hash
-    for (e, brs), c in core.words.items():
+    out = dict(words)
+    h = words_hash
+    for (e, brs), c in core.items():
         w = (e + pos_eta, left + brs + right)
         c1 = out.get(w, 0)
         c2 = c1 + c * coeff
@@ -766,9 +787,7 @@ def _apply(term: Term, term_hash: int, core: Term, pos_eta: int, left: tuple,
             h += hash((w, c2))
         else:
             del out[w]
-    t = Term.__new__(Term)
-    t.words = out
-    return t, h
+    return out, h
 
 
 def _step_delta(step: ProofStep) -> Term:
@@ -779,11 +798,11 @@ def _step_delta(step: ProofStep) -> Term:
     return normalize(_embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
-    term: Term
+    words: dict  # the state, on the search's integer letters
     parent: Optional["_Node"]
-    step: Optional[tuple]  # (axiom, direction, binding, coeff, pos)
+    step: Optional[tuple]  # the move that made it: (instance, coeff, pos_eta, left, right)
 
 
 def _unit_complexity(u: Unit) -> tuple:
@@ -829,148 +848,192 @@ _UNSET = object()
 class _Letters:
     """One search's letter table, and the move memos keyed by its letters.
 
-    ``canon`` swaps a unit for the first equal unit the table has seen
-    (hash-consing, for one search only).  Every letter that enters a search
-    term passes through it: the letters of the start and goal, the
-    candidates, and the letters of each axiom instance when it is built.
-    So the letters of every search term are shared objects, and every
-    lookup of a word, state or instance meets identical letters and takes
-    the identity fast path instead of ``Unit.__eq__``.  The table and the
-    memos belong to one ``search`` call and go with it; ``Unit`` itself is
-    unchanged, and ``check_proof`` reads none of this.
+    The table gives each distinct letter of the search a small int, in
+    first-seen order, and keeps per int the first equal unit it saw and
+    that unit's rendered text.  Every letter that enters a search term goes
+    through it: the letters of the start and goal, the candidates, and the
+    letters of each axiom instance when it is built.  So the search's terms
+    are words dicts on ints, and hashing or comparing them never calls into
+    ``Unit``; ``term`` decodes one back to a ``Term`` for the certificate.
+
+    An axiom instance is ``(axiom, direction, binding, core)``: the
+    binding's letters in the schema's parameter order, and the difference
+    the instance adds as a words dict, built once.  The memos map letters to
+    the instances of their moves.  The table and the memos belong to one
+    ``search`` call and go with it; ``Unit`` is unchanged, and
+    ``check_proof`` reads none of this.
     """
 
     def __init__(self, cands: Sequence[Unit], declared_sums: frozenset):
-        self.table: dict = {}
+        self.ids: dict = {}  # unit -> its letter
+        self.units: list = []  # letter -> the first equal unit seen
+        self.texts: list = []  # letter -> render_unit of that unit
         self.declared = declared_sums
-        cands = [self.canon(u) for u in cands]
-        self.cand_set = set(cands)
+        cands = [self.letter(u) for u in cands]
+        self.cands = set(cands)
         # the candidates other than 1 with their inverses, for R2's splits
-        self.inverses = [(x, x.inverse()) for x in cands if not x.is_one]
-        self.splits: dict = {}  # letter m -> R2 splits (x, y) of m
+        self.inverses = [(x, self.units[x].inverse()) for x in cands if not self.units[x].is_one]
+        self.splits: dict = {}  # letter m -> R2 forward instances splitting m
+        self.merges: dict = {}  # letters (a, b) -> the R2 backward instance on them
         self.steinberg: dict = {}  # letter a -> 1 - a for R1, or None
-        self.cores: dict = {}  # (axiom, direction, *binding values) -> instance difference
+        self.r1: dict = {}  # letter a -> the R1 instance on a
+        self.roots: dict = {}  # letter m -> R5 instance on the square root of m, or None
+        self.minus_one = self.letter(UNIT_MINUS_ONE)
+        self.r4 = self.instance("R4", "forward", ())
 
-    def canon(self, u: Unit) -> Unit:
-        return self.table.setdefault(u, u)
+    def letter(self, u: Unit) -> int:
+        """The int of ``u``, given to it the first time an equal unit comes."""
+        i = self.ids.get(u)
+        if i is None:
+            i = self.ids[u] = len(self.units)
+            self.units.append(u)
+            self.texts.append(render_unit(u))
+        return i
 
-    def term(self, t: Term) -> Term:
-        """``t`` with its letters swapped for the table's; words keep their order."""
-        canon = self.canon
-        return Term._of({(e, tuple(map(canon, brs))): c for (e, brs), c in t.words.items()})
+    def words(self, t: Term) -> dict:
+        """``t``'s words on the table's letters, in ``t``'s order."""
+        letter = self.letter
+        return {(e, tuple(map(letter, brs))): c for (e, brs), c in t.words.items()}
 
-    def r2_splits(self, m: Unit) -> list:
-        """The pairs (x, y) of candidates, neither of them 1, with x * y = m."""
+    def term(self, words: dict) -> Term:
+        """The term of a words dict on the table's letters, in its order."""
+        units = self.units
+        return Term._of({(e, tuple(units[i] for i in brs)): c for (e, brs), c in words.items()})
+
+    def text(self, words: dict) -> str:
+        """``str(self.term(words))``, rendered from the table's texts."""
+        return _render_words(words, self.texts.__getitem__)
+
+    def instance(self, axiom: str, direction: str, binding: tuple) -> tuple:
+        """The instance of ``axiom`` on the letters ``binding``, its core built."""
+        schema = AXIOMS[axiom]
+        lhs, rhs, _ = schema.build(dict(zip(schema.params, map(self.units.__getitem__, binding))))
+        core = self.words(rhs - lhs if direction == "forward" else lhs - rhs)
+        return (axiom, direction, binding, core)
+
+    def r2_splits(self, m: int) -> list:
+        """The R2 forward instances on candidates (x, y), neither of them 1,
+        with x * y = m."""
         out = []
-        table, cand_set = self.table, self.cand_set
+        u, ids, cands = self.units[m], self.ids, self.cands
         for x, x_inv in self.inverses:
-            y = m * x_inv
+            y = u * x_inv
             if y.is_one:
                 continue
-            y = table.get(y)
-            if y is not None and y in cand_set:
-                out.append((x, y))
+            y = ids.get(y)
+            if y is not None and y in cands:
+                out.append(self.instance("R2", "forward", (x, y)))
         self.splits[m] = out
         return out
 
-    def steinberg_partner(self, a: Unit) -> Optional[Unit]:
+    def steinberg_partner(self, a: int) -> Optional[int]:
         """1 - a when [a][1-a] is an R1 instance whose sums the identity
         declares, else None."""
+        u = self.units[a]
         try:
-            m = one_minus(a)
+            m = one_minus(u)
         except UnitExprError:
             m = None
         else:
-            m = self.canon(m) if (m.sum_atoms() | a.sum_atoms()) <= self.declared else None
+            m = self.letter(m) if (m.sum_atoms() | u.sum_atoms()) <= self.declared else None
         self.steinberg[a] = m
         return m
 
-    def core(self, move) -> Term:
-        """The axiom difference a move adds, built once per instance."""
-        axiom, direction, binding = move[:3]
-        # _moves binds a before b, so the values name the instance
-        key = (axiom, direction, *binding.values())
-        core = self.cores.get(key)
-        if core is None:
-            lhs, rhs, _ = AXIOMS[axiom].build(binding)
-            core = self.cores[key] = self.term(rhs - lhs if direction == "forward" else lhs - rhs)
-        return core
+    def r5_root(self, m: int) -> Optional[tuple]:
+        """The R5 instance on the literal square root of m, when it is not 1."""
+        r = self.units[m].sqrt_or_none()
+        out = None
+        if r is not None and not r.is_one:
+            out = self.instance("R5", "forward", (self.letter(r),))
+        self.roots[m] = out
+        return out
 
 
-def _moves(term: Term, schema_names, letters: _Letters):
-    """All anchored exact-coefficient moves applicable to a term.
+def _moves(words: dict, schema_names, letters: _Letters) -> list:
+    """All anchored exact-coefficient moves applicable to a search term.
 
-    ``letters`` holds the search's per-letter memos: R2's splits and R1's
-    ``1 - a`` are each worked out once per letter.  The term's letters are
-    the table's, so a letter equals R1's ``1 - a`` exactly when it is that
-    object.
+    A move is ``(instance, coeff, pos_eta, left, right)``: it adds ``coeff``
+    times the instance's core at eta power ``pos_eta`` between the letters
+    ``left`` and ``right``.  Each instance comes from ``letters``' memos, so
+    it is built once per search.
     """
     out = []
-    splits, steinberg = letters.splits, letters.steinberg
-    for (s, brs), coeff in term.words.items():
-        if "R2" in schema_names:
+    append = out.append
+    r1, r2, r4, r5 = (name in schema_names for name in ("R1", "R2", "R4", "R5"))
+    splits, merges = letters.splits, letters.merges
+    steinberg, r1_instances, roots = letters.steinberg, letters.r1, letters.roots
+    minus_one, r4_instance = letters.minus_one, letters.r4
+    for (s, brs), coeff in words.items():
+        if r2:
             for i, m in enumerate(brs):
-                left, right = brs[:i], brs[i + 1 :]
                 split = splits.get(m)
                 if split is None:
                     split = letters.r2_splits(m)
-                for x, y in split:
-                    out.append(("R2", "forward", {"a": x, "b": y}, coeff, (s, left, right)))
+                if split:
+                    left, right = brs[:i], brs[i + 1 :]
+                    for inst in split:
+                        append((inst, coeff, s, left, right))
             if s >= 1:
                 for i in range(len(brs) - 1):
-                    binding = {"a": brs[i], "b": brs[i + 1]}
-                    out.append(("R2", "backward", binding, coeff, (s - 1, brs[:i], brs[i + 2 :])))
-        if "R4" in schema_names:
+                    pair = brs[i : i + 2]
+                    inst = merges.get(pair)
+                    if inst is None:
+                        inst = merges[pair] = letters.instance("R2", "backward", pair)
+                    append((inst, coeff, s - 1, brs[:i], brs[i + 2 :]))
+        if r4:
             if s >= 2:
                 for i, m in enumerate(brs):
-                    if m.is_minus_one:
-                        out.append(("R4", "forward", {}, coeff, (s - 2, brs[:i], brs[i + 1 :])))
+                    if m == minus_one:
+                        append((r4_instance, coeff, s - 2, brs[:i], brs[i + 1 :]))
             if s >= 1 and coeff % 2 == 0:
                 for cut in range(len(brs) + 1):
-                    out.append(("R4", "forward", {}, coeff // 2, (s - 1, brs[:cut], brs[cut:])))
-        if "R1" in schema_names:
+                    append((r4_instance, coeff // 2, s - 1, brs[:cut], brs[cut:]))
+        if r1:
             for i in range(len(brs) - 1):
                 a = brs[i]
                 m = steinberg.get(a, _UNSET)
                 if m is _UNSET:
                     m = letters.steinberg_partner(a)
-                if m is not None and brs[i + 1] is m:
-                    out.append(("R1", "forward", {"a": a}, coeff, (s, brs[:i], brs[i + 2 :])))
-        if "R5" in schema_names and s >= 1:
+                if m is not None and brs[i + 1] == m:
+                    inst = r1_instances.get(a)
+                    if inst is None:
+                        inst = r1_instances[a] = letters.instance("R1", "forward", (a,))
+                    append((inst, coeff, s, brs[:i], brs[i + 2 :]))
+        if r5 and s >= 1:
             for i, m in enumerate(brs):
-                r = m.sqrt_or_none()
-                if r is not None and not r.is_one:
-                    out.append(("R5", "forward", {"a": r}, coeff, (s - 1, brs[:i], brs[i + 1 :])))
+                inst = roots.get(m, _UNSET)
+                if inst is _UNSET:
+                    inst = letters.r5_root(m)
+                if inst is not None:
+                    append((inst, coeff, s - 1, brs[:i], brs[i + 1 :]))
     return out
 
 
 def _path(node: _Node) -> list:
     out = []
     while node.parent is not None:
-        out.append((node.parent.term, node.step, node.term))
+        out.append((node.parent.words, node.step, node.words))
         node = node.parent
     out.reverse()
     return out
 
 
-def _stitch(identity, mode, left_node, right_node) -> Proof:
-    steps = []
-    for before, move, after in _path(left_node):
-        axiom, direction, binding, coeff, (pe, pl, pr) = move
-        steps.append(ProofStep(axiom, direction, binding, coeff, pe, pl, pr, before, after))
+def _stitch(identity, mode, letters: _Letters, left_node, right_node) -> Proof:
+    """The certificate of the path through two meeting nodes: the moves'
+    letters decoded back to units and their states back to terms."""
+    unit = letters.units.__getitem__
+
+    def step(move, direction, before, after):
+        (axiom, _, binding, _), coeff, pe, pl, pr = move
+        return ProofStep(axiom, direction, dict(zip(AXIOMS[axiom].params, map(unit, binding))),
+                         coeff, pe, tuple(map(unit, pl)), tuple(map(unit, pr)),
+                         letters.term(before), letters.term(after))
+
+    steps = [step(move, move[0][1], before, after) for before, move, after in _path(left_node)]
     for before, move, after in reversed(_path(right_node)):
-        axiom, direction, binding, coeff, (pe, pl, pr) = move
-        flipped = "backward" if direction == "forward" else "forward"
-        steps.append(ProofStep(axiom, flipped, binding, coeff, pe, pl, pr, after, before))
+        flipped = "backward" if move[0][1] == "forward" else "forward"
+        steps.append(step(move, flipped, after, before))
     return Proof(identity, mode, tuple(steps))
-
-
-def _frontier_order(node: _Node):
-    return (len(node.term.words), str(node.term))
-
-
-def _entry_order(entry):
-    return _frontier_order(entry[0])
 
 
 class _StateKey:
@@ -978,7 +1041,7 @@ class _StateKey:
 
     It holds the state's words dict and their ``_words_hash``, which
     ``_apply`` keeps up to date from the parent's, so no lookup re-hashes
-    the state's letters.  Two keys are equal exactly when their words dicts
+    the state's words.  Two keys are equal exactly when their words dicts
     are, so a hash collision never merges two states.
     """
 
@@ -1019,14 +1082,20 @@ def prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Opt
 def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> SearchResult:
     """The search behind ``prove``, with the budget that ended an Unknown.
 
-    Each state is kept beside its ``_words_hash`` (in the frontier) and
-    under its ``_StateKey`` (in the maps); its letters are those of the
-    search's letter table (``_Letters``).
+    A hint whose sums the hypotheses do not declare is refused with
+    ``IdentityError``.  Each state is a words dict on the letters of the
+    search's letter table (``_Letters``), kept beside its ``_words_hash``
+    (in the frontier) and under its ``_StateKey`` (in the maps).  Each
+    frontier is expanded in the order of its terms' word counts, then
+    their text.
     """
     cfg = config or ProveConfig()
     cfg.validate()
     mode = ProverMode.coerce(mode)
     schema_names = {s.name for s in axioms(mode)}
+    declared = identity.declared_sum_atoms()
+    for hint in cfg.hint_units:
+        _require_declared(hint.sum_atoms(), declared)
 
     start = normalize(identity.lhs)
     goal = normalize(identity.rhs)
@@ -1037,13 +1106,18 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
     )
     # the letter table and the per-letter memos of this search only; shared
     # with no other search and not with check_proof
-    letters = _Letters(cands, identity.declared_sum_atoms())
-    start, goal = letters.term(start), letters.term(goal)
+    letters = _Letters(cands, declared)
+    start, goal = letters.words(start), letters.words(goal)
+    text = letters.text
+
+    def frontier_order(entry):
+        words = entry[0].words
+        return (len(words), text(words))
 
     start_node, goal_node = _Node(start, None, None), _Node(goal, None, None)
-    start_hash, goal_hash = _words_hash(start.words), _words_hash(goal.words)
-    left = {_StateKey(start.words, start_hash): start_node}
-    right = {_StateKey(goal.words, goal_hash): goal_node}
+    start_hash, goal_hash = _words_hash(start), _words_hash(goal)
+    left = {_StateKey(start, start_hash): start_node}
+    right = {_StateKey(goal, goal_hash): goal_node}
     frontier_l = [(start_node, start_hash)]
     frontier_r = [(goal_node, goal_hash)]
     max_words = cfg.max_term_words
@@ -1056,27 +1130,26 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
         else:
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
-        for node, term_hash in sorted(frontier, key=_entry_order):
-            term = node.term
-            n_words = len(term.words)
-            for move in _moves(term, schema_names, letters):
-                core = letters.core(move)
+        for node, words_hash in sorted(frontier, key=frontier_order):
+            words = node.words
+            n_words = len(words)
+            for move in _moves(words, schema_names, letters):
+                inst, coeff, pe, pl, pr = move
+                core = inst[3]
                 # each word of the core cancels at most one word of the term
-                if n_words - len(core.words) > max_words:
+                if n_words - len(core) > max_words:
                     continue
-                coeff, (pe, pl, pr) = move[3:]
-                t2, h2 = _apply(term, term_hash, core, pe, pl, pr, coeff)
-                if len(t2.words) > max_words:
+                w2, h2 = _apply(words, words_hash, core, pe, pl, pr, coeff)
+                if len(w2) > max_words:
                     continue
-                k2 = _StateKey(t2.words, h2)
+                k2 = _StateKey(w2, h2)
                 if k2 in own:
                     continue
-                child = _Node(t2, node, move)
+                child = _Node(w2, node, move)
                 meet = other.get(k2)
                 if meet is not None:
-                    if from_left:
-                        return SearchResult(_stitch(identity, mode, child, meet), None, states)
-                    return SearchResult(_stitch(identity, mode, meet, child), None, states)
+                    pair = (child, meet) if from_left else (meet, child)
+                    return SearchResult(_stitch(identity, mode, letters, *pair), None, states)
                 own[k2] = child
                 next_frontier.append((child, h2))
                 states += 1

@@ -1,25 +1,28 @@
 """The prover search that ``mwkit.kmwterm.search`` replaced, kept for tests only.
 
-``oracle_prove`` is the bidirectional search as it ran before the search
-kept a letter table: every state is keyed by ``Term.key()`` (a frozenset
-of its words, so every letter of every child is hashed again), letters
-are compared through ``Unit.__eq__`` wherever equal letters are distinct
-objects, and R1's ``one_minus`` and its declared-sums check run once per
-adjacent pair of every expanded term.  It visits the same states in the
-same order as ``kmwterm.search`` and returns the same certificate.
+``oracle_prove`` is the bidirectional search as it ran on ``Unit`` letters,
+before the search kept a letter table: every state is a ``Term`` keyed by
+``Term.key()`` (a frozenset of its words, so every letter of every child is
+hashed again), letters are compared through ``Unit.__eq__`` wherever equal
+letters are distinct objects, and R1's ``one_minus`` and its declared-sums
+check run once per adjacent pair of every expanded term.  It visits the
+same states in the same order as ``kmwterm.search`` and returns the same
+certificate.  It shares no search code with ``kmwterm``: its frontier order
+renders each term through ``Term.__str__``, and it stitches its certificate
+from its own terms.
 
-Nodes are built through ``kmwterm._Node``, looked up at each call, so a
-test that logs the nodes ``prove`` creates logs this search's nodes the
-same way.
+Nodes are built through this module's ``_Node``, looked up at each call,
+so a test can log the states the oracle creates by patching it.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
-from mwkit import kmwterm as km
 from mwkit.kmwterm import (
     AXIOMS,
     Identity,
     Proof,
+    ProofStep,
     ProveConfig,
     ProverMode,
     Term,
@@ -113,6 +116,38 @@ def _apply(term: Term, core: Term, pos_eta: int, left: tuple, right: tuple,
     return t
 
 
+@dataclass
+class _Node:
+    term: Term
+    parent: Optional["_Node"]
+    step: Optional[tuple]  # (axiom, direction, binding, coeff, pos)
+
+
+def _frontier_order(node: _Node):
+    return (len(node.term.words), str(node.term))
+
+
+def _path(node: _Node) -> list:
+    out = []
+    while node.parent is not None:
+        out.append((node.parent.term, node.step, node.term))
+        node = node.parent
+    out.reverse()
+    return out
+
+
+def _stitch(identity, mode, left_node, right_node) -> Proof:
+    steps = []
+    for before, move, after in _path(left_node):
+        axiom, direction, binding, coeff, (pe, pl, pr) = move
+        steps.append(ProofStep(axiom, direction, binding, coeff, pe, pl, pr, before, after))
+    for before, move, after in reversed(_path(right_node)):
+        axiom, direction, binding, coeff, (pe, pl, pr) = move
+        flipped = "backward" if direction == "forward" else "forward"
+        steps.append(ProofStep(axiom, flipped, binding, coeff, pe, pl, pr, after, before))
+    return Proof(identity, mode, tuple(steps))
+
+
 def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Optional[Proof]:
     """Bidirectional bounded search; a Proof on success, None for Unknown."""
     cfg = config or ProveConfig()
@@ -129,8 +164,8 @@ def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None)
         identity, cfg.hint_units, cfg.closure_depth, cfg.max_candidates
     )
 
-    left = {start.key(): km._Node(start, None, None)}
-    right = {goal.key(): km._Node(goal, None, None)}
+    left = {start.key(): _Node(start, None, None)}
+    right = {goal.key(): _Node(goal, None, None)}
     frontier_l = [left[start.key()]]
     frontier_r = [right[goal.key()]]
     depth_total = 0
@@ -144,7 +179,7 @@ def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None)
         else:
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
-        for node in sorted(frontier, key=km._frontier_order):
+        for node in sorted(frontier, key=_frontier_order):
             for move in _moves(node.term, schemas, cands, cand_set, declared, splits):
                 core = _core(move, cores)
                 if len(node.term.words) - len(core.words) > cfg.max_term_words:
@@ -156,12 +191,12 @@ def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None)
                 k2 = t2.key()
                 if k2 in own:
                     continue
-                child = km._Node(t2, node, move)
+                child = _Node(t2, node, move)
                 if k2 in other:
                     meet = other[k2]
                     if from_left:
-                        return km._stitch(identity, mode, child, meet)
-                    return km._stitch(identity, mode, meet, child)
+                        return _stitch(identity, mode, child, meet)
+                    return _stitch(identity, mode, meet, child)
                 own[k2] = child
                 next_frontier.append(child)
                 states += 1

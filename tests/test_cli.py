@@ -74,6 +74,15 @@ def test_prove_bad_limits_exit_one(flag, value, capsys):
     assert f"error: {flag} must be positive" in err
 
 
+def test_prove_refuses_hints_with_undeclared_sums(capsys):
+    identity = "<a> + <-a> = <1> + <-1>"
+    code, out, err = run_cli(capsys, "prove", identity, "--hints", "1-a")
+    assert (code, out) == (1, "")
+    assert err == "error: sum expressions need a unit(...) hypothesis: (1-a)\n"
+    code, out, err = run_cli(capsys, "prove", identity, "--hints", "1-a", "--hyp", "unit(1-a)")
+    assert code == 0 and json.loads(out)["checked"] is True
+
+
 def test_prove_reads_file(tmp_path, capsys):
     path = tmp_path / "identity.txt"
     path.write_text("eta h = 0\n")
@@ -275,21 +284,15 @@ def test_prove_golden_output(case, capsys):
 
 
 @pytest.mark.parametrize("case", PROVE_GOLDEN["budget"], ids=lambda c: c["identity"])
-def test_prove_budget_searches_stay_unknown(case, monkeypatch):
+def test_prove_budget_searches_stay_unknown(case):
     import hashlib
 
     from mwkit import kmwterm, termparse
+    from test_prove_search import logged_search
 
-    states = hashlib.sha256()
-
-    class LoggedNode(kmwterm._Node):
-        def __init__(self, term, parent, step):
-            super().__init__(term, parent, step)
-            states.update(str(term).encode() + b"\n")
-
-    monkeypatch.setattr(kmwterm, "_Node", LoggedNode)
     identity = termparse.parse_identity(case["identity"], case["hyp"])
-    proof = kmwterm.prove(identity, case["mode"],
-                          kmwterm.ProveConfig(max_states=case["max_states"]))
-    assert ("unknown" if proof is None else "proved") == case["status"]
-    assert states.hexdigest() == case["states_sha256"]
+    result, states = logged_search(identity, case["mode"],
+                                   kmwterm.ProveConfig(max_states=case["max_states"]))
+    assert ("unknown" if result.proof is None else "proved") == case["status"]
+    digest = hashlib.sha256("".join(text + "\n" for text in states).encode())
+    assert digest.hexdigest() == case["states_sha256"]

@@ -332,6 +332,29 @@ def test_prove_rejects_bad_config():
         km.prove(ident, "hopf", km.ProveConfig(max_term_words=-1))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_states", "5"), ("max_term_words", None), ("max_depth", 2.5), ("max_states", True),
+    ("closure_depth", False), ("max_candidates", Fraction(64)),
+    ("hint_units", ("a",)), ("hint_units", (A, 2)), ("hint_units", A), ("hint_units", None),
+])
+def test_prove_refuses_config_values_of_the_wrong_type(field, value):
+    # each was an untyped TypeError or AttributeError, or ran a search
+    ident = parse_identity("<a*b> = <a><b>")
+    with pytest.raises(km.ConfigError, match=field.removesuffix("_units")):
+        km.search(ident, "hopf", km.ProveConfig(**{field: value}))
+
+
+def test_prove_refuses_hints_with_undeclared_sums():
+    # the search made 400 of its 508 moves on letters check_proof refuses
+    ident = parse_identity("<a> + <-a> = <1> + <-1>")
+    with pytest.raises(km.IdentityError) as exc:
+        km.search(ident, "hopf", km.ProveConfig(hint_units=(parse_unit("1-a"),)))
+    assert str(exc.value) == "sum expressions need a unit(...) hypothesis: (1-a)"
+    declared = parse_identity("<a> + <-a> = <1> + <-1>", "unit(1-a)")
+    proof = km.prove(declared, "hopf", km.ProveConfig(hint_units=(parse_unit("1-a"),)))
+    assert proof is not None and bool(km.check_proof(proof))
+
+
 def test_check_proof_detects_corruption():
     ident = parse_identity("eps^2 = 1")
     proof = km.prove(ident, "hopf")
@@ -411,14 +434,14 @@ def test_check_proof_refuses_malformed_steps(field, value):
 
 
 def _expanded_moves(text, mode, hyp, layers):
-    """(term, move) for each move of each node a search expands in its
-    first ``layers`` layers."""
+    """(words, move, letter table) for each move of each node a search
+    expands in its first ``layers`` layers."""
     seen = []
     moves = km._moves
 
-    def logged(term, *args):
-        out = moves(term, *args)
-        seen.extend((term, move) for move in out)
+    def logged(words, schema_names, letters):
+        out = moves(words, schema_names, letters)
+        seen.extend((words, move, letters) for move in out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -427,8 +450,8 @@ def _expanded_moves(text, mode, hyp, layers):
     return seen
 
 
-def _hash_from_scratch(term):
-    return sum(hash((w, c)) for w, c in term.words.items())
+def _hash_from_scratch(words):
+    return sum(hash((w, c)) for w, c in words.items())
 
 
 def test_apply_matches_the_sum_with_the_embedded_core():
@@ -436,19 +459,22 @@ def test_apply_matches_the_sum_with_the_embedded_core():
     for text, mode, hyp in CORPUS + BUDGET:
         seen = _expanded_moves(text, mode, hyp, layers=3)
         assert seen
-        letters = km._Letters((), frozenset())
-        for term, move in seen:
-            core = letters.core(move)
-            coeff, (pe, pl, pr) = move[3:]
-            child, child_hash = km._apply(term, _hash_from_scratch(term), core, pe, pl, pr, coeff)
+        for words, move, letters in seen:
+            (axiom, direction, binding, core), coeff, pe, pl, pr = move
+            child, child_hash = km._apply(words, _hash_from_scratch(words), core, pe, pl, pr, coeff)
+            # the core is the schema's instance on the decoded binding
+            schema = km.AXIOMS[axiom]
+            lhs, rhs, _ = schema.build(dict(zip(schema.params, (letters.units[i] for i in binding))))
+            assert letters.term(core) == (rhs - lhs if direction == "forward" else lhs - rhs)
             # dict order included: it fixes the order of moves and states
-            assert isinstance(child, km.Term)
-            assert (list(child.words.items())
-                    == list((term + km._embed(core, pe, pl, pr, coeff)).words.items()))
+            unit = letters.units.__getitem__
+            expected = letters.term(words) + km._embed(letters.term(core), pe, tuple(map(unit, pl)),
+                                                       tuple(map(unit, pr)), coeff)
+            assert list(letters.term(child).words.items()) == list(expected.words.items())
             # the hash updated from the parent's is the child's, from scratch
             assert child_hash == _hash_from_scratch(child)
-            cancelled += any(w not in child.words for w in term.words)
-            appended += any(w not in term.words for w in child.words)
+            cancelled += any(w not in child for w in words)
+            appended += any(w not in words for w in child)
     assert cancelled and appended
 
 

@@ -1,17 +1,24 @@
 """The prover search against the search it replaced, its guards, and why an
 Unknown ended.
 
-``oracle_prove`` (``tests/prove_oracle.py``) keys states by ``Term.key``,
-keeps no letter table and works out R1's ``1 - a`` at every adjacent pair.
-``kmwterm.search`` must create the same states in the same order and return
-the same certificate.
+``oracle_prove`` (``tests/prove_oracle.py``) runs on ``Unit`` letters, keys
+states by ``Term.key``, keeps no letter table and works out R1's ``1 - a``
+at every adjacent pair.  ``kmwterm.search`` must create the same states in
+the same order and return the same certificate.
 """
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import prove_oracle
 from mwkit import kmwterm as km
 from mwkit.termparse import parse_identity
 
@@ -19,25 +26,53 @@ from prove_oracle import oracle_prove
 from test_kmwterm import BUDGET, CORPUS
 
 
-def _run_logged(search, ident, mode, cfg):
-    """What ``search`` returns, and the text of each state it creates, in order."""
-    states = []
+def logged_search(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, and the decoded text of each state
+    it creates, in order."""
+    created, tables = [], []
 
     class LoggedNode(km._Node):
+        def __init__(self, words, parent, step):
+            super().__init__(words, parent, step)
+            created.append(words)
+
+    class LoggedLetters(km._Letters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_Node", LoggedNode)
+        mp.setattr(km, "_Letters", LoggedLetters)
+        result = km.search(ident, mode, cfg)
+    states = []
+    for words in created:
+        # decoded through Term.__str__, which the frontier order must match
+        text = str(tables[0].term(words))
+        assert tables[0].text(words) == text
+        states.append(text)
+    return result, states
+
+
+def _oracle_logged(ident, mode, cfg):
+    """What ``oracle_prove`` returns, and the text of each state it creates."""
+    states = []
+
+    class LoggedNode(prove_oracle._Node):
         def __init__(self, term, parent, step):
             super().__init__(term, parent, step)
             states.append(str(term))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_Node", LoggedNode)
-        result = search(ident, mode, cfg)
+        mp.setattr(prove_oracle, "_Node", LoggedNode)
+        result = oracle_prove(ident, mode, cfg)
     return result, states
 
 
 def _assert_same_search(ident, mode, cfg):
     """The search's result and states, once they equal the oracle's."""
-    result, states = _run_logged(km.search, ident, mode, cfg)
-    oracle, oracle_states = _run_logged(oracle_prove, ident, mode, cfg)
+    result, states = logged_search(ident, mode, cfg)
+    oracle, oracle_states = _oracle_logged(ident, mode, cfg)
     assert states == oracle_states
     assert result.proof == oracle
     if oracle is not None:
@@ -118,7 +153,8 @@ def test_search_matches_the_oracle_on_random_identities():
 def test_budget_search_compares_letters_by_identity(text, mode, hyp):
     ident = parse_identity(text, hyp)
     calls = Counter()
-    unit_eq, one_minus, term_key = km.Unit.__eq__, km.one_minus, km.Term.key
+    unit_eq, unit_hash = km.Unit.__eq__, km.Unit.__hash__
+    one_minus, term_key = km.one_minus, km.Term.key
 
     def counted(name, fn):
         def wrapper(*args):
@@ -126,27 +162,62 @@ def test_budget_search_compares_letters_by_identity(text, mode, hyp):
             return fn(*args)
         return wrapper
 
-    terms = []
+    states = []
 
     class LoggedNode(km._Node):
-        def __init__(self, term, parent, step):
-            super().__init__(term, parent, step)
-            terms.append(term)
+        def __init__(self, words, parent, step):
+            super().__init__(words, parent, step)
+            states.append(words)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km, "_Node", LoggedNode)
         mp.setattr(km.Unit, "__eq__", counted("eq", unit_eq))
+        mp.setattr(km.Unit, "__hash__", counted("hash", unit_hash))
         mp.setattr(km, "one_minus", counted("one_minus", one_minus))
         mp.setattr(km.Term, "key", counted("key", term_key))
         result = km.search(ident, mode, km.ProveConfig(max_states=10000))
     assert result.proof is None and result.reason == "max_states"
-    letters = set().union(*(t.letters() for t in terms))
-    # equal letters are one object, so lookups rarely reach Unit.__eq__
+    letters = {i for words in states for _, brs in words for i in brs}
+    # states hold integer letters, so only the letter table hashes a unit
+    # (about 390k calls when the states held units)
+    assert calls["hash"] <= 30000, calls
+    # equal letters are one letter, so lookups rarely reach Unit.__eq__
     assert calls["eq"] <= 3000, calls
     # 1 - a is worked out once per letter, not once per adjacent pair
     assert calls["one_minus"] <= len(letters), (calls, len(letters))
     # states are keyed by their incremental hash, not by Term.key
     assert calls["key"] == 0, calls
+
+
+_DIGESTS = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from mwkit import kmwterm as km
+from mwkit.termparse import parse_identity
+from test_kmwterm import BUDGET, CORPUS
+from test_prove_search import logged_search
+out = {"corpus": [km.prove(parse_identity(t, h), m).to_json() for t, m, h in CORPUS]}
+text, mode, hyp = BUDGET[0]
+_, states = logged_search(parse_identity(text, hyp), mode, km.ProveConfig(max_states=2000))
+out["states"] = hashlib.sha256("\\n".join(states).encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_search_does_not_depend_on_the_hash_seed():
+    tests_dir = str(Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=str(Path(km.__file__).resolve().parents[1]))
+    outputs = []
+    for seed in ("2718", "31415"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", _DIGESTS, tests_dir], capture_output=True,
+                             env=env, timeout=120, check=True, text=True)
+        outputs.append(json.loads(out.stdout))
+    text, mode, hyp = BUDGET[0]
+    _, states = logged_search(parse_identity(text, hyp), mode, km.ProveConfig(max_states=2000))
+    here = {"corpus": [km.prove(parse_identity(t, h), m).to_json() for t, m, h in CORPUS],
+            "states": hashlib.sha256("\n".join(states).encode()).hexdigest()}
+    assert outputs == [here, here]
 
 
 # ---------------------------------------------------------------------------
