@@ -98,7 +98,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
 def cmd_ringinfo(args) -> tuple[int, str]:
     ring = make_ring(args.ring)
     units = [str(u) for u in ring.units()]
-    index = ring.unit_coords_index()  # a unit square is a unit: format it once
+    index = ring.unit_index_by_coords()  # a unit square is a unit: format it once
     report = {
         "ring": ring.spec_string(),
         "cardinality": ring.card,
@@ -309,8 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
+        return 1 if exc.code else 0
     try:
         code, text = args.func(args)
     except (RingError, QformError, ParseError, InputFileError, kmwterm.IdentityError,

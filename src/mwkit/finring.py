@@ -349,10 +349,9 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit coordinates index, which is rebuilt from the units;
-# a pickled or copied ring leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_coords_index", "_zero", "_one", "_hash_cache",
-                "_mul_kernel")
+# pickle, and the unit index, which is rebuilt with the units; a pickled
+# or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
 
 
 class Ring:
@@ -362,8 +361,7 @@ class Ring:
 
     def __init__(self):
         self._units: Optional[list[RingElement]] = None
-        self._unit_index: Optional[dict[RingElement, int]] = None
-        self._coords_index: Optional[dict] = None
+        self._unit_index: Optional[dict] = None
         self._zero: Optional[RingElement] = None
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
@@ -418,32 +416,30 @@ class Ring:
 
     def units(self) -> list[RingElement]:
         if self._units is None:
-            self._units = [RingElement(self, c) for c in self._enumerate_coords()
-                           if self._is_unit(c)]
-            self._unit_index = dict(zip(self._units, range(len(self._units))))
+            coords = [c for c in self._enumerate_coords() if self._is_unit(c)]
+            self._units = [RingElement(self, c) for c in coords]
+            self._unit_index = dict(zip(coords, range(len(coords))))
         return self._units
 
-    def unit_index_map(self) -> Mapping[RingElement, int]:
-        """Map from each unit to its position in ``units()``; shared, do not modify."""
-        self.units()
-        return self._unit_index
-
-    def unit_coords_index(self) -> Mapping:
+    def unit_index_by_coords(self) -> Mapping:
         """Map from each unit's coordinates to its position in ``units()``.
 
         Shared, do not modify.  Coordinates are ints or tuples, so a lookup
-        hashes in C where ``unit_index_map`` calls ``RingElement.__hash__``.
-        Built on first use, for group-ring arithmetic on unit indices.
+        hashes in C, with no call to ``RingElement.__hash__``.  Coordinates
+        alone do not name a ring: check a key's ring before looking it up.
         """
-        if self._coords_index is None:
-            self._coords_index = {u.coords: i for i, u in enumerate(self.units())}
-        return self._coords_index
+        if self._unit_index is None:
+            self.units()
+        return self._unit_index
 
     def unit_index(self, u: RingElement) -> int:
-        try:
-            return self.unit_index_map()[u]
-        except KeyError:
-            raise RingError(f"{u} is not a unit of {self.spec_string()}") from None
+        """Position of the unit u in ``units()``; RingError unless u is a unit of this ring."""
+        if type(u) is not RingElement or (u.ring is not self and u.ring != self):
+            raise RingError(f"{u!r} is not an element of {self.spec_string()}")
+        k = self.unit_index_by_coords().get(u.coords)
+        if k is None:
+            raise RingError(f"{u} is not a unit of {self.spec_string()}")
+        return k
 
     def unit_squares(self) -> frozenset[RingElement]:
         return frozenset(u * u for u in self.units())

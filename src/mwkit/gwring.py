@@ -51,13 +51,14 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _unit_coords(ring: Ring, keys) -> list:
-    """Coordinates of each key, in order; ValueError unless every key is a unit of ring.
+def _unit_indices(ring: Ring, keys) -> list[int]:
+    """Position in ``units()`` of each key, in order; ValueError unless every key is a unit of ring.
 
-    A key of a structurally equal ring handle is accepted, as
-    ``RingElement`` equality accepts it.
+    This is the one key check of group-ring products, class queries and
+    ``to_dense``.  A key of a structurally equal ring handle is accepted,
+    as ``RingElement`` equality accepts it.
     """
-    index = ring.unit_coords_index()
+    index = ring.unit_index_by_coords()
     out = []
     for u in keys:
         if type(u) is not RingElement:
@@ -65,9 +66,10 @@ def _unit_coords(ring: Ring, keys) -> list:
                              f"got a key of type {type(u).__name__}")
         if u.ring is not ring and u.ring != ring:
             raise ValueError("ring mismatch")
-        if u.coords not in index:
+        k = index.get(u.coords)
+        if k is None:
             raise _non_unit(ring, u)
-        out.append(u.coords)
+        out.append(k)
     return out
 
 
@@ -76,8 +78,8 @@ class GroupRingVector:
 
     ``coeffs`` maps units (``RingElement`` keys) to nonzero integers.  The
     constructor drops zero coefficients and checks nothing else about the
-    keys; a product refuses a key that is not a unit of the vector's ring,
-    as the class queries of ``GwPresentedRing`` do.
+    keys; a product, ``to_dense`` and the class queries of
+    ``GwPresentedRing`` refuse a key that is not a unit of the vector's ring.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -140,15 +142,16 @@ class GroupRingVector:
         # multiply coordinates and accumulate on unit indices, in
         # first-occurrence order; the keys are the ring's own units
         ring = self.ring
-        index, coord_mul = ring.unit_coords_index(), ring._mul
-        ys = list(zip(_unit_coords(ring, other.coeffs), other.coeffs.values()))
+        units, index, coord_mul = ring.units(), ring.unit_index_by_coords(), ring._mul
+        ys = [(units[j].coords, cv)
+              for j, cv in zip(_unit_indices(ring, other.coeffs), other.coeffs.values())]
         acc: dict = {}
         get = acc.get
-        for uc, cu in zip(_unit_coords(ring, self.coeffs), self.coeffs.values()):
+        for i, cu in zip(_unit_indices(ring, self.coeffs), self.coeffs.values()):
+            uc = units[i].coords
             for vc, cv in ys:
                 k = index[coord_mul(uc, vc)]
                 acc[k] = get(k, 0) + cu * cv
-        units = ring.units()
         return GroupRingVector._of(ring, {units[k]: c for k, c in acc.items() if c})
 
     def __eq__(self, other):
@@ -167,10 +170,9 @@ class GroupRingVector:
 
     def to_dense(self) -> tuple[int, ...]:
         """Coefficients in the unit order of the ring."""
-        index = self.ring.unit_index_map()
-        row = [0] * len(index)
-        for u, c in self.coeffs.items():
-            row[index[u]] += c
+        row = [0] * len(self.ring.units())
+        for k, c in zip(_unit_indices(self.ring, self.coeffs), self.coeffs.values()):
+            row[k] += c
         return tuple(row)
 
     def __str__(self):
@@ -208,21 +210,22 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
     the unit of an index in ``firsts`` and b any unit.
     """
     units = ring.units()
-    index = ring.unit_index_map()
-    one, minus_one = index[ring.one], index[ring.minus_one()]
+    index = ring.unit_index_by_coords()
+    one, minus_one = rep[index[ring.one.coords]], rep[index[ring.minus_one().coords]]
     rows: dict = {}
     for i, a in enumerate(units):
-        key = _sparse_key(((1, rep[i]), (1, rep[index[-a]]), (-1, rep[one]), (-1, rep[minus_one])))
+        key = _sparse_key(((1, rep[i]), (1, rep[index[(-a).coords]]), (-1, one), (-1, minus_one)))
         if key:
             rows.setdefault(key)
     for i in firsts:
         a = units[i]
         for j, b in enumerate(units):
             s = a + b
-            k = index.get(s)  # a + b is a unit exactly when it is indexed
+            k = index.get(s.coords)  # a + b is a unit exactly when it is indexed
             if k is None:
                 continue
-            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[index[s * a * b]])))
+            m = index[(s * a * b).coords]
+            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[m])))
             if key:
                 rows.setdefault(key)
     return list(rows)
@@ -235,13 +238,13 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
     not generate it.  perm[i] is the index of g * units[i].
     """
     units = ring.units()
-    index = ring.unit_index_map()
-    subgroup = {index[ring.one]}
+    index = ring.unit_index_by_coords()
+    subgroup = {index[ring.one.coords]}
     perms = []
     for i, g in enumerate(units):
         if i in subgroup:
             continue
-        perm = [index[g * u] for u in units]
+        perm = [index[(g * u).coords] for u in units]
         perms.append(perm)
         # <H, g> is the union of the cosets g^k H, k below the order of g mod H
         coset = list(subgroup)
@@ -287,14 +290,14 @@ def relation_lattice(ring, kind) -> ZLattice:
     kind = PresentationKind.coerce(kind)
     units = ring.units()
     n = len(units)
-    index = ring.unit_index_map()
+    index = ring.unit_index_by_coords()
     lattice = ZLattice(n)
     if kind is PresentationKind.HOPF:
         # spin-up: the rows that enlarged the lattice span it, so closing them
         # under the generators closes the lattice.  They are translated rather
         # than the echelon basis because they keep their small entries.
         queue = []
-        for key in _family_rows(ring, range(n), (index[ring.one],)):
+        for key in _family_rows(ring, range(n), (index[ring.one.coords],)):
             row = _dense(n, key)
             if lattice.add(row):
                 queue.append(row)
@@ -314,7 +317,7 @@ def relation_lattice(ring, kind) -> ZLattice:
     for i, u in enumerate(units):
         if rep[i] == i:
             for q in squares:
-                rep[index[u * q]] = i
+                rep[index[(u * q).coords]] = i
     for i in range(n):
         if rep[i] != i:
             lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
@@ -364,7 +367,6 @@ class GwPresentedRing:
         self.ring = ring
         self.kind = kind
         self.units = ring.units()
-        self.unit_index = ring.unit_index_map()
         self.lattice = relation_lattice(ring, kind)
         self.relation_rows = self.lattice.basis()
         self.presentation: SnfPresentation = presab.quotient(
@@ -382,17 +384,11 @@ class GwPresentedRing:
     def angle(self, u) -> GroupRingVector:
         return GroupRingVector.angle(self.ring, self.ring.coerce(u))
 
-    def dense(self, x: GroupRingVector) -> tuple[int, ...]:
-        return x.to_dense()
-
     def _indices(self, x: GroupRingVector) -> list[int]:
         """Unit index of each basis vector of x, in the order of ``x.coeffs``."""
         if x.ring is not self.ring and x.ring != self.ring:
             raise ValueError("ring mismatch")
-        try:
-            return list(map(self.unit_index.__getitem__, x.coeffs))
-        except KeyError as exc:
-            raise _non_unit(self.ring, exc.args[0]) from None
+        return _unit_indices(self.ring, x.coeffs)
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
         # x - y on unit indices; a unit in both supports is listed twice,
@@ -417,8 +413,8 @@ class GwPresentedRing:
         defined once 2 is invertible.
         """
         pres = self.presentation
-        minus_one = self.ring.minus_one()
-        a = pres.induced_matrix([self.unit_index[minus_one * u] for u in self.units])
+        minus_one, index = self.ring.minus_one(), self.ring.unit_index_by_coords()
+        a = pres.induced_matrix([index[(minus_one * u).coords] for u in self.units])
         t = len(pres.torsion)  # canonical coordinates: torsion, then free
         trace = sum(a[i][i] for i in range(t, t + pres.rank))
         rank = pres.rank
@@ -528,12 +524,12 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
     """
     ring = make_ring(ring)
     units = ring.units()
-    index = ring.unit_index_map()
+    index = ring.unit_index_by_coords()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)
-    one = index[ring.one]
+    one = index[ring.one.coords]
     gens = (units[perm[one]] for perm in _unit_generators(ring))  # g * 1 = g
-    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[g * g]), (-1, one)))))
+    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[(g * g).coords]), (-1, one)))))
                   for g in gens)
     witness = None if implied else _first_outside(hopf, ring)
     return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
@@ -541,10 +537,10 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
 
 def _first_outside(lattice: ZLattice, ring: Ring) -> Optional[tuple[int, ...]]:
     """First nonzero row <a b^2> - <a>, in (a, b) order, outside the lattice."""
-    units, index = ring.units(), ring.unit_index_map()
-    for a in units:
+    units, index = ring.units(), ring.unit_index_by_coords()
+    for i, a in enumerate(units):
         for b in units:
-            key = _sparse_key(((1, index[a * b * b]), (-1, index[a])))
+            key = _sparse_key(((1, index[(a * b * b).coords]), (-1, i)))
             if key:
                 row = _dense(len(units), key)
                 if not lattice.contains(row):

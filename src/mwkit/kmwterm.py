@@ -1250,7 +1250,7 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
     over the subsets of its brackets on coordinates, and the whole term is
     summed on unit indices.
     """
-    index, coord_mul = ring.unit_coords_index(), ring._mul
+    index, coord_mul = ring.unit_index_by_coords(), ring._mul
     one = ring.one.coords
     values: dict = {}  # letter -> coordinates of its unit value
     acc: dict = {}

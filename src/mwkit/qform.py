@@ -146,7 +146,7 @@ def oracle_lattice(field) -> list[tuple[int, ...]]:
     """Rows <a> - <c> and <a> + <b> - <c> - <d> for isometric form pairs."""
     field = _check_field(make_ring(field))
     units = field.units()
-    index = field.unit_index_map()
+    index = field.unit_index_by_coords()
     n = len(units)
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -154,7 +154,7 @@ def oracle_lattice(field) -> list[tuple[int, ...]]:
     def emit(signed):
         row = [0] * n
         for sign, u in signed:
-            row[index[u]] += sign
+            row[index[u.coords]] += sign
         row = tuple(row)
         if any(row) and row not in seen:
             seen.add(row)
@@ -168,7 +168,7 @@ def oracle_lattice(field) -> list[tuple[int, ...]]:
 
     # rank 2: within-class pairs from the orbit partition
     for cls in _rank2_classes(field):
-        members = sorted(cls, key=lambda fm: (index[fm[0]], index[fm[1]]))
+        members = sorted(cls, key=lambda fm: (index[fm[0].coords], index[fm[1].coords]))
         for i, (a, b) in enumerate(members):
             for (c, d) in members[i + 1 :]:
                 emit(((1, a), (1, b), (-1, c), (-1, d)))

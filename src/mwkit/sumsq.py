@@ -55,7 +55,7 @@ def unit_square_closure(ring) -> SumSquareResult:
             exponent[sq] = 0
 
     rounds = 0
-    index = ring.unit_index_map()
+    index = ring.unit_index_by_coords()
     while len(exponent) < len(units):
         reached = [u for u in units if u in exponent]
         grew = False
@@ -63,7 +63,7 @@ def unit_square_closure(ring) -> SumSquareResult:
             # b + c = c + b, so the pairs with c before b were scanned already
             for c in reached[i:]:
                 s = b + c
-                if s in exponent or s not in index:
+                if s in exponent or s.coords not in index:
                     continue
                 # reached lists the units of exponent at most rounds in unit
                 # order, so the first pair found is the lexicographically

@@ -92,7 +92,7 @@ def oracle_family_rows(ring: Ring, rep: Sequence[int]) -> list[tuple]:
     family (ii) over units, then family (iii) over unordered unit pairs.
     """
     units = ring.units()
-    index = ring.unit_index_map()
+    index = {u: i for i, u in enumerate(units)}
     one, minus_one = index[ring.one], index[ring.minus_one()]
     rows: dict = {}
     for i, a in enumerate(units):
@@ -129,7 +129,7 @@ def oracle_relation_lattice(ring, kind) -> ZLattice:
     kind = PresentationKind.coerce(kind)
     units = ring.units()
     n = len(units)
-    index = ring.unit_index_map()
+    index = {u: i for i, u in enumerate(units)}
     lattice = ZLattice(n)
     if kind is PresentationKind.HOPF:
         # spin-up: the rows that enlarged the lattice span it, so closing them
@@ -220,7 +220,8 @@ def oracle_invert_two_split(p):
     n x n action V^-1 S V of <-1> on the dense Smith coordinates."""
     pres = oracle_presentation(p)
     minus_one = p.ring.minus_one()
-    a = pres.action_matrix([p.unit_index[minus_one * u] for u in p.units])
+    index = {u: i for i, u in enumerate(p.units)}
+    a = pres.action_matrix([index[minus_one * u] for u in p.units])
     trace = sum(a[i][i] for i in pres.free_coords)
     plus_rank, minus_rank = (pres.rank + trace) // 2, (pres.rank - trace) // 2
     odd_idx = [i for i in pres.torsion_coords if _odd_part(pres.diagonal[i]) >= 3]

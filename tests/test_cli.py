@@ -110,6 +110,27 @@ def test_non_utf8_input_file_exit_one(flag, tmp_path, capsys):
     assert f"{flag.split()[1]} {path}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "gw",  # a missing --ring
+    "frobnicate --ring Z/7",  # an unknown subcommand
+    "gw --ring Z/7 --kind spin",
+    "prove <a>=<a> --mode free",
+    "prove <a>=<a> --depth abc",
+    "",  # no subcommand
+])
+def test_usage_error_exit_one(argv, capsys):
+    # argparse's own usage exit is 2, the code of a prover Unknown
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert "usage: mwkit" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", ["--help", "gw --help"])
+def test_help_exit_zero(argv, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and out and not err
+
+
 def test_ring_error_exit_one(capsys):
     code, out, err = run_cli(capsys, "gw", "--ring", "Z/1")
     assert code == 1

@@ -327,15 +327,33 @@ def test_deeply_nested_product_refused(capsys):
     assert parse_ring_spec(_nested(MAX_SPEC_NESTING - 1, "GF(2^2)")).card == 4
 
 
-def test_unit_index_map_survives_copies():
+def test_unit_index_survives_copies():
     # a GaloisField is its own residue field, so its copies hold a cycle
     for spec in ("GR(4,2)", "GF(3^2)"):
         ring = parse_ring_spec(spec)
         units = ring.units()
-        assert [ring.unit_index_map()[u] for u in units] == list(range(len(units)))
+        assert [ring.unit_index(u) for u in units] == list(range(len(units)))
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
             assert clone == ring
-            assert clone.unit_index_map() == ring.unit_index_map()
+            assert clone.unit_index_by_coords() == ring.unit_index_by_coords()
+            assert [clone.unit_index(u) for u in units] == list(range(len(units)))
+
+
+def test_unit_index_checks_the_ring_before_the_coordinates():
+    z7 = Zmod(7)
+    assert z7.unit_index(z7.coerce(3)) == 2
+    # 3 of Z/11 has coordinates that index a unit of Z/7, but is not one
+    for key in (Zmod(11).coerce(3), 3, z7.zero, z7.coerce(0)):
+        with pytest.raises(RingError):
+            z7.unit_index(key)
+    # an element of a structurally equal ring handle is a unit of this ring
+    twin = Zmod(7)
+    assert [z7.unit_index(u) for u in twin.units()] == list(range(6))
+    for spec in ("GF(3^2)", "prod(Z/4,GF(2^2))"):
+        ring, twin = parse_ring_spec(spec), parse_ring_spec(spec)
+        assert [ring.unit_index(u) for u in twin.units()] == list(range(len(ring.units())))
+        with pytest.raises(RingError):
+            ring.unit_index(ring.zero)
 
 
 def test_is_unit_agrees_with_inverse(ring_family):
@@ -375,16 +393,16 @@ import copy, pickle, sys
 from mwkit.finring import make_ring
 for ring, units in pickle.loads(sys.stdin.buffer.read()):
     fresh = make_ring(ring.spec_string())
-    index = fresh.unit_index_map()
+    index = {u: i for i, u in enumerate(fresh.units())}
     print(hash(ring) == hash(fresh),
           all(u in index for u in units),
           all(len({u, v}) == 1 and hash(u) == hash(v) for u, v in zip(units, fresh.units())),
-          ring.unit_index_map() == index)
+          ring.unit_index_by_coords() == fresh.unit_index_by_coords())
     # products from the loaded ring and from a deep copy of it, whose
     # Galois kernels are rebuilt here, find their fresh twins
     for clone in (ring, copy.deepcopy(ring)):
         products = [x * y for x in clone.units() for y in units]
-        print(all(p in fresh.unit_index_map() for p in products),
+        print(all(p in index for p in products),
               products == [x * y for x in fresh.units() for y in fresh.units()])
 """
 
@@ -404,7 +422,7 @@ def test_pickled_ring_and_units_rehash_under_another_hash_seed():
     for spec in ("GF(3^2)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         units = ring.units()
-        assert units[-1] * units[-1] in ring.unit_index_map()  # the kernel is built
+        assert units[-1] * units[-1] in units  # the kernel is built
         assert all(_galois_kernels(ring))
         for clone in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
             assert not any(_galois_kernels(clone))
@@ -428,27 +446,27 @@ import copy, pickle, sys
 from mwkit.gwring import GroupRingVector
 for ring, coeffs, square in pickle.loads(sys.stdin.buffer.read()):
     for clone in (ring, copy.deepcopy(ring)):
-        print(clone._coords_index is None)
+        print(clone._unit_index is None)
         x = GroupRingVector(clone, coeffs)
         print(list((x * x).coeffs.items()) == square)
 """
 
 
-def test_cloned_rings_drop_the_coords_index_and_multiply_alike():
-    # a group-ring product builds the coordinates index; a pickled or
-    # copied ring leaves it behind and rebuilds it, here and in a process
-    # with another hash seed, and its products keep their keys and order
+def test_cloned_rings_drop_the_unit_index_and_multiply_alike():
+    # units() builds the unit index; a pickled or copied ring leaves it
+    # behind and rebuilds it, here and in a process with another hash
+    # seed, and its products keep their keys and order
     payload = []
     for spec in ("Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         coeffs = {u: i % 5 - 2 for i, u in enumerate(ring.units())}
         square = list((GroupRingVector(ring, coeffs) * GroupRingVector(ring, coeffs)).coeffs.items())
-        assert ring._coords_index is not None
+        assert ring._unit_index is not None
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
-            assert clone == ring and clone._coords_index is None
+            assert clone == ring and clone._unit_index is None
             x = GroupRingVector(clone, {u: i % 5 - 2 for i, u in enumerate(clone.units())})
             assert list((x * x).coeffs.items()) == square
-            assert clone.unit_coords_index() == ring.unit_coords_index()
+            assert clone.unit_index_by_coords() == ring.unit_index_by_coords()
         payload.append((ring, coeffs, square))
     env = dict(os.environ, PYTHONPATH=str(Path(mwkit.__file__).resolve().parents[1]))
     for seed in ("12345", "54321"):  # at least one differs from this process's seed

@@ -270,6 +270,36 @@ def test_queries_accept_a_structurally_equal_ring(presented):
     assert p.torsion_exponent(angle(twin, 3) - angle(twin, 1)) == 2
 
 
+def test_every_key_reader_refuses_the_same_keys(presented):
+    # products, class queries and to_dense share one key check, so each
+    # kind of bad key is refused with one text by all four
+    z7 = Zmod(7)
+    p = presented(z7, "reduced")
+    one = GroupRingVector.one(z7)
+    readers = {
+        "product": lambda x: x * one,
+        "class_equal": lambda x: p.class_equal(x, one),
+        "torsion_exponent": p.torsion_exponent,
+        "to_dense": GroupRingVector.to_dense,
+    }
+    for key, message in ((3, "<3> requires a unit of Z/7, got a key of type int"),
+                         (z7.zero, "<0> requires a unit, got a non-unit of Z/7"),
+                         (Zmod(11).coerce(3), "ring mismatch")):
+        bad = GroupRingVector(z7, {key: 1, z7.one: 1})
+        for name, read in readers.items():
+            with pytest.raises(ValueError) as info:
+                read(bad)
+            assert str(info.value) == message, name
+    # a key of a structurally equal ring handle is a unit of this ring
+    twin = Zmod(7)
+    x = GroupRingVector(z7, {twin.coerce(3): 2, twin.coerce(5): -1})
+    y = 2 * angle(z7, 3) - angle(z7, 5)
+    assert x * one == y
+    assert p.class_equal(x, y)
+    assert p.torsion_exponent(x) == p.torsion_exponent(y)
+    assert x.to_dense() == y.to_dense() == (0, 0, 2, 0, -1, 0)
+
+
 def _random_vector(rng, ring, units):
     """Seeded coefficients on a random support of 1 to |U| units."""
     support = rng.sample(units, rng.randint(1, len(units)))
@@ -416,11 +446,12 @@ def coinvariant_invariants(p, sign):
     """
     n = len(p.units)
     minus_one = p.ring.minus_one()
+    index = {u: i for i, u in enumerate(p.units)}
     rows = [list(r) for r in p.relation_rows]
     for i, u in enumerate(p.units):
         row = [0] * n
         row[i] += 1
-        row[p.unit_index[minus_one * u]] -= sign
+        row[index[minus_one * u]] -= sign
         rows.append(row)
     pres = oracle_quotient(n, rows)
     odd = []
@@ -531,7 +562,7 @@ def test_multiplication_descends(presented, gw_family):
                 vec = GroupRingVector(ring, dict(zip(units, g)))
                 for u in units:
                     translated = GroupRingVector(ring, {u: 1}) * vec
-                    assert p.lattice.contains(p.dense(translated)), (
+                    assert p.lattice.contains(translated.to_dense()), (
                         ring.spec_string(), kind)
 
 
