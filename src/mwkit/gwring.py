@@ -368,10 +368,7 @@ class GwPresentedRing:
         self.kind = kind
         self.units = ring.units()
         self.lattice = relation_lattice(ring, kind)
-        self.relation_rows = self.lattice.basis()
-        self.presentation: SnfPresentation = presab.quotient(
-            len(self.units), self.relation_rows
-        )
+        self.presentation: SnfPresentation = self.lattice.quotient()
 
     @property
     def rank(self) -> int:

@@ -104,18 +104,15 @@ class Unit:
     """Canonical unit expression: rational content times a sorted monomial.
 
     The hash is computed once, at construction: a term's words are tuples
-    of units, hashed on every lookup.  The text is stored by the first
-    ``render_unit`` call, so rendering a term renders each letter once.
+    of units, hashed on every lookup.
     """
 
     content: Fraction
     factors: tuple  # ((atom, nonzero int exponent), ...) sorted by atom key
     _hash: int = field(init=False, repr=False, compare=False)
-    _text: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.content, self.factors)))
-        object.__setattr__(self, "_text", None)
 
     def __hash__(self):
         return self._hash
@@ -130,8 +127,7 @@ class Unit:
 
     def __reduce__(self):
         # rebuild through the constructor: a pickled hash of str atoms is
-        # stale in a process with another PYTHONHASHSEED (the text is
-        # rendered again on demand)
+        # stale in a process with another PYTHONHASHSEED
         return (Unit, (self.content, self.factors))
 
     def key(self):
@@ -185,7 +181,7 @@ class Unit:
         return _make_unit(Fraction(rn, rd), {a: e // 2 for a, e in self.factors})
 
     def sum_atoms(self) -> frozenset:
-        return frozenset(_factors_sum_atoms(self.factors))
+        return frozenset(a for _, factors in unit_parts(self) for a, _ in factors if a[0] == SUM)
 
     def __str__(self):
         return render_unit(self)
@@ -193,14 +189,15 @@ class Unit:
     __repr__ = __str__
 
 
-def _factors_sum_atoms(factors) -> set:
-    out = set()
-    for a, _ in factors:
-        if a[0] == SUM:
-            out.add(a)
-            for _, f in a[1]:
-                out |= _factors_sum_atoms(f)
-    return out
+def unit_parts(u: Unit):
+    """Each (content, factors) pair of a unit and of the sums nested in it."""
+    work = [(u.content, u.factors)]
+    while work:
+        content, factors = work.pop()
+        yield content, factors
+        for atom, _ in factors:
+            if atom[0] == SUM:
+                work.extend(atom[1])
 
 
 def _make_unit(content: Fraction, fmap: dict) -> Unit:
@@ -284,19 +281,7 @@ def one_minus(u: Unit) -> Unit:
 
 
 def render_unit(u: Unit) -> str:
-    """Render in the identity-language uexpr syntax (with ^ exponents).
-
-    The text is stored on the unit, so each unit renders once.
-    """
-    text = u._text
-    if text is None:
-        text = _render_text(u)
-        object.__setattr__(u, "_text", text)
-    return text
-
-
-def _render_text(u: Unit) -> str:
-    """The text ``render_unit`` stores, rendered afresh on each call."""
+    """Render in the identity-language uexpr syntax (with ^ exponents)."""
 
     def atom_str(atom) -> str:
         if atom[0] == VAR:
@@ -305,7 +290,7 @@ def _render_text(u: Unit) -> str:
             return f"#{atom[1]}"
         parts = []
         for c, f in atom[1]:
-            mono = _render_text(Unit(abs(c), f))
+            mono = render_unit(Unit(abs(c), f))
             parts.append(("-" if c < 0 else "+") + mono)
         body = "".join(parts)
         return "(" + (body[1:] if body.startswith("+") else body) + ")"
@@ -329,12 +314,15 @@ def _render_text(u: Unit) -> str:
 
 
 def eval_unit(u: Unit, ring: Ring, assignment: dict) -> RingElement:
+    """The value of u in ring; EvalError when u divides by a non-unit."""
     num, den = u.content.numerator, u.content.denominator
     acc = ring.from_int(num)
-    if den != 1:
-        acc = acc * ring.from_int(den).inverse()
-    for atom, e in u.factors:
-        acc = acc * (_eval_atom(atom, ring, assignment) ** e)
+    parts = [(ring.from_int(den), -1)] if den != 1 else []
+    parts += [(_eval_atom(atom, ring, assignment), e) for atom, e in u.factors]
+    for x, e in parts:
+        if e < 0 and not x.is_unit():
+            raise EvalError(f"{render_unit(u)} divides by {x}, a non-unit of {ring.spec_string()}")
+        acc = acc * x**e
     return acc
 
 
@@ -370,24 +358,9 @@ class Term:
     __slots__ = ("words",)
 
     def __init__(self, words: Optional[dict] = None):
-        self.words: dict = {}
-        if words:
-            for w, c in words.items():
-                if c and not any(u.is_one for u in w[1]):
-                    self.words[w] = self.words.get(w, 0) + c
-                    if not self.words[w]:
-                        del self.words[w]
-
-    @classmethod
-    def _of(cls, words: dict) -> "Term":
-        """A term from words already in normal form: drops zero coefficients only.
-
-        For internal arithmetic whose words concatenate normal words, so
-        no letter can be the unit 1.
-        """
-        t = cls.__new__(cls)
-        t.words = {w: c for w, c in words.items() if c}
-        return t
+        # a dict holds each word once, so dropping zeros and [1] normalises it
+        self.words: dict = {w: c for w, c in words.items()
+                            if c and not any(u.is_one for u in w[1])} if words else {}
 
     def key(self):
         return frozenset(self.words.items())
@@ -405,10 +378,10 @@ class Term:
         out = dict(self.words)
         for w, c in other.words.items():
             out[w] = out.get(w, 0) + c
-        return Term._of(out)
+        return Term(out)
 
     def __neg__(self) -> "Term":
-        return Term._of({w: -c for w, c in self.words.items()})
+        return Term({w: -c for w, c in self.words.items()})
 
     def __sub__(self, other: "Term") -> "Term":
         return self + (-other)
@@ -416,7 +389,7 @@ class Term:
     def __rmul__(self, scalar: int) -> "Term":
         if not isinstance(scalar, int):
             return NotImplemented
-        return Term._of({w: scalar * c for w, c in self.words.items()})
+        return Term({w: scalar * c for w, c in self.words.items()})
 
     def __mul__(self, other) -> "Term":
         if isinstance(other, int):
@@ -426,7 +399,7 @@ class Term:
             for (e2, b2), c2 in other.words.items():
                 w = (e1 + e2, b1 + b2)
                 out[w] = out.get(w, 0) + c1 * c2
-        return Term._of(out)
+        return Term(out)
 
     def __pow__(self, n: int) -> "Term":
         if n < 0:
@@ -579,22 +552,9 @@ class Identity:
         return d if d is not None else self.rhs.homogeneous_degree()
 
     def variables(self) -> tuple[str, ...]:
-        names = set()
-
-        def scan_unit(u: Unit):
-            for a, _ in u.factors:
-                if a[0] == VAR:
-                    names.add(a[1])
-                elif a[0] == SUM:
-                    for c, f in a[1]:
-                        scan_unit(Unit(c, f))
-
-        for side in (self.lhs, self.rhs):
-            for u in side.letters():
-                scan_unit(u)
-        for h in self.hypotheses:
-            scan_unit(h)
-        return tuple(sorted(names))
+        units = self.lhs.letters() | self.rhs.letters() | set(self.hypotheses)
+        return tuple(sorted({a[1] for u in units for _, factors in unit_parts(u)
+                             for a, _ in factors if a[0] == VAR}))
 
     def __str__(self):
         return f"{self.lhs} = {self.rhs}"
@@ -669,24 +629,25 @@ def axioms(mode) -> list[AxiomSchema]:
 # the prover
 
 
+# the rounds of closure and the number of units ``candidate_units`` keeps
+CLOSURE_DEPTH = 1
+MAX_CANDIDATES = 64
+
+
 @dataclass(frozen=True)
 class ProveConfig:
     max_depth: int = 12
     max_term_words: int = 16
     hint_units: tuple = ()
-    closure_depth: int = 1
-    max_candidates: int = 64
     max_states: int = 50000
 
     def validate(self):
-        for fld in ("max_depth", "max_term_words", "closure_depth", "max_candidates", "max_states"):
+        for fld in ("max_depth", "max_term_words", "max_states"):
             value = getattr(self, fld)
             if not _is_int(value):
                 raise ConfigError(f"config limit {fld} must be an integer, not {type(value).__name__}")
-            if value <= 0 and fld != "closure_depth":
+            if value <= 0:
                 raise ConfigError(f"config limit {fld} must be positive")
-        if self.closure_depth < 0:
-            raise ConfigError("config limit closure_depth must be nonnegative")
         if not isinstance(self.hint_units, (tuple, list)):
             raise ConfigError("config hint_units must be a tuple or list of unit expressions")
         for u in self.hint_units:
@@ -741,12 +702,12 @@ class CheckReport:
 
 
 def _embed(core: Term, pos_eta: int, left: tuple, right: tuple, coeff: int) -> Term:
-    """coeff * eta^pos_eta * left core right; left and right must hold no unit 1."""
+    """coeff * eta^pos_eta * left core right, in normal form."""
     out: dict = {}
     for (e, brs), c in core.words.items():
         w = (e + pos_eta, left + brs + right)
         out[w] = out.get(w, 0) + c * coeff
-    return Term._of(out)
+    return Term(out)
 
 
 def _words_hash(words: dict) -> int:
@@ -794,8 +755,7 @@ def _step_delta(step: ProofStep) -> Term:
     schema = AXIOMS[step.axiom]
     lhs, rhs, _ = schema.build(step.binding)
     core = rhs - lhs if step.direction == "forward" else lhs - rhs
-    # a certificate's positions are input, so the delta is re-normalised
-    return normalize(_embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff))
+    return _embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff)
 
 
 @dataclass(slots=True)
@@ -898,7 +858,7 @@ class _Letters:
     def term(self, words: dict) -> Term:
         """The term of a words dict on the table's letters, in its order."""
         units = self.units
-        return Term._of({(e, tuple(units[i] for i in brs)): c for (e, brs), c in words.items()})
+        return Term({(e, tuple(units[i] for i in brs)): c for (e, brs), c in words.items()})
 
     def text(self, words: dict) -> str:
         """``str(self.term(words))``, rendered from the table's texts."""
@@ -1101,9 +1061,7 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
     goal = normalize(identity.rhs)
     if start == goal:
         return SearchResult(Proof(identity, mode, ()), None, 1)
-    cands, _ = candidate_units(
-        identity, cfg.hint_units, cfg.closure_depth, cfg.max_candidates
-    )
+    cands, _ = candidate_units(identity, cfg.hint_units, CLOSURE_DEPTH, MAX_CANDIDATES)
     # the letter table and the per-letter memos of this search only; shared
     # with no other search and not with check_proof
     letters = _Letters(cands, declared)

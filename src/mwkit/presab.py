@@ -1,10 +1,10 @@
 """Finitely presented abelian groups over the integers.
 
 A subgroup of Z^n is kept as a :class:`ZLattice` in reduced Hermite normal
-form, for fast membership tests.  :func:`quotient` presents Z^n modulo it:
-the pivot-1 rows of that basis are eliminated first, and the Smith normal
-form of the small block that remains gives the invariant factors and the
-canonical coordinates of the quotient.
+form, for fast membership tests.  :meth:`ZLattice.quotient` presents Z^n
+modulo it: the pivot-1 rows of that basis are eliminated first, and the
+Smith normal form of the small block that remains gives the invariant
+factors and the canonical coordinates of the quotient.
 
 All arithmetic is exact; matrices are plain lists of Python ints so that
 pivot growth during elimination can never overflow.
@@ -173,6 +173,46 @@ class ZLattice:
                 dense[k] = x
             out.append(tuple(dense))
         return out
+
+    def quotient(self) -> "SnfPresentation":
+        """Present Z^n modulo this lattice.
+
+        In the reduced Hermite basis a row of pivot 1 at column p is
+        e_p + r_p, r_p zero at every pivot-1 column, and no other row has an
+        entry at p; a row of pivot d >= 2 is zero at every pivot-1 column.  So
+        the quotient is Z^K / C, K the other columns and C the rows of pivot
+        >= 2 on K, through the projection e_p -> -r_p, e_k -> e_k for k in K.
+        The Smith form runs on C only (eliminating the unit pivots first, as in
+        Dumas, Saunders and Villard, JSC 2001); with U C V = D, kept coordinate
+        i projects by column i of V after that projection and lifts to row i of
+        V^-1 placed on K.
+        """
+        n, rows = self.n, self._rows
+        unit_pivots = [p for p in sorted(rows) if rows[p][p] == 1]
+        cols = sorted(set(range(n)).difference(unit_pivots))  # K
+        core = [[rows[p].get(k, 0) for k in cols] for p in sorted(rows) if rows[p][p] > 1]
+        # a zero row when C is empty: its Smith form is the identity on K
+        _, d, v, vinv = _smith(core or [[0] * len(cols)])
+        diag = [d[i][i] if i < len(d) else 0 for i in range(len(cols))]
+        kept = [i for i, x in enumerate(diag) if x >= 2] + [i for i, x in enumerate(diag) if x == 0]
+        projections, lifts = [], []
+        for i in kept:
+            proj = [0] * n
+            lift = [0] * n
+            for k, v_row, x in zip(cols, v, vinv[i]):
+                proj[k] = v_row[i]
+                lift[k] = x
+            for p in unit_pivots:
+                proj[p] = -sum([x * proj[k] for k, x in rows[p].items() if k != p])
+            projections.append(tuple(proj))
+            lifts.append(tuple(lift))
+        return SnfPresentation(
+            ambient=n,
+            rank=diag.count(0),
+            torsion=tuple(diag[i] for i in kept if diag[i]),
+            _projections=tuple(projections),
+            _lifts=tuple(lifts),
+        )
 
     def rank(self) -> int:
         return len(self._rows)
@@ -408,48 +448,15 @@ class SnfPresentation:
 def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
     """Present Z^ambient_rank modulo the row span of ``relations``.
 
-    In the reduced Hermite basis of the lattice a row of pivot 1 at column p
-    is e_p + r_p, r_p zero at every pivot-1 column, and no other row has an
-    entry at p; a row of pivot d >= 2 is zero at every pivot-1 column.  So
-    the quotient is Z^K / C, K the other columns and C the rows of pivot
-    >= 2 on K, through the projection e_p -> -r_p, e_k -> e_k for k in K.
-    The Smith form runs on C only (eliminating the unit pivots first, as in
-    Dumas, Saunders and Villard, JSC 2001); with U C V = D, kept coordinate
-    i projects by column i of V after that projection and lifts to row i of
-    V^-1 placed on K.
+    The rows go into one :class:`ZLattice`, whose :meth:`ZLattice.quotient`
+    is returned.
     """
-    n = ambient_rank
-    lat = ZLattice(n)
+    lat = ZLattice(ambient_rank)
     for row in relations:
-        if len(row) != n:
+        if len(row) != ambient_rank:
             raise ValueError("relation rows must have ambient_rank entries")
         lat.add(row)
-    rows = lat._rows
-    unit_pivots = [p for p in sorted(rows) if rows[p][p] == 1]
-    cols = sorted(set(range(n)).difference(unit_pivots))  # K
-    core = [[rows[p].get(k, 0) for k in cols] for p in sorted(rows) if rows[p][p] > 1]
-    # a zero row when C is empty: its Smith form is the identity on K
-    _, d, v, vinv = _smith(core or [[0] * len(cols)])
-    diag = [d[i][i] if i < len(d) else 0 for i in range(len(cols))]
-    kept = [i for i, x in enumerate(diag) if x >= 2] + [i for i, x in enumerate(diag) if x == 0]
-    projections, lifts = [], []
-    for i in kept:
-        proj = [0] * n
-        lift = [0] * n
-        for k, v_row, x in zip(cols, v, vinv[i]):
-            proj[k] = v_row[i]
-            lift[k] = x
-        for p in unit_pivots:
-            proj[p] = -sum([x * proj[k] for k, x in rows[p].items() if k != p])
-        projections.append(tuple(proj))
-        lifts.append(tuple(lift))
-    return SnfPresentation(
-        ambient=n,
-        rank=diag.count(0),
-        torsion=tuple(diag[i] for i in kept if diag[i]),
-        _projections=tuple(projections),
-        _lifts=tuple(lifts),
-    )
+    return lat.quotient()
 
 
 def element_order(pres: SnfPresentation, vec: Sequence[int]) -> Optional[int]:

@@ -168,7 +168,7 @@ class _Parser:
 
     def bounded_unit(self, u: km.Unit, tok: Token) -> km.Unit:
         """``u``, unless an integer or exponent in it exceeds its bound."""
-        for content, factors in _unit_parts(u):
+        for content, factors in km.unit_parts(u):
             if max(abs(content.numerator), content.denominator).bit_length() > MAX_INT_BITS:
                 raise ParseError(f"a unit's numerator or denominator exceeds {MAX_INT_BITS} bits",
                                  tok.line, tok.col)
@@ -327,17 +327,6 @@ class _Parser:
             n = self.exponent(exp)
             u = self.unit_power(u, -n if neg else n, exp)
         return u
-
-
-def _unit_parts(u: km.Unit):
-    """Each (content, factors) pair of a unit and of the sums nested in it."""
-    work = [(u.content, u.factors)]
-    while work:
-        content, factors = work.pop()
-        yield content, factors
-        for atom, _ in factors:
-            if atom[0] == km.SUM:
-                work.extend(atom[1])
 
 
 def parse_term(text: str) -> km.Term:

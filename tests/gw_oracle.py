@@ -188,7 +188,7 @@ def oracle_class_equal(p, x, y):
 @lru_cache(maxsize=None)
 def oracle_presentation(p):
     """The dense Smith presentation of p's relation lattice; p is hashed by identity."""
-    return oracle_quotient(len(p.units), p.relation_rows)
+    return oracle_quotient(len(p.units), p.lattice.basis())
 
 
 def oracle_torsion_exponent(p, x):

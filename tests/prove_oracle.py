@@ -20,6 +20,8 @@ from typing import Optional
 
 from mwkit.kmwterm import (
     AXIOMS,
+    CLOSURE_DEPTH,
+    MAX_CANDIDATES,
     Identity,
     Proof,
     ProofStep,
@@ -160,9 +162,7 @@ def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None)
     goal = normalize(identity.rhs)
     if start == goal:
         return Proof(identity, mode, ())
-    cands, cand_set = candidate_units(
-        identity, cfg.hint_units, cfg.closure_depth, cfg.max_candidates
-    )
+    cands, cand_set = candidate_units(identity, cfg.hint_units, CLOSURE_DEPTH, MAX_CANDIDATES)
 
     left = {start.key(): _Node(start, None, None)}
     right = {goal.key(): _Node(goal, None, None)}

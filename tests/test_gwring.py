@@ -309,7 +309,7 @@ def _random_vector(rng, ring, units):
 def _random_relation(rng, p):
     """A small integer combination of the lattice basis, as a group-ring vector."""
     coeffs: dict = {}
-    for row in p.relation_rows:
+    for row in p.lattice.basis():
         c = rng.randint(-2, 2)
         for u, x in zip(p.units, row):
             if c and x:
@@ -427,7 +427,7 @@ def test_field_reduced_presentations_split_off_augmentation(presented, odd_field
     for field in odd_fields:
         p = presented(field, "reduced")
         assert p.rank == 1
-        for row in p.relation_rows:
+        for row in p.lattice.basis():
             assert sum(row) == 0  # augmentation kills every relation
         assert angle(field, field.one).augmentation() == 1
 
@@ -447,7 +447,7 @@ def coinvariant_invariants(p, sign):
     n = len(p.units)
     minus_one = p.ring.minus_one()
     index = {u: i for i, u in enumerate(p.units)}
-    rows = [list(r) for r in p.relation_rows]
+    rows = [list(r) for r in p.lattice.basis()]
     for i, u in enumerate(p.units):
         row = [0] * n
         row[i] += 1
@@ -501,7 +501,7 @@ def test_presentation_matches_dense_smith_oracle(presented, spec, kind):
     assert len(pres._projections) == len(pres._lifts) == pres.rank + len(pres.torsion)
     rng = random.Random(f"dense {spec} {kind}")
     n = len(p.units)
-    relations = [row for row in p.relation_rows if rng.random() < 0.5]
+    relations = [row for row in p.lattice.basis() if rng.random() < 0.5]
     for _ in range(30):
         vec = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(n)]
         inside = [x + sum(r[k] for r in relations) for k, x in enumerate(vec)]

@@ -125,20 +125,16 @@ def test_equal_units_from_different_paths_hash_alike():
 
 
 def _check_render_cache(unit):
-    """A unit renders as the uncached renderer does and stores its text;
-    copies and equality ignore the stored text.
+    """A unit renders alike on every call and after a pickle or a deep
+    copy, and it equals and hashes as its copies do.
 
-    The checks run on copies rebuilt through the constructor, which start
-    unrendered even when ``unit`` is shared (``UNIT_ONE``) or was rendered.
+    The checks run on copies rebuilt through the constructor.
     """
     u, fresh = pickle.loads(pickle.dumps(unit)), pickle.loads(pickle.dumps(unit))
-    assert u._text is None and fresh._text is None
     text = km.render_unit(u)
-    assert text == km._render_text(u) and u._text == text
-    assert km.render_unit(u) is text and str(u) == text
+    assert km.render_unit(u) == text and str(u) == text
     for clone in (copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
-        assert clone._text is None and km.render_unit(clone) == text
-    # a rendered unit and an unrendered one are the same key
+        assert km.render_unit(clone) == text
     assert u == fresh and fresh == u and hash(u) == hash(fresh)
     assert {fresh: 1}[u] == 1
 
@@ -334,7 +330,7 @@ def test_prove_rejects_bad_config():
 
 @pytest.mark.parametrize("field,value", [
     ("max_states", "5"), ("max_term_words", None), ("max_depth", 2.5), ("max_states", True),
-    ("closure_depth", False), ("max_candidates", Fraction(64)),
+    ("max_depth", False), ("max_term_words", Fraction(16)),
     ("hint_units", ("a",)), ("hint_units", (A, 2)), ("hint_units", A), ("hint_units", None),
 ])
 def test_prove_refuses_config_values_of_the_wrong_type(field, value):
@@ -533,6 +529,20 @@ def test_eval_rejects_bad_inputs():
         km.eval_in_ring(parse_term("<a><b>"), f7, {"a": f7.from_int(3)})
     with pytest.raises(km.EvalError, match="non-unit"):
         km.eval_in_ring(parse_term("<a>"), f7, {"a": f7.zero})
+
+
+def test_eval_names_a_non_unit_divisor():
+    # a denominator or a negatively powered sum that is not invertible was
+    # a RingError from RingElement.inverse
+    f5 = Zmod(5)
+    cases = [("<1/5>", {}, "1/5 divides by 0, a non-unit of Z/5"),
+             ("<(a+1)^-1>", {"a": f5.from_int(4)}, "1/(1+a) divides by 0, a non-unit of Z/5"),
+             ("<b/(a+1)^2>", {"a": f5.from_int(4), "b": f5.one},
+              "b/(1+a)^2 divides by 0, a non-unit of Z/5")]
+    for text, assign, message in cases:
+        with pytest.raises(km.EvalError) as exc:
+            km.eval_in_ring(parse_term(text), f5, assign)
+        assert str(exc.value) == message
 
 
 def test_eval_corpus_cross_check(presented):
