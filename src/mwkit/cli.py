@@ -4,7 +4,10 @@ Subcommands: ringinfo, gw, sumsq, prove, compare, validate, table.
 Reports are deterministic byte-for-byte across runs: fixed enumeration
 orders, no timestamps, and the version string only appears under
 --version.  Exit codes: 0 success, 1 input or usage error (diagnostics on
-stderr), 2 the prover returned Unknown.
+stderr), 2 the prover returned Unknown.  Only ``prove`` imports the
+prover modules ``kmwterm`` and ``termparse``; every typed input error
+derives from ``mwkit.errors.InputError``, so ``main`` catches them without
+loading either.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import io
 import json
 import sys
 
-from . import __version__, kmwterm, termparse
+from . import __version__
+from .errors import InputError
 from .finring import RingError, make_ring
 from .gwring import PresentationKind, compare_presentations, present
-from .qform import QformError, cross_validate
+from .qform import cross_validate
 from .sumsq import unit_square_closure
-from .termparse import ParseError
 
 TABLE_COLUMNS = [
     "ring",
@@ -131,7 +134,7 @@ def cmd_validate(args) -> tuple[int, str]:
     return 0, _emit_scalar(report, args.out)
 
 
-class InputFileError(ValueError):
+class InputFileError(InputError):
     """An input file could not be read as text."""
 
 
@@ -146,12 +149,14 @@ def _read_text(path: str, option: str) -> str:
 
 
 def cmd_prove(args) -> tuple[int, str]:
+    from . import kmwterm, termparse
+
     if args.file:
         text = _read_text(args.file, "--file")
     else:
         text = args.identity
     if text is None:
-        raise ParseError("no identity given (positional argument or --file)", 1, 1)
+        raise termparse.ParseError("no identity given (positional argument or --file)", 1, 1)
     hints = tuple(termparse.parse_unit(h) for h in _split_list(args.hints))
     identity = termparse.parse_identity(text, args.hyp or "")
     # ProveConfig.validate would name its fields; name the flags typed
@@ -217,7 +222,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
                 row["minus_rank"] = split.minus_rank
         if "comparison" in metrics:
             row["comparison"] = compare_presentations(ring, hopf_lattice).extra_relations_implied
-    except (RingError, QformError, ValueError) as exc:
+    except ValueError as exc:
         row["error"] = str(exc)
     return row
 
@@ -313,8 +318,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         code, text = args.func(args)
-    except (RingError, QformError, ParseError, InputFileError, kmwterm.IdentityError,
-            kmwterm.UnitExprError, kmwterm.EvalError, kmwterm.ConfigError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:

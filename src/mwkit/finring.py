@@ -27,13 +27,15 @@ import struct
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .errors import InputError
+
 DEFAULT_ELEMENT_BOUND = 1 << 16
 # parentheses in a ring spec nest at most this deep; parsing, spec strings
 # and element enumeration recurse once or more per product level
 MAX_SPEC_NESTING = 16
 
 
-class RingError(ValueError):
+class RingError(InputError):
     """Invalid ring construction or an operation on incompatible elements."""
 
 

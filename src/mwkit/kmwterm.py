@@ -53,6 +53,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from .errors import InputError
 from .finring import Ring, RingElement
 from .gwring import GroupRingVector
 
@@ -61,19 +62,19 @@ CONST = "const"
 SUM = "sum"
 
 
-class UnitExprError(ValueError):
+class UnitExprError(InputError):
     """A unit expression could not be formed (e.g. a sum collapsed to zero)."""
 
 
-class IdentityError(ValueError):
+class IdentityError(InputError):
     """An identity is malformed: inhomogeneous or with unjustified sums."""
 
 
-class EvalError(ValueError):
+class EvalError(InputError):
     """A term or unit expression cannot be evaluated in the given ring."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A prover limit is out of range."""
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InputError
 from .finring import Ring, RingElement, make_ring
 from .gwring import PresentationKind, present
 from .presab import ZLattice
@@ -24,7 +25,7 @@ from .presab import ZLattice
 MAX_FIELD_ORDER = 13
 
 
-class QformError(ValueError):
+class QformError(InputError):
     """Unsupported field or form for the brute-force oracle."""
 
 

@@ -44,9 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kmwterm as km
+from .errors import InputError
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
         self.line = line

@@ -1,10 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from mwkit.cli import main
+import mwkit
+from mwkit import cli, kmwterm
+from mwkit.cli import InputFileError, build_parser, main
+from mwkit.errors import InputError
+from mwkit.finring import RingError, RingSpecError
+from mwkit.qform import QformError
+from mwkit.termparse import ParseError
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +145,74 @@ def test_ring_error_exit_one(capsys):
     code, out, err = run_cli(capsys, "gw", "--ring", "Z/1")
     assert code == 1
     assert "error:" in err
+
+
+# each ring subcommand, then prove; run in a fresh interpreter so that no
+# other test has imported the prover modules already
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from mwkit.cli import main
+    seen = []
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        seen.append([code, sorted(m for m in ("mwkit.kmwterm", "mwkit.termparse")
+                                  if m in sys.modules)])
+    print(json.dumps(seen))
+""")
+
+
+def test_only_prove_imports_the_prover():
+    ring_argvs = [["gw", "--ring", "Z/5"], ["compare", "--ring", "Z/5"],
+                  ["table", "--ring", "Z/5"], ["sumsq", "--ring", "Z/5"],
+                  ["ringinfo", "--ring", "Z/5"], ["validate", "--ring", "Z/5"]]
+    src = str(Path(mwkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(ring_argvs + [["prove", "eta h = 0"]])],
+        capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(run.stdout)
+    assert seen == [[0, []]] * len(ring_argvs) + [[0, ["mwkit.kmwterm", "mwkit.termparse"]]]
+
+
+TYPED_ERRORS = [RingError, RingSpecError, QformError, ParseError, kmwterm.UnitExprError,
+                kmwterm.IdentityError, kmwterm.EvalError, kmwterm.ConfigError, InputFileError]
+
+
+@pytest.mark.parametrize("cls", TYPED_ERRORS, ids=lambda cls: cls.__name__)
+def test_typed_errors_derive_from_input_error(cls):
+    assert issubclass(cls, InputError)
+
+
+@pytest.mark.parametrize("argv,raised", [
+    ("gw --ring Z/1", RingError),
+    ("validate --ring Z/4", QformError),
+    ("prove <a", ParseError),
+    ("prove <a>=<a> --hints 1-a", kmwterm.IdentityError),
+    ("prove <a>=<a> --depth 0", kmwterm.ConfigError),
+    ("prove --file NON_UTF8", InputFileError),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_each_typed_error_exits_one(argv, raised, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe<a>=<a>\n")
+    argv = [str(path) if arg == "NON_UTF8" else arg for arg in argv.split()]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(raised):
+        args.func(args)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_bare_value_error_is_not_caught(monkeypatch):
+    # InputError narrows what main reports: a plain ValueError is a bug
+    def fail(args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "cmd_gw", fail)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["gw", "--ring", "Z/5"])
 
 
 def test_compare_and_validate(capsys):
