@@ -101,14 +101,15 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
 def cmd_ringinfo(args) -> tuple[int, str]:
     ring = make_ring(args.ring)
     units = [str(u) for u in ring.units()]
-    index = ring.unit_index_by_coords()  # a unit square is a unit: format it once
+    index, mul = ring.unit_index_by_coords(), ring._mul
+    squares = {index[mul(c, c)] for c in index}  # a unit square is a unit: format it once
     report = {
         "ring": ring.spec_string(),
         "cardinality": ring.card,
         "characteristic": ring.characteristic(),
         "n_units": len(units),
         "units": units,
-        "unit_squares": sorted(units[index[s.coords]] for s in ring.unit_squares()),
+        "unit_squares": sorted(units[k] for k in squares),
     }
     return 0, _emit_scalar(report, args.out)
 

@@ -351,9 +351,11 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit index, which is rebuilt with the units; a pickled
-# or copied ring leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
+# pickle, and the unit index and the unit-generator permutations of
+# ``gwring``, which are rebuilt with the units; a pickled or copied ring
+# leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
+                "_unit_generator_perms")
 
 
 class Ring:
@@ -364,6 +366,7 @@ class Ring:
     def __init__(self):
         self._units: Optional[list[RingElement]] = None
         self._unit_index: Optional[dict] = None
+        self._unit_generator_perms: Optional[list[list[int]]] = None
         self._zero: Optional[RingElement] = None
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
@@ -444,7 +447,9 @@ class Ring:
         return k
 
     def unit_squares(self) -> frozenset[RingElement]:
-        return frozenset(u * u for u in self.units())
+        """The squares of the units, as elements of ``units()``; squared on coordinates."""
+        units, index, mul = self.units(), self.unit_index_by_coords(), self._mul
+        return frozenset(units[index[mul(c, c)]] for c in (u.coords for u in units))
 
     def minus_one(self) -> RingElement:
         return self.neg(self.one)

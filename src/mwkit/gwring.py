@@ -117,10 +117,17 @@ class GroupRingVector:
 
     def __add__(self, other: "GroupRingVector") -> "GroupRingVector":
         self._check(other)
+        # zeroed keys are dropped in place: rebuilding the sum would hash
+        # every key again through RingElement.__hash__
         out = dict(self.coeffs)
+        get = out.get
         for u, c in other.coeffs.items():
-            out[u] = out.get(u, 0) + c
-        return GroupRingVector._of(self.ring, {u: c for u, c in out.items() if c})
+            t = get(u, 0) + c
+            if t:
+                out[u] = t
+            else:
+                out.pop(u, None)
+        return GroupRingVector._of(self.ring, out)
 
     def __neg__(self) -> "GroupRingVector":
         return GroupRingVector._of(self.ring, {u: -c for u, c in self.coeffs.items()})
@@ -207,24 +214,27 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
 
     Every unit index i is replaced by rep[i].  Rows come in a fixed order:
     family (ii) over units, then family (iii) over the pairs (a, b) with a
-    the unit of an index in ``firsts`` and b any unit.
+    the unit of an index in ``firsts`` and b any unit.  Sums and products
+    run on coordinates.
     """
-    units = ring.units()
     index = ring.unit_index_by_coords()
-    one, minus_one = rep[index[ring.one.coords]], rep[index[ring.minus_one().coords]]
+    coords = [u.coords for u in ring.units()]
+    add, neg, mul = ring._add, ring._neg, ring._mul
+    one_c = ring.one.coords
+    one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
     rows: dict = {}
-    for i, a in enumerate(units):
-        key = _sparse_key(((1, rep[i]), (1, rep[index[(-a).coords]]), (-1, one), (-1, minus_one)))
+    for i, a in enumerate(coords):
+        key = _sparse_key(((1, rep[i]), (1, rep[index[neg(a)]]), (-1, one), (-1, minus_one)))
         if key:
             rows.setdefault(key)
     for i in firsts:
-        a = units[i]
-        for j, b in enumerate(units):
-            s = a + b
-            k = index.get(s.coords)  # a + b is a unit exactly when it is indexed
+        a = coords[i]
+        for j, b in enumerate(coords):
+            s = add(a, b)
+            k = index.get(s)  # a + b is a unit exactly when it is indexed
             if k is None:
                 continue
-            m = index[(s * a * b).coords]
+            m = index[mul(mul(s, a), b)]
             key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[m])))
             if key:
                 rows.setdefault(key)
@@ -235,16 +245,21 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
     """Multiplication permutations of a greedy generating set of R^x.
 
     A unit joins the set, in unit order, when the units chosen before it do
-    not generate it.  perm[i] is the index of g * units[i].
+    not generate it.  perm[i] is the index of g * units[i].  The list is
+    built once per ring and kept with its unit index; it is shared, do not
+    modify it.
     """
-    units = ring.units()
+    if ring._unit_generator_perms is not None:
+        return ring._unit_generator_perms
     index = ring.unit_index_by_coords()
+    coords = [u.coords for u in ring.units()]
+    mul = ring._mul
     subgroup = {index[ring.one.coords]}
     perms = []
-    for i, g in enumerate(units):
+    for i, g in enumerate(coords):
         if i in subgroup:
             continue
-        perm = [index[(g * u).coords] for u in units]
+        perm = [index[mul(g, u)] for u in coords]
         perms.append(perm)
         # <H, g> is the union of the cosets g^k H, k below the order of g mod H
         coset = list(subgroup)
@@ -253,6 +268,7 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
             if coset[0] in subgroup:
                 break
             subgroup.update(coset)
+    ring._unit_generator_perms = perms
     return perms
 
 
@@ -288,41 +304,38 @@ def relation_lattice(ring, kind) -> ZLattice:
     """
     ring = make_ring(ring)
     kind = PresentationKind.coerce(kind)
-    units = ring.units()
-    n = len(units)
+    n = len(ring.units())
     index = ring.unit_index_by_coords()
     lattice = ZLattice(n)
+    # rows stay sparse (index, coefficient) pairs, and each enters the
+    # lattice as a dict of its own, which the lattice may keep
     if kind is PresentationKind.HOPF:
         # spin-up: the rows that enlarged the lattice span it, so closing them
         # under the generators closes the lattice.  They are translated rather
         # than the echelon basis because they keep their small entries.
-        queue = []
-        for key in _family_rows(ring, range(n), (index[ring.one.coords],)):
-            row = _dense(n, key)
-            if lattice.add(row):
-                queue.append(row)
+        queue = [key for key in _family_rows(ring, range(n), (index[ring.one.coords],))
+                 if lattice._insert(dict(key))]
         perms = _unit_generators(ring)
         while queue:
-            vec = queue.pop()
+            row = queue.pop()
             for perm in perms:
-                image = [0] * n
-                for i, c in enumerate(vec):
-                    if c:
-                        image[perm[i]] = c
-                if lattice.add(image):
+                image = [(perm[i], c) for i, c in row]
+                if lattice._insert(dict(image)):
                     queue.append(image)
         return lattice
+    coords = [u.coords for u in ring.units()]
+    mul = ring._mul
     rep = list(range(n))
-    squares = {u * u for u in units}
-    for i, u in enumerate(units):
+    squares = {mul(c, c) for c in coords}
+    for i, c in enumerate(coords):
         if rep[i] == i:
             for q in squares:
-                rep[index[(u * q).coords]] = i
+                rep[index[mul(c, q)]] = i
     for i in range(n):
         if rep[i] != i:
-            lattice.add(_dense(n, ((rep[i], -1), (i, 1))))
+            lattice._insert({rep[i]: -1, i: 1})
     for key in _family_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
-        lattice.add(_dense(n, key))
+        lattice._insert(dict(key))
     return lattice
 
 
@@ -410,8 +423,8 @@ class GwPresentedRing:
         defined once 2 is invertible.
         """
         pres = self.presentation
-        minus_one, index = self.ring.minus_one(), self.ring.unit_index_by_coords()
-        a = pres.induced_matrix([index[(minus_one * u).coords] for u in self.units])
+        index, neg = self.ring.unit_index_by_coords(), self.ring._neg
+        a = pres.induced_matrix([index[neg(u.coords)] for u in self.units])  # <-1><u> = <-u>
         t = len(pres.torsion)  # canonical coordinates: torsion, then free
         trace = sum(a[i][i] for i in range(t, t + pres.rank))
         rank = pres.rank
@@ -524,9 +537,9 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
     index = ring.unit_index_by_coords()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)
-    one = index[ring.one.coords]
-    gens = (units[perm[one]] for perm in _unit_generators(ring))  # g * 1 = g
-    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[(g * g).coords]), (-1, one)))))
+    one, mul = index[ring.one.coords], ring._mul
+    gens = (units[perm[one]].coords for perm in _unit_generators(ring))  # g * 1 = g
+    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[mul(g, g)]), (-1, one)))))
                   for g in gens)
     witness = None if implied else _first_outside(hopf, ring)
     return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
@@ -534,12 +547,13 @@ def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonRe
 
 def _first_outside(lattice: ZLattice, ring: Ring) -> Optional[tuple[int, ...]]:
     """First nonzero row <a b^2> - <a>, in (a, b) order, outside the lattice."""
-    units, index = ring.units(), ring.unit_index_by_coords()
-    for i, a in enumerate(units):
-        for b in units:
-            key = _sparse_key(((1, index[(a * b * b).coords]), (-1, i)))
+    index, mul = ring.unit_index_by_coords(), ring._mul
+    coords = [u.coords for u in ring.units()]
+    for i, a in enumerate(coords):
+        for b in coords:
+            key = _sparse_key(((1, index[mul(mul(a, b), b)]), (-1, i)))
             if key:
-                row = _dense(len(units), key)
+                row = _dense(len(coords), key)
                 if not lattice.contains(row):
                     return row
     return None

@@ -66,7 +66,15 @@ class ZLattice:
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; return True when the lattice grew."""
-        v = self._sparse(vec)
+        return self._insert(self._sparse(vec))
+
+    def _insert(self, v: dict[int, int]) -> bool:
+        """Insert the sparse vector ``v``; return True when the lattice grew.
+
+        ``v`` maps columns in range(n) to nonzero ints, as ``_sparse``
+        returns them; the lattice takes the dict over and may keep it as a
+        basis row, so the caller passes one that no one else holds.
+        """
         rows = self._rows
         grew = False
         while v:

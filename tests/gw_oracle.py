@@ -19,6 +19,11 @@ presentation, the split from its n x n action of <-1>, and the group-ring
 product with one element product per pair.  ``oracle_eval_in_ring`` is the
 term evaluation that ``kmwterm.eval_in_ring`` replaced: one group-ring
 product per bracket of every word.
+
+``oracle_unit_generators`` and ``oracle_sum`` are the element-level
+generator permutations and the vector sum that rebuilds its dict, which
+``gwring`` replaced with products on coordinates and a sum that drops
+zeroed keys in place.
 """
 
 from functools import lru_cache
@@ -163,6 +168,35 @@ def oracle_relation_lattice(ring, kind) -> ZLattice:
     for key in oracle_family_rows(ring, rep):
         lattice.add(_dense(n, key))
     return lattice
+
+
+def oracle_unit_generators(ring):
+    """Permutations perm[i] = index of g * units[i] over the greedy generators g
+    of R^x, each product a ``RingElement``."""
+    units = ring.units()
+    index = ring.unit_index_by_coords()
+    subgroup = {index[ring.one.coords]}
+    perms = []
+    for i, g in enumerate(units):
+        if i in subgroup:
+            continue
+        perm = [index[(g * u).coords] for u in units]
+        perms.append(perm)
+        coset = list(subgroup)
+        while True:
+            coset = [perm[j] for j in coset]
+            if coset[0] in subgroup:
+                break
+            subgroup.update(coset)
+    return perms
+
+
+def oracle_sum(x, y):
+    """x + y with the sum's zero coefficients filtered out of a rebuilt dict."""
+    out = dict(x.coeffs)
+    for u, c in y.coeffs.items():
+        out[u] = out.get(u, 0) + c
+    return GroupRingVector(x.ring, {u: c for u, c in out.items() if c})
 
 
 def oracle_compare(ring):

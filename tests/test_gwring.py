@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -13,7 +15,9 @@ from gw_oracle import (
     oracle_product,
     oracle_relation_lattice,
     oracle_relations,
+    oracle_sum,
     oracle_torsion_exponent,
+    oracle_unit_generators,
 )
 try:
     from hypothesis import given, settings, strategies as st
@@ -21,11 +25,12 @@ except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
 from mwkit import kmwterm as km
-from mwkit.finring import Zmod, parse_ring_spec
+from mwkit.finring import RingElement, Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
     GwPresentedRing,
     PresentationKind,
+    _unit_generators,
     build_relations,
     class_equal,
     compare_presentations,
@@ -125,6 +130,47 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     monkeypatch.setattr(ring, "_add", lambda a, b: adds.append(1) or add(a, b))
     relation_lattice(ring, kind)
     assert 0 < len(adds) <= (classes + 1) * len(units)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + ["Z/61", "GR(9,2)", "prod(GF(2^2),Z/7)"])
+def test_unit_generators_match_element_oracle(spec):
+    ring = parse_ring_spec(spec)
+    perms = _unit_generators(ring)
+    assert perms == oracle_unit_generators(parse_ring_spec(spec))
+    assert _unit_generators(ring) is perms  # built once per ring
+
+
+def test_unit_generator_cache_is_dropped_by_pickle_and_deepcopy():
+    ring = parse_ring_spec("prod(Z/5,Z/7)")
+    perms = _unit_generators(ring)
+    for other in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+        assert other == ring and other._unit_generator_perms is None
+        assert _unit_generators(other) == perms
+
+
+@pytest.mark.parametrize("spec", ["Z/127", "GR(4,3)", "prod(Z/5,Z/7)"])
+def test_unit_loops_build_almost_no_ring_elements(spec, monkeypatch):
+    # a count, not a time: the unit loops run on coordinates and unit
+    # indices, so once the units are built each call below constructs at
+    # most a few elements (the element-level loops built 755 to 2268 on Z/127)
+    ring = parse_ring_spec(spec)
+    ring.units()
+    built = []
+    init = RingElement.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    calls = [("hopf", lambda: relation_lattice(ring, "hopf")),
+             ("reduced", lambda: relation_lattice(ring, "reduced")),
+             ("sumsq", lambda: unit_square_closure(ring)),
+             ("report", lambda: GwPresentedRing(ring, PresentationKind.REDUCED).report())]
+    for name, call in calls:
+        built.clear()
+        call()
+        assert len(built) <= 4, (name, len(built))
 
 
 def test_present_examples(presented):
@@ -400,6 +446,22 @@ def _outcome(fn, *args):
         return fn(*args).coeffs
     except km.EvalError as exc:
         return ("EvalError", str(exc))
+
+
+@pytest.mark.skipif(st is None, reason="needs hypothesis")
+def test_sum_matches_rebuilding_oracle(gw_family):
+    rings = _oracle_rings(gw_family)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from(rings))
+        x, y = _draw_vector(data, ring), _draw_vector(data, ring)
+        for a, b in ((x, y), (x, -x), (x, y - x)):
+            # the same items in the same order
+            assert list((a + b).coeffs.items()) == list(oracle_sum(a, b).coeffs.items()), (a, b)
+
+    check()
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")

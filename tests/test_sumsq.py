@@ -6,6 +6,7 @@ from conftest import RING_SPECS
 from mwkit.finring import GaloisField, GaloisRing, Zmod, parse_ring_spec
 from mwkit.gwring import GroupRingVector
 from mwkit.sumsq import minus_one_exponent, unit_square_closure
+from sumsq_oracle import oracle_unit_square_closure
 
 
 def test_f2_everything_is_a_square():
@@ -90,6 +91,19 @@ def test_witnesses_are_lexicographically_least(spec):
             and x + y == s
         ]
         assert (index[b], index[c]) == min(candidates)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + ["Z/61", "GR(9,2)", "prod(Z/5,GF(2^2))",
+                                  "prod(GF(2^2),Z/7)"])
+def test_closure_matches_element_oracle(spec):
+    res = unit_square_closure(parse_ring_spec(spec))
+    oracle = oracle_unit_square_closure(parse_ring_spec(spec))
+    # the dicts are compared with their order, which is the order reached
+    assert list(res.exponent_of.items()) == list(oracle.exponent_of.items())
+    assert list(res.witnesses.items()) == list(oracle.witnesses.items())
+    assert res.unreachable == oracle.unreachable
+    assert res.rounds == oracle.rounds
+    assert res.to_json() == oracle.to_json()
 
 
 def test_exponent_zero_stratum_is_exactly_unit_squares(ring_family):
