@@ -207,12 +207,10 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())
         gw_cols = {"hopf_rank", "hopf_torsion", "reduced_rank", "reduced_torsion",
                    "plus_rank", "minus_rank"}
-        hopf_lattice = None
         if gw_cols & set(metrics):
             reduced = present(ring, PresentationKind.REDUCED)
             if "hopf_rank" in metrics or "hopf_torsion" in metrics:
                 hopf = present(ring, PresentationKind.HOPF)
-                hopf_lattice = hopf.lattice
                 row["hopf_rank"] = hopf.rank
                 row["hopf_torsion"] = list(hopf.torsion)
             row["reduced_rank"] = reduced.rank
@@ -222,7 +220,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
                 row["plus_rank"] = split.plus_rank
                 row["minus_rank"] = split.minus_rank
         if "comparison" in metrics:
-            row["comparison"] = compare_presentations(ring, hopf_lattice).extra_relations_implied
+            row["comparison"] = compare_presentations(ring).extra_relations_implied
     except ValueError as exc:
         row["error"] = str(exc)
     return row

@@ -351,11 +351,9 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit index and the unit-generator permutations of
-# ``gwring``, which are rebuilt with the units; a pickled or copied ring
-# leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
-                "_unit_generator_perms")
+# pickle, and the unit index, which is rebuilt with the units; a pickled
+# or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
 
 
 class Ring:
@@ -366,7 +364,6 @@ class Ring:
     def __init__(self):
         self._units: Optional[list[RingElement]] = None
         self._unit_index: Optional[dict] = None
-        self._unit_generator_perms: Optional[list[list[int]]] = None
         self._zero: Optional[RingElement] = None
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None

@@ -11,25 +11,28 @@ The "hopf" kind imposes the ideal generated by families (ii) and (iii); the
 "reduced" kind also imposes family (i).
 
 The relation lattice is the subgroup generated by the *ideal* the families
-generate, i.e. it is closed under multiplication by units.  Families (i) and
-(ii) instance sets are already closed under unit translation, and for the
-reduced kind family (iii) is as well (the translate of a (iii) row differs
-from another (iii) row by an (i) row).  For the hopf kind the unit
-translates of family (iii) genuinely enlarge the lattice; without them
-multiplication would not descend to the quotient.  They are reached by
-spinning the untranslated rows up under a generating set of the unit group.
+generate, i.e. it is closed under multiplication by units.  Both kinds are
+presented in the dimension of the invariants, not of the units:
 
-Neither kind scans all unit pairs.  The hopf lattice is the spin-up of the
-family (ii) rows and the (iii) rows with a = 1, about 2|U| rows.  The
-reduced kind lets a range over the representatives of the square classes,
-C |U| pairs for C classes.
+* reduced: family (i) identifies the units of each square class, so the
+  quotient is Z^C / L' for the C = |R^x / (R^x)^2| square classes, and L'
+  is spanned by the family (ii) and (iii) rows read through the classes,
+  C |U| pairs in all.
+* hopf: if no residue field of R is F_2, the hopf ideal already holds
+  every family (i) row, and the reduced presentation serves both kinds.
+  If some residue field is F_2, family (iii) is empty and the hopf lattice
+  is spanned by the |U| family (ii) rows, with no unit translates.
+
+The lattice in Z^{units} (``relation_lattice``, ``build_relations``,
+``GwPresentedRing.lattice``) is lifted from L' through the class map only
+when it is asked for.  :func:`relation_lattice` proves the two cases.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import presab
 from .finring import Ring, RingElement, make_ring
@@ -51,14 +54,17 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _unit_indices(ring: Ring, keys) -> list[int]:
+def _unit_indices(ring: Ring, keys, index: Optional[Mapping] = None) -> list[int]:
     """Position in ``units()`` of each key, in order; ValueError unless every key is a unit of ring.
 
-    This is the one key check of group-ring products, class queries and
-    ``to_dense``.  A key of a structurally equal ring handle is accepted,
-    as ``RingElement`` equality accepts it.
+    ``index`` maps the coordinates of every unit to the number returned,
+    the unit's position when it is not given.  This is the one key check of
+    group-ring products, class queries and ``to_dense``.  A key of a
+    structurally equal ring handle is accepted, as ``RingElement`` equality
+    accepts it.
     """
-    index = ring.unit_index_by_coords()
+    if index is None:
+        index = ring.unit_index_by_coords()
     out = []
     for u in keys:
         if type(u) is not RingElement:
@@ -245,12 +251,8 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
     """Multiplication permutations of a greedy generating set of R^x.
 
     A unit joins the set, in unit order, when the units chosen before it do
-    not generate it.  perm[i] is the index of g * units[i].  The list is
-    built once per ring and kept with its unit index; it is shared, do not
-    modify it.
+    not generate it.  perm[i] is the index of g * units[i].
     """
-    if ring._unit_generator_perms is not None:
-        return ring._unit_generator_perms
     index = ring.unit_index_by_coords()
     coords = [u.coords for u in ring.units()]
     mul = ring._mul
@@ -268,23 +270,94 @@ def _unit_generators(ring: Ring) -> list[list[int]]:
             if coset[0] in subgroup:
                 break
             subgroup.update(coset)
-    ring._unit_generator_perms = perms
     return perms
 
 
+def _has_unit_sums(ring: Ring) -> bool:
+    """Whether family (iii) has an instance: some 1 + c is a unit.
+
+    a + b is a unit exactly when 1 + b/a is, so this is false exactly when
+    no two units sum to a unit, which is when some residue field of R is
+    F_2.
+    """
+    index, add, one = ring.unit_index_by_coords(), ring._add, ring.one.coords
+    return any(add(one, c) in index for c in index)
+
+
+def _square_classes(ring: Ring) -> tuple[list[int], list[int]]:
+    """(classes, firsts): classes[i] is the number of the square class of
+    unit i, firsts[c] the index of the first unit of class c.
+
+    Classes are numbered in the order of their first units.  The class of
+    a square is the set of squares, which needs no product.
+    """
+    index = ring.unit_index_by_coords()
+    coords = [u.coords for u in ring.units()]
+    mul = ring._mul
+    squares = {mul(c, c) for c in coords}
+    classes: list = [None] * len(coords)
+    firsts: list[int] = []
+    for i, c in enumerate(coords):
+        if classes[i] is None:
+            members = squares if c in squares else (mul(c, q) for q in squares)
+            for m in members:
+                classes[index[m]] = len(firsts)
+            firsts.append(i)
+    return classes, firsts
+
+
+def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], list[int], list[tuple]]:
+    """(classes, firsts, rows): the presented lattice L' of the chosen kind.
+
+    L' lies in Z^m, m = len(firsts); unit i is read through coordinate
+    classes[i], and firsts[c] is the first unit read through c.  rows are
+    sparse keys over the coordinates that span L'.  Z^{units} modulo the
+    relation lattice is Z^m / L' through e_i -> e_{classes[i]}.
+
+    With a residue field F_2 the hopf kind keeps one coordinate per unit
+    and its rows are the family (ii) rows; every other presentation is the
+    reduced one, on the C square classes (see :func:`relation_lattice`).
+    """
+    if kind is PresentationKind.HOPF and not _has_unit_sums(ring):
+        n = len(ring.units())
+        return list(range(n)), list(range(n)), _family_rows(ring, range(n), ())
+    classes, firsts = _square_classes(ring)
+    return classes, firsts, _family_rows(ring, classes, firsts)
+
+
+def _lift(classes: Sequence[int], rows: Iterable[dict]) -> ZLattice:
+    """The vectors of Z^n whose class sums lie in the span L' of ``rows``.
+
+    n = len(classes), and each row maps coordinates to nonzero ints.  The
+    lattice is the kernel of the class sum, spanned by e_u - e_last(u) for
+    each unit u other than the last unit last(u) of its class, plus the
+    rows of L' placed on the last units.  Those go in first: then a kernel
+    row meets no basis entry at its pivot u, which no other row touches.
+    """
+    last = {c: i for i, c in enumerate(classes)}
+    lattice = ZLattice(len(classes))
+    for row in rows:
+        lattice._insert({last[c]: x for c, x in row.items()})
+    for i, c in enumerate(classes):
+        if last[c] != i:
+            lattice._insert({i: 1, last[c]: -1})
+    return lattice
+
+
 def relation_lattice(ring, kind) -> ZLattice:
-    """The relation lattice of the chosen kind, built from unit-group structure.
+    """The relation lattice of the chosen kind in Z^{units}.
+
+    reduced: the family (i) span is the kernel of the sum over square
+    classes, so Z^{units} / L is Z^C / L' for the C square classes, and L'
+    is spanned by the family (ii) and (iii) rows with every unit replaced by
+    its class.  Such a row does not change when (a, b) becomes (sa, sb) for
+    a square s, so a ranges over the first units of the classes only.
 
     hopf: with r(a,b) = <a> + <b> - <a+b> - <(a+b)ab> the family (iii) row,
 
         r(a,b) = <a> r(1, b/a) + <(a+b)b/a> (1 - <a^2>).
 
-    The family (ii) rows and the rows r(1,c), 1 + c a unit, are closed
-    under multiplication by a generating set of R^x; a Z-submodule closed
-    under the generators of a finite group is closed under the whole group,
-    so this is the ideal J they generate.  J is the hopf ideal.  If some
-    residue field of R is F_2, no sum of two units is a unit, family (iii)
-    is empty and J is the ideal of family (ii).  Otherwise J holds every
+    If no residue field of R is F_2, the hopf ideal J holds every
     1 - <c^2> with 1 + c a unit: r(c,1) = r(1,c) and 1 + 1/c is a unit, so
 
         <(c+1)/c> (1 - <c^2>) = r(1,c) - <c> r(1, 1/c).
@@ -292,59 +365,28 @@ def relation_lattice(ring, kind) -> ZLattice:
     Every unit a is c1 c2 z with 1 + c1 and 1 + c2 units and z^2 = 1 (in
     each local factor, c1 with residue away from -1 and -a if the residue
     field has 4 or more elements, c1 = 1 and z = +-1 if it is F_3), so J holds
-    1 - <a^2> = (1 - <c1^2>) + <c1^2> (1 - <c2^2>) for every unit a, and by
-    the identity above every r(a,b).
+    1 - <a^2> = (1 - <c1^2>) + <c1^2> (1 - <c2^2>) for every unit a, hence
+    every family (i) row <b>(<a^2> - 1): J is the reduced lattice.  If some
+    residue field is F_2, no sum of two units is a unit, family (iii) is
+    empty, and J is spanned by the rows f(a) = <a> + <-a> - <1> - <-1>
+    alone, because <b> f(a) = f(ab) - f(b).
 
-    reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
-    rep(u) the first unit of u's square class, and modulo it the ideal of
-    families (ii) and (iii) is spanned by their untranslated rows with
-    every unit replaced by its representative.  Such a row does not change
-    when (a, b) becomes (sa, sb) for a square s, so a ranges over the
-    representatives only.
+    The lattice is lifted from L' (see :func:`_lift`) each time this is
+    called; ``present`` builds only L', in dimension C, except for the hopf
+    kind with a residue field F_2, whose L' is this lattice.
     """
     ring = make_ring(ring)
-    kind = PresentationKind.coerce(kind)
-    n = len(ring.units())
-    index = ring.unit_index_by_coords()
-    lattice = ZLattice(n)
-    # rows stay sparse (index, coefficient) pairs, and each enters the
-    # lattice as a dict of its own, which the lattice may keep
-    if kind is PresentationKind.HOPF:
-        # spin-up: the rows that enlarged the lattice span it, so closing them
-        # under the generators closes the lattice.  They are translated rather
-        # than the echelon basis because they keep their small entries.
-        queue = [key for key in _family_rows(ring, range(n), (index[ring.one.coords],))
-                 if lattice._insert(dict(key))]
-        perms = _unit_generators(ring)
-        while queue:
-            row = queue.pop()
-            for perm in perms:
-                image = [(perm[i], c) for i, c in row]
-                if lattice._insert(dict(image)):
-                    queue.append(image)
-        return lattice
-    coords = [u.coords for u in ring.units()]
-    mul = ring._mul
-    rep = list(range(n))
-    squares = {mul(c, c) for c in coords}
-    for i, c in enumerate(coords):
-        if rep[i] == i:
-            for q in squares:
-                rep[index[mul(c, q)]] = i
-    for i in range(n):
-        if rep[i] != i:
-            lattice._insert({rep[i]: -1, i: 1})
-    for key in _family_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
-        lattice._insert(dict(key))
-    return lattice
+    classes, _, rows = _presented_rows(ring, PresentationKind.coerce(kind))
+    return _lift(classes, map(dict, rows))
 
 
 def build_relations(ring, kind) -> list[tuple[int, ...]]:
     """Reduced Hermite basis of the relation lattice of the chosen kind in Z^{units}.
 
-    See :func:`relation_lattice`; the basis rows are listed by increasing
-    pivot, and the empty list means the lattice is zero.  The basis depends
-    only on the lattice, so equal lattices give equal lists.
+    See :func:`relation_lattice`, which this lifts to the units on each
+    call; the basis rows are listed by increasing pivot, and the empty list
+    means the lattice is zero.  The basis depends only on the lattice, so
+    equal lattices give equal lists.
     """
     return relation_lattice(ring, kind).basis()
 
@@ -374,14 +416,34 @@ def _odd_part(d: int) -> int:
 
 
 class GwPresentedRing:
-    """The quotient Z[R^x] / (relation lattice) in canonical coordinates."""
+    """The quotient Z[R^x] / (relation lattice) in canonical coordinates.
+
+    The quotient is presented as Z^m / L' (see :func:`_presented_rows`):
+    ``classes[i]`` is the coordinate of Z^m that unit i is read through, and
+    ``presentation`` presents Z^m / L'.  ``lattice``, the relation lattice
+    in Z^{units}, is lifted from L' on first read, unless every unit has a
+    coordinate of its own and L' is that lattice.
+    """
 
     def __init__(self, ring: Ring, kind: PresentationKind):
         self.ring = ring
         self.kind = kind
         self.units = ring.units()
-        self.lattice = relation_lattice(ring, kind)
-        self.presentation: SnfPresentation = self.lattice.quotient()
+        self.classes, self._firsts, rows = _presented_rows(ring, kind)
+        self._presented = ZLattice(len(self._firsts))
+        for key in rows:
+            self._presented._insert(dict(key))
+        self.presentation: SnfPresentation = self._presented.quotient()
+        self._lattice = self._presented if len(self._firsts) == len(self.units) else None
+        # unit coordinates -> coordinate of Z^m, read by the class queries
+        self._coordinate_of = {c: self.classes[i] for c, i in ring.unit_index_by_coords().items()}
+
+    @property
+    def lattice(self) -> ZLattice:
+        if self._lattice is None:
+            rows = ({k: x for k, x in enumerate(row) if x} for row in self._presented.basis())
+            self._lattice = _lift(self.classes, rows)
+        return self._lattice
 
     @property
     def rank(self) -> int:
@@ -394,22 +456,23 @@ class GwPresentedRing:
     def angle(self, u) -> GroupRingVector:
         return GroupRingVector.angle(self.ring, self.ring.coerce(u))
 
-    def _indices(self, x: GroupRingVector) -> list[int]:
-        """Unit index of each basis vector of x, in the order of ``x.coeffs``."""
+    def _coordinates(self, x: GroupRingVector) -> list[int]:
+        """Coordinate of Z^m of each basis vector of x, in the order of ``x.coeffs``."""
         if x.ring is not self.ring and x.ring != self.ring:
             raise ValueError("ring mismatch")
-        return _unit_indices(self.ring, x.coeffs)
+        return _unit_indices(self.ring, x.coeffs, self._coordinate_of)
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
-        # x - y on unit indices; a unit in both supports is listed twice,
-        # which the class, being linear, adds up
-        indices = self._indices(x) + self._indices(y)
+        # x - y on coordinates; a coordinate met twice, by one unit in both
+        # supports or by two units of one class, is listed twice, which the
+        # class, being linear, adds up
+        indices = self._coordinates(x) + self._coordinates(y)
         values = [*x.coeffs.values(), *(-c for c in y.coeffs.values())]
         return self.presentation.sparse_order(indices, values) == 1
 
     def torsion_exponent(self, x: GroupRingVector) -> Optional[int]:
         """Additive order of the class of x; None means infinite order."""
-        return self.presentation.sparse_order(self._indices(x), x.coeffs.values())
+        return self.presentation.sparse_order(self._coordinates(x), x.coeffs.values())
 
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))
@@ -423,8 +486,9 @@ class GwPresentedRing:
         defined once 2 is invertible.
         """
         pres = self.presentation
-        index, neg = self.ring.unit_index_by_coords(), self.ring._neg
-        a = pres.induced_matrix([index[neg(u.coords)] for u in self.units])  # <-1><u> = <-u>
+        index, neg, classes = self.ring.unit_index_by_coords(), self.ring._neg, self.classes
+        # <-1><u> = <-u>, and -1 carries each class to a class
+        a = pres.induced_matrix([classes[index[neg(self.units[i].coords)]] for i in self._firsts])
         t = len(pres.torsion)  # canonical coordinates: torsion, then free
         trace = sum(a[i][i] for i in range(t, t + pres.rank))
         rank = pres.rank
@@ -473,7 +537,9 @@ class GwPresentedRing:
             "split": split.to_json(),
         }
         if include_comparison:
-            hopf = self.lattice if self.kind is PresentationKind.HOPF else None
+            # at hand only when L' is the hopf lattice, which is all the
+            # comparison reads, and only on an F_2-residue ring
+            hopf = self._lattice if self.kind is PresentationKind.HOPF else None
             out["presentation_comparison"] = compare_presentations(
                 self.ring, hopf).extra_relations_implied
         return out
@@ -526,14 +592,19 @@ class ComparisonReport:
 def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonReport:
     """Check whether each reduced relation row lies in the hopf lattice.
 
-    ``hopf`` is the hopf relation lattice of ``ring`` when the caller has
-    already built it.  The hopf lattice is an ideal and <a b^2> - <a> =
-    <a>(<b^2> - 1), so every reduced row lies in it exactly when <g^2> - 1
-    does for each generator g of R^x.  Only when that test fails are the
-    rows scanned in (a, b) order for the first one outside, the witness.
+    When no residue field of R is F_2 the two lattices are equal (see
+    :func:`relation_lattice`), and the answer is True with no lattice read.
+    Otherwise ``hopf`` is the hopf relation lattice of ``ring`` when the
+    caller has already built it.  The hopf lattice is an ideal and
+    <a b^2> - <a> = <a>(<b^2> - 1), so every reduced row lies in it exactly
+    when <g^2> - 1 does for each generator g of R^x.  Only when that test
+    fails are the rows scanned in (a, b) order for the first one outside,
+    the witness.
     """
     ring = make_ring(ring)
     units = ring.units()
+    if _has_unit_sums(ring):
+        return ComparisonReport(ring.spec_string(), True, None, tuple(units))
     index = ring.unit_index_by_coords()
     if hopf is None:
         hopf = relation_lattice(ring, PresentationKind.HOPF)

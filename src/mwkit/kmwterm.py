@@ -316,18 +316,39 @@ def render_unit(u: Unit) -> str:
 
 def eval_unit(u: Unit, ring: Ring, assignment: dict) -> RingElement:
     """The value of u in ring; EvalError when u divides by a non-unit."""
+    return RingElement(ring, _unit_coords(u, ring, assignment))
+
+
+def _unit_coords(u: Unit, ring: Ring, assignment: dict):
+    """Coordinates of the value of u in ring, computed on coordinates.
+
+    The atoms are evaluated first, in order; then the content's numerator
+    is multiplied by its denominator to the power -1 and by each atom to
+    its power, by squaring.  Only a negative power inverts its base, and
+    EvalError refuses one that is not a unit.
+    """
     num, den = u.content.numerator, u.content.denominator
-    acc = ring.from_int(num)
-    parts = [(ring.from_int(den), -1)] if den != 1 else []
-    parts += [(_eval_atom(atom, ring, assignment), e) for atom, e in u.factors]
+    parts = [(ring._from_int(den), -1)] if den != 1 else []
+    parts += [(_atom_coords(atom, ring, assignment), e) for atom, e in u.factors]
+    mul = ring._mul
+    acc = ring._from_int(num)
     for x, e in parts:
-        if e < 0 and not x.is_unit():
-            raise EvalError(f"{render_unit(u)} divides by {x}, a non-unit of {ring.spec_string()}")
-        acc = acc * x**e
+        if e < 0:
+            inverse = ring._inverse_or_none(x)
+            if inverse is None:
+                raise EvalError(f"{render_unit(u)} divides by {RingElement(ring, x)}, "
+                                f"a non-unit of {ring.spec_string()}")
+            x, e = inverse, -e
+        while e:
+            if e & 1:
+                acc = mul(acc, x)
+            e >>= 1
+            if e:
+                x = mul(x, x)
     return acc
 
 
-def _eval_atom(atom, ring: Ring, assignment: dict) -> RingElement:
+def _atom_coords(atom, ring: Ring, assignment: dict):
     if atom[0] == VAR:
         name = atom[1]
         if name not in assignment:
@@ -335,15 +356,16 @@ def _eval_atom(atom, ring: Ring, assignment: dict) -> RingElement:
         val = ring.coerce(assignment[name])
         if not val.is_unit():
             raise EvalError(f"assignment maps {name!r} to the non-unit {val}")
-        return val
+        return val.coords
     if atom[0] == CONST:
         el = atom[1]
         if el.ring != ring:
             raise EvalError("ring constant belongs to a different ring")
-        return el
-    total = ring.zero
+        return el.coords
+    add = ring._add
+    total = ring._zero_coords()
     for c, f in atom[1]:
-        total = total + eval_unit(Unit(c, f), ring, assignment)
+        total = add(total, _unit_coords(Unit(c, f), ring, assignment))
     return total
 
 
@@ -1205,9 +1227,9 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
 
     Every word must have equal eta and symbol counts, i.e. be a product of
     expanded angle generators; other terms are rejected.  Each distinct
-    letter is evaluated once; a word's product of (<v_i> - <1>) is expanded
-    over the subsets of its brackets on coordinates, and the whole term is
-    summed on unit indices.
+    letter is evaluated once, on coordinates; a word's product of
+    (<v_i> - <1>) is expanded over the subsets of its brackets on
+    coordinates, and the whole term is summed on unit indices.
     """
     index, coord_mul = ring.unit_index_by_coords(), ring._mul
     one = ring.one.coords
@@ -1220,10 +1242,11 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
         for u in brs:
             v = values.get(u)
             if v is None:
-                val = eval_unit(u, ring, assignment)
-                if not val.is_unit():
-                    raise EvalError(f"symbol argument {render_unit(u)} evaluates to the non-unit {val}")
-                v = values[u] = val.coords
+                v = _unit_coords(u, ring, assignment)
+                if v not in index:  # a unit exactly when it is indexed
+                    raise EvalError(f"symbol argument {render_unit(u)} evaluates to "
+                                    f"the non-unit {RingElement(ring, v)}")
+                values[u] = v
             nxt: dict = {}
             for w, cw in prod.items():
                 nxt[w] = nxt.get(w, 0) - cw

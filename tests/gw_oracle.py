@@ -9,7 +9,11 @@ number of units, so the tests run them on small rings only.
 ``oracle_relation_lattice`` is the builder that seeded both kinds from all
 unordered unit pairs of families (ii) and (iii), the hopf kind then spun up
 under a generating set of R^x.  It is quadratic in the number of units, so
-it runs on rings of up to a few hundred units.
+it runs on rings of up to a few hundred units.  ``oracle_spin_up_lattice``
+is the builder that ``mwkit.gwring`` used next: in dimension |U|, the hopf
+kind spun up from O(|U|) seed rows under the generators, and the reduced
+kind with a row <u> - <rep(u)> for each unit u that is not the first unit
+rep(u) of its square class.
 
 The query oracles answer on dense vectors and ring elements, where
 ``GwPresentedRing`` reads sparse vectors against a few projections and
@@ -18,7 +22,9 @@ the order of a class from the full product x V of the dense Smith
 presentation, the split from its n x n action of <-1>, and the group-ring
 product with one element product per pair.  ``oracle_eval_in_ring`` is the
 term evaluation that ``kmwterm.eval_in_ring`` replaced: one group-ring
-product per bracket of every word.
+product per bracket of every word.  ``oracle_eval_unit`` is the letter
+evaluation that ``kmwterm.eval_unit`` replaced, with one ``RingElement``
+per power and per partial product.
 
 ``oracle_unit_generators`` and ``oracle_sum`` are the element-level
 generator permutations and the vector sum that rebuilds its dict, which
@@ -30,8 +36,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
-from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
-from mwkit.kmwterm import EvalError, eval_unit, render_unit
+from mwkit.gwring import (GroupRingVector, PresentationKind, _dense, _family_rows, _sparse_key,
+                          _unit_generators)
+from mwkit.kmwterm import CONST, VAR, EvalError, Unit, render_unit
 from mwkit.presab import ZLattice
 from presab_oracle import oracle_quotient
 
@@ -170,6 +177,73 @@ def oracle_relation_lattice(ring, kind) -> ZLattice:
     return lattice
 
 
+def oracle_spin_up_lattice(ring, kind) -> ZLattice:
+    """The relation lattice of the chosen kind in Z^{units}, built from unit-group structure.
+
+    hopf: with r(a,b) = <a> + <b> - <a+b> - <(a+b)ab> the family (iii) row,
+
+        r(a,b) = <a> r(1, b/a) + <(a+b)b/a> (1 - <a^2>).
+
+    The family (ii) rows and the rows r(1,c), 1 + c a unit, are closed
+    under multiplication by a generating set of R^x; a Z-submodule closed
+    under the generators of a finite group is closed under the whole group,
+    so this is the ideal J they generate.  J is the hopf ideal.  If some
+    residue field of R is F_2, no sum of two units is a unit, family (iii)
+    is empty and J is the ideal of family (ii).  Otherwise J holds every
+    1 - <c^2> with 1 + c a unit: r(c,1) = r(1,c) and 1 + 1/c is a unit, so
+
+        <(c+1)/c> (1 - <c^2>) = r(1,c) - <c> r(1, 1/c).
+
+    Every unit a is c1 c2 z with 1 + c1 and 1 + c2 units and z^2 = 1 (in
+    each local factor, c1 with residue away from -1 and -a if the residue
+    field has 4 or more elements, c1 = 1 and z = +-1 if it is F_3), so J holds
+    1 - <a^2> = (1 - <c1^2>) + <c1^2> (1 - <c2^2>) for every unit a, and by
+    the identity above every r(a,b).
+
+    reduced: the family (i) span is the span of the rows <u> - <rep(u)>,
+    rep(u) the first unit of u's square class, and modulo it the ideal of
+    families (ii) and (iii) is spanned by their untranslated rows with
+    every unit replaced by its representative.  Such a row does not change
+    when (a, b) becomes (sa, sb) for a square s, so a ranges over the
+    representatives only.
+    """
+    ring = make_ring(ring)
+    kind = PresentationKind.coerce(kind)
+    n = len(ring.units())
+    index = ring.unit_index_by_coords()
+    lattice = ZLattice(n)
+    # rows stay sparse (index, coefficient) pairs, and each enters the
+    # lattice as a dict of its own, which the lattice may keep
+    if kind is PresentationKind.HOPF:
+        # spin-up: the rows that enlarged the lattice span it, so closing them
+        # under the generators closes the lattice.  They are translated rather
+        # than the echelon basis because they keep their small entries.
+        queue = [key for key in _family_rows(ring, range(n), (index[ring.one.coords],))
+                 if lattice._insert(dict(key))]
+        perms = _unit_generators(ring)
+        while queue:
+            row = queue.pop()
+            for perm in perms:
+                image = [(perm[i], c) for i, c in row]
+                if lattice._insert(dict(image)):
+                    queue.append(image)
+        return lattice
+    coords = [u.coords for u in ring.units()]
+    mul = ring._mul
+    rep = list(range(n))
+    squares = {mul(c, c) for c in coords}
+    for i, c in enumerate(coords):
+        if rep[i] == i:
+            for q in squares:
+                rep[index[mul(c, q)]] = i
+    for i in range(n):
+        if rep[i] != i:
+            lattice._insert({rep[i]: -1, i: 1})
+    for key in _family_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
+        lattice._insert(dict(key))
+    return lattice
+
+
 def oracle_unit_generators(ring):
     """Permutations perm[i] = index of g * units[i] over the greedy generators g
     of R^x, each product a ``RingElement``."""
@@ -277,6 +351,40 @@ def oracle_product(x, y):
     return GroupRingVector(x.ring, out)
 
 
+def oracle_eval_unit(u, ring, assignment):
+    """The value of u in ring, with one ``RingElement`` per power and per
+    partial product; EvalError when u divides by a non-unit."""
+    num, den = u.content.numerator, u.content.denominator
+    acc = ring.from_int(num)
+    parts = [(ring.from_int(den), -1)] if den != 1 else []
+    parts += [(_oracle_eval_atom(atom, ring, assignment), e) for atom, e in u.factors]
+    for x, e in parts:
+        if e < 0 and not x.is_unit():
+            raise EvalError(f"{render_unit(u)} divides by {x}, a non-unit of {ring.spec_string()}")
+        acc = acc * x**e
+    return acc
+
+
+def _oracle_eval_atom(atom, ring, assignment):
+    if atom[0] == VAR:
+        name = atom[1]
+        if name not in assignment:
+            raise EvalError(f"assignment is missing the unit variable {name!r}")
+        val = ring.coerce(assignment[name])
+        if not val.is_unit():
+            raise EvalError(f"assignment maps {name!r} to the non-unit {val}")
+        return val
+    if atom[0] == CONST:
+        el = atom[1]
+        if el.ring != ring:
+            raise EvalError("ring constant belongs to a different ring")
+        return el
+    total = ring.zero
+    for c, f in atom[1]:
+        total = total + oracle_eval_unit(Unit(c, f), ring, assignment)
+    return total
+
+
 def oracle_eval_in_ring(t, ring, assignment):
     """Evaluate a degree-0 term into Z[R^x] via eta[u] = <u> - <1>, word by
     word, each bracket evaluated where it stands and multiplied in with
@@ -288,7 +396,7 @@ def oracle_eval_in_ring(t, ring, assignment):
             raise EvalError("term is not in the degree-0 span of angle generators")
         prod = one_vec
         for u in brs:
-            val = eval_unit(u, ring, assignment)
+            val = oracle_eval_unit(u, ring, assignment)
             if not val.is_unit():
                 raise EvalError(f"symbol argument {render_unit(u)} evaluates to the non-unit {val}")
             prod = oracle_product(prod, GroupRingVector.angle(ring, val) - one_vec)

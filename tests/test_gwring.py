@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from itertools import product
 
@@ -10,11 +8,13 @@ from gw_oracle import (
     oracle_class_equal,
     oracle_compare,
     oracle_eval_in_ring,
+    oracle_eval_unit,
     oracle_invert_two_split,
     oracle_presentation,
     oracle_product,
     oracle_relation_lattice,
     oracle_relations,
+    oracle_spin_up_lattice,
     oracle_sum,
     oracle_torsion_exponent,
     oracle_unit_generators,
@@ -24,7 +24,7 @@ try:
 except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
-from mwkit import kmwterm as km
+from mwkit import gwring, kmwterm as km
 from mwkit.finring import RingElement, Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
@@ -116,6 +116,63 @@ def test_relation_lattice_matches_full_scan(spec, kind):
     assert lattice.spans_same(oracle)
 
 
+def _units_sum_to_a_unit(ring) -> bool:
+    """Whether family (iii) has an instance, by the element-level pair scan."""
+    units = ring.units()
+    return any((a + b).is_unit() for a in units for b in units)
+
+
+@pytest.mark.parametrize("spec", FULL_SCAN_SPECS)
+def test_hopf_lattice_dichotomy(spec):
+    # with some a + b a unit the hopf lattice is the reduced one; without,
+    # it is the span of the rows f(a) = <a> + <-a> - <1> - <-1>, with no
+    # translates, and differs from the reduced lattice exactly when family
+    # (i) has a nonzero row, i.e. when some unit square is not 1
+    ring = parse_ring_spec(spec)
+    units = ring.units()
+    hopf, reduced = relation_lattice(ring, "hopf"), relation_lattice(ring, "reduced")
+    assert hopf.spans_same(oracle_spin_up_lattice(parse_ring_spec(spec), "hopf"))
+    assert reduced.spans_same(oracle_spin_up_lattice(parse_ring_spec(spec), "reduced"))
+    if _units_sum_to_a_unit(ring):
+        assert hopf.spans_same(reduced), spec
+    else:
+        index = {u: i for i, u in enumerate(units)}
+        rows = []
+        for a in units:
+            row = [0] * len(units)
+            for sign, u in ((1, a), (1, -a), (-1, ring.one), (-1, ring.minus_one())):
+                row[index[u]] += sign
+            rows.append(row)
+        assert hopf.spans_same(ZLattice(len(units), rows)), spec
+        assert hopf.spans_same(reduced) == all(u * u == ring.one for u in units), spec
+
+
+@pytest.mark.parametrize("spec", ["Z/127", "GR(4,3)", "prod(Z/5,Z/7)"])
+def test_present_and_compare_stay_off_the_units(spec, monkeypatch):
+    # a count, not a time: no residue field of these rings is F_2, so both
+    # kinds present on the square classes and the comparison is answered
+    # without the generators or a lattice of dimension |U|
+    ring = parse_ring_spec(spec)
+    n = len(ring.units())
+    dims, generated = [], []
+    insert, generators = ZLattice._insert, gwring._unit_generators
+
+    def counting_insert(self, v):
+        dims.append(self.n)
+        return insert(self, v)
+
+    def counting_generators(r):
+        generated.append(r)
+        return generators(r)
+
+    monkeypatch.setattr(ZLattice, "_insert", counting_insert)
+    monkeypatch.setattr(gwring, "_unit_generators", counting_generators)
+    for kind in ("hopf", "reduced"):
+        gwring.present(ring, kind).report()
+    assert compare_presentations(ring).extra_relations_implied is True
+    assert dims and n not in dims and not generated, (set(dims), len(generated))
+
+
 @pytest.mark.parametrize("kind", ["hopf", "reduced"])
 @pytest.mark.parametrize("spec", ["Z/127", "Z/257", "Z/128"])
 def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
@@ -135,17 +192,7 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
 @pytest.mark.parametrize("spec", ORACLE_SPECS + ["Z/61", "GR(9,2)", "prod(GF(2^2),Z/7)"])
 def test_unit_generators_match_element_oracle(spec):
     ring = parse_ring_spec(spec)
-    perms = _unit_generators(ring)
-    assert perms == oracle_unit_generators(parse_ring_spec(spec))
-    assert _unit_generators(ring) is perms  # built once per ring
-
-
-def test_unit_generator_cache_is_dropped_by_pickle_and_deepcopy():
-    ring = parse_ring_spec("prod(Z/5,Z/7)")
-    perms = _unit_generators(ring)
-    for other in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
-        assert other == ring and other._unit_generator_perms is None
-        assert _unit_generators(other) == perms
+    assert _unit_generators(ring) == oracle_unit_generators(parse_ring_spec(spec))
 
 
 @pytest.mark.parametrize("spec", ["Z/127", "GR(4,3)", "prod(Z/5,Z/7)"])
@@ -485,6 +532,47 @@ def test_mul_and_eval_match_element_oracles(gw_family):
     check()
 
 
+def _eval_outcome(u, ring, values, evaluate):
+    try:
+        return evaluate(u, ring, values)
+    except km.EvalError as exc:
+        return ("EvalError", str(exc))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_eval_unit_matches_element_oracle(seed):
+    # the letters of the benchmark's query eval cases (one or two of a, b, c
+    # to the power +-1, negated three times in ten) on its rings, with
+    # higher powers, contents, ring constants, sums 1 - x, non-unit and
+    # missing values mixed in so that every EvalError text is met
+    seen = set()
+    for spec in ("Z/13", "GR(4,2)", "Z/25", "prod(Z/5,Z/7)", "Z/29"):
+        ring = parse_ring_spec(spec)
+        units, elements = ring.units(), list(ring.elements())
+        rng = random.Random(f"{seed}:{spec}")
+        for _ in range(300):
+            values = {v: rng.choice(units) for v in "abc"}
+            if rng.random() < 0.1:
+                values["a"] = rng.choice(elements)
+            u = km.UNIT_ONE
+            for v in rng.sample("abc", rng.randint(1, 2)):
+                u = u * km.uvar(v) ** rng.choice((1, -1, 1, -1, 2, -3))
+            if rng.random() < 0.3:
+                u = -u
+            if rng.random() < 0.3:
+                u = u * km.uint(rng.choice((2, 3, 5, 7))) ** rng.choice((1, -1))
+            if rng.random() < 0.2:
+                u = u * km.uconst(rng.choice(units))
+            if rng.random() < 0.2:
+                u = u * km.one_minus(km.uvar(rng.choice("abc"))) ** rng.choice((1, -1))
+            if rng.random() < 0.05:
+                u = u * km.uvar("d")
+            got = _eval_outcome(u, ring, values, km.eval_unit)
+            assert got == _eval_outcome(u, ring, values, oracle_eval_unit), (spec, str(u), values)
+            seen.add(got[1].split()[1] if isinstance(got, tuple) else "value")
+    assert seen == {"value", "divides", "maps", "is"}, seen
+
+
 def test_field_reduced_presentations_split_off_augmentation(presented, odd_fields):
     for field in odd_fields:
         p = presented(field, "reduced")
@@ -548,6 +636,22 @@ def test_invert_two_split_matches_coinvariant_oracle(presented, gw_family):
             assert split.plus_rank + split.minus_rank == p.rank
 
 
+# the rings of the CLI ladder goldens
+LADDER_SPECS = ["Z/127", "GF(2^7)", "Z/64", "prod(Z/16,Z/5)", "GR(16,2)", "Z/257", "GF(2^8)",
+                "Z/509", "Z/1021", "GF(2^10)", "Z/1024"]
+
+
+@pytest.mark.parametrize("spec", GW_SPECS + LADDER_SPECS)
+def test_minus_part_vanishes_exactly_when_minus_one_is_a_sum_of_squares(presented, spec):
+    # the finite-ring form of the paper's <-1> criterion, read off two
+    # layers that share no code: the eigen-split of the reduced quotient and
+    # the sum-of-squares closure
+    ring = parse_ring_spec(spec)
+    split = presented(ring, "reduced").invert_two_split()
+    reachable = unit_square_closure(ring).exponent(ring.minus_one()) is not None
+    assert (split.minus_rank == 0 and split.minus_torsion_odd == ()) == reachable, split
+
+
 # the presentation family and larger rings: a 2-power cyclic unit group, a
 # Galois ring, products, a reduced core of 1 x 2, and two rings whose
 # quotient has both torsion and a -1 eigenpiece of the free part
@@ -557,22 +661,42 @@ DENSE_SPECS = GW_SPECS + ["Z/64", "GR(16,2)", "prod(Z/16,Z/5)", "Z/127", "prod(Z
 @pytest.mark.parametrize("kind", ["hopf", "reduced"])
 @pytest.mark.parametrize("spec", DENSE_SPECS)
 def test_presentation_matches_dense_smith_oracle(presented, spec, kind):
+    # p.presentation presents Z^m / L', so a vector on the units is read
+    # through the class map, and a vector of Z^m goes back to the units
+    # on the first unit of each class
     p = presented(parse_ring_spec(spec), kind)
     pres, dense = p.presentation, oracle_presentation(p)
     assert (pres.rank, pres.torsion) == (dense.rank, dense.torsion)
     assert len(pres._projections) == len(pres._lifts) == pres.rank + len(pres.torsion)
+    firsts: dict = {}
+    for i, c in enumerate(p.classes):
+        firsts.setdefault(c, i)
+    assert sorted(firsts) == list(range(pres.ambient))
+
+    def sums(vec):
+        out = [0] * pres.ambient
+        for c, x in zip(p.classes, vec):
+            out[c] += x
+        return out
+
+    def on_units(vec):
+        out = [0] * len(p.units)
+        for c, x in enumerate(vec):
+            out[firsts[c]] = x
+        return out
+
     rng = random.Random(f"dense {spec} {kind}")
     n = len(p.units)
     relations = [row for row in p.lattice.basis() if rng.random() < 0.5]
     for _ in range(30):
         vec = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(n)]
         inside = [x + sum(r[k] for r in relations) for k, x in enumerate(vec)]
-        torsion_part = [a - b for a, b in zip(vec, pres.from_canonical(
-            ((0,) * len(pres.torsion), pres.to_canonical(vec)[1])))]
+        torsion_part = [a - b for a, b in zip(vec, on_units(pres.from_canonical(
+            ((0,) * len(pres.torsion), pres.to_canonical(sums(vec))[1]))))]
         for v in (vec, inside, torsion_part):
-            assert pres.element_order(v) == dense.element_order(v)
-            assert pres.class_is_zero(v) == dense.class_is_zero(v)
-        assert pres.to_canonical(vec) == pres.to_canonical(inside)
+            assert pres.element_order(sums(v)) == dense.element_order(v)
+            assert pres.class_is_zero(sums(v)) == dense.class_is_zero(v)
+        assert pres.to_canonical(sums(vec)) == pres.to_canonical(sums(inside))
     split = p.invert_two_split()
     assert (split.plus_rank, split.minus_rank, split.plus_torsion_odd,
             split.minus_torsion_odd) == oracle_invert_two_split(p)

@@ -272,30 +272,38 @@ def test_smith_runs_on_the_core_block_only(spec, monkeypatch):
 @pytest.mark.parametrize("kind", ["hopf", "reduced"])
 @pytest.mark.parametrize("spec", ["Z/9", "GF(2^2)", "Z/13", "GR(4,2)"])
 def test_present_builds_one_lattice(spec, kind, monkeypatch):
-    # the presentation is read off the relation lattice itself; inserting
+    # the presentation is read off the presented lattice itself; inserting
     # its basis into a second lattice raised the peak memory of reduced
     # present() on Z/4093 from 18.6 MB to 147.2 MB
     # relation rows enter through ZLattice._insert, which ZLattice.add also
-    # calls, so counting there sees every row either way
-    counts = {"lattices": 0, "adds": 0}
+    # calls, so counting there sees every row either way.  No residue field
+    # of these rings is F_2, so both kinds present on the C square classes,
+    # and relation_lattice lifts the same rows to Z^{units} in one lattice,
+    # adding one kernel row per unit that is not the last of its class.
+    built, inserts = [], []
     init, insert = ZLattice.__init__, ZLattice._insert
 
     def counting_init(self, *args):
-        counts["lattices"] += 1
+        built.append(args[0])
         init(self, *args)
 
     def counting_insert(self, v):
-        counts["adds"] += 1
+        inserts.append(self.n)
         return insert(self, v)
 
     monkeypatch.setattr(ZLattice, "__init__", counting_init)
     monkeypatch.setattr(ZLattice, "_insert", counting_insert)
-    gwring.relation_lattice(spec, kind)
-    alone = dict(counts)
-    counts.update(lattices=0, adds=0)
-    gwring.present(spec, kind)
-    assert alone["lattices"] == 1 and alone["adds"] > 0
-    assert counts == alone
+    ring = parse_ring_spec(spec)
+    n = len(ring.units())
+    classes = n // len(ring.unit_squares())
+    gwring.relation_lattice(ring, kind)
+    alone = list(built), list(inserts)
+    built.clear()
+    inserts.clear()
+    gwring.present(ring, kind)
+    assert alone[0] == [n] and built == [classes] < [n]
+    assert inserts == [classes] * len(inserts)  # none on GF(2^2), where C = 1
+    assert alone[1] and alone[1] == [n] * (len(inserts) + n - classes)
 
 
 def _permutations():

@@ -121,13 +121,15 @@ def test_cross_validate_f3_f5():
 
 
 def test_cross_validate_builds_the_reduced_lattice_once(monkeypatch):
+    # present builds the presented lattice, and reading its lattice lifts
+    # that one, so the relation rows are made once
     calls = []
-    build = gwring.relation_lattice
+    build = gwring._presented_rows
 
     def counted(ring, kind):
         calls.append(PresentationKind.coerce(kind))
         return build(ring, kind)
 
-    monkeypatch.setattr(gwring, "relation_lattice", counted)
+    monkeypatch.setattr(gwring, "_presented_rows", counted)
     assert cross_validate(Zmod(5)).lattices_equal is True
     assert calls == [PresentationKind.REDUCED]
