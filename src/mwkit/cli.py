@@ -4,10 +4,12 @@ Subcommands: ringinfo, gw, sumsq, prove, compare, validate, table.
 Reports are deterministic byte-for-byte across runs: fixed enumeration
 orders, no timestamps, and the version string only appears under
 --version.  Exit codes: 0 success, 1 input or usage error (diagnostics on
-stderr), 2 the prover returned Unknown.  Only ``prove`` imports the
-prover modules ``kmwterm`` and ``termparse``; every typed input error
-derives from ``mwkit.errors.InputError``, so ``main`` catches them without
-loading either.
+stderr), 2 the prover returned Unknown.  ``main`` builds the parser of
+the subcommand its first argument names, and of all seven only when it
+names none.  Only ``prove`` imports the prover modules ``kmwterm`` and
+``termparse``, and only ``validate`` imports ``qform``; every typed input
+error derives from ``mwkit.errors.InputError``, so ``main`` catches them
+without loading any of the three.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from . import __version__
 from .errors import InputError
 from .finring import RingError, make_ring
 from .gwring import PresentationKind, compare_presentations, present
-from .qform import cross_validate
 from .sumsq import unit_square_closure
 
 TABLE_COLUMNS = [
@@ -131,6 +132,8 @@ def cmd_compare(args) -> tuple[int, str]:
 
 
 def cmd_validate(args) -> tuple[int, str]:
+    from .qform import cross_validate
+
     report = cross_validate(make_ring(args.ring)).to_json()
     return 0, _emit_scalar(report, args.out)
 
@@ -251,34 +254,16 @@ def cmd_table(args) -> tuple[int, str]:
     return (1 if failed else 0), _emit_rows(rows, columns, args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mwkit",
-        description="Symbol relations, presented rings and unit sums of squares over finite rings.",
-    )
-    parser.add_argument("--version", action="version", version=f"mwkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", choices=["json", "csv", "markdown"], default="json")
-
-    p = sub.add_parser("ringinfo", help="cardinality, units and unit squares of a ring")
+def _ring_arguments(p) -> None:
     p.add_argument("--ring", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_ringinfo)
 
-    p = sub.add_parser("gw", help="present Z[R^x]/I and report its invariants")
-    p.add_argument("--ring", required=True)
+
+def _gw_arguments(p) -> None:
+    _ring_arguments(p)
     p.add_argument("--kind", choices=["hopf", "reduced"], default="reduced")
-    add_out(p)
-    p.set_defaults(func=cmd_gw)
 
-    p = sub.add_parser("sumsq", help="unit sum-of-squares exponents by fixpoint")
-    p.add_argument("--ring", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_sumsq)
 
-    p = sub.add_parser("prove", help="search for a rewrite certificate for an identity")
+def _prove_arguments(p) -> None:
     p.add_argument("identity", nargs="?", help="identity like '<a>+<-a> = <1>+<-1>'")
     p.add_argument("--file", help="read the identity from a file instead")
     p.add_argument("--mode", choices=["hopf", "hopf-steinberg", "reduced"], default="hopf")
@@ -286,31 +271,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--max-words", type=int, default=16, dest="max_words")
     p.add_argument("--hints", default="", help="comma-separated extra unit expressions")
-    add_out(p)
-    p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("compare", help="do the hopf relations imply the reduced ones?")
-    p.add_argument("--ring", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("validate", help="cross-validate a field against the form oracle")
-    p.add_argument("--ring", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("table", help="batch report over a family of rings")
+def _table_arguments(p) -> None:
     p.add_argument("--family", help="file with one ring spec per line (# comments)")
     p.add_argument("--ring", help="single extra ring spec")
     p.add_argument("--metrics", default="", help=f"subset of {sorted(TABLE_METRICS)}")
-    add_out(p)
-    p.set_defaults(func=cmd_table)
 
+
+def _subcommands() -> dict:
+    """name -> (help line, handler, arguments before --out), in the order
+    ``--help`` lists them.  The handlers are read when a parser is built."""
+    return {
+        "ringinfo": ("cardinality, units and unit squares of a ring", cmd_ringinfo,
+                     _ring_arguments),
+        "gw": ("present Z[R^x]/I and report its invariants", cmd_gw, _gw_arguments),
+        "sumsq": ("unit sum-of-squares exponents by fixpoint", cmd_sumsq, _ring_arguments),
+        "prove": ("search for a rewrite certificate for an identity", cmd_prove,
+                  _prove_arguments),
+        "compare": ("do the hopf relations imply the reduced ones?", cmd_compare,
+                    _ring_arguments),
+        "validate": ("cross-validate a field against the form oracle", cmd_validate,
+                     _ring_arguments),
+        "table": ("batch report over a family of rings", cmd_table, _table_arguments),
+    }
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The mwkit parser, with the subparser of ``command`` alone when it
+    names a subcommand and with every subparser otherwise.
+
+    A call parses with the subparser its first argument names, so ``main``
+    builds only that one.  The usage line then names every subcommand, as
+    the full parser's does.
+    """
+    commands = _subcommands()
+    parser = argparse.ArgumentParser(
+        prog="mwkit",
+        description="Symbol relations, presented rings and unit sums of squares over finite rings.",
+    )
+    parser.add_argument("--version", action="version", version=f"mwkit {__version__}")
+    if command in commands:
+        # the default metavar would list the one choice built; naming all is
+        # kept to this case, because a metavar also rewrites the messages
+        # for an unknown or a missing subcommand
+        metavar = "{" + ",".join(commands) + "}"
+        commands = {command: commands[command]}
+    else:
+        metavar = None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, func, add_arguments) in commands.items():
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.add_argument("--out", choices=["json", "csv", "markdown"], default="json")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version

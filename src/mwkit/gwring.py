@@ -219,8 +219,13 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
     Every unit index i is replaced by rep[i].  Rows come in a fixed order:
-    family (ii) over units, then family (iii) over the pairs (a, b) with a
-    the unit of an index in ``firsts`` and b any unit.  Sums and products
+    family (ii) over the first unit of each value of rep, then family (iii)
+    over the pairs (a, b) with a = firsts[c] and b any unit, once for each
+    pair of values of rep at b and a + b, on which the row depends alone.
+    Either rep is the identity and ``firsts`` is empty, or rep is the
+    square-class map and firsts[c] the first unit of class c.  The class
+    map is a homomorphism onto R^x / (R^x)^2, so the class of (a+b)ab is
+    read from the C x C products of the first units.  Sums and products
     run on coordinates.
     """
     index = ring.unit_index_by_coords()
@@ -229,19 +234,28 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
     one_c = ring.one.coords
     one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
     rows: dict = {}
+    met = set()
     for i, a in enumerate(coords):
+        if rep[i] in met:  # -a is a times -1, so the row depends on rep[i] alone
+            continue
+        met.add(rep[i])
         key = _sparse_key(((1, rep[i]), (1, rep[index[neg(a)]]), (-1, one), (-1, minus_one)))
         if key:
             rows.setdefault(key)
-    for i in firsts:
+    table = [[rep[index[mul(coords[f], coords[g])]] for g in firsts] for f in firsts]
+    for c, i in enumerate(firsts):
         a = coords[i]
+        times_a = [table[table[d][c]] for d in range(len(firsts))]  # [class s][class b] -> class s a b
+        pairs = set()
         for j, b in enumerate(coords):
-            s = add(a, b)
-            k = index.get(s)  # a + b is a unit exactly when it is indexed
+            k = index.get(add(a, b))  # a + b is a unit exactly when it is indexed
             if k is None:
                 continue
-            m = index[mul(mul(s, a), b)]
-            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[m])))
+            cb, cs = rep[j], rep[k]
+            if (cb, cs) in pairs:
+                continue
+            pairs.add((cb, cs))
+            key = _sparse_key(((1, c), (1, cb), (-1, cs), (-1, times_a[cs][cb])))
             if key:
                 rows.setdefault(key)
     return list(rows)

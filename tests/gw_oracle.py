@@ -13,7 +13,11 @@ it runs on rings of up to a few hundred units.  ``oracle_spin_up_lattice``
 is the builder that ``mwkit.gwring`` used next: in dimension |U|, the hopf
 kind spun up from O(|U|) seed rows under the generators, and the reduced
 kind with a row <u> - <rep(u)> for each unit u that is not the first unit
-rep(u) of its square class.
+rep(u) of its square class.  Both read their seed rows from
+``oracle_pair_rows``, the row builder ``mwkit.gwring`` used then: a family
+(ii) row per unit and two coordinate products per family (iii) pair, where
+``gwring._family_rows`` emits family (ii) once per class and reads the
+class of (a+b)ab from a table of class products.
 
 The query oracles answer on dense vectors and ring elements, where
 ``GwPresentedRing`` reads sparse vectors against a few projections and
@@ -36,8 +40,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
-from mwkit.gwring import (GroupRingVector, PresentationKind, _dense, _family_rows, _sparse_key,
-                          _unit_generators)
+from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
 from mwkit.kmwterm import CONST, VAR, EvalError, Unit, render_unit
 from mwkit.presab import ZLattice
 from presab_oracle import oracle_quotient
@@ -119,6 +122,38 @@ def oracle_family_rows(ring: Ring, rep: Sequence[int]) -> list[tuple]:
             if k is None:
                 continue
             key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[index[s * a * b]])))
+            if key:
+                rows.setdefault(key)
+    return list(rows)
+
+
+def oracle_pair_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[tuple]:
+    """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
+
+    Every unit index i is replaced by rep[i].  Rows come in a fixed order:
+    family (ii) over units, then family (iii) over the pairs (a, b) with a
+    the unit of an index in ``firsts`` and b any unit.  Sums and products
+    run on coordinates.
+    """
+    index = ring.unit_index_by_coords()
+    coords = [u.coords for u in ring.units()]
+    add, neg, mul = ring._add, ring._neg, ring._mul
+    one_c = ring.one.coords
+    one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
+    rows: dict = {}
+    for i, a in enumerate(coords):
+        key = _sparse_key(((1, rep[i]), (1, rep[index[neg(a)]]), (-1, one), (-1, minus_one)))
+        if key:
+            rows.setdefault(key)
+    for i in firsts:
+        a = coords[i]
+        for j, b in enumerate(coords):
+            s = add(a, b)
+            k = index.get(s)  # a + b is a unit exactly when it is indexed
+            if k is None:
+                continue
+            m = index[mul(mul(s, a), b)]
+            key = _sparse_key(((1, rep[i]), (1, rep[j]), (-1, rep[k]), (-1, rep[m])))
             if key:
                 rows.setdefault(key)
     return list(rows)
@@ -218,7 +253,7 @@ def oracle_spin_up_lattice(ring, kind) -> ZLattice:
         # spin-up: the rows that enlarged the lattice span it, so closing them
         # under the generators closes the lattice.  They are translated rather
         # than the echelon basis because they keep their small entries.
-        queue = [key for key in _family_rows(ring, range(n), (index[ring.one.coords],))
+        queue = [key for key in oracle_pair_rows(ring, range(n), (index[ring.one.coords],))
                  if lattice._insert(dict(key))]
         perms = _unit_generators(ring)
         while queue:
@@ -239,7 +274,7 @@ def oracle_spin_up_lattice(ring, kind) -> ZLattice:
     for i in range(n):
         if rep[i] != i:
             lattice._insert({rep[i]: -1, i: 1})
-    for key in _family_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
+    for key in oracle_pair_rows(ring, rep, [i for i in range(n) if rep[i] == i]):
         lattice._insert(dict(key))
     return lattice
 

@@ -120,14 +120,17 @@ def test_non_utf8_input_file_exit_one(flag, tmp_path, capsys):
     assert f"{flag.split()[1]} {path}" in err
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     "gw",  # a missing --ring
     "frobnicate --ring Z/7",  # an unknown subcommand
     "gw --ring Z/7 --kind spin",
     "prove <a>=<a> --mode free",
     "prove <a>=<a> --depth abc",
     "",  # no subcommand
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_exit_one(argv, capsys):
     # argparse's own usage exit is 2, the code of a prover Unknown
     code, out, err = run_cli(capsys, *argv.split())
@@ -141,14 +144,42 @@ def test_help_exit_zero(argv, capsys):
     assert code == 0 and out and not err
 
 
+SUBCOMMANDS = ["ringinfo", "gw", "sumsq", "prove", "compare", "validate", "table"]
+
+# the last line of each usage error of the top-level parser
+TOP_LEVEL_ERRORS = {
+    "": "mwkit: error: the following arguments are required: command",
+    "frobnicate --ring Z/7": "mwkit: error: argument command: invalid choice: 'frobnicate' "
+                             "(choose from 'ringinfo', 'gw', 'sumsq', 'prove', 'compare', "
+                             "'validate', 'table')",
+    "gw --ring Z/5 extra": "mwkit: error: unrecognized arguments: extra",
+}
+
+
+@pytest.mark.parametrize("argv", ["--help", "--version", "-h gw", "gw --ring Z/5 extra"]
+                         + [f"{name} --help" for name in SUBCOMMANDS] + USAGE_ERRORS)
+def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # main builds only the subparser its first argument names; the exit
+    # code, help, usage lines and errors are those of the parser of all seven
+    # (the usage line of an extra argument named only {gw} at first)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert out or err
+    if argv in TOP_LEVEL_ERRORS:
+        assert "{" + ",".join(SUBCOMMANDS) + "} ..." in err
+        assert err.endswith(TOP_LEVEL_ERRORS[argv] + "\n")
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
 def test_ring_error_exit_one(capsys):
     code, out, err = run_cli(capsys, "gw", "--ring", "Z/1")
     assert code == 1
     assert "error:" in err
 
 
-# each ring subcommand, then prove; run in a fresh interpreter so that no
-# other test has imported the prover modules already
+# each ring subcommand, validate, then prove; run in a fresh interpreter
+# so that no other test has imported the prover modules or qform already
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
     from mwkit.cli import main
@@ -156,24 +187,25 @@ _IMPORT_PROBE = textwrap.dedent("""
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
-        seen.append([code, sorted(m for m in ("mwkit.kmwterm", "mwkit.termparse")
+        seen.append([code, sorted(m for m in ("mwkit.kmwterm", "mwkit.qform", "mwkit.termparse")
                                   if m in sys.modules)])
     print(json.dumps(seen))
 """)
 
 
-def test_only_prove_imports_the_prover():
+def test_only_prove_and_validate_load_their_modules():
     ring_argvs = [["gw", "--ring", "Z/5"], ["compare", "--ring", "Z/5"],
                   ["table", "--ring", "Z/5"], ["sumsq", "--ring", "Z/5"],
-                  ["ringinfo", "--ring", "Z/5"], ["validate", "--ring", "Z/5"]]
+                  ["ringinfo", "--ring", "Z/5"]]
     src = str(Path(mwkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(ring_argvs + [["prove", "eta h = 0"]])],
-        capture_output=True, text=True, env=env, check=True)
+    argvs = ring_argvs + [["validate", "--ring", "Z/5"], ["prove", "eta h = 0"]]
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, check=True)
     seen = json.loads(run.stdout)
-    assert seen == [[0, []]] * len(ring_argvs) + [[0, ["mwkit.kmwterm", "mwkit.termparse"]]]
+    assert seen == [[0, []]] * len(ring_argvs) + [
+        [0, ["mwkit.qform"]], [0, ["mwkit.kmwterm", "mwkit.qform", "mwkit.termparse"]]]
 
 
 TYPED_ERRORS = [RingError, RingSpecError, QformError, ParseError, kmwterm.UnitExprError,

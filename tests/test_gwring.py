@@ -10,6 +10,7 @@ from gw_oracle import (
     oracle_eval_in_ring,
     oracle_eval_unit,
     oracle_invert_two_split,
+    oracle_pair_rows,
     oracle_presentation,
     oracle_product,
     oracle_relation_lattice,
@@ -30,6 +31,9 @@ from mwkit.gwring import (
     GroupRingVector,
     GwPresentedRing,
     PresentationKind,
+    _family_rows,
+    _has_unit_sums,
+    _square_classes,
     _unit_generators,
     build_relations,
     class_equal,
@@ -178,15 +182,31 @@ def test_present_and_compare_stay_off_the_units(spec, monkeypatch):
 def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     # a count, not a time: with C square classes the seeds take at most
     # (C + 1) |U| sums, where the pair scan takes |U|^2 / 2; Z/128, with
-    # residue field F_2, is held to the same bound
+    # residue field F_2, is held to the same bound.  The products are those
+    # of the class map and the C x C class table, at most 2 |U| + C^2 (689
+    # on Z/127 with two products per family (iii) pair)
     ring = parse_ring_spec(spec)
     units = ring.units()
     classes = len(units) // len(ring.unit_squares())
-    adds = []
-    add = ring._add
+    adds, muls = [], []
+    add, mul = ring._add, ring._mul
     monkeypatch.setattr(ring, "_add", lambda a, b: adds.append(1) or add(a, b))
+    monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
     relation_lattice(ring, kind)
     assert 0 < len(adds) <= (classes + 1) * len(units)
+    assert len(muls) <= 2 * len(units) + classes ** 2
+
+
+@pytest.mark.parametrize("spec", FULL_SCAN_SPECS + ["Z/25", "Z/12", "Z/128", "GR(4,3)", "Z/257"])
+def test_family_rows_match_pair_scan(spec):
+    # the same rows in the same order as the scan with a family (ii) row
+    # per unit and two products per family (iii) pair
+    ring = parse_ring_spec(spec)
+    classes, firsts = _square_classes(ring)
+    assert _family_rows(ring, classes, firsts) == oracle_pair_rows(ring, classes, firsts)
+    if not _has_unit_sums(ring):
+        n = len(ring.units())
+        assert _family_rows(ring, range(n), ()) == oracle_pair_rows(ring, range(n), ())
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS + ["Z/61", "GR(9,2)", "prod(GF(2^2),Z/7)"])
