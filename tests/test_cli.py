@@ -388,7 +388,10 @@ def test_cli_golden_arith(case, capsys):
 # on Z/509 and reduced gw on GF(2^8) recorded while the Smith form ran over
 # the whole Hermite basis; gw on Z/1021, GF(2^10) and Z/1024 and compare on
 # Z/1021 recorded while the hopf lattice was spun up under unit generators
-# and the reduced one built in dimension |U|
+# and the reduced one built in dimension |U|; compare on Z/1024,
+# prod(Z/16,Z/5) and prod(Z/2,Z/1021) and reduced gw on Z/16384 recorded
+# while the comparison on an F_2-residue ring tested unit generators
+# against the hopf lattice and scanned the rows for the witness
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
