@@ -26,6 +26,10 @@ presented in the dimension of the invariants, not of the units:
 The lattice in Z^{units} (``relation_lattice``, ``build_relations``,
 ``GwPresentedRing.lattice``) is lifted from L' through the class map only
 when it is asked for.  :func:`relation_lattice` proves the two cases.
+
+:func:`compare_presentations` builds no lattice: the two kinds agree when
+family (iii) is non-empty, and otherwise exactly when every unit squares
+to 1, which its docstring proves from the rows f(a) of the hopf case.
 """
 
 from __future__ import annotations
@@ -261,32 +265,6 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
     return list(rows)
 
 
-def _unit_generators(ring: Ring) -> list[list[int]]:
-    """Multiplication permutations of a greedy generating set of R^x.
-
-    A unit joins the set, in unit order, when the units chosen before it do
-    not generate it.  perm[i] is the index of g * units[i].
-    """
-    index = ring.unit_index_by_coords()
-    coords = [u.coords for u in ring.units()]
-    mul = ring._mul
-    subgroup = {index[ring.one.coords]}
-    perms = []
-    for i, g in enumerate(coords):
-        if i in subgroup:
-            continue
-        perm = [index[mul(g, u)] for u in coords]
-        perms.append(perm)
-        # <H, g> is the union of the cosets g^k H, k below the order of g mod H
-        coset = list(subgroup)
-        while True:
-            coset = [perm[j] for j in coset]
-            if coset[0] in subgroup:
-                break
-            subgroup.update(coset)
-    return perms
-
-
 def _has_unit_sums(ring: Ring) -> bool:
     """Whether family (iii) has an instance: some 1 + c is a unit.
 
@@ -383,7 +361,9 @@ def relation_lattice(ring, kind) -> ZLattice:
     every family (i) row <b>(<a^2> - 1): J is the reduced lattice.  If some
     residue field is F_2, no sum of two units is a unit, family (iii) is
     empty, and J is spanned by the rows f(a) = <a> + <-a> - <1> - <-1>
-    alone, because <b> f(a) = f(ab) - f(b).
+    alone, because <b> f(a) = f(ab) - f(b).  From that span
+    :func:`compare_presentations` reads that J holds no nonzero family (i)
+    row.
 
     The lattice is lifted from L' (see :func:`_lift`) each time this is
     called; ``present`` builds only L', in dimension C, except for the hopf
@@ -539,24 +519,17 @@ class GwPresentedRing:
             raise RuntimeError("eigenpiece of a finite group must be finite")
         return pres.torsion
 
-    def report(self, include_comparison: bool = True) -> dict:
-        split = self.invert_two_split()
-        out = {
+    def report(self) -> dict:
+        return {
             "ring": self.ring.spec_string(),
             "kind": self.kind.value,
             "n_units": len(self.units),
             "rank": self.rank,
             "torsion": list(self.torsion),
             "minus_one_is_one": self.minus_one_is_one(),
-            "split": split.to_json(),
+            "split": self.invert_two_split().to_json(),
+            "presentation_comparison": compare_presentations(self.ring).extra_relations_implied,
         }
-        if include_comparison:
-            # at hand only when L' is the hopf lattice, which is all the
-            # comparison reads, and only on an F_2-residue ring
-            hopf = self._lattice if self.kind is PresentationKind.HOPF else None
-            out["presentation_comparison"] = compare_presentations(
-                self.ring, hopf).extra_relations_implied
-        return out
 
 
 def present(ring, kind) -> GwPresentedRing:
@@ -603,42 +576,32 @@ class ComparisonReport:
         }
 
 
-def compare_presentations(ring, hopf: Optional[ZLattice] = None) -> ComparisonReport:
+def compare_presentations(ring) -> ComparisonReport:
     """Check whether each reduced relation row lies in the hopf lattice.
 
-    When no residue field of R is F_2 the two lattices are equal (see
-    :func:`relation_lattice`), and the answer is True with no lattice read.
-    Otherwise ``hopf`` is the hopf relation lattice of ``ring`` when the
-    caller has already built it.  The hopf lattice is an ideal and
-    <a b^2> - <a> = <a>(<b^2> - 1), so every reduced row lies in it exactly
-    when <g^2> - 1 does for each generator g of R^x.  Only when that test
-    fails are the rows scanned in (a, b) order for the first one outside,
-    the witness.
+    The reduced lattice is the hopf lattice H plus the family (i) rows
+    <a b^2> - <a>.  When no residue field of R is F_2 the two lattices are
+    equal (see :func:`relation_lattice`), and the answer is True.
+
+    Otherwise H is spanned by the rows f(a) = <a> + <-a> - <1> - <-1>, so
+    every vector of H has equal coefficients at u and -u, and even ones
+    when 2 = 0 in R, where -u = u and f(a) = 2<a> - 2<1>.  A nonzero row
+    <a b^2> - <a> has coefficient -1 at a.  If -a = a that is odd; if not,
+    its coefficient at -a is 1 when a b^2 = -a and 0 otherwise, either way
+    not -1.  So no nonzero family (i) row lies in H, and the answer is True
+    exactly when every unit squares to 1.  The witness, the first row in
+    (a, b) order outside H, is then the first nonzero one: a is the first
+    unit and b the first unit whose square is not 1.  This takes at most
+    |U| + 1 coordinate products and reads no lattice.
     """
     ring = make_ring(ring)
     units = ring.units()
-    if _has_unit_sums(ring):
-        return ComparisonReport(ring.spec_string(), True, None, tuple(units))
-    index = ring.unit_index_by_coords()
-    if hopf is None:
-        hopf = relation_lattice(ring, PresentationKind.HOPF)
-    one, mul = index[ring.one.coords], ring._mul
-    gens = (units[perm[one]].coords for perm in _unit_generators(ring))  # g * 1 = g
-    implied = all(hopf.contains(_dense(len(units), _sparse_key(((1, index[mul(g, g)]), (-1, one)))))
-                  for g in gens)
-    witness = None if implied else _first_outside(hopf, ring)
-    return ComparisonReport(ring.spec_string(), implied, witness, tuple(units))
-
-
-def _first_outside(lattice: ZLattice, ring: Ring) -> Optional[tuple[int, ...]]:
-    """First nonzero row <a b^2> - <a>, in (a, b) order, outside the lattice."""
-    index, mul = ring.unit_index_by_coords(), ring._mul
-    coords = [u.coords for u in ring.units()]
-    for i, a in enumerate(coords):
-        for b in coords:
-            key = _sparse_key(((1, index[mul(mul(a, b), b)]), (-1, i)))
-            if key:
-                row = _dense(len(coords), key)
-                if not lattice.contains(row):
-                    return row
-    return None
+    witness = None
+    if not _has_unit_sums(ring):
+        index, mul, one = ring.unit_index_by_coords(), ring._mul, ring.one.coords
+        squares = (mul(b.coords, b.coords) for b in units)
+        square = next((s for s in squares if s != one), None)
+        if square is not None:
+            key = _sparse_key(((1, index[mul(units[0].coords, square)]), (-1, 0)))
+            witness = _dense(len(units), key)
+    return ComparisonReport(ring.spec_string(), witness is None, witness, tuple(units))

@@ -2,18 +2,21 @@
 
 The relation-lattice builders are the direct enumerations that
 ``mwkit.gwring`` replaced: every family instance as a dense row (with all
-unit translates of family (iii) for the hopf kind), and the all-pairs scan
-of the reduced-only rows against the hopf lattice.  They are cubic in the
-number of units, so the tests run them on small rings only.
+unit translates of family (iii) for the hopf kind).  ``oracle_compare`` is
+the definition of the comparison, the all-pairs scan of the reduced-only
+rows against that hopf lattice, which ``compare_presentations`` answers
+from the unit squares alone.  They are cubic in the number of units, so
+the tests run them on small rings only.
 
 ``oracle_relation_lattice`` is the builder that seeded both kinds from all
 unordered unit pairs of families (ii) and (iii), the hopf kind then spun up
 under a generating set of R^x.  It is quadratic in the number of units, so
 it runs on rings of up to a few hundred units.  ``oracle_spin_up_lattice``
 is the builder that ``mwkit.gwring`` used next: in dimension |U|, the hopf
-kind spun up from O(|U|) seed rows under the generators, and the reduced
-kind with a row <u> - <rep(u)> for each unit u that is not the first unit
-rep(u) of its square class.  Both read their seed rows from
+kind spun up from O(|U|) seed rows under the generators of
+``oracle_unit_generators``, and the reduced kind with a row
+<u> - <rep(u)> for each unit u that is not the first unit rep(u) of its
+square class.  Both read their seed rows from
 ``oracle_pair_rows``, the row builder ``mwkit.gwring`` used then: a family
 (ii) row per unit and two coordinate products per family (iii) pair, where
 ``gwring._family_rows`` emits family (ii) once per class and reads the
@@ -30,17 +33,18 @@ product per bracket of every word.  ``oracle_eval_unit`` is the letter
 evaluation that ``kmwterm.eval_unit`` replaced, with one ``RingElement``
 per power and per partial product.
 
-``oracle_unit_generators`` and ``oracle_sum`` are the element-level
-generator permutations and the vector sum that rebuilds its dict, which
-``gwring`` replaced with products on coordinates and a sum that drops
-zeroed keys in place.
+``oracle_unit_generators`` gives the multiplication permutations of a
+greedy generating set of R^x, each product a ``RingElement``; only the
+spin-up builders above read it.  ``oracle_sum`` is the vector sum that
+rebuilds its dict, which ``gwring`` replaced with a sum that drops zeroed
+keys in place.
 """
 
 from functools import lru_cache
 from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
-from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key, _unit_generators
+from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key
 from mwkit.kmwterm import CONST, VAR, EvalError, Unit, render_unit
 from mwkit.presab import ZLattice
 from presab_oracle import oracle_quotient
@@ -187,7 +191,7 @@ def oracle_relation_lattice(ring, kind) -> ZLattice:
             row = _dense(n, key)
             if lattice.add(row):
                 queue.append(row)
-        perms = _unit_generators(ring)
+        perms = oracle_unit_generators(ring)
         while queue:
             vec = queue.pop()
             for perm in perms:
@@ -255,7 +259,7 @@ def oracle_spin_up_lattice(ring, kind) -> ZLattice:
         # than the echelon basis because they keep their small entries.
         queue = [key for key in oracle_pair_rows(ring, range(n), (index[ring.one.coords],))
                  if lattice._insert(dict(key))]
-        perms = _unit_generators(ring)
+        perms = oracle_unit_generators(ring)
         while queue:
             row = queue.pop()
             for perm in perms:
