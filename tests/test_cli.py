@@ -375,7 +375,10 @@ def test_cli_golden_rungs(case, capsys):
 
 # sha256 of the stdout of ringinfo, sumsq and validate, recorded while Galois
 # products still went through _poly_mul and _poly_rem_monic and product
-# coordinates were factor elements
+# coordinates were factor elements; sumsq on prod(GF(2^6),Z/61), Z/4093 and
+# GR(27,2) and ringinfo on GR(2,3) and prod(GF(2^8),Z/251) recorded while
+# every unit was squared with the ring product and the fixpoint scanned all
+# pairs of reached units
 @pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_arith(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
