@@ -351,9 +351,10 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit index, which is rebuilt with the units; a pickled
-# or copied ring leaves them behind
-_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel")
+# pickle, and the unit index, square map and square classes, which are
+# rebuilt with the units; a pickled or copied ring leaves them behind
+_RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
+                "_square_map", "_square_classes")
 
 
 class Ring:
@@ -367,10 +368,14 @@ class Ring:
         self._zero: Optional[RingElement] = None
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
+        self._square_map: Optional[list[int]] = None
+        self._square_classes: Optional[tuple[list[int], list[int]]] = None
 
     # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
     # _inverse_or_none, _from_int, _enumerate_coords, _zero_coords,
-    # _one_coords, _format; and spec_string, characteristic
+    # _one_coords, _format; and spec_string, characteristic.  They may
+    # replace _unit_coords, _build_square_map and _build_square_classes
+    # with builders that use their structure
 
     @property
     def zero(self) -> RingElement:
@@ -418,10 +423,14 @@ class Ring:
 
     def units(self) -> list[RingElement]:
         if self._units is None:
-            coords = [c for c in self._enumerate_coords() if self._is_unit(c)]
+            coords = self._unit_coords()
             self._units = [RingElement(self, c) for c in coords]
             self._unit_index = dict(zip(coords, range(len(coords))))
         return self._units
+
+    def _unit_coords(self) -> list:
+        """The coordinates of the units, in element order."""
+        return [c for c in self._enumerate_coords() if self._is_unit(c)]
 
     def unit_index_by_coords(self) -> Mapping:
         """Map from each unit's coordinates to its position in ``units()``.
@@ -443,10 +452,53 @@ class Ring:
             raise RingError(f"{u} is not a unit of {self.spec_string()}")
         return k
 
+    def unit_square_map(self) -> list[int]:
+        """sq with sq[i] the position of ``units()[i]`` squared in ``units()``.
+
+        Shared, do not modify.  Built once per ring from its structure: see
+        ``_build_square_map``.
+        """
+        if self._square_map is None:
+            self.units()
+            self._square_map = self._build_square_map()
+        return self._square_map
+
+    def _build_square_map(self) -> list[int]:
+        # one coordinate product per unit
+        index, mul = self.unit_index_by_coords(), self._mul
+        return [index[mul(c, c)] for c in index]
+
+    def square_classes(self) -> tuple[list[int], list[int]]:
+        """(classes, firsts): classes[i] is the number of the square class of
+        unit i, firsts[c] the position of the first unit of class c.
+
+        Classes are numbered in the order of their first units, so class 0
+        holds the first unit, 1.  Shared, do not modify.
+        """
+        if self._square_classes is None:
+            self._square_classes = self._build_square_classes()
+        return self._square_classes
+
+    def _build_square_classes(self) -> tuple[list[int], list[int]]:
+        # the class of a square is the set of squares, read from the square
+        # map; each other class is a unit times the squares
+        squares = set(self.unit_square_map())
+        coords = list(self.unit_index_by_coords())
+        index, mul = self.unit_index_by_coords(), self._mul
+        classes: list = [None] * len(coords)
+        firsts: list[int] = []
+        for i, c in enumerate(coords):
+            if classes[i] is None:
+                members = squares if i in squares else (index[mul(c, coords[s])] for s in squares)
+                for m in members:
+                    classes[m] = len(firsts)
+                firsts.append(i)
+        return classes, firsts
+
     def unit_squares(self) -> frozenset[RingElement]:
-        """The squares of the units, as elements of ``units()``; squared on coordinates."""
-        units, index, mul = self.units(), self.unit_index_by_coords(), self._mul
-        return frozenset(units[index[mul(c, c)]] for c in (u.coords for u in units))
+        """The squares of the units, as elements of ``units()``; read from the square map."""
+        units = self.units()
+        return frozenset(units[k] for k in set(self.unit_square_map()))
 
     def minus_one(self) -> RingElement:
         return self.neg(self.one)
@@ -644,6 +696,23 @@ class GaloisRing(Ring):
         # the constant term varies fastest: index order of the base-q digits
         return (t[::-1] for t in itertools.product(range(self.q), repeat=self.k))
 
+    def _build_square_map(self) -> list[int]:
+        """With q = 2, squaring is F_2-linear on the coordinate bits.
+
+        Element e has coordinate bits e, and unit i is element i + 1.  The
+        k products x^j * x^j give the images of the basis; the square of
+        every element follows by XOR, the top bit of e at a time, so the
+        map takes k products where the generic one takes |U|.
+        """
+        if self.q != 2:
+            return super()._build_square_map()
+        squares = [0]  # element index -> element index of its square
+        for j in range(self.k):
+            basis = (0,) * j + (1,) + (0,) * (self.k - j - 1)
+            image = sum(bit << b for b, bit in enumerate(self._mul(basis, basis)))
+            squares += [s ^ image for s in squares]
+        return [s - 1 for s in squares[1:]]
+
     def gen(self) -> RingElement:
         """The class of x."""
         return RingElement(self, self._pad(_poly_rem_monic((0, 1), self.modulus, self.q)))
@@ -735,6 +804,43 @@ class ProductRing(Ring):
         # first factor varies fastest, matching the base-q digit orders above
         columns = [list(f._enumerate_coords()) for f in reversed(self.factors)]
         return (t[::-1] for t in itertools.product(*columns))
+
+    # a unit of the product is a tuple of factor units, so its tables are
+    # those of the factors, composed: with the first factor fastest, the
+    # unit (u_1, u_2, ...) has position i_1 + n_1 i_2 + ..., where i_j is
+    # the position of u_j among the n_j units of factor j
+
+    def _unit_coords(self) -> list:
+        coords = [()]
+        for f in self.factors:
+            coords = [c + (x,) for x in f.unit_index_by_coords() for c in coords]
+        return coords
+
+    def _build_square_map(self) -> list[int]:
+        squares, n = [0], 1
+        for f in self.factors:
+            factor = f.unit_square_map()
+            squares = [x + n * y for y in factor for x in squares]
+            n *= len(factor)
+        return squares
+
+    def _build_square_classes(self) -> tuple[list[int], list[int]]:
+        # the square classes of the product are the tuples of factor classes;
+        # the class (c, d) has first unit firsts[c] + n firsts_f[d], and the
+        # classes are numbered again in the order of their first units
+        classes, firsts, n = [0], [0], 1
+        for f in self.factors:
+            f_classes, f_firsts = f.square_classes()
+            m = len(firsts)
+            pairs = sorted((a + n * b, c + m * d) for d, b in enumerate(f_firsts)
+                           for c, a in enumerate(firsts))
+            number = [0] * len(pairs)
+            for k, (_, key) in enumerate(pairs):
+                number[key] = k
+            classes = [number[x + m * y] for y in f_classes for x in classes]
+            firsts = [first for first, _ in pairs]
+            n *= len(f_classes)
+        return classes, firsts
 
     def characteristic(self) -> int:
         return lcm(*(f.characteristic() for f in self.factors))

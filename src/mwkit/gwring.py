@@ -276,28 +276,6 @@ def _has_unit_sums(ring: Ring) -> bool:
     return any(add(one, c) in index for c in index)
 
 
-def _square_classes(ring: Ring) -> tuple[list[int], list[int]]:
-    """(classes, firsts): classes[i] is the number of the square class of
-    unit i, firsts[c] the index of the first unit of class c.
-
-    Classes are numbered in the order of their first units.  The class of
-    a square is the set of squares, which needs no product.
-    """
-    index = ring.unit_index_by_coords()
-    coords = [u.coords for u in ring.units()]
-    mul = ring._mul
-    squares = {mul(c, c) for c in coords}
-    classes: list = [None] * len(coords)
-    firsts: list[int] = []
-    for i, c in enumerate(coords):
-        if classes[i] is None:
-            members = squares if c in squares else (mul(c, q) for q in squares)
-            for m in members:
-                classes[index[m]] = len(firsts)
-            firsts.append(i)
-    return classes, firsts
-
-
 def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], list[int], list[tuple]]:
     """(classes, firsts, rows): the presented lattice L' of the chosen kind.
 
@@ -313,7 +291,7 @@ def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], list
     if kind is PresentationKind.HOPF and not _has_unit_sums(ring):
         n = len(ring.units())
         return list(range(n)), list(range(n)), _family_rows(ring, range(n), ())
-    classes, firsts = _square_classes(ring)
+    classes, firsts = ring.square_classes()
     return classes, firsts, _family_rows(ring, classes, firsts)
 
 
@@ -591,17 +569,18 @@ def compare_presentations(ring) -> ComparisonReport:
     not -1.  So no nonzero family (i) row lies in H, and the answer is True
     exactly when every unit squares to 1.  The witness, the first row in
     (a, b) order outside H, is then the first nonzero one: a is the first
-    unit and b the first unit whose square is not 1.  This takes at most
-    |U| + 1 coordinate products and reads no lattice.
+    unit and b the first unit whose square is not 1.  Both are read off
+    the ring's square map, with one coordinate product, and no lattice is
+    read.
     """
     ring = make_ring(ring)
     units = ring.units()
     witness = None
     if not _has_unit_sums(ring):
-        index, mul, one = ring.unit_index_by_coords(), ring._mul, ring.one.coords
-        squares = (mul(b.coords, b.coords) for b in units)
-        square = next((s for s in squares if s != one), None)
+        index, mul = ring.unit_index_by_coords(), ring._mul
+        one = index[ring.one.coords]
+        square = next((s for s in ring.unit_square_map() if s != one), None)
         if square is not None:
-            key = _sparse_key(((1, index[mul(units[0].coords, square)]), (-1, 0)))
+            key = _sparse_key(((1, index[mul(units[0].coords, units[square].coords)]), (-1, 0)))
             witness = _dense(len(units), key)
     return ComparisonReport(ring.spec_string(), witness is None, witness, tuple(units))

@@ -2,9 +2,10 @@
 
 A unit is a sum of squares of exponent 0 when it is the square of a unit,
 and of exponent n >= 1 when it is b + c for units b, c of exponent at most
-n - 1.  Over a finite ring the strata stabilize after at most |R^x| rounds,
-so a breadth-first fixpoint computes the minimal exponent of every
-reachable unit.  Nothing is special-cased: rings where the search dies out
+n - 1.  Each stratum is a union of square classes, so over a finite ring
+the strata stabilize after at most C = |R^x / (R^x)^2| rounds, and a
+breadth-first fixpoint on the classes computes the minimal exponent of
+every reachable unit.  Nothing is special-cased: rings where the search dies out
 (for example Z/2^k with k >= 2, where unit + unit is never a unit) simply
 report those units as unreachable.
 """
@@ -46,37 +47,68 @@ class SumSquareResult:
 def unit_square_closure(ring) -> SumSquareResult:
     """Least fixpoint of S0 = unit squares, S_{k+1} = S_k + {b+c in R^x}.
 
-    The fixpoint runs on unit indices and coordinates; the result's dicts
-    are keyed by elements of ``units()``, each entered when first reached.
+    Let E_n be the units of exponent at most n.  For a unit square t,
+    t(b + c) = tb + tc, so each E_n is a union of square classes, and the
+    fixpoint runs on the C x C class table: the classes that K_a + K_b
+    reaches are those of r_a + y for r_a the first unit of K_a and y in
+    K_b, a sum taken once per pair of reached classes.  A unit s of
+    exponent n then gets as witness the first b of E_{n-1}, in unit order,
+    such that c = s - b lies in E_{n-1} no earlier than b: the pair that a
+    scan of all pairs b <= c of E_{n-1} meets first, and so the
+    lexicographically least (b + c = c + b).  Round 0 enters the squares
+    in the order the units square to them, and each later round enters
+    its units in the order of their witnesses, as that scan would.  The
+    result's dicts are keyed by elements of ``units()``.
     """
     ring = make_ring(ring)
     units = ring.units()
     index = ring.unit_index_by_coords()
-    add, mul = ring._add, ring._mul
-    coords = [u.coords for u in units]
+    add, neg = ring._add, ring._neg
+    coords = list(index)
+    classes, firsts = ring.square_classes()
+    members: list = [[] for _ in firsts]  # class -> its units, in unit order
+    for i, c in enumerate(classes):
+        members[c].append(i)
     exponent: dict = {}  # unit index -> exponent, in the order reached
     witnesses: dict = {}  # unit index -> (index of b, index of c)
-    for c in coords:
-        exponent.setdefault(index[mul(c, c)], 0)
+    squares = ring.unit_square_map()
+    for s in squares:
+        exponent.setdefault(s, 0)
 
+    in_e = [False] * len(firsts)  # class -> its units are in E_rounds
+    new = [classes[squares[0]]]
+    reached: list = []
+    sums: set = set()  # the classes of sums of two units of reached classes
     rounds = 0
     while len(exponent) < len(units):
-        reached = [(k, c) for k, c in enumerate(coords) if k in exponent]
-        grew = False
-        for i, (j, b) in enumerate(reached):
-            # b + c = c + b, so the pairs with c before b were scanned already
-            for k, c in reached[i:]:
-                s = index.get(add(b, c))
-                if s is None or s in exponent:
-                    continue
-                # reached lists the units of exponent at most rounds in unit
-                # order, so the first pair found is the lexicographically
-                # least one that certifies the exponent rounds + 1 of s
-                exponent[s] = rounds + 1
-                witnesses[s] = (j, k)
-                grew = True
-        if not grew:
+        # K_b + K_a = K_a + K_b, so the pairs with a new and b reached are
+        # the ones not summed yet
+        reached += new
+        for a in new:
+            in_e[a] = True
+            r = coords[firsts[a]]
+            for b in reached:
+                for y in members[b]:
+                    k = index.get(add(r, coords[y]))
+                    if k is not None:
+                        sums.add(classes[k])
+        new = [c for c in sums if not in_e[c]]
+        if not new:
             break
+        candidates = [(i, neg(coords[i])) for i, c in enumerate(classes) if in_e[c]]
+        found = []
+        for c in new:
+            for s in members[c]:
+                sc = coords[s]
+                for b, minus_b in candidates:  # E_rounds in unit order
+                    k = index.get(add(sc, minus_b))
+                    if k is not None and k >= b and in_e[classes[k]]:
+                        found.append((b, k, s))
+                        break
+        found.sort()
+        for b, k, s in found:
+            exponent[s] = rounds + 1
+            witnesses[s] = (b, k)
         rounds += 1
 
     unreachable = frozenset(u for k, u in enumerate(units) if k not in exponent)

@@ -9,7 +9,13 @@
   ``schoolbook_mul`` and nested products recurse, so no result here comes
   from the kernels under test; ``Z/m`` keeps its one modular operation.
 
-Every function takes and returns ``RingElement`` values, except
+* Unit tables by one coordinate product per unit: ``unit_coords`` keeps
+  the units of the whole element enumeration, ``square_map`` squares each
+  unit with the ring product, and ``square_classes`` multiplies a unit of
+  each class by every square, as the rings did before they built these
+  tables from their structure.
+
+Every other function takes and returns ``RingElement`` values, except
 ``schoolbook_mul``, which works on coordinates.
 """
 
@@ -116,3 +122,30 @@ def format_element(x: RingElement) -> str:
     if isinstance(ring, GaloisRing):
         return _poly_str(x.coords)
     return str(x.coords)
+
+
+def unit_coords(ring) -> list:
+    """The coordinates of the units, by enumerating every element and keeping the units."""
+    return [c for c in ring._enumerate_coords() if ring._is_unit(c)]
+
+
+def square_map(ring) -> list[int]:
+    """Position in unit_coords of the square of each unit, one product each."""
+    coords = unit_coords(ring)
+    index = {c: i for i, c in enumerate(coords)}
+    return [index[ring._mul(c, c)] for c in coords]
+
+
+def square_classes(ring) -> tuple[list[int], list[int]]:
+    """(classes, firsts) with classes numbered in the order of their first units."""
+    coords = unit_coords(ring)
+    index = {c: i for i, c in enumerate(coords)}
+    squares = {ring._mul(c, c) for c in coords}
+    classes: list = [None] * len(coords)
+    firsts: list[int] = []
+    for i, c in enumerate(coords):
+        if classes[i] is None:
+            for q in squares:
+                classes[index[ring._mul(c, q)]] = len(firsts)
+            firsts.append(i)
+    return classes, firsts

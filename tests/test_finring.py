@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import ring_oracle as oracle
 from conftest import RING_SPECS
+from test_gwring import FULL_SCAN_SPECS
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -328,15 +329,65 @@ def test_deeply_nested_product_refused(capsys):
 
 
 def test_unit_index_survives_copies():
-    # a GaloisField is its own residue field, so its copies hold a cycle
-    for spec in ("GR(4,2)", "GF(3^2)"):
+    # a GaloisField is its own residue field, so its copies hold a cycle; the
+    # square map and the square classes are left behind with the units and
+    # rebuilt equal, also on a q = 2 field and on a product
+    for spec in ("GR(4,2)", "GF(3^2)", "GF(2^4)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         units = ring.units()
+        squares, classes = ring.unit_square_map(), ring.square_classes()
         assert [ring.unit_index(u) for u in units] == list(range(len(units)))
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
             assert clone == ring
+            assert clone._square_map is None and clone._square_classes is None
             assert clone.unit_index_by_coords() == ring.unit_index_by_coords()
             assert [clone.unit_index(u) for u in units] == list(range(len(units)))
+            assert clone.unit_square_map() == squares
+            assert clone.square_classes() == classes
+
+
+# the test rings, the gw full-scan rings, every q = 2 Galois ring up to 2^12
+# elements, GaloisField or not, and products nesting factors of
+# characteristic 2
+UNIT_TABLE_SPECS = list(dict.fromkeys(
+    RING_SPECS + FULL_SCAN_SPECS
+    + [f"GF(2^{k})" for k in range(1, 13)] + [f"GR(2,{k})" for k in range(1, 13)]
+    + ["prod(GR(4,2),prod(Z/3,GF(2^2)))", "prod(GF(2^6),Z/61)", "prod(Z/3,Z/5,Z/7)",
+       "prod(prod(GF(2^2),Z/4),GR(2,3))", "prod(Z/2,prod(GR(8,2),Z/9))"]))
+
+
+@pytest.mark.parametrize("spec", UNIT_TABLE_SPECS)
+def test_unit_tables_match_per_unit_products(spec):
+    ring = parse_ring_spec(spec)
+    coords = oracle.unit_coords(ring)
+    assert [u.coords for u in ring.units()] == coords
+    assert ring.unit_index_by_coords() == {c: i for i, c in enumerate(coords)}
+    assert list(ring.unit_index_by_coords()) == coords
+    assert ring.unit_square_map() == oracle.square_map(ring)
+    assert ring.square_classes() == oracle.square_classes(ring)
+    assert ring.unit_squares() == {ring.units()[i] for i in oracle.square_map(ring)}
+
+
+@pytest.mark.parametrize("spec", ["GF(2^12)", "GR(2,12)", "prod(GF(2^6),Z/61)"])
+def test_square_tables_take_few_products(spec, monkeypatch):
+    # a count, not a time: squaring is F_2-linear when q = 2, so the map
+    # takes one Galois product per basis element, k where squaring each
+    # unit takes 2^k - 1; a product composes its tables from its factors'
+    # and never multiplies in the product ring
+    ring = parse_ring_spec(spec)
+    ring.units()
+    galois = [f for f in getattr(ring, "factors", (ring,)) if isinstance(f, GaloisRing)]
+    muls, product_muls = [], []
+    for f in galois:
+        mul = f._mul
+        monkeypatch.setattr(f, "_mul", lambda a, b, mul=mul: muls.append(1) or mul(a, b))
+    product_mul = ProductRing._mul
+    monkeypatch.setattr(ProductRing, "_mul",
+                        lambda self, a, b: product_muls.append(1) or product_mul(self, a, b))
+    ring.unit_square_map()
+    ring.square_classes()
+    assert 0 < len(muls) <= sum(f.k for f in galois)
+    assert not product_muls
 
 
 def test_unit_index_checks_the_ring_before_the_coordinates():

@@ -33,7 +33,6 @@ from mwkit.gwring import (
     PresentationKind,
     _family_rows,
     _has_unit_sums,
-    _square_classes,
     build_relations,
     class_equal,
     compare_presentations,
@@ -225,7 +224,7 @@ def test_family_rows_match_pair_scan(spec):
     # the same rows in the same order as the scan with a family (ii) row
     # per unit and two products per family (iii) pair
     ring = parse_ring_spec(spec)
-    classes, firsts = _square_classes(ring)
+    classes, firsts = ring.square_classes()
     assert _family_rows(ring, classes, firsts) == oracle_pair_rows(ring, classes, firsts)
     if not _has_unit_sums(ring):
         n = len(ring.units())
