@@ -483,8 +483,8 @@ class Ring:
         # the class of a square is the set of squares, read from the square
         # map; each other class is a unit times the squares
         squares = set(self.unit_square_map())
-        coords = list(self.unit_index_by_coords())
         index, mul = self.unit_index_by_coords(), self._mul
+        coords = list(index)
         classes: list = [None] * len(coords)
         firsts: list[int] = []
         for i, c in enumerate(coords):

@@ -5,9 +5,9 @@ and of exponent n >= 1 when it is b + c for units b, c of exponent at most
 n - 1.  Each stratum is a union of square classes, so over a finite ring
 the strata stabilize after at most C = |R^x / (R^x)^2| rounds, and a
 breadth-first fixpoint on the classes computes the minimal exponent of
-every reachable unit.  Nothing is special-cased: rings where the search dies out
-(for example Z/2^k with k >= 2, where unit + unit is never a unit) simply
-report those units as unreachable.
+every reachable unit.  Nothing is special-cased: rings where the search
+dies out (for example Z/2^k with k >= 2, where unit + unit is never a
+unit) simply report those units as unreachable.
 """
 
 from __future__ import annotations
