@@ -26,19 +26,6 @@ from .finring import RingError, make_ring
 from .gwring import PresentationKind, compare_presentations, present
 from .sumsq import unit_square_closure
 
-TABLE_COLUMNS = [
-    "ring",
-    "n_units",
-    "minus_one_exponent",
-    "hopf_rank",
-    "hopf_torsion",
-    "reduced_rank",
-    "reduced_torsion",
-    "plus_rank",
-    "minus_rank",
-    "comparison",
-]
-
 TABLE_METRICS = {
     "units": ["n_units"],
     "sumsq": ["minus_one_exponent"],
@@ -46,6 +33,8 @@ TABLE_METRICS = {
     "split": ["plus_rank", "minus_rank"],
     "compare": ["comparison"],
 }
+
+TABLE_COLUMNS = ["ring"] + [c for cols in TABLE_METRICS.values() for c in cols]
 
 
 def _flatten(value):
@@ -56,6 +45,11 @@ def _flatten(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def _cell(value) -> str:
+    """A markdown table cell: the flattened value with its ``|`` escaped."""
+    return _flatten(value).replace("|", "\\|")
 
 
 def _emit_scalar(report: dict, fmt: str) -> str:
@@ -76,9 +70,9 @@ def _emit_scalar(report: dict, fmt: str) -> str:
     for k, v in report.items():
         if isinstance(v, dict):
             for kk, vv in v.items():
-                lines.append(f"| {k}.{kk} | {_flatten(vv)} |")
+                lines.append(f"| {k}.{kk} | {_cell(vv)} |")
         else:
-            lines.append(f"| {k} | {_flatten(v)} |")
+            lines.append(f"| {k} | {_cell(v)} |")
     return "\n".join(lines) + "\n"
 
 
@@ -95,7 +89,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     lines = ["| " + " | ".join(columns) + " |",
              "| " + " | ".join("---" for _ in columns) + " |"]
     for row in rows:
-        lines.append("| " + " | ".join(_flatten(row.get(c)) for c in columns) + " |")
+        lines.append("| " + " | ".join(_cell(row.get(c)) for c in columns) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -207,9 +201,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
         if "minus_one_exponent" in metrics:
             closure = unit_square_closure(ring)
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())
-        gw_cols = {"hopf_rank", "hopf_torsion", "reduced_rank", "reduced_torsion",
-                   "plus_rank", "minus_rank"}
-        if gw_cols & set(metrics):
+        if set(TABLE_METRICS["gw"] + TABLE_METRICS["split"]) & set(metrics):
             reduced = present(ring, PresentationKind.REDUCED)
             if "hopf_rank" in metrics or "hopf_torsion" in metrics:
                 hopf = present(ring, PresentationKind.HOPF)

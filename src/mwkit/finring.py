@@ -72,20 +72,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _poly_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % m
-    return _poly_trim(out)
-
-
-def _poly_neg(a, m):
-    return _poly_trim([(-x) % m for x in a])
-
-
 def _poly_mul(a, b, m):
     if not a or not b:
         return ()
@@ -109,29 +95,6 @@ def _poly_rem_monic(a, mod, m):
                 a[shift + i] = (a[shift + i] - lead * mod[i]) % m
         a.pop()
     return _poly_trim([v % m for v in a])
-
-
-def _poly_divmod_field(a, b, p):
-    """Polynomial division over Z/p (p prime), b nonzero."""
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        coeff = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        q[shift] = coeff
-        for i, bx in enumerate(b):
-            a[shift + i] = (a[shift + i] - coeff * bx) % p
-    return _poly_trim(q), _poly_trim([x % p for x in a])
 
 
 def _digits(idx: int, base: int, n: int) -> tuple[int, ...]:
@@ -311,18 +274,8 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        else:
-            base = self
-        acc = self.ring.one
-        while n:
-            if n & 1:
-                acc = self.ring.mul(acc, base)
-            base = self.ring.mul(base, base)
-            n >>= 1
-        return acc
+        base = self.inverse() if n < 0 else self
+        return RingElement(self.ring, self.ring._pow(base.coords, abs(n)))
 
     def is_unit(self) -> bool:
         return self.ring._is_unit(self.coords)
@@ -412,6 +365,20 @@ class Ring:
 
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
         return RingElement(self, self._mul(a.coords, b.coords))
+
+    def _pow(self, a, n: int):
+        """a^n on coordinates for n >= 0, by square-and-multiply through ``_mul``.
+
+        a^0 is one, and a^1 is a itself, with no product.
+        """
+        mul, acc = self._mul, None
+        while True:
+            if n & 1:
+                acc = a if acc is None else mul(acc, a)
+            n >>= 1
+            if not n:
+                return self._one_coords() if acc is None else acc
+            a = mul(a, a)
 
     def inverse_or_none(self, a: RingElement) -> Optional[RingElement]:
         coords = self._inverse_or_none(a.coords)
@@ -666,31 +633,11 @@ class GaloisRing(Ring):
         return any(c % p for c in a)
 
     def _inverse_or_none(self, a):
-        p = self.p
-        r1 = _poly_trim([c % p for c in a])
-        if not r1:
+        # the unit group has card - card/p^k elements, so a unit's inverse
+        # is its power to that order minus one
+        if not self._is_unit(a):
             return None
-        # extended Euclid over Z/p[x] against the modulus mod p
-        reduced = r0 = self.residue_field.modulus
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod_field(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(s0, _poly_neg(_poly_mul(q, s1, p), p), p)
-        # r0 is a nonzero constant gcd
-        inv = _poly_mul(s0, (pow(r0[0], -1, p),), p)
-        y = self._pad(_poly_rem_monic(inv, reduced, p))
-        if self.e == 1:
-            return y
-        # Newton lift: y -> y(2 - a y) doubles p-adic precision
-        one = self._one_coords()
-        for _ in range(self.e.bit_length() + 1):
-            ay = self._mul(a, y)
-            if ay == one:
-                return y
-            two_minus = self._add(self._neg(ay), self._add(one, one))
-            y = self._mul(y, two_minus)
-        return y if self._mul(a, y) == one else None
+        return self._pow(a, self.card - self.card // self.p**self.k - 1)
 
     def _enumerate_coords(self):
         # the constant term varies fastest: index order of the base-q digits

@@ -324,7 +324,7 @@ def _unit_coords(u: Unit, ring: Ring, assignment: dict):
 
     The atoms are evaluated first, in order; then the content's numerator
     is multiplied by its denominator to the power -1 and by each atom to
-    its power, by squaring.  Only a negative power inverts its base, and
+    its power, by ``Ring._pow``.  Only a negative power inverts its base, and
     EvalError refuses one that is not a unit.
     """
     num, den = u.content.numerator, u.content.denominator
@@ -339,12 +339,7 @@ def _unit_coords(u: Unit, ring: Ring, assignment: dict):
                 raise EvalError(f"{render_unit(u)} divides by {RingElement(ring, x)}, "
                                 f"a non-unit of {ring.spec_string()}")
             x, e = inverse, -e
-        while e:
-            if e & 1:
-                acc = mul(acc, x)
-            e >>= 1
-            if e:
-                x = mul(x, x)
+        acc = mul(acc, ring._pow(x, e))
     return acc
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -366,11 +367,27 @@ def test_cli_golden_output(case, tmp_path, capsys):
 
 
 # gw and compare on larger rings, recorded from the dense echelon lattice
-# that the reduced Hermite lattice replaced
+# that the reduced Hermite lattice replaced; the torsion cells of the two
+# GR(4,3) markdown rungs edited since to escape their | as \|
 @pytest.mark.parametrize("case", GOLDEN["rungs"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_rungs(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+def _markdown_cell_counts(text):
+    # cells split on each | that is not escaped as \|
+    return [len(re.split(r"(?<!\\)\|", line)) - 2 for line in text.strip().splitlines()]
+
+
+def test_markdown_rows_have_the_header_cell_count(capsys):
+    # an unescaped |-joined list once split its cell, so the row outgrew its header
+    goldens = [c["stdout"] for c in GOLDEN["cases"] + GOLDEN["rungs"] if "markdown" in c["argv"]]
+    code, out, _ = run_cli(capsys, "table", "--ring", "prod(Z/2,GF(2^2))", "--out", "markdown")
+    assert code == 0 and "2\\|2" in out
+    for text in goldens + [out]:
+        counts = _markdown_cell_counts(text)
+        assert counts == [counts[0]] * len(counts), text
 
 
 # sha256 of the stdout of ringinfo, sumsq and validate, recorded while Galois

@@ -415,6 +415,29 @@ def test_is_unit_agrees_with_inverse(ring_family):
             assert ring._is_unit(x.coords) == has_inverse == x.is_unit(), (ring, x)
 
 
+@pytest.mark.parametrize("spec", ["Z/9", "GR(4,2)", "GF(2^3)", "prod(Z/4,GF(2^2))"])
+def test_pow_is_the_repeated_product(spec, monkeypatch):
+    ring = parse_ring_spec(spec)
+    for x in ring.elements():
+        power = oracle.one(ring)
+        for n in range(10):
+            assert ring._pow(x.coords, n) == power.coords, (x, n)
+            power = oracle.mul(power, x)
+        for n in range(-3, 0):
+            if x.is_unit():
+                assert x**n == x.inverse() ** -n, (x, n)
+            else:
+                with pytest.raises(RingError):
+                    x**n
+    # a^1 takes no product, so the many eval letters of exponent 1 cost
+    # one product each, with the accumulator
+    calls = []
+    mul = ring._mul
+    monkeypatch.setattr(ring, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert [ring._pow(x.coords, 1) for x in ring.elements()] == [x.coords for x in ring.elements()]
+    assert not calls
+
+
 def test_elements_are_immutable():
     for spec in ("Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
@@ -583,7 +606,8 @@ def test_galois_field_is_the_unramified_case():
 
 ORACLE_SPECS = sorted(
     {s for s in RING_SPECS if not s.startswith("Z/")} | set(GALOIS_TABLE_DIGESTS)
-    | {"prod(Z/4,GF(2^2))", "prod(Z/5,GF(2^4))", "prod(Z/2,prod(Z/3,GR(4,2)))"})
+    | {"prod(Z/4,GF(2^2))", "prod(Z/5,GF(2^4))", "prod(Z/2,prod(Z/3,GR(4,2)))",
+       "GR(27,1)", "GR(2,3)"})
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
