@@ -395,7 +395,9 @@ def test_markdown_rows_have_the_header_cell_count(capsys):
 # coordinates were factor elements; sumsq on prod(GF(2^6),Z/61), Z/4093 and
 # GR(27,2) and ringinfo on GR(2,3) and prod(GF(2^8),Z/251) recorded while
 # every unit was squared with the ring product and the fixpoint scanned all
-# pairs of reached units
+# pairs of reached units; sumsq on GR(4,6), prod(Z/3,Z/3,Z/3,Z/3,Z/3) and
+# prod(Z/5,Z/13,Z/3) recorded while each new class was summed against every
+# reached unit
 @pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_arith(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
@@ -411,7 +413,10 @@ def test_cli_golden_arith(case, capsys):
 # and the reduced one built in dimension |U|; compare on Z/1024,
 # prod(Z/16,Z/5) and prod(Z/2,Z/1021) and reduced gw on Z/16384 recorded
 # while the comparison on an F_2-residue ring tested unit generators
-# against the hopf lattice and scanned the rows for the witness
+# against the hopf lattice and scanned the rows for the witness; gw on
+# GR(4,5), prod(Z/3,Z/3,Z/3,Z/3,Z/3) and prod(Z/5,Z/13,Z/3) in both kinds
+# and reduced gw on GR(4,6) recorded while family (iii) summed the first
+# unit of each square class with every unit
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
