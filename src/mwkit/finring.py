@@ -304,10 +304,10 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit index, square map and square classes, which are
-# rebuilt with the units; a pickled or copied ring leaves them behind
+# pickle, and the unit index, square map, square classes and unit sums,
+# which are rebuilt with the units; a pickled or copied ring leaves them behind
 _RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
-                "_square_map", "_square_classes")
+                "_square_map", "_square_classes", "_unit_sums")
 
 
 class Ring:
@@ -323,6 +323,7 @@ class Ring:
         self._hash_cache: Optional[int] = None
         self._square_map: Optional[list[int]] = None
         self._square_classes: Optional[tuple[list[int], list[int]]] = None
+        self._unit_sums: Optional[list[list[int]]] = None
 
     # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
     # _inverse_or_none, _from_int, _enumerate_coords, _zero_coords,
@@ -461,6 +462,23 @@ class Ring:
                     classes[m] = len(firsts)
                 firsts.append(i)
         return classes, firsts
+
+    def unit_sum_classes(self) -> list[list[int]]:
+        """D with D[t] the square classes of 1 + u, over the units u of class
+        t with 1 + u a unit, each class once, in the order of its first u.
+
+        One coordinate sum per unit.  Shared, do not modify.
+        """
+        if self._unit_sums is None:
+            classes, firsts = self.square_classes()
+            index, add, one = self.unit_index_by_coords(), self._add, self._one_coords()
+            sums: list = [{} for _ in firsts]  # dicts as ordered sets
+            for c, t in zip(index, classes):
+                k = index.get(add(one, c))
+                if k is not None:
+                    sums[t].setdefault(classes[k])
+            self._unit_sums = [list(d) for d in sums]
+        return self._unit_sums
 
     def unit_squares(self) -> frozenset[RingElement]:
         """The squares of the units, as elements of ``units()``; read from the square map."""

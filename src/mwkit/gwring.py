@@ -16,8 +16,9 @@ presented in the dimension of the invariants, not of the units:
 
 * reduced: family (i) identifies the units of each square class, so the
   quotient is Z^C / L' for the C = |R^x / (R^x)^2| square classes, and L'
-  is spanned by the family (ii) and (iii) rows read through the classes,
-  C |U| pairs in all.
+  is spanned by the family (ii) and (iii) rows read through the classes:
+  a family (iii) row [c](1 + [t])(1 - [d]) for each class c and each pair
+  of classes (t, d) = (cls u, cls(1 + u)) of ``Ring.unit_sum_classes``.
 * hopf: if no residue field of R is F_2, the hopf ideal already holds
   every family (i) row, and the reduced presentation serves both kinds.
   If some residue field is F_2, family (iii) is empty and the hopf lattice
@@ -222,19 +223,19 @@ def _dense(n: int, key: tuple) -> tuple[int, ...]:
 def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[tuple]:
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
-    Every unit index i is replaced by rep[i].  Rows come in a fixed order:
-    family (ii) over the first unit of each value of rep, then family (iii)
-    over the pairs (a, b) with a = firsts[c] and b any unit, once for each
-    pair of values of rep at b and a + b, on which the row depends alone.
-    Either rep is the identity and ``firsts`` is empty, or rep is the
-    square-class map and firsts[c] the first unit of class c.  The class
-    map is a homomorphism onto R^x / (R^x)^2, so the class of (a+b)ab is
-    read from the C x C products of the first units.  Sums and products
-    run on coordinates.
+    Every unit index i is replaced by rep[i].  Either rep is the identity
+    and ``firsts`` is empty, which leaves out family (iii), or rep is the
+    square-class map onto G = R^x / (R^x)^2 and firsts[c] the first unit of
+    class c.  Family (ii) comes first, over the first unit of each value of
+    rep.  Every class is its own inverse, so with a of class c and b = au,
+    u of class t and 1 + u a unit of class d, the family (iii) row is
+    [c](1 + [t])(1 - [d]): one for each class c and each pair (t, d) of
+    ``ring.unit_sum_classes()``, read through the C x C products of the
+    first units, which run on coordinates.
     """
     index = ring.unit_index_by_coords()
     coords = [u.coords for u in ring.units()]
-    add, neg, mul = ring._add, ring._neg, ring._mul
+    neg, mul = ring._neg, ring._mul
     one_c = ring.one.coords
     one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
     rows: dict = {}
@@ -247,19 +248,11 @@ def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[
         if key:
             rows.setdefault(key)
     table = [[rep[index[mul(coords[f], coords[g])]] for g in firsts] for f in firsts]
-    for c, i in enumerate(firsts):
-        a = coords[i]
-        times_a = [table[table[d][c]] for d in range(len(firsts))]  # [class s][class b] -> class s a b
-        pairs = set()
-        for j, b in enumerate(coords):
-            k = index.get(add(a, b))  # a + b is a unit exactly when it is indexed
-            if k is None:
-                continue
-            cb, cs = rep[j], rep[k]
-            if (cb, cs) in pairs:
-                continue
-            pairs.add((cb, cs))
-            key = _sparse_key(((1, c), (1, cb), (-1, cs), (-1, times_a[cs][cb])))
+    sums = ring.unit_sum_classes() if firsts else ()
+    pairs = [(t, d, table[t][d]) for t, ds in enumerate(sums) for d in ds]
+    for c, times_c in enumerate(table):
+        for t, d, td in pairs:
+            key = _sparse_key(((1, c), (1, times_c[t]), (-1, times_c[d]), (-1, times_c[td])))
             if key:
                 rows.setdefault(key)
     return list(rows)

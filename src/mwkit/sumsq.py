@@ -49,21 +49,22 @@ def unit_square_closure(ring) -> SumSquareResult:
 
     Let E_n be the units of exponent at most n.  For a unit square t,
     t(b + c) = tb + tc, so each E_n is a union of square classes, and the
-    fixpoint runs on the C x C class table: the classes that K_a + K_b
-    reaches are those of r_a + y for r_a the first unit of K_a and y in
-    K_b, a sum taken once per pair of reached classes.  A unit s of
-    exponent n then gets as witness the first b of E_{n-1}, in unit order,
-    such that c = s - b lies in E_{n-1} no earlier than b: the pair that a
-    scan of all pairs b <= c of E_{n-1} meets first, and so the
-    lexicographically least (b + c = c + b).  Round 0 enters the squares
-    in the order the units square to them, and each later round enters
-    its units in the order of their witnesses, as that scan would.  The
-    result's dicts are keyed by elements of ``units()``.
+    fixpoint runs on the classes.  x + y = x(1 + y/x), and each class is
+    its own inverse, so the classes that K_a + K_b reaches are a D[ab], for
+    D of ``Ring.unit_sum_classes``: one row of C class products per new
+    class a, and no sum of units.  A unit s of exponent n then gets as
+    witness the first b of E_{n-1}, in unit order, such that c = s - b
+    lies in E_{n-1} no earlier than b: the pair that a scan of all pairs
+    b <= c of E_{n-1} meets first, and so the lexicographically least
+    (b + c = c + b).  Round 0 enters the squares in the order the units
+    square to them, and each later round enters its units in the order of
+    their witnesses, as that scan would.  The result's dicts are keyed by
+    elements of ``units()``.
     """
     ring = make_ring(ring)
     units = ring.units()
     index = ring.unit_index_by_coords()
-    add, neg = ring._add, ring._neg
+    add, neg, mul = ring._add, ring._neg, ring._mul
     coords = list(index)
     classes, firsts = ring.square_classes()
     members: list = [[] for _ in firsts]  # class -> its units, in unit order
@@ -83,15 +84,13 @@ def unit_square_closure(ring) -> SumSquareResult:
     while len(exponent) < len(units):
         # K_b + K_a = K_a + K_b, so the pairs with a new and b reached are
         # the ones not summed yet
+        unit_sums = ring.unit_sum_classes()  # cached; unused when every unit is a square
         reached += new
         for a in new:
             in_e[a] = True
-            r = coords[firsts[a]]
+            times_a = [classes[index[mul(coords[firsts[a]], coords[f])]] for f in firsts]
             for b in reached:
-                for y in members[b]:
-                    k = index.get(add(r, coords[y]))
-                    if k is not None:
-                        sums.add(classes[k])
+                sums.update(times_a[d] for d in unit_sums[times_a[b]])
         new = [c for c in sums if not in_e[c]]
         if not new:
             break

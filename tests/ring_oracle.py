@@ -13,7 +13,8 @@
   the units of the whole element enumeration, ``square_map`` squares each
   unit with the ring product, and ``square_classes`` multiplies a unit of
   each class by every square, as the rings did before they built these
-  tables from their structure.
+  tables from their structure.  ``unit_sum_classes`` adds one to every
+  unit with the element-wise sum above.
 
 Every other function takes and returns ``RingElement`` values, except
 ``schoolbook_mul``, which works on coordinates.
@@ -149,3 +150,16 @@ def square_classes(ring) -> tuple[list[int], list[int]]:
                 classes[index[ring._mul(c, q)]] = len(firsts)
             firsts.append(i)
     return classes, firsts
+
+
+def unit_sum_classes(ring) -> list[list[int]]:
+    """D[t]: the classes of the units 1 + u, for u of class t, each once, in the order of its first u."""
+    coords = unit_coords(ring)
+    index = {c: i for i, c in enumerate(coords)}
+    classes, firsts = square_classes(ring)
+    sums: list = [[] for _ in firsts]
+    for i, c in enumerate(coords):
+        k = index.get(add(one(ring), RingElement(ring, c)).coords)
+        if k is not None and classes[k] not in sums[classes[i]]:
+            sums[classes[i]].append(classes[k])
+    return sums

@@ -330,28 +330,33 @@ def test_deeply_nested_product_refused(capsys):
 
 def test_unit_index_survives_copies():
     # a GaloisField is its own residue field, so its copies hold a cycle; the
-    # square map and the square classes are left behind with the units and
-    # rebuilt equal, also on a q = 2 field and on a product
+    # square map, the square classes and the unit sums are left behind with
+    # the units and rebuilt equal, also on a q = 2 field and on a product
     for spec in ("GR(4,2)", "GF(3^2)", "GF(2^4)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         units = ring.units()
         squares, classes = ring.unit_square_map(), ring.square_classes()
+        sums = ring.unit_sum_classes()
         assert [ring.unit_index(u) for u in units] == list(range(len(units)))
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
             assert clone == ring
             assert clone._square_map is None and clone._square_classes is None
+            assert clone._unit_sums is None
             assert clone.unit_index_by_coords() == ring.unit_index_by_coords()
             assert [clone.unit_index(u) for u in units] == list(range(len(units)))
             assert clone.unit_square_map() == squares
             assert clone.square_classes() == classes
+            assert clone.unit_sum_classes() == sums
 
 
 # the test rings, the gw full-scan rings, every q = 2 Galois ring up to 2^12
-# elements, GaloisField or not, and products nesting factors of
+# elements, GaloisField or not, one with a modulus other than the default,
+# on which the q = 2 square map depends, and products nesting factors of
 # characteristic 2
 UNIT_TABLE_SPECS = list(dict.fromkeys(
     RING_SPECS + FULL_SCAN_SPECS
     + [f"GF(2^{k})" for k in range(1, 13)] + [f"GR(2,{k})" for k in range(1, 13)]
+    + ["GR(2,3;x^3+x^2+1)", "prod(GF(2^3;x^3+x^2+1),Z/3)"]
     + ["prod(GR(4,2),prod(Z/3,GF(2^2)))", "prod(GF(2^6),Z/61)", "prod(Z/3,Z/5,Z/7)",
        "prod(prod(GF(2^2),Z/4),GR(2,3))", "prod(Z/2,prod(GR(8,2),Z/9))"]))
 
@@ -366,6 +371,25 @@ def test_unit_tables_match_per_unit_products(spec):
     assert ring.unit_square_map() == oracle.square_map(ring)
     assert ring.square_classes() == oracle.square_classes(ring)
     assert ring.unit_squares() == {ring.units()[i] for i in oracle.square_map(ring)}
+    sums = ring.unit_sum_classes()
+    assert sums == oracle.unit_sum_classes(ring)
+    if len(coords) > 512:
+        return
+    # the defining property: the classes of the unit sums a + b, for a of
+    # class A and b of class B, are the A d for d in D[AB]
+    classes, firsts = ring.square_classes()
+    index = ring.unit_index_by_coords()
+
+    def times(x, y):
+        return classes[index[ring._mul(coords[firsts[x]], coords[firsts[y]])]]
+
+    reached = {}
+    for a, b in product(range(len(coords)), repeat=2):
+        k = index.get(ring._add(coords[a], coords[b]))
+        if k is not None:
+            reached.setdefault((classes[a], classes[b]), set()).add(classes[k])
+    for x, y in product(range(len(firsts)), repeat=2):
+        assert reached.get((x, y), set()) == {times(x, d) for d in sums[times(x, y)]}, (x, y)
 
 
 @pytest.mark.parametrize("spec", ["GF(2^12)", "GR(2,12)", "prod(GF(2^6),Z/61)"])

@@ -95,10 +95,12 @@ def test_witnesses_are_lexicographically_least(spec):
 
 @pytest.mark.parametrize("spec", RING_SPECS + ["Z/61", "GR(9,2)", "prod(Z/5,GF(2^2))",
                                   "prod(GF(2^2),Z/7)", "GR(27,2)", "prod(GF(2^3),Z/7)",
-                                  "prod(GR(4,2),GR(8,2))"])
+                                  "prod(GR(4,2),GR(8,2))", "GR(4,4)", "prod(Z/5,Z/13,Z/3)",
+                                  "prod(Z/3,Z/3,Z/3,Z/3,Z/3)"])
 def test_closure_matches_element_oracle(spec):
     # the oracle squares every unit and scans every pair of reached units;
-    # the last ring takes three rounds
+    # prod(GR(4,2),GR(8,2)) takes three rounds, and the last three rings
+    # have 8 to 32 square classes
     res = unit_square_closure(parse_ring_spec(spec))
     oracle = oracle_unit_square_closure(parse_ring_spec(spec))
     # the dicts are compared with their order, which is the order reached
