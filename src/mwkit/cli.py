@@ -95,7 +95,7 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 def cmd_ringinfo(args) -> tuple[int, str]:
     ring = make_ring(args.ring)
-    units = [str(u) for u in ring.units()]
+    units = ring.unit_texts()
     squares = set(ring.unit_square_map())  # a unit square is a unit: format it once
     report = {
         "ring": ring.spec_string(),

@@ -485,6 +485,10 @@ class Ring:
         units = self.units()
         return frozenset(units[k] for k in set(self.unit_square_map()))
 
+    def unit_texts(self) -> list[str]:
+        """``str(u)`` for each u of ``units()``, in that order; not cached."""
+        return [self._format(c) for c in self.unit_index_by_coords()]
+
     def minus_one(self) -> RingElement:
         return self.neg(self.one)
 
@@ -806,6 +810,14 @@ class ProductRing(Ring):
             firsts = [first for first, _ in pairs]
             n *= len(f_classes)
         return classes, firsts
+
+    def unit_texts(self) -> list[str]:
+        # each factor formats its units once; the texts are composed in the
+        # order of _unit_coords
+        texts = [()]
+        for f in self.factors:
+            texts = [t + (x,) for x in f.unit_texts() for t in texts]
+        return ["(" + ",".join(t) + ")" for t in texts]
 
     def characteristic(self) -> int:
         return lcm(*(f.characteristic() for f in self.factors))

@@ -33,15 +33,18 @@ the start, the goal, every state and every axiom instance are plain dicts
 from words ``(eta_count, tuple[int, ...])`` to coefficients, so hashing a
 word never calls back into Python.  One search builds each axiom instance
 once, and works out R2's candidate splits, R1's ``1 - a``, R4's ``-1`` and
-R5's square root once per letter.  Each state is keyed by its words and a
-hash that is a sum over its words, which a move updates for the words it
-changes only; a child is built from its parent's words in one pass
-(``_apply``).  Each frontier is ordered by the rendered text of its terms,
-rendered from the letter table's texts by the renderer ``Term.__str__``
-uses.  Only the certificate is decoded back to units and terms.  These
-memos live in the call, not in the module, and ``check_proof`` shares none
-of them: it rebuilds every instance from the certificate and compares
-structurally.
+R5's square root once per letter.  An instance's core is written down on
+the letters the move already knows, with no ``Term`` arithmetic; R2
+backward takes one unit product, for the letter of ``ab``.  Each state is
+keyed by its words and a hash that is a sum over its words, which a move
+updates for the words it changes only; a child is built from its parent's
+words in one pass (``_apply``).  Each frontier is ordered by the rendered
+text of its terms, by the renderer ``Term.__str__`` uses, from text pieces
+that the letter table renders once per word and search.  Only the
+certificate is decoded back to units and terms.  These memos live in the
+call, not in the module, and ``check_proof`` shares none of them: it
+rebuilds every instance from the certificate through
+``AxiomSchema.build`` and compares structurally.
 """
 
 from __future__ import annotations
@@ -454,38 +457,48 @@ class Term:
         return frozenset(out)
 
     def __str__(self):
-        return _render_words(self.words, render_unit)
+        return _render_words(self.words, _unit_word_pieces)
 
     __repr__ = __str__
 
 
-def _render_words(words: dict, letter_text) -> str:
-    """The text of the term with these words, ``letter_text`` giving each letter's.
+def _word_pieces(word: Word, letter_text) -> tuple:
+    """The text pieces of a word: its sort key (degree, eta power, letter
+    texts) and its body, ``letter_text`` giving each letter's text.
 
-    ``Term.__str__`` passes ``render_unit``; the search passes its letter
-    table's texts for words on integer letters, so both render alike.
+    The body is the word without its coefficient, "" for the constant word.
+    """
+    e, brs = word
+    letters = tuple(map(letter_text, brs))
+    bits = [] if e == 0 else ["eta" if e == 1 else f"eta^{e}"]
+    bits.extend(f"[{r}]" for r in letters)
+    return (len(brs) - e, e, letters), " ".join(bits)
+
+
+def _unit_word_pieces(word: Word) -> tuple:
+    """``_word_pieces`` of a word on ``Unit`` letters, rendered afresh."""
+    return _word_pieces(word, render_unit)
+
+
+def _render_words(words: dict, word_pieces) -> str:
+    """The text of the term with these words, ``word_pieces`` giving each word's
+    ``_word_pieces``.
+
+    ``Term.__str__`` passes ``_unit_word_pieces``; the search passes its
+    letter table's store of pieces for words on integer letters, so both
+    render alike.
     """
     if not words:
         return "0"
-    # by degree, eta power, then the rendered letters
-    ordered = sorted(
-        (((len(brs) - e, e, tuple(map(letter_text, brs))), c) for (e, brs), c in words.items()),
-        key=itemgetter(0),
-    )
+    # by degree, eta power, then the rendered letters (the body follows from them)
+    ordered = sorted(zip(map(word_pieces, words), words.values()), key=itemgetter(0))
     rendered = []
-    for (_, e, letters), c in ordered:
-        bits = []
-        if e == 1:
-            bits.append("eta")
-        elif e > 1:
-            bits.append(f"eta^{e}")
-        bits.extend(f"[{r}]" for r in letters)
-        if not bits:
-            bits = [str(abs(c))]
-            coeff = ""
-        else:
-            coeff = "" if abs(c) == 1 else f"{abs(c)} "
-        rendered.append(("- " if c < 0 else "+ ") + coeff + " ".join(bits))
+    for (_, body), c in ordered:
+        if not body:
+            body = str(abs(c))
+        elif c != 1 and c != -1:
+            body = f"{abs(c)} {body}"
+        rendered.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(rendered)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
@@ -823,6 +836,20 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
 _UNSET = object()
 
 
+class _Pieces(dict):
+    """A letter table's ``_word_pieces`` of each word, rendered on first lookup."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list):
+        super().__init__()
+        self.texts = texts
+
+    def __missing__(self, word):
+        out = self[word] = _word_pieces(word, self.texts.__getitem__)
+        return out
+
+
 class _Letters:
     """One search's letter table, and the move memos keyed by its letters.
 
@@ -830,13 +857,18 @@ class _Letters:
     first-seen order, and keeps per int the first equal unit it saw and
     that unit's rendered text.  Every letter that enters a search term goes
     through it: the letters of the start and goal, the candidates, and the
-    letters of each axiom instance when it is built.  So the search's terms
-    are words dicts on ints, and hashing or comparing them never calls into
+    product, partner or root that a move needs.  So the search's terms are
+    words dicts on ints, and hashing or comparing them never calls into
     ``Unit``; ``term`` decodes one back to a ``Term`` for the certificate.
+    ``pieces`` holds the text pieces of each word the search renders, so a
+    word is rendered once per search.
 
     An axiom instance is ``(axiom, direction, binding, core)``: the
     binding's letters in the schema's parameter order, and the difference
-    the instance adds as a words dict, built once.  The memos map letters to
+    the instance adds as a words dict.  Each core is written down on the
+    letters the move already knows, with its words in the order of the
+    schema's ``Term``-built difference (``_apply`` appends new words in
+    that order); no ``AxiomSchema.build`` runs.  The memos map letters to
     the instances of their moves.  The table and the memos belong to one
     ``search`` call and go with it; ``Unit`` is unchanged, and
     ``check_proof`` reads none of this.
@@ -846,6 +878,7 @@ class _Letters:
         self.ids: dict = {}  # unit -> its letter
         self.units: list = []  # letter -> the first equal unit seen
         self.texts: list = []  # letter -> render_unit of that unit
+        self.pieces = _Pieces(self.texts)  # word -> its _word_pieces
         self.declared = declared_sums
         cands = [self.letter(u) for u in cands]
         self.cands = set(cands)
@@ -857,7 +890,8 @@ class _Letters:
         self.r1: dict = {}  # letter a -> the R1 instance on a
         self.roots: dict = {}  # letter m -> R5 instance on the square root of m, or None
         self.minus_one = self.letter(UNIT_MINUS_ONE)
-        self.r4 = self.instance("R4", "forward", ())
+        # R4 forward: -eta^2[-1] - 2 eta
+        self.r4 = ("R4", "forward", (), {(2, (self.minus_one,)): -1, (1, ()): -2})
 
     def letter(self, u: Unit) -> int:
         """The int of ``u``, given to it the first time an equal unit comes."""
@@ -879,15 +913,8 @@ class _Letters:
         return Term({(e, tuple(units[i] for i in brs)): c for (e, brs), c in words.items()})
 
     def text(self, words: dict) -> str:
-        """``str(self.term(words))``, rendered from the table's texts."""
-        return _render_words(words, self.texts.__getitem__)
-
-    def instance(self, axiom: str, direction: str, binding: tuple) -> tuple:
-        """The instance of ``axiom`` on the letters ``binding``, its core built."""
-        schema = AXIOMS[axiom]
-        lhs, rhs, _ = schema.build(dict(zip(schema.params, map(self.units.__getitem__, binding))))
-        core = self.words(rhs - lhs if direction == "forward" else lhs - rhs)
-        return (axiom, direction, binding, core)
+        """``str(self.term(words))``, rendered from the stored word pieces."""
+        return _render_words(words, self.pieces.__getitem__)
 
     def r2_splits(self, m: int) -> list:
         """The R2 forward instances on candidates (x, y), neither of them 1,
@@ -900,8 +927,28 @@ class _Letters:
                 continue
             y = ids.get(y)
             if y is not None and y in cands:
-                out.append(self.instance("R2", "forward", (x, y)))
+                # [x] + [y] + eta[x][y] - [m]; m is neither x nor y
+                core = {(0, (x,)): 2} if x == y else {(0, (x,)): 1, (0, (y,)): 1}
+                core[(1, (x, y))] = 1
+                core[(0, (m,))] = -1
+                out.append(("R2", "forward", (x, y), core))
         self.splits[m] = out
+        return out
+
+    def r2_merge(self, pair: tuple) -> tuple:
+        """The R2 backward instance on the adjacent letters ``pair``, neither of them 1."""
+        a, b = pair
+        ab = self.units[a] * self.units[b]
+        # [ab] - [a] - [b] - eta[a][b], with no [ab] when ab = 1; ab is
+        # neither a nor b
+        core = {} if ab.is_one else {(0, (self.letter(ab),)): 1}
+        if a == b:
+            core[(0, (a,))] = -2
+        else:
+            core[(0, (a,))] = -1
+            core[(0, (b,))] = -1
+        core[(1, pair)] = -1
+        out = self.merges[pair] = ("R2", "backward", pair, core)
         return out
 
     def steinberg_partner(self, a: int) -> Optional[int]:
@@ -922,7 +969,8 @@ class _Letters:
         r = self.units[m].sqrt_or_none()
         out = None
         if r is not None and not r.is_one:
-            out = self.instance("R5", "forward", (self.letter(r),))
+            # -eta[r^2], and r^2 is m
+            out = ("R5", "forward", (self.letter(r),), {(1, (m,)): -1})
         self.roots[m] = out
         return out
 
@@ -956,7 +1004,7 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
                     pair = brs[i : i + 2]
                     inst = merges.get(pair)
                     if inst is None:
-                        inst = merges[pair] = letters.instance("R2", "backward", pair)
+                        inst = letters.r2_merge(pair)
                     append((inst, coeff, s - 1, brs[:i], brs[i + 2 :]))
         if r4:
             if s >= 2:
@@ -975,7 +1023,8 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
                 if m is not None and brs[i + 1] == m:
                     inst = r1_instances.get(a)
                     if inst is None:
-                        inst = r1_instances[a] = letters.instance("R1", "forward", (a,))
+                        # -[a][1-a]
+                        inst = r1_instances[a] = ("R1", "forward", (a,), {(0, (a, m)): -1})
                     append((inst, coeff, s, brs[:i], brs[i + 2 :]))
         if r5 and s >= 1:
             for i, m in enumerate(brs):

@@ -13,6 +13,10 @@ from its own terms.
 
 Nodes are built through this module's ``_Node``, looked up at each call,
 so a test can log the states the oracle creates by patching it.
+
+``oracle_instance`` builds an axiom instance on a search's letter table the
+way the search did before it wrote its cores down on letters: through
+``AxiomSchema.build`` and ``Term`` arithmetic, then re-lettered.
 """
 
 from dataclasses import dataclass
@@ -34,6 +38,16 @@ from mwkit.kmwterm import (
     normalize,
     one_minus,
 )
+
+
+def oracle_instance(letters, axiom: str, direction: str, binding: tuple) -> tuple:
+    """The instance of ``axiom`` on the letters ``binding`` of the letter
+    table ``letters``: ``(axiom, direction, binding, core)``, with the core
+    built through the schema on the decoded units and lettered by the table."""
+    schema = AXIOMS[axiom]
+    lhs, rhs, _ = schema.build(dict(zip(schema.params, map(letters.units.__getitem__, binding))))
+    core = letters.words(rhs - lhs if direction == "forward" else lhs - rhs)
+    return (axiom, direction, binding, core)
 
 
 def _r2_splits(m, cands, cand_set) -> list:

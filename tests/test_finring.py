@@ -20,6 +20,7 @@ except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
 import mwkit
+from mwkit import finring
 from mwkit.finring import (
     MAX_SPEC_NESTING,
     GaloisField,
@@ -371,6 +372,7 @@ def test_unit_tables_match_per_unit_products(spec):
     assert ring.unit_square_map() == oracle.square_map(ring)
     assert ring.square_classes() == oracle.square_classes(ring)
     assert ring.unit_squares() == {ring.units()[i] for i in oracle.square_map(ring)}
+    assert ring.unit_texts() == [str(u) for u in ring.units()]
     sums = ring.unit_sum_classes()
     assert sums == oracle.unit_sum_classes(ring)
     if len(coords) > 512:
@@ -390,6 +392,23 @@ def test_unit_tables_match_per_unit_products(spec):
             reached.setdefault((classes[a], classes[b]), set()).add(classes[k])
     for x, y in product(range(len(firsts)), repeat=2):
         assert reached.get((x, y), set()) == {times(x, d) for d in sums[times(x, y)]}, (x, y)
+
+
+@pytest.mark.parametrize("spec,calls", [("prod(GF(2^6),Z/61)", 63),
+                                        ("prod(GR(4,2),prod(Z/3,GF(2^2)))", 12 + 3),
+                                        ("prod(GF(2^8),Z/251)", 255)])
+def test_product_unit_texts_format_each_factor_unit_once(spec, calls, monkeypatch):
+    # a count, not a time: formatting each product unit afresh formats a
+    # Galois unit once per unit of the other factors (3,780 _poly_str calls
+    # on prod(GF(2^6),Z/61))
+    ring = parse_ring_spec(spec)
+    ring.units()
+    seen = []
+    poly_str = finring._poly_str
+    monkeypatch.setattr(finring, "_poly_str", lambda c: seen.append(1) or poly_str(c))
+    texts = ring.unit_texts()
+    assert len(seen) == calls
+    assert len(texts) == len(ring.units())
 
 
 @pytest.mark.parametrize("spec", ["GF(2^12)", "GR(2,12)", "prod(GF(2^6),Z/61)"])

@@ -22,7 +22,7 @@ import prove_oracle
 from mwkit import kmwterm as km
 from mwkit.termparse import parse_identity
 
-from prove_oracle import oracle_prove
+from prove_oracle import oracle_instance, oracle_prove
 from test_kmwterm import BUDGET, CORPUS
 
 
@@ -143,6 +143,132 @@ def test_search_matches_the_oracle_on_random_identities():
         reasons[result.reason] += 1
     # both outcomes, and both budgets, are compared
     assert reasons[None] >= 10 and reasons["max_states"] and reasons["max_depth"], reasons
+
+
+# ---------------------------------------------------------------------------
+# axiom cores written down on letters
+
+
+def _tabled_search(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, and its letter table."""
+    tables = []
+
+    class LoggedLetters(km._Letters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_Letters", LoggedLetters)
+        result = km.search(ident, mode, cfg)
+    return result, tables[0] if tables else None
+
+
+def _built_instances(letters):
+    """Every axiom instance a letter table's memos hold."""
+    out = [letters.r4]
+    out += [inst for split in letters.splits.values() for inst in split]
+    out += list(letters.merges.values()) + list(letters.r1.values())
+    out += [inst for inst in letters.roots.values() if inst is not None]
+    return out
+
+
+def _assert_oracle_cores(letters, instances):
+    for inst in instances:
+        oracle = oracle_instance(letters, *inst[:3])
+        # dict order included: _apply appends new words in the core's order
+        assert list(inst[3].items()) == list(oracle[3].items()), inst
+
+
+def test_letter_cores_match_the_schema_instances():
+    kinds = Counter()
+    for text, mode, hyp in CORPUS + BUDGET:
+        _, letters = _tabled_search(parse_identity(text, hyp), mode,
+                                    km.ProveConfig(max_states=10000))
+        instances = _built_instances(letters)
+        _assert_oracle_cores(letters, instances)
+        kinds.update(inst[:2] for inst in instances)
+    # every kind of core is compared, R2 in both directions
+    assert set(kinds) == {("R2", "forward"), ("R2", "backward"), ("R1", "forward"),
+                          ("R4", "forward"), ("R5", "forward")}, kinds
+
+
+def _table(*units, declared=frozenset()):
+    return km._Letters([km.UNIT_ONE, km.UNIT_MINUS_ONE, *units], declared)
+
+
+def test_letter_cores_on_hand_cases():
+    a, b = km.uvar("a"), km.uvar("b")
+    letters = _table(a, b, a.inverse(), a * a, a * b)
+    x = letters.letter(a)
+    # R2 forward on (a, a): [a] and [a] merge into 2[a]
+    splits = letters.r2_splits(letters.letter(a * a))
+    square = [inst for inst in splits if inst[2] == (x, x)]
+    assert square and square[0][3] == {(0, (x,)): 2, (1, (x, x)): 1,
+                                       (0, (letters.letter(a * a),)): -1}
+    # R2 backward on (a, a^-1): [a a^-1] = [1] is dropped
+    merge = letters.r2_merge((x, letters.letter(a.inverse())))
+    assert len(merge[3]) == 3 and all(c == -1 for c in merge[3].values())
+    # R2 backward on (a, a): -2[a]
+    twice = letters.r2_merge((x, x))
+    _assert_oracle_cores(letters, splits + [merge, twice, letters.r4])
+    assert letters.r4[3] == {(2, (letters.minus_one,)): -1, (1, ()): -2}
+
+    # R1 under unit(a),unit(1-a)
+    ident = parse_identity("[a][1-a] = 0", "unit(a),unit(1-a)")
+    result, letters = _tabled_search(ident, "hopf-steinberg", km.ProveConfig())
+    assert [s.axiom for s in result.proof.steps] == ["R1"] and km.check_proof(result.proof)
+    assert letters.r1
+    _assert_oracle_cores(letters, list(letters.r1.values()))
+
+    # R5 in reduced mode
+    result, letters = _tabled_search(parse_identity("eta [a^2] = 0"), "reduced", km.ProveConfig())
+    assert [s.axiom for s in result.proof.steps] == ["R5"] and km.check_proof(result.proof)
+    roots = [inst for inst in letters.roots.values() if inst is not None]
+    assert roots
+    _assert_oracle_cores(letters, roots)
+
+
+@pytest.mark.parametrize("text,mode,hyp", CORPUS + BUDGET)
+def test_search_builds_no_schema_instance(text, mode, hyp):
+    ident = parse_identity(text, hyp)
+    cfg = km.ProveConfig(max_states=10000)
+    expected = km.search(ident, mode, cfg)
+
+    def refuse(self, binding):
+        raise AssertionError(f"search built {self.name} through AxiomSchema.build")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km.AxiomSchema, "build", refuse)
+        result = km.search(ident, mode, cfg)
+    assert result == expected
+    # the certificate still replays through AxiomSchema.build
+    if result.proof is not None:
+        assert km.check_proof(result.proof)
+
+
+def test_letter_texts_render_as_terms():
+    a, b = km.uvar("a"), km.uvar("b")
+    letters = _table(a, b, km.one_minus(a))
+    x, y, z = (letters.letter(u) for u in (a, b, km.one_minus(a)))
+    cases = [{}]
+    for c in (1, -1, 2, -3):
+        # the constant word sorts before eta[a] and after eta
+        cases += [{(0, ()): c, (1, (x,)): 1}, {(1, (x,)): -1, (0, ()): c},
+                  {(1, ()): 1, (0, ()): c}, {(0, ()): c}]
+    cases += [{(1, ()): 1}, {(3, ()): 1}, {(3, ()): -1, (1, ()): 2}, {(1, ()): -1, (0, (z,)): 1}]
+    cases += [{(0, (x,)): 2}, {(0, (x,)): -2}, {(0, (x, y)): 2, (0, (y,)): -2, (2, (x, z)): 1},
+              {(0, (y, x)): -2, (0, (x,)): 2}]
+    for words in cases:
+        assert letters.text(words) == str(letters.term(words)), words
+    # and again, from the pieces stored on the first pass
+    for words in cases:
+        assert letters.text(words) == str(letters.term(words)), words
+    assert letters.text({}) == "0"
+    assert letters.text({(1, (x,)): 1, (0, ()): -3}) == "-3 + eta [a]"
+    assert letters.text({(0, ()): 1, (1, ()): -1}) == "-eta + 1"
+    assert letters.text({(3, ()): 1, (0, (x,)): -2}) == "eta^3 - 2 [a]"
+    assert letters.text({(0, (x, y)): -2, (0, (x,)): 2}) == "2 [a] - 2 [a] [b]"
 
 
 # ---------------------------------------------------------------------------
