@@ -161,7 +161,7 @@ def _tabled_search(ident, mode, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km, "_Letters", LoggedLetters)
         result = km.search(ident, mode, cfg)
-    return result, tables[0] if tables else None
+    return result, tables[0]
 
 
 def _built_instances(letters):
