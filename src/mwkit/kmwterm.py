@@ -27,18 +27,22 @@ Every step of the returned certificate is independently replayable by
 ``check_proof``.  A ``None`` result means Unknown, never disproved;
 ``search`` also names the budget that ended an Unknown.
 
-The search spends its time looking up terms.  It runs on integer letters:
-a letter table gives each distinct letter of the search a small int, and
-the start, the goal, every state and every axiom instance are plain dicts
-from words ``(eta_count, tuple[int, ...])`` to coefficients, so hashing a
-word never calls back into Python.  One search builds each axiom instance
-once, and works out R2's candidate splits, R1's ``1 - a``, R4's ``-1`` and
-R5's square root once per letter.  An instance's core is written down on
-the letters the move already knows, with no ``Term`` arithmetic; R2
-backward takes one unit product, for the letter of ``ab``.  Each state is
-keyed by its words and a hash that is a sum over its words, which a move
-updates for the words it changes only; a child is built from its parent's
-words in one pass (``_apply``).  Each frontier is ordered by the rendered
+The search spends its time looking up terms.  It runs on integer letters
+and word ids: a letter table gives each distinct letter of the search a
+small int, and each distinct word ``(eta_count, tuple[int, ...])`` a small
+int too.  Every axiom instance is a plain dict from words on letters to
+coefficients, and the start, the goal and every state are plain dicts from
+word ids to coefficients, so hashing a word never calls back into Python,
+and a child hashes each word it embeds once, to intern it.  One search
+builds each axiom instance once, and works out R2's candidate splits, R1's
+``1 - a``, R4's ``-1`` and R5's square root once per letter.  An
+instance's core is written down on the letters the move already knows,
+with no ``Term`` arithmetic; R2 backward takes one unit product, for the
+letter of ``ab``.  Each state is
+keyed by a hash that is a sum over its (word id, coefficient) pairs, which
+a move updates for the words it changes only, and by its words only when
+another state has the same hash; a child is built from its parent's words
+in one pass (``_apply``).  Each frontier is ordered by the rendered
 text of its terms, by the renderer ``Term.__str__`` uses, from text pieces
 that the letter table renders once per word and search.  Only the
 certificate is decoded back to units and terms.  These memos live in the
@@ -742,7 +746,8 @@ def _embed(core: Term, pos_eta: int, left: tuple, right: tuple, coeff: int) -> T
 
 
 def _words_hash(words: dict) -> int:
-    """The hash of a state: the sum of ``hash((word, coeff))`` over its words.
+    """The hash of a state: the sum of ``hash((word, coeff))`` over its
+    words.  In the search the words are word ids, so the summands hash ints.
 
     A sum does not depend on the order of the words, and a change to one
     word changes one summand, so ``_apply`` keeps it up to date.
@@ -751,25 +756,33 @@ def _words_hash(words: dict) -> int:
 
 
 def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
-           right: tuple, coeff: int) -> tuple[dict, int]:
+           right: tuple, coeff: int, letters: "_Letters") -> tuple[dict, int]:
     """The words of ``words`` plus ``coeff * eta^pos_eta * left core right``,
     built in one pass, and their ``_words_hash`` given that of ``words``.
 
-    Both are words dicts on the search's integer letters.  The parent's dict
-    is copied once (a dict copy keeps the stored hashes) and the embedded
-    words are added in place, so only the core's words are hashed, and only
-    their summands of the hash change: the old item's is subtracted and the
-    new one's added.  Words and their order are those of the two-step sum
-    ``term + _embed(...)``: existing words update in place, a word whose
-    coefficient reaches 0 drops out, and new words follow in the core's
-    order.  Distinct core words embed to distinct words, and ``coeff`` and
-    the core's coefficients are nonzero, so a word that reaches 0 is one
-    of the parent's.
+    ``words`` and the result are words dicts on the word ids of the letter
+    table ``letters``; ``core`` is an instance's core, on its letters.  The
+    parent's dict is copied once and the embedded words are added in place.
+    Each embedded word is built once and interned, which hashes it once;
+    the lookups and the summands of the hash then work on its id, and only
+    the changed words' summands change: the old item's is subtracted and
+    the new one's added.  Words and their order are those of the two-step
+    sum ``term + _embed(...)``: existing words update in place, a word
+    whose coefficient reaches 0 drops out, and new words follow in the
+    core's order.  Distinct core words embed to distinct words, and
+    ``coeff`` and the core's coefficients are nonzero, so a word that
+    reaches 0 is one of the parent's.
     """
     out = dict(words)
     h = words_hash
+    table = letters.word_list
+    intern = letters.word_ids.setdefault
     for (e, brs), c in core.items():
-        w = (e + pos_eta, left + brs + right)
+        word = (e + pos_eta, left + brs + right)
+        n = len(table)
+        w = intern(word, n)
+        if w == n:
+            table.append(word)
         c1 = out.get(w, 0)
         c2 = c1 + c * coeff
         if c1:
@@ -789,11 +802,12 @@ def _step_delta(step: ProofStep) -> Term:
     return _embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff)
 
 
-@dataclass(slots=True)
-class _Node:
-    words: dict  # the state, on the search's integer letters
-    parent: Optional["_Node"]
-    step: Optional[tuple]  # the move that made it: (instance, coeff, pos_eta, left, right)
+# A search node is a plain tuple (words, parent, move): the state, on the
+# search's word ids, the node it was reached from (None for the start and
+# the goal), and the move that made it, (instance, coeff, pos_eta, left,
+# right).  The search builds each node through this name, so a test can log
+# the states a search creates by patching it.
+_Node = tuple
 
 
 def _unit_complexity(u: Unit) -> tuple:
@@ -813,19 +827,20 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
     base |= set(identity.hypotheses) | set(hints)
     cur = set(base)
     for _ in range(depth):
-        new = set()
-        for u in cur:
-            new.add(u.inverse())
+        pool = sorted(cur, key=_unit_complexity)
+        # each unit's inverse once per round, not once per pair
+        inverses = [u.inverse() for u in pool]
+        new = set(inverses)
+        for u in pool:
             new.add(-u)
             r = u.sqrt_or_none()
             if r is not None:
                 new.add(r)
-        pool = sorted(cur, key=_unit_complexity)
-        for i, u in enumerate(pool):
-            for v in pool[i:]:
+        for i, (u, u_inv) in enumerate(zip(pool, inverses)):
+            for v, v_inv in zip(pool[i:], inverses[i:]):
                 new.add(u * v)
-                new.add(u * v.inverse())
-                new.add(v * u.inverse())
+                new.add(u * v_inv)
+                new.add(v * u_inv)
         cur |= new
         if len(cur) > cap:
             cur = set(sorted(cur, key=_unit_complexity)[:cap])
@@ -837,48 +852,55 @@ _UNSET = object()
 
 
 class _Pieces(dict):
-    """A letter table's ``_word_pieces`` of each word, rendered on first lookup."""
+    """A letter table's ``_word_pieces`` of each word id, rendered on first lookup."""
 
-    __slots__ = ("texts",)
+    __slots__ = ("word_list", "texts")
 
-    def __init__(self, texts: list):
+    def __init__(self, word_list: list, texts: list):
         super().__init__()
-        self.texts = texts
+        self.word_list, self.texts = word_list, texts
 
     def __missing__(self, word):
-        out = self[word] = _word_pieces(word, self.texts.__getitem__)
+        out = self[word] = _word_pieces(self.word_list[word], self.texts.__getitem__)
         return out
 
 
 class _Letters:
-    """One search's letter table, and the move memos keyed by its letters.
+    """One search's letter and word table, and the move memos keyed by its
+    letters.
 
     The table gives each distinct letter of the search a small int, in
     first-seen order, and keeps per int the first equal unit it saw and
     that unit's rendered text.  Every letter that enters a search term goes
     through it: the letters of the start and goal, the candidates, and the
-    product, partner or root that a move needs.  So the search's terms are
-    words dicts on ints, and hashing or comparing them never calls into
-    ``Unit``; ``term`` decodes one back to a ``Term`` for the certificate.
-    ``pieces`` holds the text pieces of each word the search renders, so a
-    word is rendered once per search.
+    product, partner or root that a move needs.  It gives each distinct
+    word ``(eta_count, tuple of letters)`` a small int too, its word id, in
+    first-seen order, and keeps the word of each id.  The search's terms
+    are words dicts from word ids to coefficients, so looking a word up in
+    a term, and hashing or comparing a term, work on ints and never call
+    into ``Unit``; ``term`` decodes one back to a ``Term`` for the
+    certificate.  ``pieces`` holds the text pieces of each word id the
+    search renders, so a word is rendered once per search.
 
     An axiom instance is ``(axiom, direction, binding, core)``: the
     binding's letters in the schema's parameter order, and the difference
-    the instance adds as a words dict.  Each core is written down on the
-    letters the move already knows, with its words in the order of the
-    schema's ``Term``-built difference (``_apply`` appends new words in
-    that order); no ``AxiomSchema.build`` runs.  The memos map letters to
-    the instances of their moves.  The table and the memos belong to one
-    ``search`` call and go with it; ``Unit`` is unchanged, and
-    ``check_proof`` reads none of this.
+    the instance adds as a dict from words on letters (not word ids: a move
+    embeds them in a context first) to coefficients.  Each core is
+    written down on the letters the move already knows, with its words in
+    the order of the schema's ``Term``-built difference (``_apply`` appends
+    new words in that order); no ``AxiomSchema.build`` runs.  The memos
+    map letters to the instances of their moves.  The table and the memos
+    belong to one ``search`` call and go with it; ``Unit`` is unchanged,
+    and ``check_proof`` reads none of this.
     """
 
     def __init__(self, cands: Sequence[Unit], declared_sums: frozenset):
         self.ids: dict = {}  # unit -> its letter
         self.units: list = []  # letter -> the first equal unit seen
         self.texts: list = []  # letter -> render_unit of that unit
-        self.pieces = _Pieces(self.texts)  # word -> its _word_pieces
+        self.word_ids: dict = {}  # word (eta_count, letters) -> its word id
+        self.word_list: list = []  # word id -> its word
+        self.pieces = _Pieces(self.word_list, self.texts)  # word id -> its _word_pieces
         self.declared = declared_sums
         cands = [self.letter(u) for u in cands]
         self.cands = set(cands)
@@ -902,15 +924,28 @@ class _Letters:
             self.texts.append(render_unit(u))
         return i
 
+    def word(self, word: tuple) -> int:
+        """The id of ``word``, on the table's letters, given to it the first
+        time it comes."""
+        n = len(self.word_list)
+        i = self.word_ids.setdefault(word, n)
+        if i == n:
+            self.word_list.append(word)
+        return i
+
     def words(self, t: Term) -> dict:
-        """``t``'s words on the table's letters, in ``t``'s order."""
-        letter = self.letter
-        return {(e, tuple(map(letter, brs))): c for (e, brs), c in t.words.items()}
+        """``t``'s words as word ids, in ``t``'s order."""
+        letter, word = self.letter, self.word
+        return {word((e, tuple(map(letter, brs)))): c for (e, brs), c in t.words.items()}
 
     def term(self, words: dict) -> Term:
-        """The term of a words dict on the table's letters, in its order."""
-        units = self.units
-        return Term({(e, tuple(units[i] for i in brs)): c for (e, brs), c in words.items()})
+        """The term of a words dict on the table's word ids, in its order."""
+        units, table = self.units, self.word_list
+        out = {}
+        for i, c in words.items():
+            e, brs = table[i]
+            out[(e, tuple(units[x] for x in brs))] = c
+        return Term(out)
 
     def text(self, words: dict) -> str:
         """``str(self.term(words))``, rendered from the stored word pieces."""
@@ -980,16 +1015,18 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
 
     A move is ``(instance, coeff, pos_eta, left, right)``: it adds ``coeff``
     times the instance's core at eta power ``pos_eta`` between the letters
-    ``left`` and ``right``.  Each instance comes from ``letters``' memos, so
-    it is built once per search.
+    ``left`` and ``right``.  ``words`` is on ``letters``' word ids.  Each
+    instance comes from ``letters``' memos, so it is built once per search.
     """
     out = []
     append = out.append
+    table = letters.word_list
     r1, r2, r4, r5 = (name in schema_names for name in ("R1", "R2", "R4", "R5"))
     splits, merges = letters.splits, letters.merges
     steinberg, r1_instances, roots = letters.steinberg, letters.r1, letters.roots
     minus_one, r4_instance = letters.minus_one, letters.r4
-    for (s, brs), coeff in words.items():
+    for w, coeff in words.items():
+        s, brs = table[w]
         if r2:
             for i, m in enumerate(brs):
                 split = splits.get(m)
@@ -1036,11 +1073,13 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
     return out
 
 
-def _path(node: _Node) -> list:
+def _path(node: tuple) -> list:
+    """The steps ``(before, move, after)`` from the root of ``node`` to it."""
     out = []
-    while node.parent is not None:
-        out.append((node.parent.words, node.step, node.words))
-        node = node.parent
+    words, parent, move = node
+    while parent is not None:
+        out.append((parent[0], move, words))
+        words, parent, move = parent
     out.reverse()
     return out
 
@@ -1061,28 +1100,6 @@ def _stitch(identity, mode, letters: _Letters, left_node, right_node) -> Proof:
         flipped = "backward" if move[0][1] == "forward" else "forward"
         steps.append(step(move, flipped, after, before))
     return Proof(identity, mode, tuple(steps))
-
-
-class _StateKey:
-    """A search state as a key of the left and right maps.
-
-    It holds the state's words dict and their ``_words_hash``, which
-    ``_apply`` keeps up to date from the parent's, so no lookup re-hashes
-    the state's words.  Two keys are equal exactly when their words dicts
-    are, so a hash collision never merges two states.
-    """
-
-    __slots__ = ("words", "hash")
-
-    def __init__(self, words: dict, words_hash: int):
-        self.words = words
-        self.hash = words_hash
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return self.words == other.words
 
 
 @dataclass(frozen=True)
@@ -1110,11 +1127,13 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
     """The search behind ``prove``, with the budget that ended an Unknown.
 
     A hint whose sums the hypotheses do not declare is refused with
-    ``IdentityError``.  Each state is a words dict on the letters of the
+    ``IdentityError``.  Each state is a words dict on the word ids of the
     search's letter table (``_Letters``), kept beside its ``_words_hash``
-    (in the frontier) and under its ``_StateKey`` (in the maps).  Each
-    frontier is expanded in the order of its terms' word counts, then
-    their text.
+    in the frontier.  The left and right maps key each node by that hash;
+    a state whose hash another state of the map already holds is keyed by
+    ``frozenset`` of its words instead, so two different states are never
+    merged.  Each frontier is expanded in the order of its terms' word
+    counts, then their text.
     """
     cfg = config or ProveConfig()
     cfg.validate()
@@ -1136,13 +1155,12 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
     text = letters.text
 
     def frontier_order(entry):
-        words = entry[0].words
+        words = entry[0][0]
         return (len(words), text(words))
 
-    start_node, goal_node = _Node(start, None, None), _Node(goal, None, None)
+    start_node, goal_node = _Node((start, None, None)), _Node((goal, None, None))
     start_hash, goal_hash = _words_hash(start), _words_hash(goal)
-    left = {_StateKey(start, start_hash): start_node}
-    right = {_StateKey(goal, goal_hash): goal_node}
+    left, right = {start_hash: start_node}, {goal_hash: goal_node}
     frontier_l = [(start_node, start_hash)]
     frontier_r = [(goal_node, goal_hash)]
     max_words = cfg.max_term_words
@@ -1156,7 +1174,7 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
         for node, words_hash in sorted(frontier, key=frontier_order):
-            words = node.words
+            words = node[0]
             n_words = len(words)
             for move in _moves(words, schema_names, letters):
                 inst, coeff, pe, pl, pr = move
@@ -1164,18 +1182,22 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
                 # each word of the core cancels at most one word of the term
                 if n_words - len(core) > max_words:
                     continue
-                w2, h2 = _apply(words, words_hash, core, pe, pl, pr, coeff)
+                w2, h2 = _apply(words, words_hash, core, pe, pl, pr, coeff, letters)
                 if len(w2) > max_words:
                     continue
-                k2 = _StateKey(w2, h2)
-                if k2 in own:
+                # a node under h2 with other words means a collision: then
+                # the state is keyed by its words
+                known = own.get(h2)
+                if known is not None and (known[0] == w2 or frozenset(w2.items()) in own):
                     continue
-                child = _Node(w2, node, move)
-                meet = other.get(k2)
+                child = _Node((w2, node, move))
+                meet = other.get(h2)
+                if meet is not None and meet[0] != w2:
+                    meet = other.get(frozenset(w2.items()))
                 if meet is not None:
                     pair = (child, meet) if from_left else (meet, child)
                     return SearchResult(_stitch(identity, mode, letters, *pair), None, states)
-                own[k2] = child
+                own[h2 if known is None else frozenset(w2.items())] = child
                 next_frontier.append((child, h2))
                 states += 1
                 if states > cfg.max_states:

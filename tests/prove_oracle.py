@@ -17,6 +17,10 @@ so a test can log the states the oracle creates by patching it.
 ``oracle_instance`` builds an axiom instance on a search's letter table the
 way the search did before it wrote its cores down on letters: through
 ``AxiomSchema.build`` and ``Term`` arithmetic, then re-lettered.
+
+``oracle_candidate_units`` is the candidate closure as it was before it
+computed each unit's inverse once per round: it inverts both units of every
+pair.  ``oracle_prove`` draws its candidates from it.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,9 @@ from mwkit.kmwterm import (
     Term,
     UnitExprError,
     axioms,
-    candidate_units,
+    UNIT_MINUS_ONE,
+    UNIT_ONE,
+    _unit_complexity,
     normalize,
     one_minus,
 )
@@ -46,8 +52,38 @@ def oracle_instance(letters, axiom: str, direction: str, binding: tuple) -> tupl
     built through the schema on the decoded units and lettered by the table."""
     schema = AXIOMS[axiom]
     lhs, rhs, _ = schema.build(dict(zip(schema.params, map(letters.units.__getitem__, binding))))
-    core = letters.words(rhs - lhs if direction == "forward" else lhs - rhs)
+    diff = rhs - lhs if direction == "forward" else lhs - rhs
+    letter = letters.letter
+    core = {(e, tuple(map(letter, brs))): c for (e, brs), c in diff.words.items()}
     return (axiom, direction, binding, core)
+
+
+def oracle_candidate_units(identity: Identity, hints, depth: int, cap: int):
+    """Subterm units of the problem plus hints, closed to bounded depth
+    under inverse, negation, literal square roots, products and quotients."""
+    base = {UNIT_ONE, UNIT_MINUS_ONE}
+    base |= set(identity.lhs.letters()) | set(identity.rhs.letters())
+    base |= set(identity.hypotheses) | set(hints)
+    cur = set(base)
+    for _ in range(depth):
+        new = set()
+        for u in cur:
+            new.add(u.inverse())
+            new.add(-u)
+            r = u.sqrt_or_none()
+            if r is not None:
+                new.add(r)
+        pool = sorted(cur, key=_unit_complexity)
+        for i, u in enumerate(pool):
+            for v in pool[i:]:
+                new.add(u * v)
+                new.add(u * v.inverse())
+                new.add(v * u.inverse())
+        cur |= new
+        if len(cur) > cap:
+            cur = set(sorted(cur, key=_unit_complexity)[:cap])
+    ordered = sorted(cur, key=_unit_complexity)
+    return ordered, set(ordered)
 
 
 def _r2_splits(m, cands, cand_set) -> list:
@@ -176,7 +212,8 @@ def oracle_prove(identity: Identity, mode, config: Optional[ProveConfig] = None)
     goal = normalize(identity.rhs)
     if start == goal:
         return Proof(identity, mode, ())
-    cands, cand_set = candidate_units(identity, cfg.hint_units, CLOSURE_DEPTH, MAX_CANDIDATES)
+    cands, cand_set = oracle_candidate_units(identity, cfg.hint_units, CLOSURE_DEPTH,
+                                             MAX_CANDIDATES)
 
     left = {start.key(): _Node(start, None, None)}
     right = {goal.key(): _Node(goal, None, None)}

@@ -450,6 +450,11 @@ def _hash_from_scratch(words):
     return sum(hash((w, c)) for w, c in words.items())
 
 
+def _core_term(letters, core):
+    """The term of an instance's core, whose words are on letters."""
+    return letters.term({letters.word(w): c for w, c in core.items()})
+
+
 def test_apply_matches_the_sum_with_the_embedded_core():
     cancelled = appended = 0
     for text, mode, hyp in CORPUS + BUDGET:
@@ -457,14 +462,16 @@ def test_apply_matches_the_sum_with_the_embedded_core():
         assert seen
         for words, move, letters in seen:
             (axiom, direction, binding, core), coeff, pe, pl, pr = move
-            child, child_hash = km._apply(words, _hash_from_scratch(words), core, pe, pl, pr, coeff)
+            child, child_hash = km._apply(words, _hash_from_scratch(words), core, pe, pl, pr,
+                                          coeff, letters)
             # the core is the schema's instance on the decoded binding
             schema = km.AXIOMS[axiom]
             lhs, rhs, _ = schema.build(dict(zip(schema.params, (letters.units[i] for i in binding))))
-            assert letters.term(core) == (rhs - lhs if direction == "forward" else lhs - rhs)
+            core_term = _core_term(letters, core)
+            assert core_term == (rhs - lhs if direction == "forward" else lhs - rhs)
             # dict order included: it fixes the order of moves and states
             unit = letters.units.__getitem__
-            expected = letters.term(words) + km._embed(letters.term(core), pe, tuple(map(unit, pl)),
+            expected = letters.term(words) + km._embed(core_term, pe, tuple(map(unit, pl)),
                                                        tuple(map(unit, pr)), coeff)
             assert list(letters.term(child).words.items()) == list(expected.words.items())
             # the hash updated from the parent's is the child's, from scratch

@@ -22,19 +22,20 @@ import prove_oracle
 from mwkit import kmwterm as km
 from mwkit.termparse import parse_identity
 
-from prove_oracle import oracle_instance, oracle_prove
+from prove_oracle import oracle_candidate_units, oracle_instance, oracle_prove
 from test_kmwterm import BUDGET, CORPUS
 
 
-def logged_search(ident, mode, cfg):
-    """What ``kmwterm.search`` returns, and the decoded text of each state
-    it creates, in order."""
+def search_states(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, the words dict (on word ids) of each
+    state it creates, in order, and its letter table (None when the search
+    made none)."""
     created, tables = [], []
 
-    class LoggedNode(km._Node):
-        def __init__(self, words, parent, step):
-            super().__init__(words, parent, step)
-            created.append(words)
+    def logged_node(node):
+        words, parent, move = node
+        created.append(words)
+        return node
 
     class LoggedLetters(km._Letters):
         def __init__(self, *args):
@@ -42,14 +43,21 @@ def logged_search(ident, mode, cfg):
             tables.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_Node", LoggedNode)
+        mp.setattr(km, "_Node", logged_node)
         mp.setattr(km, "_Letters", LoggedLetters)
         result = km.search(ident, mode, cfg)
+    return result, created, (tables[0] if tables else None)
+
+
+def logged_search(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, and the decoded text of each state
+    it creates, in order."""
+    result, created, letters = search_states(ident, mode, cfg)
     states = []
     for words in created:
         # decoded through Term.__str__, which the frontier order must match
-        text = str(tables[0].term(words))
-        assert tables[0].text(words) == text
+        text = str(letters.term(words))
+        assert letters.text(words) == text
         states.append(text)
     return result, states
 
@@ -143,6 +151,63 @@ def test_search_matches_the_oracle_on_random_identities():
         reasons[result.reason] += 1
     # both outcomes, and both budgets, are compared
     assert reasons[None] >= 10 and reasons["max_states"] and reasons["max_depth"], reasons
+
+
+# ---------------------------------------------------------------------------
+# state maps keyed by the state hash
+
+
+@pytest.mark.parametrize("text,mode,hyp,max_states",
+                         [case + (km.ProveConfig().max_states,) for case in CORPUS]
+                         + [BUDGET[0] + (2000,)])
+def test_search_with_every_state_hash_equal_matches_the_oracle(text, mode, hyp, max_states):
+    """Every state hashes to 0, so each lookup after the first finds another
+    state under its hash and falls back to the key of its words."""
+    apply = km._apply
+    exact_keys = Counter()
+
+    def counted_frozenset(items):
+        exact_keys["calls"] += 1
+        return frozenset(items)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_words_hash", lambda words: 0)
+        mp.setattr(km, "_apply", lambda *args: (apply(*args)[0], 0))
+        mp.setattr(km, "frozenset", counted_frozenset, raising=False)
+        result, states = _assert_same_search(parse_identity(text, hyp), mode,
+                                             km.ProveConfig(max_states=max_states))
+    # states with equal hashes stay distinct states: all of them but the
+    # child that meets the other side are different terms
+    meeting = result.proof is not None
+    assert len(set(states)) == len(states) - meeting
+    assert result.states == len(states) - meeting
+    # each map holds a state under hash 0 from the start, so every child
+    # looked itself up by its words
+    assert exact_keys["calls"] >= len(states) - 2, (exact_keys, len(states))
+    if not meeting:
+        assert result.reason == "max_states" and len(states) == 2001
+
+
+# ---------------------------------------------------------------------------
+# candidate units
+
+
+def test_candidate_units_match_the_oracle():
+    rng = random.Random(2828)
+    idents = [parse_identity(t, h) for t, _, h in CORPUS + BUDGET]
+    idents += [parse_identity(_random_identity(rng)[0], "unit(a),unit(1-a)") for _ in range(40)]
+    a, b = km.uvar("a"), km.uvar("b")
+    hint_sets = [(), (a * b,), (km.one_minus(a), -b), (km.uint(3), a.inverse(), b * b)]
+    compared = 0
+    for i, ident in enumerate(idents):
+        hints = hint_sets[i % len(hint_sets)]
+        for depth, cap in ((km.CLOSURE_DEPTH, km.MAX_CANDIDATES), (2, km.MAX_CANDIDATES), (1, 16)):
+            ordered, cands = km.candidate_units(ident, hints, depth, cap)
+            want, want_set = oracle_candidate_units(ident, hints, depth, cap)
+            assert [u.key() for u in ordered] == [u.key() for u in want], (str(ident), hints)
+            assert cands == want_set
+            compared += 1
+    assert compared == 3 * len(idents)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +316,11 @@ def test_letter_texts_render_as_terms():
     a, b = km.uvar("a"), km.uvar("b")
     letters = _table(a, b, km.one_minus(a))
     x, y, z = (letters.letter(u) for u in (a, b, km.one_minus(a)))
+
+    def ids(words):
+        # the words dict on the table's word ids, in the same order
+        return {letters.word(w): c for w, c in words.items()}
+
     cases = [{}]
     for c in (1, -1, 2, -3):
         # the constant word sorts before eta[a] and after eta
@@ -259,16 +329,17 @@ def test_letter_texts_render_as_terms():
     cases += [{(1, ()): 1}, {(3, ()): 1}, {(3, ()): -1, (1, ()): 2}, {(1, ()): -1, (0, (z,)): 1}]
     cases += [{(0, (x,)): 2}, {(0, (x,)): -2}, {(0, (x, y)): 2, (0, (y,)): -2, (2, (x, z)): 1},
               {(0, (y, x)): -2, (0, (x,)): 2}]
+    cases = [ids(words) for words in cases]
     for words in cases:
         assert letters.text(words) == str(letters.term(words)), words
     # and again, from the pieces stored on the first pass
     for words in cases:
         assert letters.text(words) == str(letters.term(words)), words
     assert letters.text({}) == "0"
-    assert letters.text({(1, (x,)): 1, (0, ()): -3}) == "-3 + eta [a]"
-    assert letters.text({(0, ()): 1, (1, ()): -1}) == "-eta + 1"
-    assert letters.text({(3, ()): 1, (0, (x,)): -2}) == "eta^3 - 2 [a]"
-    assert letters.text({(0, (x, y)): -2, (0, (x,)): 2}) == "2 [a] - 2 [a] [b]"
+    assert letters.text(ids({(1, (x,)): 1, (0, ()): -3})) == "-3 + eta [a]"
+    assert letters.text(ids({(0, ()): 1, (1, ()): -1})) == "-eta + 1"
+    assert letters.text(ids({(3, ()): 1, (0, (x,)): -2})) == "eta^3 - 2 [a]"
+    assert letters.text(ids({(0, (x, y)): -2, (0, (x,)): 2})) == "2 [a] - 2 [a] [b]"
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +359,14 @@ def test_budget_search_compares_letters_by_identity(text, mode, hyp):
             return fn(*args)
         return wrapper
 
-    states = []
-
-    class LoggedNode(km._Node):
-        def __init__(self, words, parent, step):
-            super().__init__(words, parent, step)
-            states.append(words)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_Node", LoggedNode)
         mp.setattr(km.Unit, "__eq__", counted("eq", unit_eq))
         mp.setattr(km.Unit, "__hash__", counted("hash", unit_hash))
         mp.setattr(km, "one_minus", counted("one_minus", one_minus))
         mp.setattr(km.Term, "key", counted("key", term_key))
-        result = km.search(ident, mode, km.ProveConfig(max_states=10000))
+        result, states, table = search_states(ident, mode, km.ProveConfig(max_states=10000))
     assert result.proof is None and result.reason == "max_states"
-    letters = {i for words in states for _, brs in words for i in brs}
+    letters = {i for words in states for w in words for i in table.word_list[w][1]}
     # states hold integer letters, so only the letter table hashes a unit
     # (about 390k calls when the states held units)
     assert calls["hash"] <= 30000, calls
@@ -313,6 +376,21 @@ def test_budget_search_compares_letters_by_identity(text, mode, hyp):
     assert calls["one_minus"] <= len(letters), (calls, len(letters))
     # states are keyed by their incremental hash, not by Term.key
     assert calls["key"] == 0, calls
+
+
+@pytest.mark.parametrize("text,mode,hyp", BUDGET)
+def test_budget_search_states_are_on_word_ids(text, mode, hyp):
+    result, states, letters = search_states(parse_identity(text, hyp), mode,
+                                            km.ProveConfig(max_states=10000))
+    assert result.reason == "max_states" and len(states) == 10001
+    table = letters.word_list
+    # every key of every state is an int that indexes the word table
+    assert all(type(w) is int and 0 <= w < len(table) for words in states for w in words)
+    # the table holds each distinct word once, and each word on letters
+    assert letters.word_ids == {word: i for i, word in enumerate(table)}
+    assert len(letters.word_ids) == len(table)
+    assert all(type(e) is int and type(brs) is tuple and all(type(x) is int for x in brs)
+               for e, brs in table)
 
 
 _DIGESTS = """
