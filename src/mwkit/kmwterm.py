@@ -777,12 +777,13 @@ def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
     h = words_hash
     table = letters.word_list
     intern = letters.word_ids.setdefault
+    n = len(table)  # the id of the next new word
     for (e, brs), c in core.items():
         word = (e + pos_eta, left + brs + right)
-        n = len(table)
         w = intern(word, n)
         if w == n:
             table.append(word)
+            n += 1
         c1 = out.get(w, 0)
         c2 = c1 + c * coeff
         if c1:
