@@ -775,6 +775,7 @@ def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
     """
     out = dict(words)
     h = words_hash
+    # interned inline, as _Letters.word does, without a method call per word
     table = letters.word_list
     intern = letters.word_ids.setdefault
     n = len(table)  # the id of the next new word

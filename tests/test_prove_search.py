@@ -214,21 +214,6 @@ def test_candidate_units_match_the_oracle():
 # axiom cores written down on letters
 
 
-def _tabled_search(ident, mode, cfg):
-    """What ``kmwterm.search`` returns, and its letter table."""
-    tables = []
-
-    class LoggedLetters(km._Letters):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_Letters", LoggedLetters)
-        result = km.search(ident, mode, cfg)
-    return result, tables[0]
-
-
 def _built_instances(letters):
     """Every axiom instance a letter table's memos hold."""
     out = [letters.r4]
@@ -248,8 +233,8 @@ def _assert_oracle_cores(letters, instances):
 def test_letter_cores_match_the_schema_instances():
     kinds = Counter()
     for text, mode, hyp in CORPUS + BUDGET:
-        _, letters = _tabled_search(parse_identity(text, hyp), mode,
-                                    km.ProveConfig(max_states=10000))
+        _, _, letters = search_states(parse_identity(text, hyp), mode,
+                                      km.ProveConfig(max_states=10000))
         instances = _built_instances(letters)
         _assert_oracle_cores(letters, instances)
         kinds.update(inst[:2] for inst in instances)
@@ -281,13 +266,14 @@ def test_letter_cores_on_hand_cases():
 
     # R1 under unit(a),unit(1-a)
     ident = parse_identity("[a][1-a] = 0", "unit(a),unit(1-a)")
-    result, letters = _tabled_search(ident, "hopf-steinberg", km.ProveConfig())
+    result, _, letters = search_states(ident, "hopf-steinberg", km.ProveConfig())
     assert [s.axiom for s in result.proof.steps] == ["R1"] and km.check_proof(result.proof)
     assert letters.r1
     _assert_oracle_cores(letters, list(letters.r1.values()))
 
     # R5 in reduced mode
-    result, letters = _tabled_search(parse_identity("eta [a^2] = 0"), "reduced", km.ProveConfig())
+    result, _, letters = search_states(parse_identity("eta [a^2] = 0"), "reduced",
+                                       km.ProveConfig())
     assert [s.axiom for s in result.proof.steps] == ["R5"] and km.check_proof(result.proof)
     roots = [inst for inst in letters.roots.values() if inst is not None]
     assert roots
