@@ -132,7 +132,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 class InputFileError(InputError):
-    """An input file could not be read as text."""
+    """An input file could not be read as text, or holds no input."""
 
 
 def _read_text(path: str, option: str) -> str:
@@ -230,6 +230,8 @@ def cmd_table(args) -> tuple[int, str]:
     if args.ring:
         specs.append(args.ring)
     if not specs:
+        if args.family:
+            raise InputFileError(f"--family {args.family}: lists no ring")
         raise RingError("table needs --family FILE or --ring SPEC")
     metric_names = _split_list(args.metrics) or list(TABLE_METRICS)
     metrics: list[str] = []

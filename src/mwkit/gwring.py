@@ -36,6 +36,7 @@ to 1, which its docstring proves from the rows f(a) of the hopf case.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -59,19 +60,17 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _unit_indices(ring: Ring, keys, index: Optional[Mapping] = None) -> list[int]:
-    """Position in ``units()`` of each key, in order; ValueError unless every key is a unit of ring.
+def _fold(ring: Ring, coeffs: Mapping, index: Mapping, acc, sign: int = 1):
+    """Add sign * c into acc[index[u.coords]] for each key u and coefficient c; return acc.
 
-    ``index`` maps the coordinates of every unit to the number returned,
-    the unit's position when it is not given.  This is the one key check of
-    group-ring products, class queries and ``to_dense``.  A key of a
-    structurally equal ring handle is accepted, as ``RingElement`` equality
-    accepts it.
+    ``index`` maps the coordinates of every unit of ring to a position of
+    ``acc``: a list, or a ``defaultdict(int)``, which keeps the positions in
+    first-occurrence order.  This is the one key check of group-ring
+    products, class queries and ``to_dense``: a ValueError unless every key
+    is a unit of ring.  A key of a structurally equal ring handle is
+    accepted, as ``RingElement`` equality accepts it.
     """
-    if index is None:
-        index = ring.unit_index_by_coords()
-    out = []
-    for u in keys:
+    for u, c in coeffs.items():
         if type(u) is not RingElement:
             raise ValueError(f"<{u!r}> requires a unit of {ring.spec_string()}, "
                              f"got a key of type {type(u).__name__}")
@@ -80,8 +79,8 @@ def _unit_indices(ring: Ring, keys, index: Optional[Mapping] = None) -> list[int
         k = index.get(u.coords)
         if k is None:
             raise _non_unit(ring, u)
-        out.append(k)
-    return out
+        acc[k] += sign * c
+    return acc
 
 
 class GroupRingVector:
@@ -162,10 +161,10 @@ class GroupRingVector:
         ring = self.ring
         units, index, coord_mul = ring.units(), ring.unit_index_by_coords(), ring._mul
         ys = [(units[j].coords, cv)
-              for j, cv in zip(_unit_indices(ring, other.coeffs), other.coeffs.values())]
+              for j, cv in _fold(ring, other.coeffs, index, defaultdict(int)).items()]
         acc: dict = {}
         get = acc.get
-        for i, cu in zip(_unit_indices(ring, self.coeffs), self.coeffs.values()):
+        for i, cu in _fold(ring, self.coeffs, index, defaultdict(int)).items():
             uc = units[i].coords
             for vc, cv in ys:
                 k = index[coord_mul(uc, vc)]
@@ -188,10 +187,8 @@ class GroupRingVector:
 
     def to_dense(self) -> tuple[int, ...]:
         """Coefficients in the unit order of the ring."""
-        row = [0] * len(self.ring.units())
-        for k, c in zip(_unit_indices(self.ring, self.coeffs), self.coeffs.values()):
-            row[k] += c
-        return tuple(row)
+        ring = self.ring
+        return tuple(_fold(ring, self.coeffs, ring.unit_index_by_coords(), [0] * len(ring.units())))
 
     def __str__(self):
         if not self.coeffs:
@@ -421,23 +418,34 @@ class GwPresentedRing:
     def angle(self, u) -> GroupRingVector:
         return GroupRingVector.angle(self.ring, self.ring.coerce(u))
 
-    def _coordinates(self, x: GroupRingVector) -> list[int]:
-        """Coordinate of Z^m of each basis vector of x, in the order of ``x.coeffs``."""
-        if x.ring is not self.ring and x.ring != self.ring:
-            raise ValueError("ring mismatch")
-        return _unit_indices(self.ring, x.coeffs, self._coordinate_of)
+    def _order(self, x: GroupRingVector, y: Optional[GroupRingVector] = None) -> Optional[int]:
+        """Additive order of the class of x, or of x - y; None means infinite.
+
+        Each unit is read through its coordinate of Z^m.  When the supports
+        hold at least ``ambient`` keys, the vector is folded into a dense
+        row and read with ``element_order``, whose dots run in C over no
+        more entries than the supports hold; otherwise it is folded into a
+        dict of the coordinates it meets and read with ``sparse_order``,
+        which never touches the others.
+        """
+        pres, ring, index = self.presentation, self.ring, self._coordinate_of
+        dense = pres.ambient <= (len(x.coeffs) if y is None else len(x.coeffs) + len(y.coeffs))
+        acc = [0] * pres.ambient if dense else defaultdict(int)
+        for v, sign in ((x, 1),) if y is None else ((x, 1), (y, -1)):
+            if v.ring is not ring and v.ring != ring:
+                raise ValueError("ring mismatch")
+            _fold(ring, v.coeffs, index, acc, sign)
+        if dense:
+            return pres.element_order(acc)
+        return pres.sparse_order(acc.keys(), acc.values())
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
-        # x - y on coordinates; a coordinate met twice, by one unit in both
-        # supports or by two units of one class, is listed twice, which the
-        # class, being linear, adds up
-        indices = self._coordinates(x) + self._coordinates(y)
-        values = [*x.coeffs.values(), *(-c for c in y.coeffs.values())]
-        return self.presentation.sparse_order(indices, values) == 1
+        """Whether x and y have one class: the class of x - y has order 1."""
+        return self._order(x, y) == 1
 
     def torsion_exponent(self, x: GroupRingVector) -> Optional[int]:
         """Additive order of the class of x; None means infinite order."""
-        return self.presentation.sparse_order(self._coordinates(x), x.coeffs.values())
+        return self._order(x)
 
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))

@@ -16,7 +16,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Collection, Iterable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -390,13 +390,15 @@ class SnfPresentation:
     _projections: tuple[tuple[int, ...], ...]
     _lifts: tuple[tuple[int, ...], ...]
 
-    def sparse_order(self, indices: Sequence[int], values: Collection[int]) -> Optional[int]:
+    def sparse_order(self, indices: Collection[int], values: Collection[int]) -> Optional[int]:
         """Additive order of the class of values[k] at indices[k]; None means infinite.
 
         Indices lie in range(ambient), a repeated index adds its values and
-        an absent one is zero; both sequences are read once per projection
-        used.  The free coordinates are read first, and the first nonzero
-        one ends the reading.
+        an absent one is zero; both are read once per projection used, in
+        Python, so this suits a support much smaller than ``ambient``
+        (:meth:`element_order` reads a dense vector in C).  The free
+        coordinates are read first, and the first nonzero one ends the
+        reading.
         """
         t = len(self.torsion)
         for col in self._projections[t:]:
@@ -449,8 +451,22 @@ class SnfPresentation:
         return self.sparse_order(*self._support(vec)) == 1
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
-        """Additive order of the class of ``vec``; None means infinite."""
-        return self.sparse_order(*self._support(vec))
+        """Additive order of the class of ``vec``, a length-``ambient`` list; None means infinite.
+
+        Each projection is dotted with the whole of ``vec`` in C, as
+        ``sum(map(mul, col, vec))``, free coordinates first and the first
+        nonzero one ending the reading, as in :meth:`sparse_order`.
+        """
+        if len(vec) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
+        t = len(self.torsion)
+        for col in self._projections[t:]:
+            if sum(map(mul, col, vec)):
+                return None
+        order = 1
+        for col, d in zip(self._projections, self.torsion):
+            order = lcm(order, d // gcd(d, sum(map(mul, col, vec))))
+        return order
 
 
 def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:

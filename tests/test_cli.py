@@ -318,6 +318,26 @@ def test_table_row_errors_are_isolated(tmp_path, capsys):
     assert rows[2]["n_units"] == 4
 
 
+def test_table_family_without_a_ring_is_refused(tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    family.write_text("# no ring yet\n\n   \n# Z/3\n")
+    code, out, err = run_cli(capsys, "table", "--family", str(family), "--metrics", "units")
+    assert code == 1 and not out
+    assert err == f"error: --family {family}: lists no ring\n"
+    family.write_text("")
+    code, out, err = run_cli(capsys, "table", "--family", str(family))
+    assert code == 1 and not out
+    assert err == f"error: --family {family}: lists no ring\n"
+    # with --ring as well there is a ring to report
+    code, out, _ = run_cli(capsys, "table", "--family", str(family), "--ring", "Z/3",
+                           "--metrics", "units")
+    assert code == 0
+    assert [r["ring"] for r in json.loads(out)] == ["Z/3"]
+    code, out, err = run_cli(capsys, "table")
+    assert code == 1 and not out
+    assert err == "error: table needs --family FILE or --ring SPEC\n"
+
+
 def test_table_markdown_and_csv(tmp_path, capsys):
     family = tmp_path / "family.txt"
     family.write_text("Z/3\nZ/5\n")
