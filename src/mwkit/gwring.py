@@ -60,16 +60,15 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _fold(ring: Ring, coeffs: Mapping, index: Mapping, acc, sign: int = 1):
-    """Add sign * c into acc[index[u.coords]] for each key u and coefficient c; return acc.
+def _checked_indices(ring: Ring, coeffs: Mapping) -> dict:
+    """{unit index: c} for the nonzero coefficients c of a {unit: c} dict, in its order.
 
-    ``index`` maps the coordinates of every unit of ring to a position of
-    ``acc``: a list, or a ``defaultdict(int)``, which keeps the positions in
-    first-occurrence order.  This is the one key check of group-ring
-    products, class queries and ``to_dense``: a ValueError unless every key
-    is a unit of ring.  A key of a structurally equal ring handle is
-    accepted, as ``RingElement`` equality accepts it.
+    This is the one key check of a vector: a ValueError unless every key is
+    a unit of ring.  A key of a structurally equal ring handle is accepted,
+    as ``RingElement`` equality accepts it.
     """
+    index = ring.unit_index_by_coords()
+    out: dict = {}
     for u, c in coeffs.items():
         if type(u) is not RingElement:
             raise ValueError(f"<{u!r}> requires a unit of {ring.spec_string()}, "
@@ -79,39 +78,47 @@ def _fold(ring: Ring, coeffs: Mapping, index: Mapping, acc, sign: int = 1):
         k = index.get(u.coords)
         if k is None:
             raise _non_unit(ring, u)
-        acc[k] += sign * c
-    return acc
+        if c:
+            out[k] = c
+    return out
 
 
 class GroupRingVector:
     """Finitely supported integer combination of unit basis vectors <u>.
 
-    ``coeffs`` maps units (``RingElement`` keys) to nonzero integers.  The
-    constructor drops zero coefficients and checks nothing else about the
-    keys; a product, ``to_dense`` and the class queries of
-    ``GwPresentedRing`` refuse a key that is not a unit of the vector's ring.
+    A vector is stored as {unit index: nonzero integer}, the index of a unit
+    in ``ring.units()``.  The constructor takes {unit: integer} and refuses
+    a key that is not a unit of ring; ``coeffs`` gives the same dict back,
+    keyed by the ring's own units, without zero coefficients.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_by_index")
 
     def __init__(self, ring: Ring, coeffs: Optional[dict] = None):
         self.ring = ring
-        self.coeffs = {u: c for u, c in coeffs.items() if c} if coeffs else {}
+        self._by_index = _checked_indices(ring, coeffs) if coeffs else {}
 
     @classmethod
-    def _of(cls, ring: Ring, coeffs: dict) -> "GroupRingVector":
-        """A vector on ``coeffs`` as given: a dict no one else holds, with no zero coefficient."""
+    def _of(cls, ring: Ring, by_index: dict) -> "GroupRingVector":
+        """A vector on ``by_index`` as given: a dict no one else holds, with no zero coefficient."""
         x = cls.__new__(cls)
         x.ring = ring
-        x.coeffs = coeffs
+        x._by_index = by_index
         return x
+
+    @property
+    def coeffs(self) -> dict:
+        """{unit: coefficient}, a new dict in the vector's key order."""
+        units = self.ring.units()
+        return {units[k]: c for k, c in self._by_index.items()}
 
     @classmethod
     def angle(cls, ring: Ring, u: RingElement) -> "GroupRingVector":
         u = ring.coerce(u)
-        if not u.is_unit():
+        k = ring.unit_index_by_coords().get(u.coords)
+        if k is None:
             raise _non_unit(ring, u)
-        return cls._of(ring, {u: 1})
+        return cls._of(ring, {k: 1})
 
     @classmethod
     def zero(cls, ring: Ring) -> "GroupRingVector":
@@ -119,7 +126,7 @@ class GroupRingVector:
 
     @classmethod
     def one(cls, ring: Ring) -> "GroupRingVector":
-        return cls._of(ring, {ring.one: 1})
+        return cls._of(ring, {ring.unit_index_by_coords()[ring.one.coords]: 1})
 
     def _check(self, other: "GroupRingVector"):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -127,20 +134,18 @@ class GroupRingVector:
 
     def __add__(self, other: "GroupRingVector") -> "GroupRingVector":
         self._check(other)
-        # zeroed keys are dropped in place: rebuilding the sum would hash
-        # every key again through RingElement.__hash__
-        out = dict(self.coeffs)
+        out = dict(self._by_index)
         get = out.get
-        for u, c in other.coeffs.items():
-            t = get(u, 0) + c
+        for k, c in other._by_index.items():
+            t = get(k, 0) + c
             if t:
-                out[u] = t
+                out[k] = t
             else:
-                out.pop(u, None)
+                out.pop(k, None)
         return GroupRingVector._of(self.ring, out)
 
     def __neg__(self) -> "GroupRingVector":
-        return GroupRingVector._of(self.ring, {u: -c for u, c in self.coeffs.items()})
+        return GroupRingVector._of(self.ring, {k: -c for k, c in self._by_index.items()})
 
     def __sub__(self, other: "GroupRingVector") -> "GroupRingVector":
         return self + (-other)
@@ -150,48 +155,49 @@ class GroupRingVector:
             return NotImplemented
         if not scalar:
             return GroupRingVector._of(self.ring, {})
-        return GroupRingVector._of(self.ring, {u: scalar * c for u, c in self.coeffs.items()})
+        return GroupRingVector._of(self.ring, {k: scalar * c for k, c in self._by_index.items()})
 
     def __mul__(self, other) -> "GroupRingVector":
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
         # multiply coordinates and accumulate on unit indices, in
-        # first-occurrence order; the keys are the ring's own units
+        # first-occurrence order
         ring = self.ring
         units, index, coord_mul = ring.units(), ring.unit_index_by_coords(), ring._mul
-        ys = [(units[j].coords, cv)
-              for j, cv in _fold(ring, other.coeffs, index, defaultdict(int)).items()]
+        ys = [(units[j].coords, cv) for j, cv in other._by_index.items()]
         acc: dict = {}
         get = acc.get
-        for i, cu in _fold(ring, self.coeffs, index, defaultdict(int)).items():
+        for i, cu in self._by_index.items():
             uc = units[i].coords
             for vc, cv in ys:
                 k = index[coord_mul(uc, vc)]
                 acc[k] = get(k, 0) + cu * cv
-        return GroupRingVector._of(ring, {units[k]: c for k, c in acc.items() if c})
+        return GroupRingVector._of(ring, {k: c for k, c in acc.items() if c})
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self._by_index == other._by_index
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.coeffs.items())))
+        return hash((self.ring, frozenset(self._by_index.items())))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._by_index
 
     def augmentation(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self._by_index.values())
 
     def to_dense(self) -> tuple[int, ...]:
         """Coefficients in the unit order of the ring."""
-        ring = self.ring
-        return tuple(_fold(ring, self.coeffs, ring.unit_index_by_coords(), [0] * len(ring.units())))
+        row = [0] * len(self.ring.units())
+        for k, c in self._by_index.items():
+            row[k] = c
+        return tuple(row)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._by_index:
             return "0"
         parts = []
         for u, c in sorted(self.coeffs.items(), key=lambda t: str(t[0])):
@@ -397,8 +403,6 @@ class GwPresentedRing:
             self._presented._insert(dict(key))
         self.presentation: SnfPresentation = self._presented.quotient()
         self._lattice = self._presented if len(self._firsts) == len(self.units) else None
-        # unit coordinates -> coordinate of Z^m, read by the class queries
-        self._coordinate_of = {c: self.classes[i] for c, i in ring.unit_index_by_coords().items()}
 
     @property
     def lattice(self) -> ZLattice:
@@ -416,25 +420,27 @@ class GwPresentedRing:
         return self.presentation.torsion
 
     def angle(self, u) -> GroupRingVector:
-        return GroupRingVector.angle(self.ring, self.ring.coerce(u))
+        return GroupRingVector.angle(self.ring, u)
 
     def _order(self, x: GroupRingVector, y: Optional[GroupRingVector] = None) -> Optional[int]:
         """Additive order of the class of x, or of x - y; None means infinite.
 
-        Each unit is read through its coordinate of Z^m.  When the supports
-        hold at least ``ambient`` keys, the vector is folded into a dense
-        row and read with ``element_order``, whose dots run in C over no
-        more entries than the supports hold; otherwise it is folded into a
-        dict of the coordinates it meets and read with ``sparse_order``,
+        Unit k is read through coordinate ``classes[k]`` of Z^m.  When the
+        supports hold at least ``ambient`` keys, the vector is summed into a
+        dense row and read with ``element_order``, whose dots run in C over
+        no more entries than the supports hold; otherwise it is summed into
+        a dict of the coordinates it meets and read with ``sparse_order``,
         which never touches the others.
         """
-        pres, ring, index = self.presentation, self.ring, self._coordinate_of
-        dense = pres.ambient <= (len(x.coeffs) if y is None else len(x.coeffs) + len(y.coeffs))
+        pres, ring, classes = self.presentation, self.ring, self.classes
+        dense = pres.ambient <= (len(x._by_index) if y is None
+                                 else len(x._by_index) + len(y._by_index))
         acc = [0] * pres.ambient if dense else defaultdict(int)
         for v, sign in ((x, 1),) if y is None else ((x, 1), (y, -1)):
             if v.ring is not ring and v.ring != ring:
                 raise ValueError("ring mismatch")
-            _fold(ring, v.coeffs, index, acc, sign)
+            for k, c in v._by_index.items():
+                acc[classes[k]] += sign * c
         if dense:
             return pres.element_order(acc)
         return pres.sparse_order(acc.keys(), acc.values())

@@ -1324,5 +1324,4 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
         for w, cw in prod.items():
             k = index[w]
             acc[k] = acc.get(k, 0) + cw
-    units = ring.units()
-    return GroupRingVector._of(ring, {units[k]: c for k, c in acc.items() if c})
+    return GroupRingVector._of(ring, {k: c for k, c in acc.items() if c})

@@ -37,7 +37,8 @@ per power and per partial product.
 greedy generating set of R^x, each product a ``RingElement``; only the
 spin-up builders above read it.  ``oracle_sum`` is the vector sum that
 rebuilds its dict, which ``gwring`` replaced with a sum that drops zeroed
-keys in place.
+keys in place; with ``oracle_scale`` it sums and scales on dicts keyed by
+``RingElement``, where ``GroupRingVector`` works on unit indices.
 """
 
 from functools import lru_cache
@@ -310,6 +311,11 @@ def oracle_sum(x, y):
     for u, c in y.coeffs.items():
         out[u] = out.get(u, 0) + c
     return GroupRingVector(x.ring, {u: c for u, c in out.items() if c})
+
+
+def oracle_scale(n, x):
+    """n x, scaled on x's dict of ``RingElement`` keys and rebuilt."""
+    return GroupRingVector(x.ring, {u: n * c for u, c in x.coeffs.items()})
 
 
 def oracle_compare(ring):

@@ -15,6 +15,7 @@ from gw_oracle import (
     oracle_product,
     oracle_relation_lattice,
     oracle_relations,
+    oracle_scale,
     oracle_spin_up_lattice,
     oracle_sum,
     oracle_torsion_exponent,
@@ -308,25 +309,27 @@ def test_mul_ring_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         mul(angle(Zmod(7), 3), angle(Zmod(5), 3))
     f7 = Zmod(7)
-    foreign = GroupRingVector(f7, {Zmod(5).coerce(3): 1})  # a key of another ring
-    with pytest.raises(ValueError, match="mismatch"):
-        mul(foreign, angle(f7, 3))
-    with pytest.raises(ValueError, match="mismatch"):
-        mul(angle(f7, 3), foreign)
+    with pytest.raises(ValueError, match="mismatch"):  # a key of another ring
+        GroupRingVector(f7, {Zmod(5).coerce(3): 1})
 
 
 def test_mul_refuses_keys_that_are_not_units():
-    # construction checks no key; a product checks every key of both factors
+    # construction checks every key, before or after a good one and with a
+    # zero coefficient too, so no product meets a bad key
     z8 = Zmod(8)
     one = GroupRingVector.one(z8)
     for coeffs, message in (({0: 1}, "<0> requires a unit of Z/8, got a key of type int"),
                             ({1: 1}, "<1> requires a unit of Z/8, got a key of type int"),
                             ({z8.coerce(2): 1}, "<2> requires a unit, got a non-unit of Z/8"),
                             ({Zmod(5).coerce(3): 1}, "ring mismatch")):
-        bad = GroupRingVector(z8, {**coeffs, z8.one: 1})
-        for x, y in ((bad, one), (one, bad), (bad, GroupRingVector.zero(z8))):
-            with pytest.raises(ValueError, match=message):
-                mul(x, y)
+        (key, c), = coeffs.items()
+        for bad in ({key: c, z8.one: 1}, {z8.one: 1, key: c}, {key: 0}):
+            with pytest.raises(ValueError) as info:
+                GroupRingVector(z8, bad)
+            assert str(info.value) == message
+    # a sum, a negation or a scalar multiple can no longer keep the non-unit 2
+    with pytest.raises(ValueError, match="<2> requires a unit, got a non-unit of Z/8"):
+        GroupRingVector(Zmod(8), {Zmod(8).coerce(2): 1}) + GroupRingVector.one(Zmod(8))
     # a key of a structurally equal ring handle is a unit of this ring
     twin = Zmod(8)
     x = GroupRingVector(z8, {twin.coerce(3): 2, twin.coerce(5): -1})
@@ -404,13 +407,15 @@ def test_queries_refuse_a_vector_of_another_ring(presented):
 
 
 def test_queries_refuse_a_non_unit_basis_vector(presented):
+    # no vector holds a non-unit, so no query reads one
     z4 = Zmod(4)
     p = presented(z4, "reduced")
-    zero_vec = GroupRingVector(z4, {z4.zero: 1})
     with pytest.raises(ValueError, match="<0> requires a unit"):
-        p.torsion_exponent(zero_vec)
+        GroupRingVector(z4, {z4.zero: 1})
     with pytest.raises(ValueError, match="<2> requires a unit"):
-        p.class_equal(angle(z4, 1), GroupRingVector(z4, {z4.coerce(2): 1}))
+        GroupRingVector(z4, {z4.coerce(2): 1})
+    with pytest.raises(ValueError, match="<2> requires a unit"):
+        p.angle(2)
 
 
 def test_queries_accept_a_structurally_equal_ring(presented):
@@ -425,25 +430,18 @@ def test_queries_accept_a_structurally_equal_ring(presented):
 
 
 def test_every_key_reader_refuses_the_same_keys(presented):
-    # products, class queries and to_dense share one key check, so each
-    # kind of bad key is refused with one text by all four
+    # the constructor holds the one key check, so each kind of bad key is
+    # refused there with one text, and products, class queries and to_dense
+    # never meet it
     z7 = Zmod(7)
     p = presented(z7, "reduced")
     one = GroupRingVector.one(z7)
-    readers = {
-        "product": lambda x: x * one,
-        "class_equal": lambda x: p.class_equal(x, one),
-        "torsion_exponent": p.torsion_exponent,
-        "to_dense": GroupRingVector.to_dense,
-    }
     for key, message in ((3, "<3> requires a unit of Z/7, got a key of type int"),
                          (z7.zero, "<0> requires a unit, got a non-unit of Z/7"),
                          (Zmod(11).coerce(3), "ring mismatch")):
-        bad = GroupRingVector(z7, {key: 1, z7.one: 1})
-        for name, read in readers.items():
-            with pytest.raises(ValueError) as info:
-                read(bad)
-            assert str(info.value) == message, name
+        with pytest.raises(ValueError) as info:
+            GroupRingVector(z7, {key: 1, z7.one: 1})
+        assert str(info.value) == message
     # a key of a structurally equal ring handle is a unit of this ring
     twin = Zmod(7)
     x = GroupRingVector(z7, {twin.coerce(3): 2, twin.coerce(5): -1})
@@ -605,8 +603,60 @@ def test_sum_matches_rebuilding_oracle(gw_family):
         for a, b in ((x, y), (x, -x), (x, y - x)):
             # the same items in the same order
             assert list((a + b).coeffs.items()) == list(oracle_sum(a, b).coeffs.items()), (a, b)
+        # a mixed sequence on unit indices keeps the items and order of the
+        # same sequence on RingElement keys
+        got = want = x
+        for op in data.draw(st.lists(st.sampled_from("+-n*x"), min_size=1, max_size=6)):
+            if op == "n":
+                got, want = -got, oracle_scale(-1, want)
+            elif op == "*":
+                k = data.draw(st.integers(-3, 3))
+                got, want = k * got, oracle_scale(k, want)
+            else:
+                y = _draw_vector(data, ring)
+                if op == "+":
+                    got, want = got + y, oracle_sum(want, y)
+                elif op == "-":
+                    got, want = got - y, oracle_sum(want, oracle_scale(-1, y))
+                else:
+                    got, want = got * y, oracle_product(want, y)
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), op
 
     check()
+
+
+def test_vector_arithmetic_hashes_no_element(presented, monkeypatch):
+    # a vector works on unit indices: only building one from a {unit: c}
+    # dict and reading .coeffs touch RingElement keys, and of those two only
+    # .coeffs hashes them
+    calls = []
+    element_hash = RingElement.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return element_hash(self)
+
+    for spec in ("Z/29", "GR(4,2)"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        rng = random.Random(f"no hash {spec}")
+        ps = [presented(ring, kind) for kind in ("hopf", "reduced")]
+        coeffs = [{u: rng.choice((-2, -1, 1, 2)) for u in rng.sample(units, rng.randint(1, len(units)))}
+                  for _ in range(4)]
+        monkeypatch.setattr(RingElement, "__hash__", counted)
+        x, y, z, w = (GroupRingVector(ring, c) for c in coeffs)
+        assert calls == []
+        s = x + y - z
+        for v in (s, -s, 3 * s, s * -2, 0 * s, x * y, mul(s, w), s + (-s)):
+            for p in ps:
+                p.class_equal(v, w)
+                p.torsion_exponent(v)
+            assert v == v and v.to_dense() and v.augmentation() == sum(v.to_dense())
+        one = GroupRingVector.one(ring) + GroupRingVector.angle(ring, units[-1])
+        assert calls == [] and (s + (-s)).is_zero() and hash(one)
+        assert list(x.coeffs) == list(coeffs[0]) and len(calls) == len(coeffs[0])
+        monkeypatch.setattr(RingElement, "__hash__", element_hash)
+        calls.clear()
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")
