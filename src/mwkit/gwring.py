@@ -31,6 +31,12 @@ when it is asked for.  :func:`relation_lattice` proves the two cases.
 :func:`compare_presentations` builds no lattice: the two kinds agree when
 family (iii) is non-empty, and otherwise exactly when every unit squares
 to 1, which its docstring proves from the rows f(a) of the hopf case.
+
+:meth:`GwPresentedRing.invert_two_split` reads no lattice either: after
+inverting 2 every presentation splits as (1, rank - 1), with no odd
+torsion, which README ("Presented rings") proves for both kinds.  The
+odd-torsion fields of :class:`SplitReport` are always empty and stay only
+for the output format.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import presab
 from .finring import Ring, RingElement, make_ring
 from .presab import SnfPresentation, ZLattice
 
@@ -361,7 +366,11 @@ def build_relations(ring, kind) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Invariants of the two eigenpieces after inverting 2."""
+    """Invariants of the two eigenpieces after inverting 2.
+
+    The odd-torsion fields are always empty: no presentation has odd
+    torsion (README, "Presented rings").  They stay for the output format.
+    """
 
     plus_rank: int
     minus_rank: int
@@ -375,12 +384,6 @@ class SplitReport:
             "plus_torsion_odd": list(self.plus_torsion_odd),
             "minus_torsion_odd": list(self.minus_torsion_odd),
         }
-
-
-def _odd_part(d: int) -> int:
-    while d % 2 == 0:
-        d //= 2
-    return d
 
 
 class GwPresentedRing:
@@ -397,12 +400,12 @@ class GwPresentedRing:
         self.ring = ring
         self.kind = kind
         self.units = ring.units()
-        self.classes, self._firsts, rows = _presented_rows(ring, kind)
-        self._presented = ZLattice(len(self._firsts))
+        self.classes, firsts, rows = _presented_rows(ring, kind)
+        self._presented = ZLattice(len(firsts))
         for key in rows:
             self._presented._insert(dict(key))
         self.presentation: SnfPresentation = self._presented.quotient()
-        self._lattice = self._presented if len(self._firsts) == len(self.units) else None
+        self._lattice = self._presented if len(firsts) == len(self.units) else None
 
     @property
     def lattice(self) -> ZLattice:
@@ -459,50 +462,12 @@ class GwPresentedRing:
     def invert_two_split(self) -> SplitReport:
         """Split the presentation after inverting 2 by the <-1> involution.
 
-        The free part splits by the trace of the induced involution; torsion
-        is first reduced to its odd part (2-power invariant factors are
-        discarded) and then split by the idempotents (1 +- <-1>)/2, which are
-        defined once 2 is invertible.
+        After inverting 2 the quotient is free, with no odd torsion, and
+        <-1> fixes a line of it and negates a complement, so the split is
+        (1, rank - 1).  README, "Presented rings", proves this for both
+        kinds.
         """
-        pres = self.presentation
-        index, neg, classes = self.ring.unit_index_by_coords(), self.ring._neg, self.classes
-        # <-1><u> = <-u>, and -1 carries each class to a class
-        a = pres.induced_matrix([classes[index[neg(self.units[i].coords)]] for i in self._firsts])
-        t = len(pres.torsion)  # canonical coordinates: torsion, then free
-        trace = sum(a[i][i] for i in range(t, t + pres.rank))
-        rank = pres.rank
-        if (rank + trace) % 2:
-            raise RuntimeError("involution trace parity violated")
-        plus_rank = (rank + trace) // 2
-        minus_rank = (rank - trace) // 2
-
-        odd_idx = [i for i, d in enumerate(pres.torsion) if _odd_part(d) >= 3]
-        odd_mod = [_odd_part(pres.torsion[i]) for i in odd_idx]
-        if not odd_idx:
-            return SplitReport(plus_rank, minus_rank, (), ())
-        b = [[a[i][j] % odd_mod[jj] for jj, j in enumerate(odd_idx)]
-             for i in odd_idx]
-        plus_tors = self._odd_eigen_torsion(b, odd_mod, sign=+1)
-        minus_tors = self._odd_eigen_torsion(b, odd_mod, sign=-1)
-        return SplitReport(plus_rank, minus_rank, plus_tors, minus_tors)
-
-    @staticmethod
-    def _odd_eigen_torsion(b, mods, sign) -> tuple[int, ...]:
-        """Invariant factors of T_odd/(1 -+ sigma), the +-1 eigenpiece."""
-        t = len(mods)
-        rows = []
-        for j in range(t):
-            row = [0] * t
-            row[j] = mods[j]
-            rows.append(row)
-        for i in range(t):
-            row = [(-sign) * b[i][j] for j in range(t)]
-            row[i] += 1
-            rows.append(row)
-        pres = presab.quotient(t, rows)
-        if pres.rank:
-            raise RuntimeError("eigenpiece of a finite group must be finite")
-        return pres.torsion
+        return SplitReport(1, self.rank - 1, (), ())
 
     def report(self) -> dict:
         return {

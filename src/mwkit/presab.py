@@ -433,20 +433,6 @@ class SnfPresentation:
                 vec[k] += c * lift[k]
         return vec
 
-    def induced_matrix(self, perm: Sequence[int]) -> list[list[int]]:
-        """Matrix, on the canonical coordinates, of the map induced by e_k -> e_perm[k].
-
-        Row i is the class of the image of lift i, torsion entries reduced,
-        so a class with coordinates c maps to the class c M.  The
-        permutation must carry the relation lattice into itself.
-        """
-        rows = []
-        for lift in self._lifts:
-            indices = list(compress(range(self.ambient), lift))
-            tor, free = self._class([perm[k] for k in indices], [lift[k] for k in indices])
-            rows.append([*tor, *free])
-        return rows
-
     def class_is_zero(self, vec: Sequence[int]) -> bool:
         return self.sparse_order(*self._support(vec)) == 1
 

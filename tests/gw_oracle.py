@@ -27,7 +27,9 @@ The query oracles answer on dense vectors and ring elements, where
 multiplies coordinates: membership of the dense difference in the lattice,
 the order of a class from the full product x V of the dense Smith
 presentation, the split from its n x n action of <-1>, and the group-ring
-product with one element product per pair.  ``oracle_eval_in_ring`` is the
+product with one element product per pair.  ``oracle_orderings`` counts
+the orderings of R^x / (R^x)^2, on which README proves the split, off
+``RingElement`` sums of units rather than ``Ring.unit_sum_classes``.  ``oracle_eval_in_ring`` is the
 term evaluation that ``kmwterm.eval_in_ring`` replaced: one group-ring
 product per bracket of every word.  ``oracle_eval_unit`` is the letter
 evaluation that ``kmwterm.eval_unit`` replaced, with one ``RingElement``
@@ -384,6 +386,43 @@ def oracle_invert_two_split(p):
     b = [[a[i][j] % odd_mod[jj] for jj, j in enumerate(odd_idx)] for i in odd_idx]
     return (plus_rank, minus_rank, _oracle_eigen_torsion(b, odd_mod, +1),
             _oracle_eigen_torsion(b, odd_mod, -1))
+
+
+def oracle_orderings(ring):
+    """The number of orderings of G = R^x / (R^x)^2.
+
+    An ordering is a character chi: G -> {+-1} with chi(-1) = -1 such that
+    chi(t) = 1 implies chi(d) = 1 for each pair (t, d) = (class of u,
+    class of 1 + u), u a unit with 1 + u a unit.  Each unit gets its
+    coordinates on a greedy F_2-basis of G, a bit mask, with one
+    ``RingElement`` product per unit and basis element; the pairs are read
+    with one ``RingElement`` sum per unit; and all 2^k characters, each a
+    mask of values on the basis, are tried.
+    """
+    ring = make_ring(ring)
+    units = ring.units()
+    mask = {u * u: 0 for u in units}  # the squares, the unit of G
+    k = 0
+    for u in units:
+        if u in mask:
+            continue
+        # u lies outside the subgroup that mask covers, so u times it is new
+        for w, m in list(mask.items()):
+            mask[u * w] = m | 1 << k
+        k += 1
+    pairs = set()
+    for u in units:
+        s = ring.one + u
+        if s.is_unit():
+            pairs.add((mask[u], mask[s]))
+
+    def negative(chi, m):
+        return bin(chi & m).count("1") % 2 == 1
+
+    minus_one = mask[ring.minus_one()]
+    return sum(1 for chi in range(1 << k)
+               if negative(chi, minus_one)
+               and not any(negative(chi, d) for t, d in pairs if not negative(chi, t)))
 
 
 def oracle_product(x, y):

@@ -10,6 +10,7 @@ from gw_oracle import (
     oracle_eval_in_ring,
     oracle_eval_unit,
     oracle_invert_two_split,
+    oracle_orderings,
     oracle_pair_rows,
     oracle_presentation,
     oracle_product,
@@ -32,6 +33,7 @@ from mwkit.gwring import (
     GroupRingVector,
     GwPresentedRing,
     PresentationKind,
+    SplitReport,
     _family_rows,
     _has_unit_sums,
     build_relations,
@@ -772,8 +774,15 @@ def test_invert_two_split_examples(presented):
     assert (split.plus_rank, split.minus_rank) == (1, 0)
 
 
+# besides the presentation family: 2 = 0 with torsion, two rings with
+# several orderings, and three odd factors
+SPLIT_ORACLE_SPECS = ["prod(Z/2,GF(2^2))", "Z/32", "prod(Z/4,Z/8)", "prod(Z/3,Z/5,Z/7)"]
+
+
 def test_invert_two_split_matches_coinvariant_oracle(presented, gw_family):
-    for ring in gw_family:
+    # the closed form (1, rank - 1, (), ()) against the coinvariants and the
+    # eigen-split of the dense presentation
+    for ring in gw_family + [parse_ring_spec(s) for s in SPLIT_ORACLE_SPECS]:
         for kind in ("hopf", "reduced"):
             p = presented(ring, kind)
             split = p.invert_two_split()
@@ -784,6 +793,8 @@ def test_invert_two_split_matches_coinvariant_oracle(presented, gw_family):
             assert tuple(sorted(split.plus_torsion_odd)) == plus_odd
             assert tuple(sorted(split.minus_torsion_odd)) == minus_odd
             assert split.plus_rank + split.minus_rank == p.rank
+            assert (split.plus_rank, split.minus_rank, split.plus_torsion_odd,
+                    split.minus_torsion_odd) == oracle_invert_two_split(p)
 
 
 # the rings of the CLI ladder goldens
@@ -800,6 +811,52 @@ def test_minus_part_vanishes_exactly_when_minus_one_is_a_sum_of_squares(presente
     split = presented(ring, "reduced").invert_two_split()
     reachable = unit_square_closure(ring).exponent(ring.minus_one()) is not None
     assert (split.minus_rank == 0 and split.minus_torsion_odd == ()) == reachable, split
+
+
+# small rings and products beside GW_SPECS and the ladder: odd and even
+# moduli, fields, Galois rings, products with 0 to 8 orderings, and
+# products with a factor of residue field F_2
+ORDERING_SPECS = [
+    "Z/15", "Z/17", "Z/21", "Z/24", "Z/27", "Z/32", "Z/35", "Z/40", "Z/45", "Z/48", "Z/49",
+    "Z/60", "Z/63", "Z/105", "GF(2^3)", "GF(3^3)", "GF(5^2)", "GR(8,2)", "GR(9,2)",
+    "prod(Z/2,Z/7)", "prod(Z/2,GF(2^2))", "prod(Z/3,Z/3)", "prod(Z/3,Z/5)", "prod(Z/3,Z/3,Z/3)",
+    "prod(Z/3,Z/5,Z/7)", "prod(Z/5,Z/13)", "prod(Z/4,Z/8)", "prod(Z/4,Z/9)", "prod(Z/8,Z/5)",
+    "prod(Z/16,Z/3)", "prod(Z/4,Z/4,Z/3)", "prod(Z/9,GF(2^2))", "prod(GF(3^2),Z/7)",
+    "prod(GF(2^2),Z/5)", "prod(Z/25,Z/3)", "prod(GR(4,2),Z/5)", "prod(GR(9,2),Z/4)",
+    "prod(Z/7,Z/11)", "prod(Z/8,Z/8)", "prod(Z/13,Z/17)",
+]
+
+
+@pytest.mark.parametrize("spec", GW_SPECS + LADDER_SPECS + ORDERING_SPECS)
+def test_reduced_split_counts_orderings(presented, spec):
+    # README's proof: after inverting 2 the reduced quotient is Z[1/2] on
+    # the trivial character and on each ordering of R^x / (R^x)^2, with
+    # <-1> acting by chi(-1); the orderings are counted off the units
+    ring = parse_ring_spec(spec)
+    p = presented(ring, "reduced")
+    orderings = oracle_orderings(ring)
+    assert p.rank == 1 + orderings
+    assert p.invert_two_split() == SplitReport(1, orderings, (), ())
+    assert all(d & (d - 1) == 0 for d in p.torsion), p.torsion
+    # -1 reachable => no ordering is proved, the converse only measured (README)
+    reachable = unit_square_closure(ring).exponent(ring.minus_one()) is not None
+    assert reachable == (orderings == 0)
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/4", "Z/8", "Z/12", "Z/64", "prod(Z/2,Z/7)",
+                                  "prod(Z/2,GF(2^2))", "prod(Z/2,GF(2^3))", "prod(Z/4,Z/9)"])
+def test_hopf_closed_form_without_unit_sums(presented, spec):
+    # no unit sum: L is spanned by s_O(a) - s_O(1), s_O = <u> + <-u> over the
+    # orbits O of u -> -u; the quotient is free of rank |U|/2 + 1 when
+    # 2 != 0, and Z + (Z/2)^(|U| - 1) when 2 = 0, where -u = u
+    ring = parse_ring_spec(spec)
+    assert not _has_unit_sums(ring)
+    p, n = presented(ring, "hopf"), len(ring.units())
+    if ring.from_int(2).is_zero():
+        assert (p.rank, p.torsion) == (1, (2,) * (n - 1))
+    else:
+        assert (p.rank, p.torsion) == (n // 2 + 1, ())
+    assert p.invert_two_split() == SplitReport(1, p.rank - 1, (), ())
 
 
 # the presentation family and larger rings: a 2-power cyclic unit group, a
@@ -927,12 +984,6 @@ def test_report_schema(presented):
     assert report["rank"] == 2
     assert report["minus_one_is_one"] is False
     assert report["kind"] == "reduced"
-
-
-def test_eigenpiece_check_survives_optimisation():
-    # a zero modulus leaves a free eigenpiece, which must raise, not assert
-    with pytest.raises(RuntimeError, match="finite"):
-        GwPresentedRing._odd_eigen_torsion([[1]], [0], sign=+1)
 
 
 def test_kind_coercion():

@@ -306,53 +306,6 @@ def test_present_builds_one_lattice(spec, kind, monkeypatch):
     assert alone[1] and alone[1] == [n] * (len(inserts) + n - classes)
 
 
-def _permutations():
-    return st.integers(1, 6).flatmap(lambda n: st.permutations(range(n)))
-
-
-@pytest.mark.skipif(st is None, reason="needs hypothesis")
-def test_induced_matrix_is_the_map_on_classes():
-    # row i is the class of the permuted lift i; on a lattice the permutation
-    # carries into itself (rows closed under it), it is the map on classes
-    @settings(max_examples=300)
-    @given(_permutations(), st.data())
-    def check(perm, data):
-        n = len(perm)
-        row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-        seeds = data.draw(st.lists(row, min_size=1, max_size=3))
-        closed = []
-        for r in seeds:
-            image = r
-            while True:  # the orbit of r
-                closed.append(image)
-                image = _permuted(perm, image)
-                if image == r:
-                    break
-        for m, invariant in ((seeds, False), (closed, True)):
-            p = quotient(n, m)
-            a = p.induced_matrix(perm)
-            assert len(a) == len(p._lifts)
-            for lift, got in zip(p._lifts, a):
-                tor, free = p.to_canonical(_permuted(perm, lift))
-                assert got == [*tor, *free]
-            if invariant:
-                vec = data.draw(row)
-                c = [*p.to_canonical(vec)[0], *p.to_canonical(vec)[1]]
-                image = [sum(x * r[j] for x, r in zip(c, a)) for j in range(len(c))]
-                t = len(p.torsion)
-                want = p.to_canonical(_permuted(perm, vec))
-                assert (tuple(x % d for x, d in zip(image, p.torsion)), tuple(image[t:])) == want
-
-    check()
-
-
-def _permuted(perm, vec):
-    out = [0] * len(vec)
-    for k, x in enumerate(vec):
-        out[perm[k]] = x
-    return out
-
-
 def random_unimodular(rng, n, steps=12):
     m = mat_identity(n)
     for _ in range(steps):
