@@ -436,7 +436,9 @@ def test_cli_golden_arith(case, capsys):
 # against the hopf lattice and scanned the rows for the witness; gw on
 # GR(4,5), prod(Z/3,Z/3,Z/3,Z/3,Z/3) and prod(Z/5,Z/13,Z/3) in both kinds
 # and reduced gw on GR(4,6) recorded while family (iii) summed the first
-# unit of each square class with every unit
+# unit of each square class with every unit; gw on
+# prod(Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3) in both kinds (a 128 x 129 Smith
+# core) recorded while the Smith form still kept U and V^-1
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
