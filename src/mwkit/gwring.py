@@ -492,18 +492,6 @@ def mul(x: GroupRingVector, y: GroupRingVector) -> GroupRingVector:
     return x * y
 
 
-def class_equal(p: GwPresentedRing, x: GroupRingVector, y: GroupRingVector) -> bool:
-    return p.class_equal(x, y)
-
-
-def torsion_exponent(p: GwPresentedRing, x: GroupRingVector) -> Optional[int]:
-    return p.torsion_exponent(x)
-
-
-def invert_two_split(p: GwPresentedRing) -> SplitReport:
-    return p.invert_two_split()
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Does the hopf lattice already contain every reduced-only relation?"""

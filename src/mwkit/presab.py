@@ -3,8 +3,9 @@
 A subgroup of Z^n is kept as a :class:`ZLattice` in reduced Hermite normal
 form, for fast membership tests.  :meth:`ZLattice.quotient` presents Z^n
 modulo it: the pivot-1 rows of that basis are eliminated first, and the
-Smith normal form of the small block that remains gives the invariant
-factors and the canonical coordinates of the quotient.
+Smith normal form D = U C V of the small block C that remains gives the
+invariant factors, and its column transform V the canonical coordinates
+of the quotient.  Only D and V are computed; no reader needs U or V^-1.
 
 All arithmetic is exact; matrices are plain lists of Python ints so that
 pivot growth during elimination can never overflow.
@@ -192,34 +193,29 @@ class ZLattice:
         >= 2 on K, through the projection e_p -> -r_p, e_k -> e_k for k in K.
         The Smith form runs on C only (eliminating the unit pivots first, as in
         Dumas, Saunders and Villard, JSC 2001); with U C V = D, kept coordinate
-        i projects by column i of V after that projection and lifts to row i of
-        V^-1 placed on K.
+        i projects by column i of V after that projection.
         """
         n, rows = self.n, self._rows
         unit_pivots = [p for p in sorted(rows) if rows[p][p] == 1]
         cols = sorted(set(range(n)).difference(unit_pivots))  # K
         core = [[rows[p].get(k, 0) for k in cols] for p in sorted(rows) if rows[p][p] > 1]
         # a zero row when C is empty: its Smith form is the identity on K
-        _, d, v, vinv = _smith(core or [[0] * len(cols)])
+        d, v = _smith(core or [[0] * len(cols)])
         diag = [d[i][i] if i < len(d) else 0 for i in range(len(cols))]
         kept = [i for i, x in enumerate(diag) if x >= 2] + [i for i, x in enumerate(diag) if x == 0]
-        projections, lifts = [], []
+        projections = []
         for i in kept:
             proj = [0] * n
-            lift = [0] * n
-            for k, v_row, x in zip(cols, v, vinv[i]):
+            for k, v_row in zip(cols, v):
                 proj[k] = v_row[i]
-                lift[k] = x
             for p in unit_pivots:
                 proj[p] = -sum([x * proj[k] for k, x in rows[p].items() if k != p])
             projections.append(tuple(proj))
-            lifts.append(tuple(lift))
         return SnfPresentation(
             ambient=n,
             rank=diag.count(0),
             torsion=tuple(diag[i] for i in kept if diag[i]),
             _projections=tuple(projections),
-            _lifts=tuple(lifts),
         )
 
     def rank(self) -> int:
@@ -240,59 +236,36 @@ def _addmul(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             del dst[k]
 
 
-def contains(relations: IntMatrix, v: Sequence[int]) -> bool:
-    """Decide whether v lies in the integer row span of ``relations``."""
-    n = len(v)
-    lat = ZLattice(n)
-    for row in relations:
-        if len(row) != n:
-            raise ValueError("relation rows and vector must have equal length")
-        lat.add(row)
-    return lat.contains(v)
+def _smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (D, V), D = U*M*V in Smith normal form for some unimodular U.
 
-
-def _smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V, Vinv) with U*M*V = D in Smith normal form."""
+    The diagonal of D is nonnegative and satisfies d1 | d2 | ... with any
+    zero entries at the end.  U is not built: row operations act on M only,
+    column operations on M and V.
+    """
     r = len(m)
     n = len(m[0]) if r else 0
     a = [list(row) for row in m]
-    u = mat_identity(r)
     v = mat_identity(n)
-    vinv = mat_identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def addmul_row(dst, src, q):
         # row[dst] += q * row[src]
         arow, srow = a[dst], a[src]
         for k in range(n):
             arow[k] += q * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(r):
-            urow[k] += q * usrc[k]
 
     def addmul_col(dst, src, q):
-        # col[dst] += q * col[src]; Vinv gets the inverse op on rows
+        # col[dst] += q * col[src]
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
-        vdst, vsrc = vinv[dst], vinv[src]
-        for k in range(n):
-            vsrc[k] -= q * vdst[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(r, n)
@@ -313,11 +286,11 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[in
             break
         _, pi, pj = best
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
             swap_cols(t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         d = a[t][t]
         dirty = False
         for i in range(t + 1, r):
@@ -348,17 +321,7 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[in
             addmul_row(t, offender, 1)
             continue
         t += 1
-    return u, a, v, vinv
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: U*M*V = D with U, V unimodular.
-
-    The diagonal of D is nonnegative and satisfies d1 | d2 | ... with any
-    zero entries at the end.
-    """
-    u, d, v, _ = _smith(m)
-    return u, d, v
+    return a, v
 
 
 def _dot(column: Sequence[int], indices: Sequence[int], values: Iterable[int]) -> int:
@@ -373,22 +336,19 @@ class SnfPresentation:
     ``rank`` is the free rank, ``torsion`` the invariant factors >= 2 in
     divisibility order.  The canonical coordinates are numbered torsion
     first, then free.  ``to_canonical`` maps an ambient vector to its class
-    (torsion residues, then free coordinates); ``from_canonical`` is a
-    section of it.
+    (torsion residues, then free coordinates).
 
-    Only the kept coordinates are stored, each as a projection (a length-n
+    Only the kept coordinates are stored, each as a projection: a length-n
     vector whose dot product with v is that coordinate of v's class, before
-    the torsion residue is taken) and a lift (a length-n vector whose class
-    is that unit coordinate).  A vector lies in the relation lattice exactly
-    when each torsion projection is divisible by its invariant factor and
-    each free projection is zero.
+    the torsion residue is taken.  A vector lies in the relation lattice
+    exactly when each torsion projection is divisible by its invariant
+    factor and each free projection is zero.
     """
 
     ambient: int
     rank: int
     torsion: tuple[int, ...]
     _projections: tuple[tuple[int, ...], ...]
-    _lifts: tuple[tuple[int, ...], ...]
 
     def sparse_order(self, indices: Collection[int], values: Collection[int]) -> Optional[int]:
         """Additive order of the class of values[k] at indices[k]; None means infinite.
@@ -422,16 +382,6 @@ class SnfPresentation:
 
     def to_canonical(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self._class(*self._support(vec))
-
-    def from_canonical(self, cls: tuple[Sequence[int], Sequence[int]]) -> list[int]:
-        tor, free = cls
-        if len(tor) != len(self.torsion) or len(free) != self.rank:
-            raise ValueError("canonical class has wrong shape")
-        vec = [0] * self.ambient
-        for c, lift in zip((*tor, *free), self._lifts):
-            for k in compress(range(self.ambient), lift):
-                vec[k] += c * lift[k]
-        return vec
 
     def class_is_zero(self, vec: Sequence[int]) -> bool:
         return self.sparse_order(*self._support(vec)) == 1
@@ -467,7 +417,3 @@ def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
             raise ValueError("relation rows must have ambient_rank entries")
         lat.add(row)
     return lat.quotient()
-
-
-def element_order(pres: SnfPresentation, vec: Sequence[int]) -> Optional[int]:
-    return pres.element_order(vec)

@@ -7,13 +7,19 @@ and its entries grow without bound; the lattice it spans, its growth
 answers and its membership answers are those of ``ZLattice``.  The class
 is the earlier ``ZLattice`` unchanged but for its name.
 
+``oracle_smith`` is the Smith form ``mwkit.presab._smith`` computed while
+it still kept U and V^-1 beside D and V: it returns (U, D, V, V^-1) with
+U M V = D.  ``mwkit.presab._smith`` makes the same pivot choices and
+column operations and returns its D and V, so the tests check U M V = D
+and V V^-1 = 1 here and compare the two routines' D and V.
+
 ``oracle_quotient`` is the presentation ``mwkit.presab.quotient`` built
 before it eliminated the unit pivots: the Smith form of the whole reduced
-Hermite basis, V and V^-1 kept as n x n matrices, every reader a full
-product with them, and the n x n matrix of a permutation's action.  Its
-canonical coordinates are those of its own Smith basis, so only
-basis-free answers (ranks, invariant factors, orders, which vectors share
-a class) can be compared with ``quotient``'s.
+Hermite basis by ``oracle_smith``, V and V^-1 kept as n x n matrices,
+every reader a full product with them, and the n x n matrix of a
+permutation's action.  Its canonical coordinates are those of its own
+Smith basis, so only basis-free answers (ranks, invariant factors, orders,
+which vectors share a class) can be compared with ``quotient``'s.
 
 ``mat_mul``, ``mat_vec`` and ``det`` are the dense matrix helpers that
 no code under ``mwkit`` calls any more; the tests use them to check
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from mwkit.presab import IntMatrix, ZLattice, _smith, mat_identity, xgcd
+from mwkit.presab import IntMatrix, ZLattice, mat_identity, xgcd
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
@@ -80,6 +86,106 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def oracle_smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (U, D, V, Vinv) with U*M*V = D in Smith normal form."""
+    r = len(m)
+    n = len(m[0]) if r else 0
+    a = [list(row) for row in m]
+    u = mat_identity(r)
+    v = mat_identity(n)
+    vinv = mat_identity(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def addmul_row(dst, src, q):
+        # row[dst] += q * row[src]
+        arow, srow = a[dst], a[src]
+        for k in range(n):
+            arow[k] += q * srow[k]
+        urow, usrc = u[dst], u[src]
+        for k in range(r):
+            urow[k] += q * usrc[k]
+
+    def addmul_col(dst, src, q):
+        # col[dst] += q * col[src]; Vinv gets the inverse op on rows
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+        vdst, vsrc = vinv[dst], vinv[src]
+        for k in range(n):
+            vsrc[k] -= q * vdst[k]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(r, n)
+    while t < limit:
+        # minimal absolute nonzero entry of the trailing block becomes the pivot
+        best = None
+        for i in range(t, r):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if best[0] == 1:
+                        break
+            if best and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if a[t][t] < 0:
+            negate_row(t)
+        d = a[t][t]
+        dirty = False
+        for i in range(t + 1, r):
+            if a[i][t]:
+                q = a[i][t] // d
+                addmul_row(i, t, -q)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if a[t][j]:
+                q = a[t][j] // d
+                addmul_col(j, t, -q)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce the divisibility chain before moving on
+        offender = None
+        for i in range(t + 1, r):
+            row = a[i]
+            for j in range(t + 1, n):
+                if row[j] % d:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            addmul_row(t, offender, 1)
+            continue
+        t += 1
+    return u, a, v, vinv
 
 
 @dataclass(frozen=True)
@@ -142,7 +248,7 @@ def oracle_quotient(ambient_rank: int, relations: IntMatrix) -> DensePresentatio
     n = ambient_rank
     basis = ZLattice(n, relations).basis()
     if basis:
-        _, d, v, vinv = _smith(basis)
+        _, d, v, vinv = oracle_smith(basis)
     else:
         d, v, vinv = [], mat_identity(n), mat_identity(n)
     diag = [d[i][i] if i < len(d) else 0 for i in range(n)]
