@@ -417,7 +417,8 @@ def test_markdown_rows_have_the_header_cell_count(capsys):
 # every unit was squared with the ring product and the fixpoint scanned all
 # pairs of reached units; sumsq on GR(4,6), prod(Z/3,Z/3,Z/3,Z/3,Z/3) and
 # prod(Z/5,Z/13,Z/3) recorded while each new class was summed against every
-# reached unit
+# reached unit; sumsq on GR(8,2) and prod(Z/2,prod(GR(8,2),Z/9)) recorded
+# while square classes were numbered in the order of their first units
 @pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_arith(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
@@ -438,7 +439,9 @@ def test_cli_golden_arith(case, capsys):
 # and reduced gw on GR(4,6) recorded while family (iii) summed the first
 # unit of each square class with every unit; gw on
 # prod(Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3) in both kinds (a 128 x 129 Smith
-# core) recorded while the Smith form still kept U and V^-1
+# core) recorded while the Smith form still kept U and V^-1; gw on GR(8,2)
+# and prod(Z/2,prod(GR(8,2),Z/9)) in both kinds recorded while square
+# classes were numbered in the order of their first units
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
