@@ -322,7 +322,7 @@ class Ring:
         self._one: Optional[RingElement] = None
         self._hash_cache: Optional[int] = None
         self._square_map: Optional[list[int]] = None
-        self._square_classes: Optional[tuple[list[int], list[int]]] = None
+        self._square_classes: Optional[tuple[list[int], int]] = None
         self._unit_sums: Optional[list[list[int]]] = None
 
     # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
@@ -436,32 +436,39 @@ class Ring:
         index, mul = self.unit_index_by_coords(), self._mul
         return [index[mul(c, c)] for c in index]
 
-    def square_classes(self) -> tuple[list[int], list[int]]:
-        """(classes, firsts): classes[i] is the number of the square class of
-        unit i, firsts[c] the position of the first unit of class c.
+    def square_classes(self) -> tuple[list[int], int]:
+        """(classes, C): classes[i] is the number of the square class of unit
+        i, and C = |R^x / (R^x)^2| the number of classes.
 
-        Classes are numbered in the order of their first units, so class 0
-        holds the first unit, 1.  Shared, do not modify.
+        The group of classes is an F_2-vector space, and a class is numbered
+        by its coordinates over F_2, so cls(uv) = cls(u) ^ cls(v) and the
+        numbers are 0 .. C - 1, class 0 the squares.  The basis is read off
+        the units in unit order: the first unit whose class has no number
+        becomes basis vector j, of number 2^j.  Shared, do not modify.
         """
         if self._square_classes is None:
             self._square_classes = self._build_square_classes()
         return self._square_classes
 
-    def _build_square_classes(self) -> tuple[list[int], list[int]]:
-        # the class of a square is the set of squares, read from the square
-        # map; each other class is a unit times the squares
-        squares = set(self.unit_square_map())
+    def _build_square_classes(self) -> tuple[list[int], int]:
+        # the squares are class 0, read from the square map; basis vector j
+        # times the units numbered so far, of classes m < 2^j, gives the
+        # units of the classes m | 2^j, one coordinate product per non-square
         index, mul = self.unit_index_by_coords(), self._mul
         coords = list(index)
+        numbered = list(set(self.unit_square_map()))
         classes: list = [None] * len(coords)
-        firsts: list[int] = []
+        for k in numbered:
+            classes[k] = 0
+        count = 1
         for i, c in enumerate(coords):
             if classes[i] is None:
-                members = squares if i in squares else (index[mul(c, coords[s])] for s in squares)
-                for m in members:
-                    classes[m] = len(firsts)
-                firsts.append(i)
-        return classes, firsts
+                times = [index[mul(c, coords[k])] for k in numbered]
+                for k, m in zip(times, numbered):
+                    classes[k] = classes[m] | count
+                numbered += times
+                count *= 2
+        return classes, count
 
     def unit_sum_classes(self) -> list[list[int]]:
         """D with D[t] the square classes of 1 + u, over the units u of class
@@ -470,9 +477,9 @@ class Ring:
         One coordinate sum per unit.  Shared, do not modify.
         """
         if self._unit_sums is None:
-            classes, firsts = self.square_classes()
+            classes, count = self.square_classes()
             index, add, one = self.unit_index_by_coords(), self._add, self._one_coords()
-            sums: list = [{} for _ in firsts]  # dicts as ordered sets
+            sums: list = [{} for _ in range(count)]  # dicts as ordered sets
             for c, t in zip(index, classes):
                 k = index.get(add(one, c))
                 if k is not None:
@@ -793,23 +800,19 @@ class ProductRing(Ring):
             n *= len(factor)
         return squares
 
-    def _build_square_classes(self) -> tuple[list[int], list[int]]:
-        # the square classes of the product are the tuples of factor classes;
-        # the class (c, d) has first unit firsts[c] + n firsts_f[d], and the
-        # classes are numbered again in the order of their first units
-        classes, firsts, n = [0], [0], 1
+    def _build_square_classes(self) -> tuple[list[int], int]:
+        # the square classes of the product are the tuples of factor classes,
+        # and (x, y), with x of the factors before and y of the next one, is
+        # numbered x + C y.  That is the number the walk of Ring gives: every
+        # factor lists 1 first, so the units (u, 1) come first and find the
+        # C classes (x, 0), and each later basis vector is a first unit
+        # (1, v) whose factor class y is a new basis vector of that factor
+        classes, count = [0], 1
         for f in self.factors:
-            f_classes, f_firsts = f.square_classes()
-            m = len(firsts)
-            pairs = sorted((a + n * b, c + m * d) for d, b in enumerate(f_firsts)
-                           for c, a in enumerate(firsts))
-            number = [0] * len(pairs)
-            for k, (_, key) in enumerate(pairs):
-                number[key] = k
-            classes = [number[x + m * y] for y in f_classes for x in classes]
-            firsts = [first for first, _ in pairs]
-            n *= len(f_classes)
-        return classes, firsts
+            f_classes, f_count = f.square_classes()
+            classes = [x + count * y for y in f_classes for x in classes]
+            count *= f_count
+        return classes, count
 
     def unit_texts(self) -> list[str]:
         # each factor formats its units once; the texts are composed in the
@@ -1015,13 +1018,13 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
         return Zmod(_spec_int(body), max_elements=max_elements)
     if s.startswith("GF(") and s.endswith(")"):
         body = s[3:-1]
-        head, _, poly = body.partition(";")
+        head, semicolon, poly = body.partition(";")
         p, k = _parse_prime_power(head.strip(), max_elements)
-        modulus = _parse_poly(poly, spec, max_elements) if poly else None
+        modulus = _parse_poly(poly, spec, max_elements) if semicolon else None
         return GaloisField(p, k, modulus, max_elements=max_elements)
     if s.startswith("GR(") and s.endswith(")"):
         body = s[3:-1]
-        head, _, poly = body.partition(";")
+        head, semicolon, poly = body.partition(";")
         parts = _split_top_commas(head)
         if len(parts) != 2:
             raise RingSpecError(f"GR spec needs two arguments in {spec!r}", head)
@@ -1029,7 +1032,7 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
         if not _is_digits(parts[1].strip()):
             raise RingSpecError(f"bad degree {parts[1]!r} in {spec!r}", parts[1])
         k = _spec_int(parts[1].strip())
-        modulus = _parse_poly(poly, spec, max_elements) if poly else None
+        modulus = _parse_poly(poly, spec, max_elements) if semicolon else None
         return GaloisRing(p, e, k, modulus, max_elements=max_elements)
     if s.startswith("prod(") and s.endswith(")"):
         inner = s[5:-1]

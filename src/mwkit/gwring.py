@@ -228,39 +228,38 @@ def _dense(n: int, key: tuple) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _family_rows(ring: Ring, rep: Sequence[int], firsts: Sequence[int]) -> list[tuple]:
+def _family_rows(ring: Ring, rep: Sequence[int], count: int) -> list[tuple]:
     """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
 
     Every unit index i is replaced by rep[i].  Either rep is the identity
-    and ``firsts`` is empty, which leaves out family (iii), or rep is the
-    square-class map onto G = R^x / (R^x)^2 and firsts[c] the first unit of
-    class c.  Family (ii) comes first, over the first unit of each value of
+    and count is 0, which leaves out family (iii), or rep is the
+    square-class map onto G = R^x / (R^x)^2 and count = C, the number of
+    classes.  Family (ii) comes first, over the first unit of each value of
     rep.  Every class is its own inverse, so with a of class c and b = au,
     u of class t and 1 + u a unit of class d, the family (iii) row is
     [c](1 + [t])(1 - [d]): one for each class c and each pair (t, d) of
-    ``ring.unit_sum_classes()``, read through the C x C products of the
-    first units, which run on coordinates.
+    ``ring.unit_sum_classes()``.  Classes are numbered by their F_2
+    coordinates (``Ring.square_classes``), so that row is
+    [c] + [c ^ t] - [c ^ d] - [c ^ t ^ d], and no ring product runs.
     """
     index = ring.unit_index_by_coords()
-    coords = [u.coords for u in ring.units()]
-    neg, mul = ring._neg, ring._mul
+    neg = ring._neg
     one_c = ring.one.coords
     one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
     rows: dict = {}
     met = set()
-    for i, a in enumerate(coords):
+    for i, a in enumerate(index):
         if rep[i] in met:  # -a is a times -1, so the row depends on rep[i] alone
             continue
         met.add(rep[i])
         key = _sparse_key(((1, rep[i]), (1, rep[index[neg(a)]]), (-1, one), (-1, minus_one)))
         if key:
             rows.setdefault(key)
-    table = [[rep[index[mul(coords[f], coords[g])]] for g in firsts] for f in firsts]
-    sums = ring.unit_sum_classes() if firsts else ()
-    pairs = [(t, d, table[t][d]) for t, ds in enumerate(sums) for d in ds]
-    for c, times_c in enumerate(table):
-        for t, d, td in pairs:
-            key = _sparse_key(((1, c), (1, times_c[t]), (-1, times_c[d]), (-1, times_c[td])))
+    sums = ring.unit_sum_classes() if count else ()
+    pairs = [(t, d) for t, ds in enumerate(sums) for d in ds]
+    for c in range(count):
+        for t, d in pairs:
+            key = _sparse_key(((1, c), (1, c ^ t), (-1, c ^ d), (-1, c ^ t ^ d)))
             if key:
                 rows.setdefault(key)
     return list(rows)
@@ -277,13 +276,12 @@ def _has_unit_sums(ring: Ring) -> bool:
     return any(add(one, c) in index for c in index)
 
 
-def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], list[int], list[tuple]]:
-    """(classes, firsts, rows): the presented lattice L' of the chosen kind.
+def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int, list[tuple]]:
+    """(classes, m, rows): the presented lattice L' of the chosen kind.
 
-    L' lies in Z^m, m = len(firsts); unit i is read through coordinate
-    classes[i], and firsts[c] is the first unit read through c.  rows are
-    sparse keys over the coordinates that span L'.  Z^{units} modulo the
-    relation lattice is Z^m / L' through e_i -> e_{classes[i]}.
+    L' lies in Z^m, and unit i is read through coordinate classes[i].  rows
+    are sparse keys over the coordinates that span L'.  Z^{units} modulo
+    the relation lattice is Z^m / L' through e_i -> e_{classes[i]}.
 
     With a residue field F_2 the hopf kind keeps one coordinate per unit
     and its rows are the family (ii) rows; every other presentation is the
@@ -291,9 +289,9 @@ def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], list
     """
     if kind is PresentationKind.HOPF and not _has_unit_sums(ring):
         n = len(ring.units())
-        return list(range(n)), list(range(n)), _family_rows(ring, range(n), ())
-    classes, firsts = ring.square_classes()
-    return classes, firsts, _family_rows(ring, classes, firsts)
+        return list(range(n)), n, _family_rows(ring, range(n), 0)
+    classes, count = ring.square_classes()
+    return classes, count, _family_rows(ring, classes, count)
 
 
 def _lift(classes: Sequence[int], rows: Iterable[dict]) -> ZLattice:
@@ -392,20 +390,19 @@ class GwPresentedRing:
     The quotient is presented as Z^m / L' (see :func:`_presented_rows`):
     ``classes[i]`` is the coordinate of Z^m that unit i is read through, and
     ``presentation`` presents Z^m / L'.  ``lattice``, the relation lattice
-    in Z^{units}, is lifted from L' on first read, unless every unit has a
-    coordinate of its own and L' is that lattice.
+    in Z^{units}, is lifted from L' on first read.
     """
 
     def __init__(self, ring: Ring, kind: PresentationKind):
         self.ring = ring
         self.kind = kind
         self.units = ring.units()
-        self.classes, firsts, rows = _presented_rows(ring, kind)
-        self._presented = ZLattice(len(firsts))
+        self.classes, m, rows = _presented_rows(ring, kind)
+        self._presented = ZLattice(m)
         for key in rows:
             self._presented._insert(dict(key))
         self.presentation: SnfPresentation = self._presented.quotient()
-        self._lattice = self._presented if len(firsts) == len(self.units) else None
+        self._lattice: Optional[ZLattice] = None
 
     @property
     def lattice(self) -> ZLattice:

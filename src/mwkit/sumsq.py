@@ -51,12 +51,13 @@ def unit_square_closure(ring) -> SumSquareResult:
     t(b + c) = tb + tc, so each E_n is a union of square classes, and the
     fixpoint runs on the classes.  x + y = x(1 + y/x), and each class is
     its own inverse, so the classes that K_a + K_b reaches are a D[ab], for
-    D of ``Ring.unit_sum_classes``: one row of C class products per new
-    class a, and no sum of units.  A unit s of exponent n then gets as
-    witness the first b of E_{n-1}, in unit order, such that c = s - b
-    lies in E_{n-1} no earlier than b: the pair that a scan of all pairs
-    b <= c of E_{n-1} meets first, and so the lexicographically least
-    (b + c = c + b).  Round 0 enters the squares in the order the units
+    D of ``Ring.unit_sum_classes``.  Classes are numbered by their F_2
+    coordinates (``Ring.square_classes``), so those are the a ^ d for d in
+    D[a ^ b]: no sum and no product of units.  A unit s of exponent n then
+    gets as witness the first b of E_{n-1}, in unit order, such that
+    c = s - b lies in E_{n-1} no earlier than b: the pair that a scan of
+    all pairs b <= c of E_{n-1} meets first, and so the lexicographically
+    least (b + c = c + b).  Round 0 enters the squares in the order the units
     square to them, and each later round enters its units in the order of
     their witnesses, as that scan would.  The result's dicts are keyed by
     elements of ``units()``.
@@ -64,10 +65,10 @@ def unit_square_closure(ring) -> SumSquareResult:
     ring = make_ring(ring)
     units = ring.units()
     index = ring.unit_index_by_coords()
-    add, neg, mul = ring._add, ring._neg, ring._mul
+    add, neg = ring._add, ring._neg
     coords = list(index)
-    classes, firsts = ring.square_classes()
-    members: list = [[] for _ in firsts]  # class -> its units, in unit order
+    classes, count = ring.square_classes()
+    members: list = [[] for _ in range(count)]  # class -> its units, in unit order
     for i, c in enumerate(classes):
         members[c].append(i)
     exponent: dict = {}  # unit index -> exponent, in the order reached
@@ -76,7 +77,7 @@ def unit_square_closure(ring) -> SumSquareResult:
     for s in squares:
         exponent.setdefault(s, 0)
 
-    in_e = [False] * len(firsts)  # class -> its units are in E_rounds
+    in_e = [False] * count  # class -> its units are in E_rounds
     new = [classes[squares[0]]]
     reached: list = []
     sums: set = set()  # the classes of sums of two units of reached classes
@@ -88,9 +89,8 @@ def unit_square_closure(ring) -> SumSquareResult:
         reached += new
         for a in new:
             in_e[a] = True
-            times_a = [classes[index[mul(coords[firsts[a]], coords[f])]] for f in firsts]
             for b in reached:
-                sums.update(times_a[d] for d in unit_sums[times_a[b]])
+                sums.update(a ^ d for d in unit_sums[a ^ b])
         new = [c for c in sums if not in_e[c]]
         if not new:
             break

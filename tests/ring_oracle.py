@@ -9,12 +9,14 @@
   ``schoolbook_mul`` and nested products recurse, so no result here comes
   from the kernels under test; ``Z/m`` keeps its one modular operation.
 
-* Unit tables by one coordinate product per unit: ``unit_coords`` keeps
-  the units of the whole element enumeration, ``square_map`` squares each
-  unit with the ring product, and ``square_classes`` multiplies a unit of
-  each class by every square, as the rings did before they built these
-  tables from their structure.  ``unit_sum_classes`` adds one to every
-  unit with the element-wise sum above.
+* Unit tables by ring products on every unit: ``unit_coords`` keeps the
+  units of the whole element enumeration, and ``square_map`` squares each
+  unit with the ring product, as the rings did before they built these
+  tables from their structure.  ``square_classes`` numbers the classes by
+  their F_2 coordinates by brute force: a unit u is of class m when u
+  times a unit of class m is a square, tried for every m numbered so far.
+  ``unit_sum_classes`` adds one to every unit with the element-wise sum
+  above.
 
 Every other function takes and returns ``RingElement`` values, except
 ``schoolbook_mul``, which works on coordinates.
@@ -137,27 +139,33 @@ def square_map(ring) -> list[int]:
     return [index[ring._mul(c, c)] for c in coords]
 
 
-def square_classes(ring) -> tuple[list[int], list[int]]:
-    """(classes, firsts) with classes numbered in the order of their first units."""
+def square_classes(ring) -> tuple[list[int], int]:
+    """(classes, C) with the C classes numbered by their F_2 coordinates.
+
+    rep[m] is a unit of class m.  Every class is its own inverse, so u is of
+    class m exactly when u rep[m] is a square.  A unit of no class so far
+    is the next basis vector g, of number C, and the classes m + C, for
+    m < C, are the classes of g rep[m].
+    """
     coords = unit_coords(ring)
-    index = {c: i for i, c in enumerate(coords)}
     squares = {ring._mul(c, c) for c in coords}
-    classes: list = [None] * len(coords)
-    firsts: list[int] = []
-    for i, c in enumerate(coords):
-        if classes[i] is None:
-            for q in squares:
-                classes[index[ring._mul(c, q)]] = len(firsts)
-            firsts.append(i)
-    return classes, firsts
+    rep = [ring._one_coords()]
+    classes = []
+    for c in coords:
+        m = next((m for m, r in enumerate(rep) if ring._mul(c, r) in squares), None)
+        if m is None:
+            m = len(rep)
+            rep += [ring._mul(c, r) for r in rep]
+        classes.append(m)
+    return classes, len(rep)
 
 
 def unit_sum_classes(ring) -> list[list[int]]:
     """D[t]: the classes of the units 1 + u, for u of class t, each once, in the order of its first u."""
     coords = unit_coords(ring)
     index = {c: i for i, c in enumerate(coords)}
-    classes, firsts = square_classes(ring)
-    sums: list = [[] for _ in firsts]
+    classes, count = square_classes(ring)
+    sums: list = [[] for _ in range(count)]
     for i, c in enumerate(coords):
         k = index.get(add(one(ring), RingElement(ring, c)).coords)
         if k is not None and classes[k] not in sums[classes[i]]:

@@ -26,6 +26,7 @@ from mwkit.finring import (
     GaloisField,
     GaloisRing,
     ProductRing,
+    Ring,
     RingElement,
     RingError,
     RingSpecError,
@@ -221,6 +222,18 @@ def test_malformed_numbers_raise_spec_error(spec, capsys):
     assert captured.err.startswith("error:") and not captured.out
 
 
+@pytest.mark.parametrize("spec", ["GF(2^2;)", "GR(4,2;)", "GF(2^2; )", "GR(4,2; )"])
+def test_empty_modulus_refused(spec, capsys):
+    # a ';' with nothing after it once fell back to the default modulus
+    from mwkit.cli import main
+
+    with pytest.raises(RingSpecError, match="empty polynomial"):
+        parse_ring_spec(spec)
+    assert main(["ringinfo", "--ring", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_enumeration_order_is_stable():
     f9 = GaloisField(3, 2)
     first = [el.coords for el in f9.elements()]
@@ -375,23 +388,24 @@ def test_unit_tables_match_per_unit_products(spec):
     assert ring.unit_texts() == [str(u) for u in ring.units()]
     sums = ring.unit_sum_classes()
     assert sums == oracle.unit_sum_classes(ring)
+    classes, count = ring.square_classes()
+    if isinstance(ring, ProductRing):
+        # the composed numbering is the one the walk over the product's units gives
+        assert (classes, count) == Ring._build_square_classes(ring)
     if len(coords) > 512:
         return
-    # the defining property: the classes of the unit sums a + b, for a of
-    # class A and b of class B, are the A d for d in D[AB]
-    classes, firsts = ring.square_classes()
+    # the XOR law, and the defining property of the unit sums: the classes
+    # of the unit sums a + b, for a of class A and b of class B, are the
+    # A ^ d for d in D[A ^ B]
     index = ring.unit_index_by_coords()
-
-    def times(x, y):
-        return classes[index[ring._mul(coords[firsts[x]], coords[firsts[y]])]]
-
     reached = {}
     for a, b in product(range(len(coords)), repeat=2):
+        assert classes[index[ring._mul(coords[a], coords[b])]] == classes[a] ^ classes[b]
         k = index.get(ring._add(coords[a], coords[b]))
         if k is not None:
             reached.setdefault((classes[a], classes[b]), set()).add(classes[k])
-    for x, y in product(range(len(firsts)), repeat=2):
-        assert reached.get((x, y), set()) == {times(x, d) for d in sums[times(x, y)]}, (x, y)
+    for x, y in product(range(count), repeat=2):
+        assert reached.get((x, y), set()) == {x ^ d for d in sums[x ^ y]}, (x, y)
 
 
 @pytest.mark.parametrize("spec,calls", [("prod(GF(2^6),Z/61)", 63),

@@ -28,7 +28,7 @@ except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
 from mwkit import gwring, kmwterm as km
-from mwkit.finring import RingElement, Zmod, parse_ring_spec
+from mwkit.finring import ProductRing, RingElement, Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
     GwPresentedRing,
@@ -206,9 +206,9 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     # table and at most one more for the test for unit sums, |U| + 1 in all,
     # where the first unit of each class summed with every unit took
     # (C + 1) |U| and the pair scan |U|^2 / 2; Z/128, with residue field
-    # F_2, is held to the same bound.  The products are those of the class
-    # map and the C x C class table, at most 2 |U| + C^2 (689 on Z/127 with
-    # two products per family (iii) pair)
+    # F_2, is held to the same bound.  The products are those of the square
+    # map and the class map, at most 2 |U| + C, where a C x C class table
+    # took C^2 more (689 on Z/127 with two products per family (iii) pair)
     ring = parse_ring_spec(spec)
     units = ring.units()
     classes = len(units) // len(ring.unit_squares())
@@ -218,7 +218,7 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
     relation_lattice(ring, kind)
     assert 0 < len(adds) <= len(units) + 1
-    assert len(muls) <= 2 * len(units) + classes ** 2
+    assert len(muls) <= 2 * len(units) + classes
 
 
 @pytest.mark.parametrize("spec", FULL_SCAN_SPECS + ["Z/25", "Z/12", "Z/128", "GR(4,3)", "Z/257"])
@@ -228,15 +228,52 @@ def test_family_rows_match_pair_scan(spec):
     # unit-sum table come in another order, which the Hermite basis does
     # not see
     ring = parse_ring_spec(spec)
-    classes, firsts = ring.square_classes()
-    rows = _family_rows(ring, classes, firsts)
+    classes, count = ring.square_classes()
+    firsts: dict = {}
+    for i, c in enumerate(classes):
+        firsts.setdefault(c, i)
+    rows = _family_rows(ring, classes, count)
     assert len(set(rows)) == len(rows)
-    assert sorted(rows) == sorted(oracle_pair_rows(ring, classes, firsts))
+    assert sorted(rows) == sorted(oracle_pair_rows(ring, classes, firsts.values()))
     if not _has_unit_sums(ring):
         n = len(ring.units())
-        rows = _family_rows(ring, range(n), ())
+        rows = _family_rows(ring, range(n), 0)
         assert len(set(rows)) == len(rows)
         assert sorted(rows) == sorted(oracle_pair_rows(ring, range(n), ()))
+
+
+@pytest.mark.parametrize("spec", ["Z/127", "GR(4,4)", "prod(Z/3,Z/3,Z/3,Z/3,Z/3)",
+                                  "prod(Z/15,Z/24)"])
+def test_rows_and_class_sums_make_no_ring_products(spec, monkeypatch):
+    # a count, not a time: once the ring's tables are built, the rows and
+    # the sum-of-squares fixpoint read class products as XORs of class
+    # numbers, where a C x C class table took C^2 products
+    ring = parse_ring_spec(spec)
+    ring.unit_sum_classes()  # builds the square map and the classes first
+    muls = []
+    mul = ring._mul
+    monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
+    for kind in PresentationKind:
+        gwring._presented_rows(ring, kind)
+    unit_square_closure(ring)
+    assert not muls
+
+
+@pytest.mark.parametrize("spec", ["prod(Z/3,Z/3,Z/3,Z/3,Z/3)", "prod(Z/15,Z/24)",
+                                  "prod(Z/2,prod(GR(8,2),Z/9))"])
+def test_product_rows_make_no_product_ring_products(spec, monkeypatch):
+    # a count, not a time: a product composes its unit tables from its
+    # factors', so neither they nor the rows nor the fixpoint multiply in
+    # the product ring (1,048,576 calls on ten Z/3's for the class table)
+    muls = []
+    mul = ProductRing._mul
+    monkeypatch.setattr(ProductRing, "_mul",
+                        lambda self, a, b: muls.append(1) or mul(self, a, b))
+    ring = parse_ring_spec(spec)
+    for kind in PresentationKind:
+        gwring._presented_rows(ring, kind)
+    unit_square_closure(ring)
+    assert not muls
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS + ["Z/61", "GR(9,2)", "prod(GF(2^2),Z/7)"])
