@@ -441,7 +441,9 @@ def test_cli_golden_arith(case, capsys):
 # prod(Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3) in both kinds (a 128 x 129 Smith
 # core) recorded while the Smith form still kept U and V^-1; gw on GR(8,2)
 # and prod(Z/2,prod(GR(8,2),Z/9)) in both kinds recorded while square
-# classes were numbered in the order of their first units
+# classes were numbered in the order of their first units; gw on GR(4,7) in
+# both kinds recorded while family (iii) had a row for every class and every
+# pair of the unit-sum table
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
