@@ -610,7 +610,7 @@ class GaloisRing(Ring):
         self._canonical_modulus = modulus is None
         if modulus is None:
             modulus = smallest_irreducible(p, k)  # lift is coefficientwise
-        modulus = tuple(c % self.q for c in modulus)
+        modulus = _poly_trim([c % self.q for c in modulus])
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise RingError(f"{label}: modulus must be monic of degree {k}")
         reduced = tuple(c % p for c in modulus)

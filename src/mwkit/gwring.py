@@ -16,9 +16,10 @@ presented in the dimension of the invariants, not of the units:
 
 * reduced: family (i) identifies the units of each square class, so the
   quotient is Z^C / L' for the C = |R^x / (R^x)^2| square classes, and L'
-  is spanned by the family (ii) and (iii) rows read through the classes:
-  a family (iii) row [c](1 + [t])(1 - [d]) for each class c and each pair
-  of classes (t, d) = (cls u, cls(1 + u)) of ``Ring.unit_sum_classes``.
+  is the ideal of Z[R^x / (R^x)^2] that the family (ii) and (iii) rows
+  generate when read through the classes.  It is spanned by generator
+  rows [g](1 + [t])(1 - [h]), at most C log2 C for each class t (see
+  :func:`_presented_rows`).
 * hopf: if no residue field of R is F_2, the hopf ideal already holds
   every family (i) row, and the reduced presentation serves both kinds.
   If some residue field is F_2, family (iii) is empty and the hopf lattice
@@ -228,43 +229,6 @@ def _dense(n: int, key: tuple) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _family_rows(ring: Ring, rep: Sequence[int], count: int) -> list[tuple]:
-    """Distinct nonzero rows of families (ii) and (iii) as sparse keys.
-
-    Every unit index i is replaced by rep[i].  Either rep is the identity
-    and count is 0, which leaves out family (iii), or rep is the
-    square-class map onto G = R^x / (R^x)^2 and count = C, the number of
-    classes.  Family (ii) comes first, over the first unit of each value of
-    rep.  Every class is its own inverse, so with a of class c and b = au,
-    u of class t and 1 + u a unit of class d, the family (iii) row is
-    [c](1 + [t])(1 - [d]): one for each class c and each pair (t, d) of
-    ``ring.unit_sum_classes()``.  Classes are numbered by their F_2
-    coordinates (``Ring.square_classes``), so that row is
-    [c] + [c ^ t] - [c ^ d] - [c ^ t ^ d], and no ring product runs.
-    """
-    index = ring.unit_index_by_coords()
-    neg = ring._neg
-    one_c = ring.one.coords
-    one, minus_one = rep[index[one_c]], rep[index[neg(one_c)]]
-    rows: dict = {}
-    met = set()
-    for i, a in enumerate(index):
-        if rep[i] in met:  # -a is a times -1, so the row depends on rep[i] alone
-            continue
-        met.add(rep[i])
-        key = _sparse_key(((1, rep[i]), (1, rep[index[neg(a)]]), (-1, one), (-1, minus_one)))
-        if key:
-            rows.setdefault(key)
-    sums = ring.unit_sum_classes() if count else ()
-    pairs = [(t, d) for t, ds in enumerate(sums) for d in ds]
-    for c in range(count):
-        for t, d in pairs:
-            key = _sparse_key(((1, c), (1, c ^ t), (-1, c ^ d), (-1, c ^ t ^ d)))
-            if key:
-                rows.setdefault(key)
-    return list(rows)
-
-
 def _has_unit_sums(ring: Ring) -> bool:
     """Whether family (iii) has an instance: some 1 + c is a unit.
 
@@ -284,14 +248,40 @@ def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int,
     the relation lattice is Z^m / L' through e_i -> e_{classes[i]}.
 
     With a residue field F_2 the hopf kind keeps one coordinate per unit
-    and its rows are the family (ii) rows; every other presentation is the
-    reduced one, on the C square classes (see :func:`relation_lattice`).
+    and its rows are the distinct family (ii) rows.  Every other
+    presentation is the reduced one, on the C square classes, spanned by
+    the rows [g](1 + [t])(1 - [h]) of :func:`relation_lattice`: for each
+    class t, h runs over the classes of D[t] that are independent over F_2
+    of t and of the h before them, and g over the least class of each coset
+    of <t, h>, whose other classes give the same row up to sign.  Classes
+    are numbered by their F_2 coordinates (``Ring.square_classes``), so the
+    row is [g] + [g ^ t] - [g ^ h] - [g ^ t ^ h], and no ring product runs.
     """
+    index = ring.unit_index_by_coords()
+    neg, one = ring._neg, ring.one.coords
     if kind is PresentationKind.HOPF and not _has_unit_sums(ring):
-        n = len(ring.units())
-        return list(range(n)), n, _family_rows(ring, range(n), 0)
+        n = len(index)
+        e, f = index[one], index[neg(one)]
+        rows = {_sparse_key(((1, i), (1, index[neg(a)]), (-1, e), (-1, f))): None
+                for i, a in enumerate(index)}
+        rows.pop((), None)
+        return list(range(n)), n, list(rows)
     classes, count = ring.square_classes()
-    return classes, count, _family_rows(ring, classes, count)
+    gens: list = list(ring.unit_sum_classes())
+    gens[classes[index[neg(one)]]] = range(count)  # family (ii): H = G
+    rows = []
+    for t, ds in enumerate(gens):
+        span = [t] if t else []  # reduced, by decreasing leading bit
+        for h in ds:
+            r = h
+            for b in span:
+                r = min(r, r ^ b)
+            if not r:
+                continue
+            span = sorted(span + [r], reverse=True)
+            rows += [_sparse_key(((1, g), (1, g ^ t), (-1, g ^ h), (-1, g ^ t ^ h)))
+                     for g in range(count) if g == min(g, g ^ t, g ^ h, g ^ t ^ h)]
+    return classes, count, rows
 
 
 def _lift(classes: Sequence[int], rows: Iterable[dict]) -> ZLattice:
@@ -319,8 +309,16 @@ def relation_lattice(ring, kind) -> ZLattice:
     reduced: the family (i) span is the kernel of the sum over square
     classes, so Z^{units} / L is Z^C / L' for the C square classes, and L'
     is spanned by the family (ii) and (iii) rows with every unit replaced by
-    its class.  Such a row does not change when (a, b) becomes (sa, sb) for
-    a square s, so a ranges over the first units of the classes only.
+    its class, in Z[G] for G = R^x / (R^x)^2.  Classes are their own
+    inverses, so with a of class c and b = au, u of class t and 1 + u a
+    unit of class d, the family (iii) row is [c](1 + [t])(1 - [d]), and
+    the family (ii) row of a of class c is -(1 + [m])(1 - [c]), m the
+    class of -1.  For each t the 1 - [d], d in D[t] of
+    ``Ring.unit_sum_classes``, generate the kernel of Z[G] -> Z[G / H_t],
+    H_t = <D[t]>, since 1 - [hh'] = (1 - [h]) + [h](1 - [h']); family (ii)
+    is the case t = m, H = G.  As (1 + [t])(1 - [t]) = 0, L' is spanned by
+    the rows [g](1 + [t])(1 - [h]) for g in G and h in a basis of
+    <t> + H_t beyond t.
 
     hopf: with r(a,b) = <a> + <b> - <a+b> - <(a+b)ab> the family (iii) row,
 

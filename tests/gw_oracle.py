@@ -18,9 +18,11 @@ kind spun up from O(|U|) seed rows under the generators of
 <u> - <rep(u)> for each unit u that is not the first unit rep(u) of its
 square class.  Both read their seed rows from
 ``oracle_pair_rows``, the row builder ``mwkit.gwring`` used then: a family
-(ii) row per unit and two coordinate products per family (iii) pair, where
-``gwring._family_rows`` emits family (ii) once per class and reads the
-class of (a+b)ab from a table of class products.
+(ii) row per unit and two coordinate products per family (iii) pair.  The
+reduced ``gwring._presented_rows`` emits generator rows
+[g](1 + [t])(1 - [h]) instead, with h over an F_2-basis of the classes of
+the unit sums of t, which span the same lattice; its F_2-residue hopf rows
+are the rows of ``oracle_pair_rows``, each once.
 
 The query oracles answer on dense vectors and ring elements, where
 ``GwPresentedRing`` reads sparse vectors against a few projections and

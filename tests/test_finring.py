@@ -234,6 +234,30 @@ def test_empty_modulus_refused(spec, capsys):
     assert captured.err.startswith("error:") and not captured.out
 
 
+@pytest.mark.parametrize("spec, same", [
+    ("GF(2^2;x^2+x+1+2x^3)", "GF(2^2;x^2+x+1)"),
+    ("GF(2^2;x^3+x^2+x+1-x^3)", "GF(2^2;x^2+x+1)"),
+    ("GR(4,2;x^2+x+1+4x^3)", "GR(4,2;x^2+x+1)"),
+])
+def test_modulus_with_top_coefficients_zero_mod_q_accepted(spec, same):
+    # these moduli are monic of degree 2 once reduced mod q, and were
+    # refused as not monic of degree 2
+    ring = parse_ring_spec(spec)
+    assert ring == parse_ring_spec(same)
+    assert ring.modulus == (1, 1, 1)
+
+
+@pytest.mark.parametrize("spec", ["GF(2^2;0)", "GF(2^2;x^2-x^2)"])
+def test_zero_modulus_refused(spec, capsys):
+    from mwkit.cli import main
+
+    with pytest.raises(RingError, match="monic of degree 2"):
+        parse_ring_spec(spec)
+    assert main(["ringinfo", "--ring", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_enumeration_order_is_stable():
     f9 = GaloisField(3, 2)
     first = [el.coords for el in f9.elements()]

@@ -34,8 +34,9 @@ from mwkit.gwring import (
     GwPresentedRing,
     PresentationKind,
     SplitReport,
-    _family_rows,
+    _dense,
     _has_unit_sums,
+    _presented_rows,
     build_relations,
     compare_presentations,
     mul,
@@ -221,25 +222,41 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     assert len(muls) <= 2 * len(units) + classes
 
 
-@pytest.mark.parametrize("spec", FULL_SCAN_SPECS + ["Z/25", "Z/12", "Z/128", "GR(4,3)", "Z/257"])
+@pytest.mark.parametrize("spec", FULL_SCAN_SPECS + ["Z/25", "Z/12", "Z/128", "GR(4,3)", "Z/257",
+                                                   "GR(4,5)", "GR(8,4)", "prod(Z/15,Z/24)",
+                                                   "prod(Z/2,prod(GR(8,2),Z/9))"])
 def test_family_rows_match_pair_scan(spec):
-    # the same rows as the scan with a family (ii) row per unit and two
-    # products per family (iii) pair, each once; the rows read from the
-    # unit-sum table come in another order, which the Hermite basis does
-    # not see
+    # the presented rows span the lattice of the scan with a family (ii) row
+    # per unit and two products per family (iii) pair; the reduced rows are
+    # generator rows, fewer than the scan's, and the hopf rows of a ring
+    # with residue field F_2 are the scan's rows, each once
     ring = parse_ring_spec(spec)
     classes, count = ring.square_classes()
     firsts: dict = {}
     for i, c in enumerate(classes):
         firsts.setdefault(c, i)
-    rows = _family_rows(ring, classes, count)
-    assert len(set(rows)) == len(rows)
-    assert sorted(rows) == sorted(oracle_pair_rows(ring, classes, firsts.values()))
-    if not _has_unit_sums(ring):
-        n = len(ring.units())
-        rows = _family_rows(ring, range(n), 0)
-        assert len(set(rows)) == len(rows)
-        assert sorted(rows) == sorted(oracle_pair_rows(ring, range(n), ()))
+    for kind in PresentationKind:
+        rep, m, rows = _presented_rows(ring, kind)
+        if kind is PresentationKind.HOPF and not _has_unit_sums(ring):
+            pair_rows = oracle_pair_rows(ring, rep, ())
+            assert len(set(rows)) == len(rows)
+            assert sorted(rows) == sorted(pair_rows)
+        else:
+            assert rep == classes
+            pair_rows = oracle_pair_rows(ring, classes, firsts.values())
+        assert ZLattice(m, (_dense(m, key) for key in rows)).spans_same(
+            ZLattice(m, (_dense(m, key) for key in pair_rows)))
+
+
+@pytest.mark.parametrize("spec", ["GR(4,6)", "prod(Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3,Z/3)"])
+def test_reduced_rows_are_generator_rows(spec):
+    # a count: for each class t at most log2 C classes h and C/2 cosets of
+    # <t, h>, where a row for each class and each pair of the unit-sum
+    # table gave 32,736 rows on GR(4,6) (C = 64, bound 24,960)
+    ring = parse_ring_spec(spec)
+    _, count, rows = _presented_rows(ring, PresentationKind.REDUCED)
+    log = count.bit_length() - 1
+    assert len(rows) <= count * count * log + count * log
 
 
 @pytest.mark.parametrize("spec", ["Z/127", "GR(4,4)", "prod(Z/3,Z/3,Z/3,Z/3,Z/3)",
