@@ -443,7 +443,10 @@ def test_cli_golden_arith(case, capsys):
 # and prod(Z/2,prod(GR(8,2),Z/9)) in both kinds recorded while square
 # classes were numbered in the order of their first units; gw on GR(4,7) in
 # both kinds recorded while family (iii) had a row for every class and every
-# pair of the unit-sum table
+# pair of the unit-sum table; gw on GF(2^16) in both kinds, reduced gw on
+# Z/65536, compare on GR(4,8) and sumsq on GR(27,3), rings at the element
+# bound, recorded while the bound was a constructor parameter and the Galois
+# kernel kept an 8-byte slot width and a schoolbook fallback
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
