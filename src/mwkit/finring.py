@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
-DEFAULT_ELEMENT_BOUND = 1 << 16
+ELEMENT_BOUND = 1 << 16
 # parentheses in a ring spec nest at most this deep; parsing, spec strings
 # and element enumeration recurse once or more per product level
 MAX_SPEC_NESTING = 16
@@ -70,17 +70,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a, b, m):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim([v % m for v in out])
 
 
 def _poly_rem_monic(a, mod, m):
@@ -150,19 +139,18 @@ def _poly_str(coeffs: Sequence[int]) -> str:
 # and the k - 1 slots above degree k - 1 fold back onto the low k slots
 # through packed rows of x^j mod f
 
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I"}
 
 
-def _slot_bytes(q: int, k: int) -> Optional[int]:
+def _slot_bytes(q: int, k: int) -> int:
     """Bytes per slot, so no slot of a product or of its fold can carry.
 
     A product slot is a sum of at most k terms below q^2, and the fold adds
-    to each low slot k - 1 such sums, each times a row entry below q.  None
-    when no struct code is wide enough; within the default element bound
-    every ring fits in 4 bytes.
+    to each low slot k - 1 such sums, each times a row entry below q.  Every
+    Galois ring within ``ELEMENT_BOUND`` fits in 1, 2 or 4 bytes.
     """
     bound = k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))
-    return next((w for w in _STRUCT_CODES if bound >> (8 * w) == 0), None)
+    return next(w for w in _STRUCT_CODES if bound >> (8 * w) == 0)
 
 
 def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
@@ -173,10 +161,6 @@ def _galois_mul_kernel(q: int, k: int, modulus: Sequence[int]):
     if k == 1:
         return lambda a, b: (a[0] * b[0] % q,)
     w = _slot_bytes(q, k)
-    if w is None:
-        # no struct code is wide enough: the schoolbook product
-        pad = (0,) * k
-        return lambda a, b: (_poly_rem_monic(_poly_mul(a, b, q), modulus, q) + pad)[:k]
     from_bytes = int.from_bytes
     low_bits, low_bytes, high_bytes = 8 * k * w, k * w, (k - 1) * w
     low_mask = (1 << low_bits) - 1
@@ -530,12 +514,12 @@ class Ring:
 class Zmod(Ring):
     """Integers modulo m, m >= 2; elements are residues 0..m-1."""
 
-    def __init__(self, m: int, max_elements: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, m: int):
         super().__init__()
         if m < 2:
             raise RingError(f"Z/{m}: modulus must be at least 2")
-        if m > max_elements:
-            raise RingError(f"Z/{m} exceeds the element bound {max_elements}")
+        if m > ELEMENT_BOUND:
+            raise RingError(f"Z/{m} exceeds the element bound {ELEMENT_BOUND}")
         self.m = m
         self.card = m
 
@@ -591,8 +575,7 @@ class GaloisRing(Ring):
     _positive = "exponent and degree must be positive"
     _reducible_suffix = " mod {p}"
 
-    def __init__(self, p: int, e: int, k: int, modulus: Optional[Sequence[int]] = None,
-                 max_elements: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, p: int, e: int, k: int, modulus: Optional[Sequence[int]] = None):
         super().__init__()
         self.p = p
         self.e = e
@@ -602,8 +585,8 @@ class GaloisRing(Ring):
             raise RingError(f"{label}: {self._positive}")
         # with p >= 2, an e*k above the bound's bit length exceeds it: refuse
         # before building the power or testing a huge p for primality
-        if p > 1 and (e * k > max_elements.bit_length() or p ** (e * k) > max_elements):
-            raise RingError(f"{label} exceeds the element bound {max_elements}")
+        if p > 1 and (e * k > ELEMENT_BOUND.bit_length() or p ** (e * k) > ELEMENT_BOUND):
+            raise RingError(f"{label} exceeds the element bound {ELEMENT_BOUND}")
         if not _is_prime(p):
             raise RingError(f"{label}: {p} is not prime")
         self.q = p**e
@@ -618,8 +601,7 @@ class GaloisRing(Ring):
             raise RingError(f"{label}: reducible modulus {_poly_str(modulus)}"
                             + self._reducible_suffix.format(p=p))
         self.modulus = modulus
-        self.residue_field = (self if isinstance(self, GaloisField)
-                              else GaloisField(p, k, reduced, max_elements=max_elements))
+        self.residue_field = self if isinstance(self, GaloisField) else GaloisField(p, k, reduced)
         self.card = self.q**k
         self._mul_kernel = None
 
@@ -716,9 +698,8 @@ class GaloisField(GaloisRing):
     _positive = "degree must be positive"
     _reducible_suffix = ""
 
-    def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None,
-                 max_elements: int = DEFAULT_ELEMENT_BOUND):
-        super().__init__(p, 1, k, modulus, max_elements=max_elements)
+    def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
+        super().__init__(p, 1, k, modulus)
 
     def _label(self, tail: str = "") -> str:
         return f"GF({self.p}^{self.k}{tail})"
@@ -734,15 +715,15 @@ class ProductRing(Ring):
     coordinate methods, so no factor element is built.
     """
 
-    def __init__(self, factors: Sequence[Ring], max_elements: int = DEFAULT_ELEMENT_BOUND):
+    def __init__(self, factors: Sequence[Ring]):
         super().__init__()
         if not factors:
             raise RingError("product ring needs at least one factor")
         card = 1
         for f in factors:
             card *= f.card
-        if card > max_elements:
-            raise RingError(f"product ring exceeds the element bound {max_elements}")
+        if card > ELEMENT_BOUND:
+            raise RingError(f"product ring exceeds the element bound {ELEMENT_BOUND}")
         self.factors = tuple(factors)
         self.card = card
 
@@ -893,7 +874,7 @@ def _spec_int(digits: str) -> int:
         raise RingSpecError(f"number of {len(digits)} digits is too long", digits) from None
 
 
-def _parse_poly(text: str, token_context: str, max_elements: int) -> tuple[int, ...]:
+def _parse_poly(text: str, token_context: str) -> tuple[int, ...]:
     text = text.replace(" ", "")
     if not text:
         raise RingSpecError("empty polynomial", token_context)
@@ -921,7 +902,9 @@ def _parse_poly(text: str, token_context: str, max_elements: int) -> tuple[int, 
             raise RingSpecError(f"bad polynomial term {term!r}", term)
         if "x" in t:
             coef_s, _, exp_s = t.partition("x")
-            coef_s = coef_s.rstrip("*")
+            # c*x reads as cx; a star with no digit run before it stays and is refused
+            if len(coef_s) > 1 and coef_s.endswith("*"):
+                coef_s = coef_s[:-1]
             if exp_s == "":
                 exp_s = "^1"
             if not (exp_s.startswith("^") and _is_digits(exp_s[1:])
@@ -931,9 +914,9 @@ def _parse_poly(text: str, token_context: str, max_elements: int) -> tuple[int, 
             exp = _spec_int(exp_s[1:])
             # a ring within the bound has p^k >= 2^k elements, so a larger
             # degree names none; refuse it before spelling out its coefficients
-            if exp > max_elements.bit_length():
+            if exp > ELEMENT_BOUND.bit_length():
                 raise RingSpecError(
-                    f"degree of {term!r} exceeds the element bound {max_elements}", term)
+                    f"degree of {term!r} exceeds the element bound {ELEMENT_BOUND}", term)
         else:
             if not _is_digits(t):
                 raise RingSpecError(f"bad polynomial term {term!r}", term)
@@ -962,10 +945,10 @@ def _split_top_commas(text: str) -> list[str]:
     return parts
 
 
-def _parse_prime_power(text: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> tuple[int, int]:
+def _parse_prime_power(text: str) -> tuple[int, int]:
     """Parse 'p^k' or a plain prime power q, returning (p, k).
 
-    A p or q above max_elements comes back untested, as (p, k) or (q, 1):
+    A p or q above ``ELEMENT_BOUND`` comes back untested, as (p, k) or (q, 1):
     every ring over it exceeds the bound, and the ring constructors refuse
     it on size before any primality test.
     """
@@ -974,7 +957,7 @@ def _parse_prime_power(text: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> 
     if not (_is_digits(base_s) and (not caret or _is_digits(k_s))):
         raise RingSpecError(f"bad prime power {text!r}", text)
     q = _spec_int(base_s)
-    if q > max_elements:
+    if q > ELEMENT_BOUND:
         return q, _spec_int(k_s) if caret else 1
     if caret:
         if not _is_prime(q):
@@ -1006,7 +989,7 @@ def _nesting(text: str) -> int:
     return most
 
 
-def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Ring:
+def parse_ring_spec(spec: str) -> Ring:
     """Parse the ring spec mini-language into a ring handle."""
     s = spec.strip()
     if _nesting(s) > MAX_SPEC_NESTING:
@@ -1015,30 +998,28 @@ def parse_ring_spec(spec: str, max_elements: int = DEFAULT_ELEMENT_BOUND) -> Rin
         body = s[2:].strip()
         if not _is_digits(body.removeprefix("-")):
             raise RingSpecError(f"bad modulus {body!r} in {spec!r}", body)
-        return Zmod(_spec_int(body), max_elements=max_elements)
+        return Zmod(_spec_int(body))
     if s.startswith("GF(") and s.endswith(")"):
         body = s[3:-1]
         head, semicolon, poly = body.partition(";")
-        p, k = _parse_prime_power(head.strip(), max_elements)
-        modulus = _parse_poly(poly, spec, max_elements) if semicolon else None
-        return GaloisField(p, k, modulus, max_elements=max_elements)
+        p, k = _parse_prime_power(head.strip())
+        modulus = _parse_poly(poly, spec) if semicolon else None
+        return GaloisField(p, k, modulus)
     if s.startswith("GR(") and s.endswith(")"):
         body = s[3:-1]
         head, semicolon, poly = body.partition(";")
         parts = _split_top_commas(head)
         if len(parts) != 2:
             raise RingSpecError(f"GR spec needs two arguments in {spec!r}", head)
-        p, e = _parse_prime_power(parts[0].strip(), max_elements)
+        p, e = _parse_prime_power(parts[0].strip())
         if not _is_digits(parts[1].strip()):
             raise RingSpecError(f"bad degree {parts[1]!r} in {spec!r}", parts[1])
         k = _spec_int(parts[1].strip())
-        modulus = _parse_poly(poly, spec, max_elements) if semicolon else None
-        return GaloisRing(p, e, k, modulus, max_elements=max_elements)
+        modulus = _parse_poly(poly, spec) if semicolon else None
+        return GaloisRing(p, e, k, modulus)
     if s.startswith("prod(") and s.endswith(")"):
         inner = s[5:-1]
-        factors = [parse_ring_spec(part, max_elements=max_elements)
-                   for part in _split_top_commas(inner)]
-        return ProductRing(factors, max_elements=max_elements)
+        return ProductRing([parse_ring_spec(part) for part in _split_top_commas(inner)])
     raise RingSpecError(f"unrecognized ring spec {spec!r}", s)
 
 

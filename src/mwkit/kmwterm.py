@@ -565,7 +565,6 @@ class Identity:
     lhs: Term
     rhs: Term
     hypotheses: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         dl = self.lhs.homogeneous_degree()

@@ -364,7 +364,7 @@ def parse_hypotheses(text: str) -> tuple[km.Unit, ...]:
         return tuple(out)
 
 
-def parse_identity(text: str, hypotheses: str = "", name: str = "") -> km.Identity:
+def parse_identity(text: str, hypotheses: str = "") -> km.Identity:
     """Parse 'lhs = rhs' with an optional hypothesis clause list."""
     p = _Parser(text)
     lhs = p.parse_term()
@@ -373,6 +373,6 @@ def parse_identity(text: str, hypotheses: str = "", name: str = "") -> km.Identi
     p.expect("EOF")
     hyps = parse_hypotheses(hypotheses)
     try:
-        return km.Identity(lhs, rhs, hyps, name)
+        return km.Identity(lhs, rhs, hyps)
     except km.IdentityError as exc:
         raise ParseError(str(exc), 1, 1) from None

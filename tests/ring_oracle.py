@@ -2,6 +2,8 @@
 
 * ``schoolbook_mul``: the Galois product as ``_poly_mul`` then
   ``_poly_rem_monic`` on coefficient tuples, before Kronecker substitution.
+  The oracle owns ``_poly_mul``, the schoolbook product of two coefficient
+  tuples; ``mwkit`` has no use for it.
 * Element-wise product arithmetic: a product element is taken apart into
   factor elements, every factor operation builds a factor element, and the
   result is put together from their coordinates, as when product
@@ -31,11 +33,21 @@ from mwkit.finring import (
     ProductRing,
     RingElement,
     _digits,
-    _poly_mul,
     _poly_rem_monic,
     _poly_str,
     _poly_trim,
 )
+
+
+def _poly_mul(a, b, m):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim([v % m for v in out])
 
 
 def schoolbook_mul(ring: GaloisRing, a, b):

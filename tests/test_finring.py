@@ -22,6 +22,7 @@ except ImportError:  # hypothesis comes with the `test` extra
 import mwkit
 from mwkit import finring
 from mwkit.finring import (
+    ELEMENT_BOUND,
     MAX_SPEC_NESTING,
     GaloisField,
     GaloisRing,
@@ -81,6 +82,12 @@ def test_construction_errors():
         GaloisField(2, 17)
     with pytest.raises(RingError, match="not prime"):
         GaloisField(6, 1)
+    # each ring kind takes exactly ELEMENT_BOUND elements; the next ring up
+    # of each kind is in test_large_prime_power_refused
+    for spec in ("Z/65536", "GF(2^16)", "GR(2^16,1)", "GR(4,8)", "prod(GF(2^8),Z/256)"):
+        assert parse_ring_spec(spec).card == ELEMENT_BOUND == 65536
+    with pytest.raises(RingError, match="Z/65537 exceeds the element bound 65536"):
+        Zmod(65537)
 
 
 def test_galois_ring_structure():
@@ -186,6 +193,10 @@ def test_parse_ring_spec():
     assert parse_ring_spec("GF(3^2)").card == 9
     assert parse_ring_spec("GF(9)").card == 9
     assert parse_ring_spec("GF(3^2;x^2+1)").modulus == (1, 0, 1)
+    # a degree-one term is c*x, cx or x
+    assert parse_ring_spec("GF(3^2;x^2+2*x+2)").modulus == (2, 2, 1)
+    assert parse_ring_spec("GF(3^2;x^2+2x+2)").modulus == (2, 2, 1)
+    assert parse_ring_spec("GF(3^2;x^2+x+2)").modulus == (2, 1, 1)
     assert parse_ring_spec("GR(4,2)").spec_string() == "GR(2^2,2)"
     assert parse_ring_spec("GR(2^2,2)").card == 16
     assert parse_ring_spec("prod(Z/4,Z/3)").card == 12
@@ -205,6 +216,8 @@ def test_parse_ring_spec_errors_carry_token():
 @pytest.mark.parametrize("spec", [
     "GF(3^2;x^a+1)", "GF(3^2;ax^2+1)", "GF(3^2;x^+1)", "GF(3^2;x*x+1)",
     "GR(4,2;x^2+x+a)", "Z/\u00b2", "GF(3^\u00b2)", "Z/--5",
+    # a coefficient takes at most one star, and only after a digit run
+    "GF(3^2;x^2+2**x+2)", "GF(3^2;x^2+2***x+2)", "GF(3^2;x^2+*x+2)",
     # more digits than int() converts
     pytest.param("Z/" + "9" * 5000, id="Z/<5000 nines>"),
     pytest.param("GF(3^2;x^2+" + "1" * 5000 + ")", id="GF(3^2;x^2+<5000 ones>)"),
@@ -338,6 +351,8 @@ def test_parse_prime_power_matches_trial_division():
     "GR(100000000000000000039,1)", "GF(3^20000000)", "GR(3^20000000,1)",
     # refused before a coefficient tuple of that length is spelled out
     "GF(2^2;x^1000000+1)",
+    # the next ring up from one of ELEMENT_BOUND elements, in each kind
+    "Z/65537", "GF(2^17)", "GR(2^17,1)", "GR(4,9)", "prod(GF(2^8),Z/257)",
 ])
 def test_large_prime_power_refused(spec):
     with pytest.raises(RingError, match="bound"):
@@ -715,27 +730,23 @@ def test_arithmetic_matches_oracle_on_all_pairs(spec):
         assert ring.from_int(n) == oracle.from_int(ring, n)
 
 
-# every slot width the kernel picks: 1, 2 and 4 bytes within the default
-# element bound, 8 bytes and the schoolbook product past 8 bytes for rings
-# built past it
-WIDE_RINGS = {
-    "GR(2^16,2)": lambda: GaloisRing(2, 16, 2, max_elements=1 << 32),
-    "GR(2^30,2)": lambda: GaloisRing(2, 30, 2, max_elements=1 << 60),
-}
 RANDOM_PAIR_SPECS = ["GF(2^12)", "GF(2^16)", "GF(5^4)", "GR(16,2)", "GR(9,2)", "GF(251^2)",
-                     "GF(65521)", *WIDE_RINGS]
+                     "GF(65521)"]
 
 
 def test_random_pairs_cover_every_slot_width():
-    rings = [WIDE_RINGS[s]() if s in WIDE_RINGS else parse_ring_spec(s)
-             for s in RANDOM_PAIR_SPECS]
-    widths = {_slot_bytes(r.q, r.k) for r in rings if r.k > 1}
-    assert widths == {1, 2, 4, 8, None}
+    # every Galois ring GR(q, k) with k >= 2 within the bound takes 1, 2 or 4
+    # bytes, and the random pairs below reach each width
+    every = {_slot_bytes(q, k)
+             for q in range(2, isqrt(ELEMENT_BOUND) + 1) if _trial_division_prime_power(q)
+             for k in range(2, ELEMENT_BOUND.bit_length()) if q**k <= ELEMENT_BOUND}
+    rings = [parse_ring_spec(s) for s in RANDOM_PAIR_SPECS]
+    assert {_slot_bytes(r.q, r.k) for r in rings if r.k > 1} == every == {1, 2, 4}
 
 
 @pytest.mark.parametrize("spec", RANDOM_PAIR_SPECS)
 def test_galois_product_matches_schoolbook_on_random_pairs(spec):
-    ring = WIDE_RINGS[spec]() if spec in WIDE_RINGS else parse_ring_spec(spec)
+    ring = parse_ring_spec(spec)
     rng = random.Random(spec)
     # the extremes first: all zero, all q - 1
     pairs = [((0,) * ring.k, (ring.q - 1,) * ring.k), ((ring.q - 1,) * ring.k,) * 2]

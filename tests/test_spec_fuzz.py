@@ -7,7 +7,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
 from mwkit.finring import (  # noqa: E402
-    DEFAULT_ELEMENT_BOUND,
+    ELEMENT_BOUND,
     MAX_SPEC_NESTING,
     Ring,
     RingError,
@@ -21,7 +21,7 @@ SMALL = st.one_of(
     st.sampled_from(["2", "3", "5", "7"]),
     st.integers(0, 20).map(str),
     st.integers(0, 300).map(str),
-    st.integers(0, 2 * DEFAULT_ELEMENT_BOUND).map(str),
+    st.integers(0, 2 * ELEMENT_BOUND).map(str),
     st.integers(4301, 5000).map(lambda n: "9" * n),
 )
 NUMBERS = st.one_of(SMALL, st.integers(0, 10**30).map(str))
@@ -80,5 +80,5 @@ def test_ring_spec_yields_ring_or_ring_error(spec):
         ring = parse_ring_spec(spec)
     except RingError:
         return
-    assert isinstance(ring, Ring) and ring.card <= DEFAULT_ELEMENT_BOUND
+    assert isinstance(ring, Ring) and ring.card <= ELEMENT_BOUND
     assert parse_ring_spec(ring.spec_string()) == ring
