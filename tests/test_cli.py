@@ -418,7 +418,9 @@ def test_markdown_rows_have_the_header_cell_count(capsys):
 # pairs of reached units; sumsq on GR(4,6), prod(Z/3,Z/3,Z/3,Z/3,Z/3) and
 # prod(Z/5,Z/13,Z/3) recorded while each new class was summed against every
 # reached unit; sumsq on GR(8,2) and prod(Z/2,prod(GR(8,2),Z/9)) recorded
-# while square classes were numbered in the order of their first units
+# while square classes were numbered in the order of their first units;
+# sumsq on prod(GF(2^4),Z/61) recorded while the witness pass scanned the
+# reached units in unit order for every new unit
 @pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_arith(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
@@ -446,7 +448,9 @@ def test_cli_golden_arith(case, capsys):
 # pair of the unit-sum table; gw on GF(2^16) in both kinds, reduced gw on
 # Z/65536, compare on GR(4,8) and sumsq on GR(27,3), rings at the element
 # bound, recorded while the bound was a constructor parameter and the Galois
-# kernel kept an 8-byte slot width and a schoolbook fallback
+# kernel kept an 8-byte slot width and a schoolbook fallback; hopf gw on
+# Z/4096 recorded while the F_2-residue hopf kind was presented in dimension
+# |U| and a class query on it read the projections through a Python loop
 @pytest.mark.parametrize("case", GOLDEN["ladder"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_ladder(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
