@@ -45,6 +45,8 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul as _times  # gwring.mul is the group ring product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .finring import Ring, RingElement, make_ring
@@ -423,25 +425,49 @@ class GwPresentedRing:
     def _order(self, x: GroupRingVector, y: Optional[GroupRingVector] = None) -> Optional[int]:
         """Additive order of the class of x, or of x - y; None means infinite.
 
-        Unit k is read through coordinate ``classes[k]`` of Z^m.  When the
-        supports hold at least ``ambient`` keys, the vector is summed into a
-        dense row and read with ``element_order``, whose dots run in C over
-        no more entries than the supports hold; otherwise it is summed into
-        a dict of the coordinates it meets and read with ``sparse_order``,
-        which never touches the others.
+        One frame serves the query.  x is summed with += and y with -= into
+        the coordinates of Z^m, unit k read through ``classes[k]``.  When the
+        supports hold at least m keys, the sum goes into a dense list of m
+        entries and each projection is dotted with all of it; otherwise it
+        goes into a dict of the coordinates met and each projection is read
+        at those coordinates only.  Either dot runs in C, and costs no more
+        steps than the supports hold keys.  The free projections are read
+        first, and the first nonzero one ends the reading; then the
+        (torsion projection, invariant factor) pairs give the order.
         """
         pres, ring, classes = self.presentation, self.ring, self.classes
-        dense = pres.ambient <= (len(x._by_index) if y is None
-                                 else len(x._by_index) + len(y._by_index))
-        acc = [0] * pres.ambient if dense else defaultdict(int)
-        for v, sign in ((x, 1),) if y is None else ((x, 1), (y, -1)):
-            if v.ring is not ring and v.ring != ring:
+        if x.ring is not ring and x.ring != ring:
+            raise ValueError("ring mismatch")
+        xs, ys = x._by_index, ()
+        support = len(xs)
+        if y is not None:
+            if y.ring is not ring and y.ring != ring:
                 raise ValueError("ring mismatch")
-            for k, c in v._by_index.items():
-                acc[classes[k]] += sign * c
+            ys = y._by_index.items()
+            support += len(ys)
+        dense = pres.ambient <= support
+        acc = [0] * pres.ambient if dense else defaultdict(int)
+        for k, c in xs.items():
+            acc[classes[k]] += c
+        for k, c in ys:
+            acc[classes[k]] -= c
+        free, torsion = pres._columns
         if dense:
-            return pres.element_order(acc)
-        return pres.sparse_order(acc.keys(), acc.values())
+            for col in free:
+                if sum(map(_times, col, acc)):
+                    return None
+            order = 1
+            for col, d in torsion:
+                order = lcm(order, d // gcd(d, sum(map(_times, col, acc))))
+            return order
+        vals = acc.values()
+        for col in free:
+            if sum(map(_times, map(col.__getitem__, acc), vals)):
+                return None
+        order = 1
+        for col, d in torsion:
+            order = lcm(order, d // gcd(d, sum(map(_times, map(col.__getitem__, acc), vals))))
+        return order
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
         """Whether x and y have one class: the class of x - y has order 1."""

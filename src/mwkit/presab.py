@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import index, mul
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -324,11 +325,6 @@ def _smith(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     return a, v
 
 
-def _dot(column: Sequence[int], indices: Sequence[int], values: Iterable[int]) -> int:
-    """Value of one projection on v, v given by values[k] at indices[k]."""
-    return sum([c * column[i] for i, c in zip(indices, values)])
-
-
 @dataclass(frozen=True)
 class SnfPresentation:
     """Canonical coordinates for Z^n modulo an integer relation lattice.
@@ -342,7 +338,8 @@ class SnfPresentation:
     vector whose dot product with v is that coordinate of v's class, before
     the torsion residue is taken.  A vector lies in the relation lattice
     exactly when each torsion projection is divisible by its invariant
-    factor and each free projection is zero.
+    factor and each free projection is zero.  Every reader here takes a
+    dense length-n vector and dots each projection with all of it in C.
     """
 
     ambient: int
@@ -350,57 +347,42 @@ class SnfPresentation:
     torsion: tuple[int, ...]
     _projections: tuple[tuple[int, ...], ...]
 
-    def sparse_order(self, indices: Collection[int], values: Collection[int]) -> Optional[int]:
-        """Additive order of the class of values[k] at indices[k]; None means infinite.
+    @cached_property
+    def _columns(self) -> tuple[tuple, tuple]:
+        """(free projections, (torsion projection, invariant factor) pairs).
 
-        Indices lie in range(ambient), a repeated index adds its values and
-        an absent one is zero; both are read once per projection used, in
-        Python, so this suits a support much smaller than ``ambient``
-        (:meth:`element_order` reads a dense vector in C).  The free
-        coordinates are read first, and the first nonzero one ends the
-        reading.
+        Split on first read and kept beside the fields, not among them, so
+        that no class query slices or zips the projections again.
         """
         t = len(self.torsion)
-        for col in self._projections[t:]:
-            if _dot(col, indices, values):
-                return None
-        order = 1
-        for col, d in zip(self._projections, self.torsion):
-            order = lcm(order, d // gcd(d, _dot(col, indices, values)))
-        return order
+        return self._projections[t:], tuple(zip(self._projections[:t], self.torsion))
 
-    def _support(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
+    def _check(self, vec: Sequence[int]) -> None:
         if len(vec) != self.ambient:
             raise ValueError("vector has wrong ambient dimension")
-        indices = [i for i, c in enumerate(vec) if c]
-        return indices, [vec[i] for i in indices]
-
-    def _class(self, indices: Sequence[int], values: Sequence[int]) -> tuple[tuple, tuple]:
-        y = [_dot(col, indices, values) for col in self._projections]
-        t = len(self.torsion)
-        return tuple(x % d for x, d in zip(y, self.torsion)), tuple(y[t:])
 
     def to_canonical(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._class(*self._support(vec))
+        self._check(vec)
+        free, torsion = self._columns
+        return (tuple(sum(map(mul, col, vec)) % d for col, d in torsion),
+                tuple(sum(map(mul, col, vec)) for col in free))
 
     def class_is_zero(self, vec: Sequence[int]) -> bool:
-        return self.sparse_order(*self._support(vec)) == 1
+        return self.element_order(vec) == 1
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
         """Additive order of the class of ``vec``, a length-``ambient`` list; None means infinite.
 
-        Each projection is dotted with the whole of ``vec`` in C, as
-        ``sum(map(mul, col, vec))``, free coordinates first and the first
-        nonzero one ending the reading, as in :meth:`sparse_order`.
+        The free coordinates are read first, and the first nonzero one ends
+        the reading.
         """
-        if len(vec) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
-        t = len(self.torsion)
-        for col in self._projections[t:]:
+        self._check(vec)
+        free, torsion = self._columns
+        for col in free:
             if sum(map(mul, col, vec)):
                 return None
         order = 1
-        for col, d in zip(self._projections, self.torsion):
+        for col, d in torsion:
             order = lcm(order, d // gcd(d, sum(map(mul, col, vec))))
         return order
 

@@ -42,7 +42,7 @@ from mwkit.gwring import (
     mul,
     relation_lattice,
 )
-from mwkit.presab import SnfPresentation, ZLattice
+from mwkit.presab import ZLattice
 from mwkit.sumsq import unit_square_closure
 from presab_oracle import oracle_quotient
 
@@ -547,40 +547,54 @@ def test_class_queries_match_dense_oracles(presented, spec, kind):
 
 
 def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented, monkeypatch):
-    # hopf Z/256 keeps one coordinate per unit, so a few keys read sparsely
-    # and a full support reads one dense row; both agree with the oracles
+    # hopf Z/256 keeps one coordinate per unit, so a few keys, or one key
+    # short of ambient, read sparsely and a full support reads one dense
+    # row; both agree with the oracles
     ring = Zmod(256)
     p = presented(ring, "hopf")
     units = p.units
     assert p.presentation.ambient == len(units) == 128
     rng = random.Random("dense or sparse Z/256")
     full = GroupRingVector(ring, {u: rng.choice((-2, -1, 1, 2)) for u in units})
+    short = GroupRingVector(ring, {u: 1 for u in units[:127]})
     relation = _random_relation(rng, p)
     while len(relation.coeffs) < len(units):
         relation = relation + _random_relation(rng, p)
     cases = [
-        ("class_equal", (angle(ring, 3), angle(ring, 5)), "sparse_order"),
+        ("class_equal", (angle(ring, 3), angle(ring, 5)), "sparse"),
         ("class_equal", (angle(ring, 3) + angle(ring, -3), angle(ring, 1) + angle(ring, -1)),
-         "sparse_order"),
-        ("torsion_exponent", (angle(ring, 3) - angle(ring, 1),), "sparse_order"),
-        ("torsion_exponent", (full,), "element_order"),
-        ("torsion_exponent", (relation,), "element_order"),
-        ("class_equal", (full, full + relation), "element_order"),
-        ("class_equal", (full, relation), "element_order"),
+         "sparse"),
+        ("torsion_exponent", (angle(ring, 3) - angle(ring, 1),), "sparse"),
+        ("torsion_exponent", (short,), "sparse"),
+        ("class_equal", (short, short - angle(ring, 1) + angle(ring, -1)), "dense"),
+        ("torsion_exponent", (full,), "dense"),
+        ("torsion_exponent", (relation,), "dense"),
+        ("class_equal", (full, full + relation), "dense"),
+        ("class_equal", (full, relation), "dense"),
     ]
     oracles = {"class_equal": oracle_class_equal, "torsion_exponent": oracle_torsion_exponent}
     wants = [oracles[name](p, *args) for name, args, _ in cases]
-    assert wants == [False, True, None, None, 1, True, False]
-    calls = []
-    for reader in ("sparse_order", "element_order"):
-        def counted(self, *args, _reader=reader, _read=getattr(SnfPresentation, reader)):
-            calls.append(_reader)
-            return _read(self, *args)
-        monkeypatch.setattr(SnfPresentation, reader, counted)
-    for (name, args, path), want in zip(cases, wants):
-        calls.clear()
+    assert wants == [False, True, None, None, False, None, 1, True, False]
+    # projections that record how they are read: whole (a dense row) or
+    # entry by entry (the coordinates a sparse sum met)
+    sides = set()
+
+    class Column(tuple):
+        def __iter__(self):
+            sides.add("dense")
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            sides.add("sparse")
+            return super().__getitem__(i)
+
+    free, torsion = p.presentation._columns
+    monkeypatch.setitem(vars(p.presentation), "_columns",
+                        (tuple(map(Column, free)), tuple((Column(c), d) for c, d in torsion)))
+    for (name, args, side), want in zip(cases, wants):
+        sides.clear()
         assert getattr(p, name)(*args) == want, (name, args)
-        assert calls == [path], (name, args)
+        assert sides == {side}, (name, args)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
