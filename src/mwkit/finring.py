@@ -601,7 +601,6 @@ class GaloisRing(Ring):
             raise RingError(f"{label}: reducible modulus {_poly_str(modulus)}"
                             + self._reducible_suffix.format(p=p))
         self.modulus = modulus
-        self.residue_field = self if isinstance(self, GaloisField) else GaloisField(p, k, reduced)
         self.card = self.q**k
         self._mul_kernel = None
 
@@ -633,10 +632,6 @@ class GaloisRing(Ring):
 
     def _from_int(self, n):
         return self._pad((n % self.q,))
-
-    def residue(self, el: RingElement) -> RingElement:
-        """Image in the residue field GF(p^k)."""
-        return RingElement(self.residue_field, tuple(c % self.p for c in el.coords))
 
     def _is_unit(self, a):
         # the units of this local ring are the elements outside (p)
@@ -670,10 +665,6 @@ class GaloisRing(Ring):
             image = sum(bit << b for b, bit in enumerate(self._mul(basis, basis)))
             squares += [s ^ image for s in squares]
         return [s - 1 for s in squares[1:]]
-
-    def gen(self) -> RingElement:
-        """The class of x."""
-        return RingElement(self, self._pad(_poly_rem_monic((0, 1), self.modulus, self.q)))
 
     @property
     def is_field(self) -> bool:

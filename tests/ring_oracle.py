@@ -20,6 +20,11 @@
   ``unit_sum_classes`` adds one to every unit with the element-wise sum
   above.
 
+* The residue map of a Galois ring: ``residue_field`` builds GF(p^k) on
+  the modulus reduced mod p (a ``GaloisField`` is its own), ``residue``
+  reduces an element's coefficients mod p, and ``gen`` is the class of x.
+  mwkit reads none of them.
+
 Every other function takes and returns ``RingElement`` values, except
 ``schoolbook_mul``, which works on coordinates.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 
 from mwkit.finring import (
+    GaloisField,
     GaloisRing,
     ProductRing,
     RingElement,
@@ -183,3 +189,21 @@ def unit_sum_classes(ring) -> list[list[int]]:
         if k is not None and classes[k] not in sums[classes[i]]:
             sums[classes[i]].append(classes[k])
     return sums
+
+
+def residue_field(ring: GaloisRing) -> GaloisField:
+    """GF(p^k) on the modulus of ring reduced mod p; a GaloisField is its own."""
+    if isinstance(ring, GaloisField):
+        return ring
+    return GaloisField(ring.p, ring.k, tuple(c % ring.p for c in ring.modulus))
+
+
+def residue(x: RingElement) -> RingElement:
+    """Image of a Galois ring element in the residue field."""
+    ring = x.ring
+    return RingElement(residue_field(ring), tuple(c % ring.p for c in x.coords))
+
+
+def gen(ring: GaloisRing) -> RingElement:
+    """The class of x."""
+    return RingElement(ring, ring._pad(_poly_rem_monic((0, 1), ring.modulus, ring.q)))

@@ -96,11 +96,11 @@ def test_galois_ring_structure():
     assert gr.modulus == (1, 1, 1)
     assert len(gr.units()) == 12
     # residue map onto GF(4)
-    f4 = gr.residue_field
+    f4 = oracle.residue_field(gr)
     assert f4.card == 4
-    x = gr.gen()
-    assert gr.residue(x) == f4.gen()
-    assert gr.residue(gr.from_int(2)) == f4.zero
+    x = oracle.gen(gr)
+    assert oracle.residue(x) == oracle.gen(f4)
+    assert oracle.residue(gr.from_int(2)) == f4.zero
     # x^2 = -x-1 = 3x+3 and (x^2)^2 = x
     x2 = x * x
     assert x2.coords == (3, 3)
@@ -691,9 +691,9 @@ def test_galois_tables_match_parent(spec):
 def test_galois_field_is_the_unramified_case():
     field, ring = parse_ring_spec("GF(3^2)"), parse_ring_spec("GR(3^1,2)")
     assert field != ring
-    assert isinstance(field, GaloisRing) and field.residue_field is field
-    assert isinstance(ring.residue_field, GaloisField)
-    assert ring.residue_field == field.residue_field
+    assert isinstance(field, GaloisRing) and oracle.residue_field(field) is field
+    assert isinstance(oracle.residue_field(ring), GaloisField)
+    assert oracle.residue_field(ring) == oracle.residue_field(field)
     assert ring.is_field and ring.spec_string() == "GR(3^1,2)"
 
 
@@ -805,7 +805,7 @@ def test_every_operation_returns_canonical_coordinates():
         if inv is not None:
             made += [inv, x.inverse(), x ** -3]
         for g in _galois_parts(x):
-            made += [g.ring.residue(g), g.ring.gen(), g * g.ring.gen()]
+            made += [oracle.residue(g), oracle.gen(g.ring), g * oracle.gen(g.ring)]
         for el in made:
             assert _is_canonical(el.ring, el.coords), (spec, el.coords)
 

@@ -1,11 +1,12 @@
-from itertools import product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 
 from conftest import RING_SPECS
-from mwkit.finring import GaloisField, GaloisRing, Zmod, parse_ring_spec
-from mwkit.gwring import GroupRingVector
+from mwkit.finring import GaloisField, GaloisRing, ProductRing, Zmod, parse_ring_spec
+from mwkit.gwring import GroupRingVector, present
 from mwkit.sumsq import minus_one_exponent, unit_square_closure
+from ring_oracle import gen
 from sumsq_oracle import oracle_unit_square_closure
 
 
@@ -57,7 +58,7 @@ def test_galois_ring_42_example():
     # witness is a pair of unit squares summing to -1; x and x^2 here
     assert b + c == m1
     assert res.exponent(b) == 0 and res.exponent(c) == 0
-    x = gr.gen()
+    x = gen(gr)
     assert {b, c} == {x, x * x}
 
 
@@ -154,6 +155,43 @@ def test_cross_module_minus_part_vanishes(presented):
         split = presented(ring, "reduced").invert_two_split()
         assert split.minus_rank == 0
         assert split.minus_torsion_odd == ()
+
+
+# the local rings of the sweep with at most 64 elements, none with a
+# residue field F_2; the sweep takes them, every product of two with at most
+# 27 elements each and every product of three with at most 9 elements each
+SWEEP_LOCAL = (["Z/3", "Z/5", "Z/7", "Z/9", "Z/11", "Z/13", "Z/17", "Z/19", "Z/23", "Z/25",
+                "Z/27", "Z/29", "Z/31", "Z/37", "Z/41", "Z/43", "Z/47", "Z/49", "Z/53", "Z/59",
+                "Z/61"]
+               + ["GF(2^2)", "GF(2^3)", "GF(2^4)", "GF(2^5)", "GF(2^6)", "GF(3^2)", "GF(3^3)",
+                  "GF(5^2)", "GF(7^2)", "GR(4,2)", "GR(4,3)", "GR(8,2)", "GR(9,2)"])
+
+
+def test_minus_one_reachable_exactly_without_orderings_on_a_sweep():
+    # unit_square_closure reaches -1 exactly when the reduced rank,
+    # 1 + #orderings, is 1; then the <-1> split has no minus part, so the
+    # rational conditions hold automatically.  One direction is proved
+    # (README); the converse is only measured, here on 289 rings, 19 of
+    # them with an ordering
+    local = [parse_ring_spec(s) for s in SWEEP_LOCAL]
+    pairs = combinations_with_replacement([r for r in local if r.card <= 27], 2)
+    triples = combinations_with_replacement([r for r in local if r.card <= 9], 3)
+    rings = local + [ProductRing(list(f)) for f in chain(pairs, triples)]
+    assert len(rings) == 289
+    seen = set()
+    for ring in rings:
+        reachable = minus_one_exponent(ring) is not None
+        p = present(ring, "reduced")
+        assert reachable == (p.rank == 1), ring.spec_string()
+        if reachable:
+            assert p.invert_two_split().minus_rank == 0, ring.spec_string()
+        seen.add((reachable, p.rank))
+    assert seen == {(True, 1), (False, 2), (False, 3)}
+    # Z/15 is in the sweep: each of Z/3 and Z/5 reaches -1, their product
+    # does not, and it has one ordering
+    z15 = present(parse_ring_spec("prod(Z/3,Z/5)"), "reduced")
+    assert minus_one_exponent(z15.ring) is None
+    assert (z15.rank, z15.invert_two_split().minus_rank) == (2, 1)
 
 
 def test_json_report_schema():
