@@ -26,6 +26,12 @@ from .finring import (
 from .gwring import GwPresentedRing, PresentationKind, build_relations, compare_presentations, present
 from .sumsq import minus_one_exponent, unit_square_closure
 
+# the command-line front end loads with the package, so that in a process
+# that calls ``cli.main`` more than once the first call costs what the later
+# ones do; ``qform`` and the prover modules still load only when a
+# subcommand needs them
+from . import cli
+
 __all__ = [
     "GaloisField",
     "GaloisRing",

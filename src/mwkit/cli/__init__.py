@@ -20,11 +20,11 @@ import io
 import json
 import sys
 
-from . import __version__
-from .errors import InputError
-from .finring import RingError, make_ring
-from .gwring import PresentationKind, compare_presentations, present
-from .sumsq import unit_square_closure
+from .. import __version__
+from ..errors import InputError
+from ..finring import RingError, make_ring
+from ..gwring import PresentationKind, compare_presentations, present
+from ..sumsq import unit_square_closure
 
 TABLE_METRICS = {
     "units": ["n_units"],
@@ -125,7 +125,7 @@ def cmd_compare(args) -> tuple[int, str]:
 
 
 def cmd_validate(args) -> tuple[int, str]:
-    from .qform import cross_validate
+    from ..qform import cross_validate
 
     report = cross_validate(make_ring(args.ring)).to_json()
     return 0, _emit_scalar(report, args.out)
@@ -146,7 +146,7 @@ def _read_text(path: str, option: str) -> str:
 
 
 def cmd_prove(args) -> tuple[int, str]:
-    from . import kmwterm, termparse
+    from .. import kmwterm, termparse
 
     if args.file:
         text = _read_text(args.file, "--file")
@@ -341,8 +341,4 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())
