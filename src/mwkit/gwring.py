@@ -45,7 +45,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import itemgetter, neg
 from operator import mul as _times  # gwring.mul is the group ring product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -68,16 +70,24 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _checked_indices(ring: Ring, coeffs: Mapping) -> dict:
-    """{unit index: c} for the nonzero coefficients c of a {unit: c} dict, in its order.
+def _nonzero(keys: tuple, vals: tuple) -> tuple[tuple, tuple]:
+    """keys and vals without the pairs whose coefficient is zero, in their order."""
+    if all(vals):
+        return keys, vals
+    return tuple(compress(keys, vals)), tuple(filter(None, vals))
+
+
+def _checked_indices(ring: Ring, coeffs: Mapping) -> tuple[tuple, tuple]:
+    """(unit indices, coefficients) of the nonzero coefficients of a {unit: c} dict, in its order.
 
     This is the one key check of a vector: a ValueError unless every key is
     a unit of ring.  A key of a structurally equal ring handle is accepted,
     as ``RingElement`` equality accepts it.
     """
     index = ring.unit_index_by_coords()
-    out: dict = {}
-    for u, c in coeffs.items():
+    keys: list = []
+    append = keys.append
+    for u in coeffs:
         if type(u) is not RingElement:
             raise ValueError(f"<{u!r}> requires a unit of {ring.spec_string()}, "
                              f"got a key of type {type(u).__name__}")
@@ -86,39 +96,51 @@ def _checked_indices(ring: Ring, coeffs: Mapping) -> dict:
         k = index.get(u.coords)
         if k is None:
             raise _non_unit(ring, u)
-        if c:
-            out[k] = c
-    return out
+        append(k)
+    return _nonzero(tuple(keys), tuple(coeffs.values()))
 
 
 class GroupRingVector:
     """Finitely supported integer combination of unit basis vectors <u>.
 
-    A vector is stored as {unit index: nonzero integer}, the index of a unit
-    in ``ring.units()``.  The constructor takes {unit: integer} and refuses
-    a key that is not a unit of ring; ``coeffs`` gives the same dict back,
-    keyed by the ring's own units, without zero coefficients.
+    A vector is immutable, and stored as two tuples: ``_keys``, the indices
+    of its units in ``ring.units()``, and ``_vals``, their nonzero integer
+    coefficients, in the same order.  Vectors share tuples: -x and k x
+    reuse the keys of x, x + y and x - y reuse them when y adds no key and
+    cancels none, and a sum or difference with the zero vector is the other
+    operand (or its negation).  The constructor takes {unit: integer} and
+    refuses a key that is not a unit of ring; ``coeffs`` gives the same dict
+    back, keyed by the ring's own units, without zero coefficients.
     """
 
-    __slots__ = ("ring", "_by_index")
+    __slots__ = ("ring", "_keys", "_vals")
 
     def __init__(self, ring: Ring, coeffs: Optional[dict] = None):
         self.ring = ring
-        self._by_index = _checked_indices(ring, coeffs) if coeffs else {}
+        self._keys, self._vals = _checked_indices(ring, coeffs) if coeffs else ((), ())
 
     @classmethod
-    def _of(cls, ring: Ring, by_index: dict) -> "GroupRingVector":
-        """A vector on ``by_index`` as given: a dict no one else holds, with no zero coefficient."""
+    def _of(cls, ring: Ring, keys: tuple, vals: tuple) -> "GroupRingVector":
+        """The vector with coefficients ``vals`` at the distinct unit indices ``keys``.
+
+        The pairs with a zero coefficient are dropped.  When there is none,
+        both tuples are kept as given, and may be shared with other vectors.
+        """
         x = cls.__new__(cls)
         x.ring = ring
-        x._by_index = by_index
+        x._keys, x._vals = _nonzero(keys, vals)
         return x
+
+    @classmethod
+    def _of_sums(cls, ring: Ring, acc: dict) -> "GroupRingVector":
+        """The vector of an {index: coefficient} accumulator, in its order, zeros dropped."""
+        return cls._of(ring, tuple(acc), tuple(acc.values()))
 
     @property
     def coeffs(self) -> dict:
         """{unit: coefficient}, a new dict in the vector's key order."""
         units = self.ring.units()
-        return {units[k]: c for k, c in self._by_index.items()}
+        return {units[k]: c for k, c in zip(self._keys, self._vals)}
 
     @classmethod
     def angle(cls, ring: Ring, u: RingElement) -> "GroupRingVector":
@@ -126,44 +148,63 @@ class GroupRingVector:
         k = ring.unit_index_by_coords().get(u.coords)
         if k is None:
             raise _non_unit(ring, u)
-        return cls._of(ring, {k: 1})
+        return cls._of(ring, (k,), (1,))
 
     @classmethod
     def zero(cls, ring: Ring) -> "GroupRingVector":
-        return cls._of(ring, {})
+        return cls._of(ring, (), ())
 
     @classmethod
     def one(cls, ring: Ring) -> "GroupRingVector":
-        return cls._of(ring, {ring.unit_index_by_coords()[ring.one.coords]: 1})
+        return cls._of(ring, (ring.unit_index_by_coords()[ring.one.coords],), (1,))
 
     def _check(self, other: "GroupRingVector"):
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
+    def _plus(self, other: "GroupRingVector", vals: Iterable[int]) -> "GroupRingVector":
+        """x plus ``vals`` at the keys of y, in one pass over y.
+
+        The keys of x come first in their order, less those that cancel,
+        then the new keys of y in theirs.  When no key of y is a key of x,
+        that is the two tuples of each side joined; otherwise x is indexed
+        in a dict and y added into it.
+        """
+        keys, ys = self._keys, other._keys
+        if frozenset(ys).isdisjoint(keys):
+            return GroupRingVector._of(self.ring, keys + ys, self._vals + tuple(vals))
+        acc = dict(zip(keys, self._vals))
+        get = acc.get
+        for k, c in zip(ys, vals):
+            acc[k] = get(k, 0) + c
+        if len(acc) != len(keys):
+            keys = tuple(acc)
+        return GroupRingVector._of(self.ring, keys, tuple(acc.values()))
+
     def __add__(self, other: "GroupRingVector") -> "GroupRingVector":
         self._check(other)
-        out = dict(self._by_index)
-        get = out.get
-        for k, c in other._by_index.items():
-            t = get(k, 0) + c
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-        return GroupRingVector._of(self.ring, out)
-
-    def __neg__(self) -> "GroupRingVector":
-        return GroupRingVector._of(self.ring, {k: -c for k, c in self._by_index.items()})
+        if not other._keys:
+            return self
+        if not self._keys:
+            return other
+        return self._plus(other, other._vals)
 
     def __sub__(self, other: "GroupRingVector") -> "GroupRingVector":
-        return self + (-other)
+        self._check(other)
+        if not other._keys:
+            return self
+        if not self._keys:
+            return -other
+        return self._plus(other, map(neg, other._vals))
+
+    def __neg__(self) -> "GroupRingVector":
+        return GroupRingVector._of(self.ring, self._keys, tuple(map(neg, self._vals)))
 
     def __rmul__(self, scalar: int) -> "GroupRingVector":
         if not isinstance(scalar, int):
             return NotImplemented
-        if not scalar:
-            return GroupRingVector._of(self.ring, {})
-        return GroupRingVector._of(self.ring, {k: scalar * c for k, c in self._by_index.items()})
+        return GroupRingVector._of(self.ring, self._keys,
+                                   tuple(map(_times, repeat(scalar), self._vals)))
 
     def __mul__(self, other) -> "GroupRingVector":
         if isinstance(other, int):
@@ -173,39 +214,40 @@ class GroupRingVector:
         # first-occurrence order
         ring = self.ring
         units, index, coord_mul = ring.units(), ring.unit_index_by_coords(), ring._mul
-        ys = [(units[j].coords, cv) for j, cv in other._by_index.items()]
+        ys = [(units[j].coords, cv) for j, cv in zip(other._keys, other._vals)]
         acc: dict = {}
         get = acc.get
-        for i, cu in self._by_index.items():
+        for i, cu in zip(self._keys, self._vals):
             uc = units[i].coords
             for vc, cv in ys:
                 k = index[coord_mul(uc, vc)]
                 acc[k] = get(k, 0) + cu * cv
-        return GroupRingVector._of(ring, {k: c for k, c in acc.items() if c})
+        return GroupRingVector._of_sums(ring, acc)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector):
             return NotImplemented
-        return self.ring == other.ring and self._by_index == other._by_index
+        return (self.ring == other.ring and len(self._keys) == len(other._keys)
+                and dict(zip(self._keys, self._vals)) == dict(zip(other._keys, other._vals)))
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._by_index.items())))
+        return hash((self.ring, frozenset(zip(self._keys, self._vals))))
 
     def is_zero(self) -> bool:
-        return not self._by_index
+        return not self._keys
 
     def augmentation(self) -> int:
-        return sum(self._by_index.values())
+        return sum(self._vals)
 
     def to_dense(self) -> tuple[int, ...]:
         """Coefficients in the unit order of the ring."""
         row = [0] * len(self.ring.units())
-        for k, c in self._by_index.items():
+        for k, c in zip(self._keys, self._vals):
             row[k] = c
         return tuple(row)
 
     def __str__(self):
-        if not self._by_index:
+        if not self._keys:
             return "0"
         parts = []
         for u, c in sorted(self.coeffs.items(), key=lambda t: str(t[0])):
@@ -430,27 +472,33 @@ class GwPresentedRing:
         supports hold at least m keys, the sum goes into a dense list of m
         entries and each projection is dotted with all of it; otherwise it
         goes into a dict of the coordinates met and each projection is read
-        at those coordinates only.  Either dot runs in C, and costs no more
-        steps than the supports hold keys.  The free projections are read
-        first, and the first nonzero one ends the reading; then the
-        (torsion projection, invariant factor) pairs give the order.
+        at those coordinates only, by one ``itemgetter``.  Either dot runs in
+        C, and costs no more steps than the supports hold keys.  The free
+        projections are read first, and the first nonzero one ends the
+        reading; then the (torsion projection, invariant factor) pairs give
+        the order.
         """
         pres, ring, classes = self.presentation, self.ring, self.classes
         if x.ring is not ring and x.ring != ring:
             raise ValueError("ring mismatch")
-        xs, ys = x._by_index, ()
-        support = len(xs)
+        support = len(x._keys)
         if y is not None:
             if y.ring is not ring and y.ring != ring:
                 raise ValueError("ring mismatch")
-            ys = y._by_index.items()
-            support += len(ys)
+            support += len(y._keys)
         dense = pres.ambient <= support
         acc = [0] * pres.ambient if dense else defaultdict(int)
-        for k, c in xs.items():
-            acc[classes[k]] += c
-        for k, c in ys:
-            acc[classes[k]] -= c
+        # a running index into the coefficients costs less per query than
+        # a zip of the two tuples
+        i, vals = 0, x._vals
+        for k in x._keys:
+            acc[classes[k]] += vals[i]
+            i += 1
+        if y is not None:
+            i, vals = 0, y._vals
+            for k in y._keys:
+                acc[classes[k]] -= vals[i]
+                i += 1
         free, torsion = pres._columns
         if dense:
             for col in free:
@@ -460,13 +508,16 @@ class GwPresentedRing:
             for col, d in torsion:
                 order = lcm(order, d // gcd(d, sum(map(_times, col, acc))))
             return order
-        vals = acc.values()
+        coords, vals = tuple(acc), tuple(acc.values())
+        if len(coords) < 2:  # itemgetter of one coordinate returns a bare entry
+            coords, vals = coords + (0, 0), vals + (0, 0)
+        read = itemgetter(*coords)
         for col in free:
-            if sum(map(_times, map(col.__getitem__, acc), vals)):
+            if sum(map(_times, read(col), vals)):
                 return None
         order = 1
         for col, d in torsion:
-            order = lcm(order, d // gcd(d, sum(map(_times, map(col.__getitem__, acc), vals))))
+            order = lcm(order, d // gcd(d, sum(map(_times, read(col), vals))))
         return order
 
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:

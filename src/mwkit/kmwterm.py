@@ -120,7 +120,12 @@ class Unit:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.content, self.factors)))
+        # hash(Fraction(n)) == hash(n), and an int hashes in C, a Fraction
+        # in Python
+        content = self.content
+        if content.denominator == 1:
+            content = content.numerator
+        object.__setattr__(self, "_hash", hash((content, self.factors)))
 
     def __hash__(self):
         return self._hash
@@ -226,7 +231,7 @@ def _make_unit(content: Fraction, fmap: dict) -> Unit:
         if el != ring.one:
             clean[(CONST, el)] = clean.get((CONST, el), 0) + 1
     factors = tuple(sorted(clean.items(), key=lambda t: _atom_key(t[0])))
-    return Unit(Fraction(content), factors)
+    return Unit(content if type(content) is Fraction else Fraction(content), factors)
 
 
 UNIT_ONE = Unit(Fraction(1), ())
@@ -1323,4 +1328,4 @@ def eval_in_ring(t: Term, ring: Ring, assignment: dict) -> GroupRingVector:
         for w, cw in prod.items():
             k = index[w]
             acc[k] = acc.get(k, 0) + cw
-    return GroupRingVector._of(ring, {k: c for k, c in acc.items() if c})
+    return GroupRingVector._of_sums(ring, acc)

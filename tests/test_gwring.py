@@ -1,8 +1,15 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import mwkit
 from conftest import GW_SPECS
 from gw_oracle import (
     oracle_class_equal,
@@ -549,7 +556,8 @@ def test_class_queries_match_dense_oracles(presented, spec, kind):
 def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented, monkeypatch):
     # hopf Z/256 keeps one coordinate per unit, so a few keys, or one key
     # short of ambient, read sparsely and a full support reads one dense
-    # row; both agree with the oracles
+    # row; both agree with the oracles.  A sum on one coordinate, which
+    # itemgetter would return as a bare entry, reads sparsely too
     ring = Zmod(256)
     p = presented(ring, "hopf")
     units = p.units
@@ -565,6 +573,8 @@ def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented
         ("class_equal", (angle(ring, 3) + angle(ring, -3), angle(ring, 1) + angle(ring, -1)),
          "sparse"),
         ("torsion_exponent", (angle(ring, 3) - angle(ring, 1),), "sparse"),
+        ("torsion_exponent", (angle(ring, 3),), "sparse"),
+        ("class_equal", (angle(ring, 3), angle(ring, 3)), "sparse"),
         ("torsion_exponent", (short,), "sparse"),
         ("class_equal", (short, short - angle(ring, 1) + angle(ring, -1)), "dense"),
         ("torsion_exponent", (full,), "dense"),
@@ -574,7 +584,7 @@ def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented
     ]
     oracles = {"class_equal": oracle_class_equal, "torsion_exponent": oracle_torsion_exponent}
     wants = [oracles[name](p, *args) for name, args, _ in cases]
-    assert wants == [False, True, None, None, False, None, 1, True, False]
+    assert wants == [False, True, None, None, True, None, False, None, 1, True, False]
     # projections that record how they are read: whole (a dense row) or
     # entry by entry (the coordinates a sparse sum met)
     sides = set()
@@ -726,6 +736,84 @@ def test_vector_arithmetic_hashes_no_element(presented, monkeypatch):
         assert list(x.coeffs) == list(coeffs[0]) and len(calls) == len(coeffs[0])
         monkeypatch.setattr(RingElement, "__hash__", element_hash)
         calls.clear()
+
+
+def test_vectors_share_key_tuples():
+    # -x, k x and x k change the coefficients only, so they keep the keys
+    # of x; so does a sum that adds no key and cancels none
+    ring = parse_ring_spec("GR(4,2)")
+    rng = random.Random("shared keys")
+    for _ in range(20):
+        x = _random_vector(rng, ring, ring.units())
+        for y in (-x, 3 * x, x * -2, x + x, x - 2 * x, x + (-x + x)):
+            assert y._keys is x._keys, y
+        zero = GroupRingVector.zero(ring)
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert (x - x).is_zero() and (0 * x).is_zero()
+
+
+def test_sums_commute_with_equal_hashes():
+    # the item order of a sum follows its left operand; equality and the
+    # hash read the pairs only
+    for spec in ("Z/29", "GR(4,2)", "prod(Z/3,Z/5)"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        rng = random.Random(f"commute {spec}")
+        for _ in range(50):
+            a, b = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
+            for x, y in ((a, b), (a, -a), (a, a - b)):
+                assert x + y == y + x and hash(x + y) == hash(y + x), (x, y)
+                assert x - y == -(y - x) and hash(x - y) == hash(-(y - x)), (x, y)
+
+
+def test_a_full_vector_takes_two_small_tuples():
+    # the instance and its two tuples of 8-byte slots: 584 bytes on 64-bit
+    # CPython 3.11 for the 28 units of Z/29; a {unit index: c} dict of the
+    # same 28 keys takes 1,168 bytes on its own
+    ring = parse_ring_spec("Z/29")
+    units = ring.units()
+    x = GroupRingVector(ring, {u: i % 5 - 2 or 3 for i, u in enumerate(units)})
+    assert len(x.coeffs) == len(units) == 28
+    size = sys.getsizeof(x) + sys.getsizeof(x._keys) + sys.getsizeof(x._vals)
+    assert size <= 16 * len(units) + 256
+
+
+_VECTOR_IN_FRESH_PROCESS = """
+import copy, pickle, sys
+from mwkit.finring import parse_ring_spec
+from mwkit.gwring import GroupRingVector
+for spec, items, h, x in pickle.loads(sys.stdin.buffer.read()):
+    ring = parse_ring_spec(spec)
+    units = ring.units()
+    fresh = GroupRingVector(ring, {units[i]: c for i, c in items})
+    for clone in (x, copy.deepcopy(x)):
+        print(clone == fresh, hash(clone) == hash(fresh), {clone: 1}.get(fresh) == 1,
+              [(units.index(u), c) for u, c in clone.coeffs.items()] == items)
+"""
+
+
+def test_pickled_vector_is_equal_and_hashes_alike_under_another_hash_seed():
+    # a vector pickled, or deep-copied, here or in a process with another
+    # PYTHONHASHSEED equals the vector built there from the same items, in
+    # the same order, and has its hash
+    payload = []
+    for spec in ("Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/4,GF(2^2))"):
+        ring = parse_ring_spec(spec)
+        units = ring.units()
+        rng = random.Random(f"pickle {spec}")
+        x = _random_vector(rng, ring, units) - angle(ring, units[0])
+        items = [(units.index(u), c) for u, c in x.coeffs.items()]
+        for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert clone == x and hash(clone) == hash(x)
+            assert list(clone.coeffs.items()) == list(x.coeffs.items())
+        payload.append((spec, items, hash(x), x))
+    env = dict(os.environ, PYTHONPATH=str(Path(mwkit.__file__).resolve().parents[1]))
+    for seed in ("12345", "54321"):  # at least one differs from this process's seed
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", _VECTOR_IN_FRESH_PROCESS],
+                             input=pickle.dumps(payload), capture_output=True, env=env,
+                             timeout=60, check=True)
+        assert out.stdout.split() == [b"True"] * 8 * len(payload), out.stderr
 
 
 @pytest.mark.skipif(st is None, reason="needs hypothesis")

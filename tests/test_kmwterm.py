@@ -149,6 +149,20 @@ def test_render_cache_on_corpus_and_budget_letters():
         _check_render_cache(u)
 
 
+def test_unit_hash_is_the_hash_of_its_fields():
+    # an integer content is hashed as its numerator, which hash(Fraction(n))
+    # equals; a fractional content as the Fraction
+    units = set()
+    for text, _, hyp in CORPUS + BUDGET:
+        ident = parse_identity(text, hyp)
+        units |= ident.lhs.letters() | ident.rhs.letters() | set(ident.hypotheses)
+    units |= {A / km.uint(3), km.uint(-6) / km.uint(4) * B, km.one_minus(A) / km.uint(2)}
+    assert any(u.content.denominator > 1 for u in units)
+    assert any(u.content.denominator == 1 for u in units)
+    for u in units:
+        assert u._hash == hash((u.content, u.factors)) == hash(u), u
+
+
 if st is not None:
     def _built(op, x, y, n):
         """x op y (or x ^ n); x itself where the result is no unit (a sum
