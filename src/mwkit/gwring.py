@@ -43,6 +43,7 @@ for the output format.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -82,7 +83,9 @@ def _checked_indices(ring: Ring, coeffs: Mapping) -> tuple[tuple, tuple]:
 
     This is the one key check of a vector: a ValueError unless every key is
     a unit of ring.  A key of a structurally equal ring handle is accepted,
-    as ``RingElement`` equality accepts it.
+    as ``RingElement`` equality accepts it.  Each coefficient passes through
+    ``operator.index``, so a float, a string or None raises TypeError and a
+    bool is kept as the int it equals.
     """
     index = ring.unit_index_by_coords()
     keys: list = []
@@ -97,7 +100,7 @@ def _checked_indices(ring: Ring, coeffs: Mapping) -> tuple[tuple, tuple]:
         if k is None:
             raise _non_unit(ring, u)
         append(k)
-    return _nonzero(tuple(keys), tuple(coeffs.values()))
+    return _nonzero(tuple(keys), tuple(map(operator.index, coeffs.values())))
 
 
 class GroupRingVector:

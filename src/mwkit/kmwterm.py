@@ -16,10 +16,12 @@ The remaining relations are rewrite schemas:
 Degree-0 abbreviations expand at construction time: <u> = eta[u] + 1,
 eps = -eta[-1] - 1, h = eta[-1] + 2.
 
-Unit expressions live in the free abelian group on variables, opaque sum
-atoms and ring constants, with exact rational content.  A sum expression is
-only meaningful under a hypothesis asserting it is a unit; identities track
-their hypothesis set and the prover refuses sums it cannot justify.
+Unit expressions live in the free abelian group on variables and opaque sum
+atoms, with exact rational content.  A ring element enters only through the
+assignment of ``eval_unit`` or ``eval_in_ring``, which binds it to a
+variable.  A sum expression is only meaningful under a hypothesis asserting
+it is a unit; identities track their hypothesis set and the prover refuses
+sums it cannot justify.
 
 The prover runs a bidirectional breadth-first search whose moves add an
 exact multiple of an instantiated axiom difference inside a word context.
@@ -54,6 +56,7 @@ rebuilds every instance from the certificate through
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -65,7 +68,6 @@ from .finring import Ring, RingElement
 from .gwring import GroupRingVector
 
 VAR = "var"
-CONST = "const"
 SUM = "sum"
 
 
@@ -94,12 +96,8 @@ def _frac_key(fr: Fraction):
 
 
 def _atom_key(atom):
-    tag = atom[0]
-    if tag == VAR:
+    if atom[0] == VAR:
         return (0, atom[1])
-    if tag == CONST:
-        el = atom[1]
-        return (1, el.ring.spec_string(), str(el))
     return (2, tuple((_frac_key(c), _factors_key(f)) for c, f in atom[1]))
 
 
@@ -216,21 +214,7 @@ def unit_parts(u: Unit):
 def _make_unit(content: Fraction, fmap: dict) -> Unit:
     if content == 0:
         raise UnitExprError("zero is not a unit expression")
-    consts: dict = {}
-    clean: dict = {}
-    for atom, e in fmap.items():
-        if e == 0:
-            continue
-        if atom[0] == CONST:
-            el = atom[1]
-            prev = consts.get(el.ring, el.ring.one)
-            consts[el.ring] = prev * (el**e)
-        else:
-            clean[atom] = e
-    for ring, el in consts.items():
-        if el != ring.one:
-            clean[(CONST, el)] = clean.get((CONST, el), 0) + 1
-    factors = tuple(sorted(clean.items(), key=lambda t: _atom_key(t[0])))
+    factors = tuple(sorted((t for t in fmap.items() if t[1]), key=lambda t: _atom_key(t[0])))
     return Unit(content if type(content) is Fraction else Fraction(content), factors)
 
 
@@ -246,14 +230,6 @@ def uint(n: int) -> Unit:
     if n == 0:
         raise UnitExprError("zero is not a unit expression")
     return Unit(Fraction(n), ())
-
-
-def uconst(el: RingElement) -> Unit:
-    if not el.is_unit():
-        raise UnitExprError(f"{el} is not a unit of {el.ring.spec_string()}")
-    if el == el.ring.one:
-        return UNIT_ONE
-    return Unit(Fraction(1), (((CONST, el), 1),))
 
 
 def usum(parts: Sequence[Unit]) -> Unit:
@@ -299,8 +275,6 @@ def render_unit(u: Unit) -> str:
     def atom_str(atom) -> str:
         if atom[0] == VAR:
             return atom[1]
-        if atom[0] == CONST:
-            return f"#{atom[1]}"
         parts = []
         for c, f in atom[1]:
             mono = render_unit(Unit(abs(c), f))
@@ -364,11 +338,6 @@ def _atom_coords(atom, ring: Ring, assignment: dict):
         if not val.is_unit():
             raise EvalError(f"assignment maps {name!r} to the non-unit {val}")
         return val.coords
-    if atom[0] == CONST:
-        el = atom[1]
-        if el.ring != ring:
-            raise EvalError("ring constant belongs to a different ring")
-        return el.coords
     add = ring._add
     total = ring._zero_coords()
     for c, f in atom[1]:
@@ -388,8 +357,9 @@ class Term:
     __slots__ = ("words",)
 
     def __init__(self, words: Optional[dict] = None):
-        # a dict holds each word once, so dropping zeros and [1] normalises it
-        self.words: dict = {w: c for w, c in words.items()
+        # a dict holds each word once, so dropping zeros and [1] normalises
+        # it; operator.index refuses a coefficient that is not an integer
+        self.words: dict = {w: c for w, c in zip(words, map(operator.index, words.values()))
                             if c and not any(u.is_one for u in w[1])} if words else {}
 
     def key(self):

@@ -50,7 +50,7 @@ from typing import Sequence
 
 from mwkit.finring import Ring, make_ring
 from mwkit.gwring import GroupRingVector, PresentationKind, _dense, _sparse_key
-from mwkit.kmwterm import CONST, VAR, EvalError, Unit, render_unit
+from mwkit.kmwterm import VAR, EvalError, Unit, render_unit
 from mwkit.presab import ZLattice
 from presab_oracle import oracle_quotient
 
@@ -460,11 +460,6 @@ def _oracle_eval_atom(atom, ring, assignment):
         if not val.is_unit():
             raise EvalError(f"assignment maps {name!r} to the non-unit {val}")
         return val
-    if atom[0] == CONST:
-        el = atom[1]
-        if el.ring != ring:
-            raise EvalError("ring constant belongs to a different ring")
-        return el
     total = ring.zero
     for c, f in atom[1]:
         total = total + oracle_eval_unit(Unit(c, f), ring, assignment)

@@ -107,21 +107,27 @@ def test_unit_render_round_trip():
 
 
 def test_equal_units_from_different_paths_hash_alike():
-    f7 = Zmod(7)
-    three, five = km.uconst(f7.from_int(3)), km.uconst(f7.from_int(5))
     pairs = [
         (km.usum([km.UNIT_ONE, -km.one_minus(A)]), A),  # 1 - (1 - a) flattens
         (A * B / B, A),
-        (three * five, km.UNIT_ONE),  # 15 = 1 in Z/7: the constant drops out
-        (three * three * A, A * km.uconst(f7.from_int(2))),
-        (km._make_unit(Fraction(2), {("const", f7.from_int(3)): 2, ("var", "a"): 0}),
-         km.uint(2) * km.uconst(f7.from_int(2))),
     ]
     for built, direct in pairs:
         assert built is not direct
         assert built == direct and hash(built) == hash(direct)
         assert {built} == {direct}
     assert A != B and A != km.uint(2) and A != "a"
+
+
+def test_candidate_units_read_back_from_their_text():
+    # a certificate prints candidate units, and each must parse back to
+    # the unit it names
+    units = set()
+    for text, _, hyp in CORPUS + BUDGET:
+        ident = parse_identity(text, hyp)
+        units.update(km.candidate_units(ident, (), km.CLOSURE_DEPTH, km.MAX_CANDIDATES)[0])
+    assert len(units) == 43
+    for u in units:
+        assert parse_unit(km.render_unit(u)) == u, u
 
 
 def _check_render_cache(unit):
@@ -226,6 +232,24 @@ def test_pickled_unit_rehashes_under_another_hash_seed():
 # terms and normalization
 
 
+def test_term_refuses_a_float_coefficient():
+    # integer(1.5) * <a> evaluated to 1.5<3>
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        km.integer(1.5) * km.angle(A)
+
+
+def test_term_refuses_a_string_coefficient():
+    # it failed only when the term was printed
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        km.Term({(0, ()): "x"})
+
+
+def test_term_stores_a_bool_coefficient_as_its_int():
+    t = km.Term({(0, ()): True, (0, (A,)): False})
+    assert t == km.integer(1)
+    assert [type(c) for c in t.words.values()] == [int]
+
+
 def test_normalize_examples():
     # [a] eta [b] and eta [a][b] agree: eta commutes past symbols
     t1 = km.bracket(A) * km.eta() * km.bracket(B)
@@ -319,6 +343,27 @@ def test_corpus_proves_and_replays(text, mode, hyp):
         for term in (step.before, step.after):
             d = term.homogeneous_degree()
             assert d is None or d == degree
+
+
+def test_the_prover_builds_no_ring_object(monkeypatch):
+    from mwkit import finring
+
+    def corpus_proofs():
+        proofs = []
+        for text, mode, hyp in CORPUS:
+            result = km.search(parse_identity(text, hyp), mode)
+            assert result.proof is not None and km.check_proof(result.proof), text
+            proofs.append(result.proof.to_json())
+        return proofs
+
+    expected = corpus_proofs()
+
+    def refuse(*args):
+        raise AssertionError("the prover built a ring object")
+
+    monkeypatch.setattr(finring.Ring, "__init__", refuse)
+    monkeypatch.setattr(finring.RingElement, "__init__", refuse)
+    assert corpus_proofs() == expected and len(expected) == 10
 
 
 def test_prove_trivial_identity_gives_empty_proof():
