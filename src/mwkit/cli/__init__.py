@@ -197,7 +197,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
         ring = make_ring(spec)
         row["ring"] = ring.spec_string()
         if "n_units" in metrics:
-            row["n_units"] = len(ring.units())
+            row["n_units"] = len(ring.unit_index_by_coords())
         if "minus_one_exponent" in metrics:
             closure = unit_square_closure(ring)
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())

@@ -62,6 +62,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, in increasing order."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over Z/m (coefficient tuples, index = degree)
 
@@ -118,18 +130,16 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RingError(f"no irreducible polynomial of degree {k} over Z/{p}")
 
 
+def _poly_term(deg: int, c: int) -> str:
+    """The text of the term c x^deg, for c nonzero."""
+    if deg == 0:
+        return str(c)
+    power = "x" if deg == 1 else f"x^{deg}"
+    return power if c == 1 else f"{c}{power}"
+
+
 def _poly_str(coeffs: Sequence[int]) -> str:
-    terms = []
-    for deg in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[deg]
-        if not c:
-            continue
-        if deg == 0:
-            terms.append(str(c))
-        elif deg == 1:
-            terms.append("x" if c == 1 else f"{c}x")
-        else:
-            terms.append(f"x^{deg}" if c == 1 else f"{c}x^{deg}")
+    terms = [_poly_term(deg, c) for deg, c in reversed(list(enumerate(coeffs))) if c]
     return "+".join(terms) if terms else "0"
 
 
@@ -289,7 +299,7 @@ _set_hash = RingElement._hash.__set__
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
 # pickle, and the unit index, square map, square classes and unit sums,
-# which are rebuilt with the units; a pickled or copied ring leaves them behind
+# which are rebuilt when first asked; a pickled or copied ring leaves them behind
 _RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
                 "_square_map", "_square_classes", "_unit_sums")
 
@@ -311,9 +321,11 @@ class Ring:
 
     # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
     # _inverse_or_none, _from_int, _enumerate_coords, _zero_coords,
-    # _one_coords, _format; and spec_string, characteristic.  They may
-    # replace _unit_coords, _build_square_map and _build_square_classes
-    # with builders that use their structure
+    # _one_coords, _format; _unit_mask, a byte per element in element order,
+    # 1 at the units, or else _unit_coords; unit_texts, str(u) for each unit
+    # in unit order; and spec_string, characteristic.  Each builds its unit
+    # tables from its structure, and may replace _build_square_map and
+    # _build_square_classes with builders that use it
 
     @property
     def zero(self) -> RingElement:
@@ -374,25 +386,31 @@ class Ring:
             yield RingElement(self, coords)
 
     def units(self) -> list[RingElement]:
+        """The units as elements, in the order of ``unit_index_by_coords()``.
+
+        Built from the unit index on the first call.  Shared, do not modify.
+        """
         if self._units is None:
-            coords = self._unit_coords()
-            self._units = [RingElement(self, c) for c in coords]
-            self._unit_index = dict(zip(coords, range(len(coords))))
+            self._units = [RingElement(self, c) for c in self.unit_index_by_coords()]
         return self._units
 
     def _unit_coords(self) -> list:
         """The coordinates of the units, in element order."""
-        return [c for c in self._enumerate_coords() if self._is_unit(c)]
+        return list(itertools.compress(self._enumerate_coords(), self._unit_mask()))
 
     def unit_index_by_coords(self) -> Mapping:
         """Map from each unit's coordinates to its position in ``units()``.
+
+        The ring's unit table, in element order: it is built first, with no
+        element, and ``units()`` is built from it.
 
         Shared, do not modify.  Coordinates are ints or tuples, so a lookup
         hashes in C, with no call to ``RingElement.__hash__``.  Coordinates
         alone do not name a ring: check a key's ring before looking it up.
         """
         if self._unit_index is None:
-            self.units()
+            coords = self._unit_coords()
+            self._unit_index = dict(zip(coords, range(len(coords))))
         return self._unit_index
 
     def unit_index(self, u: RingElement) -> int:
@@ -411,7 +429,6 @@ class Ring:
         ``_build_square_map``.
         """
         if self._square_map is None:
-            self.units()
             self._square_map = self._build_square_map()
         return self._square_map
 
@@ -475,10 +492,6 @@ class Ring:
         """The squares of the units, as elements of ``units()``; read from the square map."""
         units = self.units()
         return frozenset(units[k] for k in set(self.unit_square_map()))
-
-    def unit_texts(self) -> list[str]:
-        """``str(u)`` for each u of ``units()``, in that order; not cached."""
-        return [self._format(c) for c in self.unit_index_by_coords()]
 
     def minus_one(self) -> RingElement:
         return self.neg(self.one)
@@ -549,6 +562,17 @@ class Zmod(Ring):
 
     def _enumerate_coords(self):
         return range(self.m)
+
+    def _unit_mask(self):
+        # every multiple of a prime factor of m is crossed out
+        m = self.m
+        mask = bytearray(b"\x01") * m
+        for p in _prime_factors(m):
+            mask[::p] = bytes(len(range(0, m, p)))
+        return mask
+
+    def unit_texts(self) -> list[str]:
+        return list(map(str, self.unit_index_by_coords()))
 
     @property
     def is_field(self) -> bool:
@@ -648,6 +672,31 @@ class GaloisRing(Ring):
     def _enumerate_coords(self):
         # the constant term varies fastest: index order of the base-q digits
         return (t[::-1] for t in itertools.product(range(self.q), repeat=self.k))
+
+    def _unit_mask(self):
+        # a unit has some coefficient not divisible by p.  The elements of
+        # degree below j + 1 are q blocks, one per coefficient c of x^j, each
+        # running over the elements of degree below j: block c is all units
+        # when p does not divide c, and repeats the mask of degree below j
+        # when it does.  Below degree 0 is the zero polynomial alone
+        p, mask = self.p, b"\x00"
+        for _ in range(self.k):
+            units = b"\x01" * len(mask)
+            mask = b"".join(units if c % p else mask for c in range(self.q))
+        return mask
+
+    def unit_texts(self) -> list[str]:
+        # the texts of all elements, in the same blocks as _unit_mask: block
+        # c of degree j writes the term c x^j before each lower text, as
+        # _poly_str writes the highest term first.  The zero element's text
+        # stays "", since zero is never a unit
+        texts = [""]
+        for deg in range(self.k):
+            tails = ["", *map("+".__add__, itertools.islice(texts, 1, None))]
+            blocks = [texts] + [list(map(_poly_term(deg, c).__add__, tails))
+                                for c in range(1, self.q)]
+            texts = list(itertools.chain.from_iterable(blocks))
+        return list(itertools.compress(texts, self._unit_mask()))
 
     def _build_square_map(self) -> list[int]:
         """With q = 2, squaring is F_2-linear on the coordinate bits.

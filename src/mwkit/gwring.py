@@ -185,6 +185,8 @@ class GroupRingVector:
         return GroupRingVector._of(self.ring, keys, tuple(acc.values()))
 
     def __add__(self, other: "GroupRingVector") -> "GroupRingVector":
+        if not isinstance(other, GroupRingVector):
+            return NotImplemented
         self._check(other)
         if not other._keys:
             return self
@@ -193,6 +195,8 @@ class GroupRingVector:
         return self._plus(other, other._vals)
 
     def __sub__(self, other: "GroupRingVector") -> "GroupRingVector":
+        if not isinstance(other, GroupRingVector):
+            return NotImplemented
         self._check(other)
         if not other._keys:
             return self
@@ -212,6 +216,8 @@ class GroupRingVector:
     def __mul__(self, other) -> "GroupRingVector":
         if isinstance(other, int):
             return self.__rmul__(other)
+        if not isinstance(other, GroupRingVector):
+            return NotImplemented
         self._check(other)
         # multiply coordinates and accumulate on unit indices, in
         # first-occurrence order

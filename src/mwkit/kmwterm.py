@@ -153,12 +153,16 @@ class Unit:
         return self.content == -1 and not self.factors
 
     def __mul__(self, other: "Unit") -> "Unit":
+        if not isinstance(other, Unit):
+            return NotImplemented
         fmap = dict(self.factors)
         for a, e in other.factors:
             fmap[a] = fmap.get(a, 0) + e
         return _make_unit(self.content * other.content, fmap)
 
     def __truediv__(self, other: "Unit") -> "Unit":
+        if not isinstance(other, Unit):
+            return NotImplemented
         return self * other.inverse()
 
     def inverse(self) -> "Unit":
@@ -375,6 +379,8 @@ class Term:
         return hash(self.key())
 
     def __add__(self, other: "Term") -> "Term":
+        if not isinstance(other, Term):
+            return NotImplemented
         out = dict(self.words)
         for w, c in other.words.items():
             out[w] = out.get(w, 0) + c
@@ -384,6 +390,8 @@ class Term:
         return Term({w: -c for w, c in self.words.items()})
 
     def __sub__(self, other: "Term") -> "Term":
+        if not isinstance(other, Term):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "Term":
@@ -394,6 +402,8 @@ class Term:
     def __mul__(self, other) -> "Term":
         if isinstance(other, int):
             return self.__rmul__(other)
+        if not isinstance(other, Term):
+            return NotImplemented
         out: dict = {}
         for (e1, b1), c1 in self.words.items():
             for (e2, b2), c2 in other.words.items():

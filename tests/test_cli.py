@@ -13,7 +13,7 @@ import mwkit
 from mwkit import cli, kmwterm
 from mwkit.cli import InputFileError, build_parser, main
 from mwkit.errors import InputError
-from mwkit.finring import RingError, RingSpecError
+from mwkit.finring import RingElement, RingError, RingSpecError
 from mwkit.qform import QformError
 from mwkit.termparse import ParseError
 
@@ -50,6 +50,21 @@ def test_ringinfo(capsys):
     report = json.loads(out)
     assert report["cardinality"] == 12
     assert report["units"] == ["1", "5", "7", "11"]
+
+
+@pytest.mark.parametrize("spec", ["GF(2^16)", "prod(GF(2^8),Z/251)"])
+def test_ringinfo_builds_no_unit_list(spec, capsys, monkeypatch):
+    # a count, not a time: the units, their squares and their texts are read
+    # on coordinates, and at most a few constants such as one, zero and -1 are
+    # built as elements, where the unit lists of the ring and its factors
+    # would build 65,535 and 64,255
+    built = []
+    init = RingElement.__init__
+    monkeypatch.setattr(RingElement, "__init__",
+                        lambda self, ring, coords: built.append(1) or init(self, ring, coords))
+    code, out, _ = run_cli(capsys, "ringinfo", "--ring", spec)
+    assert code == 0 and json.loads(out)["n_units"] > 60000
+    assert len(built) <= 3
 
 
 def test_prove_success_exit_zero(capsys):

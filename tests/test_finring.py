@@ -420,11 +420,9 @@ def test_unit_tables_match_per_unit_products(spec):
     coords = oracle.unit_coords(ring)
     assert [u.coords for u in ring.units()] == coords
     assert ring.unit_index_by_coords() == {c: i for i, c in enumerate(coords)}
-    assert list(ring.unit_index_by_coords()) == coords
     assert ring.unit_square_map() == oracle.square_map(ring)
     assert ring.square_classes() == oracle.square_classes(ring)
     assert ring.unit_squares() == {ring.units()[i] for i in oracle.square_map(ring)}
-    assert ring.unit_texts() == [str(u) for u in ring.units()]
     sums = ring.unit_sum_classes()
     assert sums == oracle.unit_sum_classes(ring)
     classes, count = ring.square_classes()
@@ -447,20 +445,36 @@ def test_unit_tables_match_per_unit_products(spec):
         assert reached.get((x, y), set()) == {x ^ d for d in sums[x ^ y]}, (x, y)
 
 
-@pytest.mark.parametrize("spec,calls", [("prod(GF(2^6),Z/61)", 63),
-                                        ("prod(GR(4,2),prod(Z/3,GF(2^2)))", 12 + 3),
-                                        ("prod(GF(2^8),Z/251)", 255)])
-def test_product_unit_texts_format_each_factor_unit_once(spec, calls, monkeypatch):
-    # a count, not a time: formatting each product unit afresh formats a
-    # Galois unit once per unit of the other factors (3,780 _poly_str calls
-    # on prod(GF(2^6),Z/61))
+# the largest rings of each kind, and a modulus with four prime factors
+CAP_SPECS = ["GF(2^16)", "GR(4,8)", "GR(27,3)", "Z/65536", "Z/65535", "Z/65521",
+             "prod(GF(2^8),Z/251)"]
+
+
+@pytest.mark.parametrize("spec", UNIT_TABLE_SPECS + CAP_SPECS)
+def test_unit_masks_and_texts_match_the_oracle(spec):
+    # the units come from each ring's structural mask, and a Galois ring's
+    # texts are built one degree at a time: both against enumerate-then-filter
+    # and formatting each unit on its own
     ring = parse_ring_spec(spec)
-    ring.units()
-    seen = []
-    poly_str = finring._poly_str
-    monkeypatch.setattr(finring, "_poly_str", lambda c: seen.append(1) or poly_str(c))
+    assert list(ring.unit_index_by_coords()) == oracle.unit_coords(ring)
+    units = ring.units()
+    assert ring.unit_texts() == [oracle.format_element(u) for u in units] == list(map(str, units))
+
+
+@pytest.mark.parametrize("spec,terms", [("prod(GF(2^6),Z/61)", 6),
+                                        ("prod(GR(4,2),prod(Z/3,GF(2^2)))", 3 * 2 + 1 * 2),
+                                        ("prod(GF(2^8),Z/251)", 8)])
+def test_product_unit_texts_format_each_factor_unit_once(spec, terms, monkeypatch):
+    # a count, not a time: a product composes its unit texts from its
+    # factors', and a Galois factor formats no unit on its own, only its
+    # q - 1 nonzero terms in each of k degrees
+    ring = parse_ring_spec(spec)
+    seen, polys = [], []
+    poly_term, poly_str = finring._poly_term, finring._poly_str
+    monkeypatch.setattr(finring, "_poly_term", lambda d, c: seen.append(1) or poly_term(d, c))
+    monkeypatch.setattr(finring, "_poly_str", lambda c: polys.append(1) or poly_str(c))
     texts = ring.unit_texts()
-    assert len(seen) == calls
+    assert (len(seen), len(polys)) == (terms, 0)
     assert len(texts) == len(ring.units())
 
 

@@ -1,4 +1,5 @@
 import copy
+import operator
 import os
 import pickle
 import random
@@ -371,6 +372,18 @@ def test_mul_ring_mismatch():
     f7 = Zmod(7)
     with pytest.raises(ValueError, match="mismatch"):  # a key of another ring
         GroupRingVector(f7, {Zmod(5).coerce(3): 1})
+
+
+@pytest.mark.parametrize("op,other", [(operator.add, 1), (operator.sub, "a"),
+                                      (operator.mul, 1.5)])
+def test_vector_operators_refuse_a_foreign_operand(op, other):
+    # each raised AttributeError on the operand's missing ring; a vector of
+    # an unequal ring is still a ring mismatch
+    x = angle(Zmod(5), 2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(x, other)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        op(x, angle(Zmod(8), 3))
 
 
 def test_mul_refuses_keys_that_are_not_units():

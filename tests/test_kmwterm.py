@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import os
 import pickle
 import random
@@ -236,6 +237,16 @@ def test_term_refuses_a_float_coefficient():
     # integer(1.5) * <a> evaluated to 1.5<3>
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         km.integer(1.5) * km.angle(A)
+
+
+@pytest.mark.parametrize("op,left,other", [
+    (operator.add, km.integer(1), 1), (operator.sub, km.integer(1), 1.5),
+    (operator.mul, km.integer(1), 1.5), (operator.mul, A, 2), (operator.truediv, A, 2),
+], ids=["term-add", "term-sub", "term-mul", "unit-mul", "unit-truediv"])
+def test_term_and_unit_operators_refuse_a_foreign_operand(op, left, other):
+    # each raised AttributeError on the operand's missing words or factors
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(left, other)
 
 
 def test_term_refuses_a_string_coefficient():
