@@ -435,7 +435,10 @@ def test_markdown_rows_have_the_header_cell_count(capsys):
 # reached unit; sumsq on GR(8,2) and prod(Z/2,prod(GR(8,2),Z/9)) recorded
 # while square classes were numbered in the order of their first units;
 # sumsq on prod(GF(2^4),Z/61) recorded while the witness pass scanned the
-# reached units in unit order for every new unit
+# reached units in unit order for every new unit; validate on Z/3, Z/5, Z/7,
+# Z/11, Z/13 and GR(3,2) in each output format, and its refusals of Z/17,
+# GF(2^2) and Z/9, recorded while the form oracle emitted a row for every
+# isometric pair of forms and scanned every second column of each orbit
 @pytest.mark.parametrize("case", GOLDEN["arith"], ids=lambda c: " ".join(c["argv"]))
 def test_cli_golden_arith(case, capsys):
     code, out, _ = run_cli(capsys, *case["argv"])
