@@ -1058,8 +1058,11 @@ def parse_ring_spec(spec: str) -> Ring:
         modulus = _parse_poly(poly, spec) if semicolon else None
         return GaloisRing(p, e, k, modulus)
     if s.startswith("prod(") and s.endswith(")"):
-        inner = s[5:-1]
-        return ProductRing([parse_ring_spec(part) for part in _split_top_commas(inner)])
+        parts = _split_top_commas(s[5:-1])
+        for i, part in enumerate(parts, 1):
+            if not part.strip():
+                raise RingSpecError(f"empty factor {i} in {spec!r}", part)
+        return ProductRing([parse_ring_spec(part) for part in parts])
     raise RingSpecError(f"unrecognized ring spec {spec!r}", s)
 
 

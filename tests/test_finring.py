@@ -3,6 +3,7 @@ import hashlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -245,6 +246,21 @@ def test_empty_modulus_refused(spec, capsys):
     assert main(["ringinfo", "--ring", spec]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
+
+
+@pytest.mark.parametrize("spec, empty", [
+    ("prod()", 1), ("prod(,Z/3)", 1), ("prod(Z/3,)", 2), ("prod(Z/3,,Z/5)", 2),
+])
+def test_empty_product_factor_named(spec, empty, capsys):
+    # an empty factor was once parsed on its own, so the error read
+    # "unrecognized ring spec ''" and named neither the factor nor the spec
+    from mwkit.cli import main
+
+    with pytest.raises(RingSpecError, match=re.escape(f"empty factor {empty} in {spec!r}")):
+        parse_ring_spec(spec)
+    assert main(["ringinfo", "--ring", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: empty factor {empty} in {spec!r}\n" and not captured.out
 
 
 @pytest.mark.parametrize("spec, same", [

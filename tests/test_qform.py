@@ -10,12 +10,21 @@ from mwkit.qform import (
     CrossValidation,
     DiagForm,
     QformError,
+    _orbit,
     _rank2_classes,
+    _tables,
     cross_validate,
     isometric,
     oracle_lattice,
 )
-from qform_oracle import oracle_isometric_rank2, oracle_rank2_classes
+from qform_oracle import (
+    oracle_isometric_rank2,
+    oracle_pair_lattice,
+    oracle_rank2_classes,
+    oracle_table_orbit,
+)
+
+ORACLE_FIELDS = ["Z/3", "Z/5", "Z/7", "Z/11", "Z/13", "GF(3^2)"]
 
 
 def form(field, *entries):
@@ -56,7 +65,7 @@ def test_isometric_is_an_equivalence_on_small_fields():
                 assert isometric(f, h)
 
 
-@pytest.mark.parametrize("spec", ["Z/3", "Z/5", "Z/7", "Z/11", "Z/13", "GF(3^2)"])
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
 def test_rank2_classes_match_oracle(spec):
     field = parse_ring_spec(spec)
     assert _rank2_classes(field) == oracle_rank2_classes(field)
@@ -69,6 +78,34 @@ def test_rank2_isometric_matches_oracle(spec):
     forms = [DiagForm(field, (a, b)) for a in units for b in units]
     for f, g in product(forms, repeat=2):
         assert isometric(f, g) == oracle_isometric_rank2(f, g), (f, g)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+def test_orbit_matches_the_table_scan(spec):
+    # the solved second column yields the scan's (c, d) in the scan's order
+    field = parse_ring_spec(spec)
+    t = _tables(field)
+    firsts = range(field.card) if field.card <= 7 else []
+    for a, b in product(t.units, repeat=2):
+        for first in [None, *firsts]:
+            assert list(_orbit(t, a, b, first)) == list(oracle_table_orbit(t, a, b, first)), \
+                (a, b, first)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+def test_oracle_lattice_spans_the_pair_lattice(spec):
+    field = parse_ring_spec(spec)
+    n = len(field.units())
+    star = ZLattice(n, oracle_lattice(field))
+    assert star.spans_same(ZLattice(n, oracle_pair_lattice(field)))
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+def test_oracle_lattice_has_a_star_of_rows(spec):
+    # a row from the first form of each class to each other member; a row
+    # for every isometric pair had 1,191 on Z/13
+    n = len(parse_ring_spec(spec).units())
+    assert len(oracle_lattice(spec)) <= (n - 1) + (n * (n + 1) // 2 - 1)
 
 
 def test_unsupported_inputs():
