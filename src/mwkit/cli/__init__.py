@@ -4,9 +4,11 @@ Subcommands: ringinfo, gw, sumsq, prove, compare, validate, table.
 Reports are deterministic byte-for-byte across runs: fixed enumeration
 orders, no timestamps, and the version string only appears under
 --version.  Exit codes: 0 success, 1 input or usage error (diagnostics on
-stderr), 2 the prover returned Unknown.  ``main`` builds the parser of
-the subcommand its first argument names, and of all seven only when it
-names none.  Only ``prove`` imports the prover modules ``kmwterm`` and
+stderr), 2 the prover returned Unknown.  ``main`` keeps one parser per
+subcommand per process, built on the first call whose first argument
+names it, and one parser of all seven for calls whose first argument
+names none; it reads the handler of the parsed subcommand at call time.
+Only ``prove`` imports the prover modules ``kmwterm`` and
 ``termparse``, and only ``validate`` imports ``qform``; every typed input
 error derives from ``mwkit.errors.InputError``, so ``main`` catches them
 without loading any of the three.
@@ -274,7 +276,7 @@ def _table_arguments(p) -> None:
 
 def _subcommands() -> dict:
     """name -> (help line, handler, arguments before --out), in the order
-    ``--help`` lists them.  The handlers are read when a parser is built."""
+    ``--help`` lists them.  ``main`` reads the handler on each call."""
     return {
         "ringinfo": ("cardinality, units and unit squares of a ring", cmd_ringinfo,
                      _ring_arguments),
@@ -296,7 +298,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     A call parses with the subparser its first argument names, so ``main``
     builds only that one.  The usage line then names every subcommand, as
-    the full parser's does.
+    the full parser's does.  Each call returns a new parser.
     """
     commands = _subcommands()
     parser = argparse.ArgumentParser(
@@ -313,23 +315,32 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     else:
         metavar = None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, func, add_arguments) in commands.items():
+    for name, (text, _, add_arguments) in commands.items():
         p = sub.add_parser(name, help=text)
         add_arguments(p)
         p.add_argument("--out", choices=["json", "csv", "markdown"], default="json")
-        p.set_defaults(func=func)
     return parser
+
+
+# subcommand name, or None for a call whose first argument names none ->
+# the parser main built for it; parse_args leaves a parser as it was, and
+# help and usage are formatted when printed, so one serves every call
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    commands = _subcommands()
+    key = argv[0] if argv and argv[0] in commands else None
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = build_parser(key)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
         return 1 if exc.code else 0
     try:
-        code, text = args.func(args)
+        code, text = commands[args.command][1](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -319,7 +319,8 @@ class Ring:
         self._square_classes: Optional[tuple[list[int], int]] = None
         self._unit_sums: Optional[list[list[int]]] = None
 
-    # subclasses implement, on coordinates: _add, _neg, _mul, _is_unit,
+    # subclasses implement, on coordinates: _add, _plus_one (one added to
+    # the constant coordinate alone), _neg, _mul, _is_unit,
     # _inverse_or_none, _from_int, _enumerate_coords, _zero_coords,
     # _one_coords, _format; _unit_mask, a byte per element in element order,
     # 1 at the units, or else _unit_coords; unit_texts, str(u) for each unit
@@ -475,14 +476,15 @@ class Ring:
         """D with D[t] the square classes of 1 + u, over the units u of class
         t with 1 + u a unit, each class once, in the order of its first u.
 
-        One coordinate sum per unit.  Shared, do not modify.
+        One ``_plus_one`` per unit, which changes the constant coordinate
+        alone.  Shared, do not modify.
         """
         if self._unit_sums is None:
             classes, count = self.square_classes()
-            index, add, one = self.unit_index_by_coords(), self._add, self._one_coords()
+            index, plus_one = self.unit_index_by_coords(), self._plus_one
             sums: list = [{} for _ in range(count)]  # dicts as ordered sets
             for c, t in zip(index, classes):
-                k = index.get(add(one, c))
+                k = index.get(plus_one(c))
                 if k is not None:
                     sums[t].setdefault(classes[k])
             self._unit_sums = [list(d) for d in sums]
@@ -544,6 +546,9 @@ class Zmod(Ring):
 
     def _add(self, a, b):
         return (a + b) % self.m
+
+    def _plus_one(self, a):
+        return (a + 1) % self.m
 
     def _neg(self, a):
         return (-a) % self.m
@@ -643,6 +648,9 @@ class GaloisRing(Ring):
     def _add(self, a, b):
         q = self.q
         return tuple([(x + y) % q for x, y in zip(a, b)])
+
+    def _plus_one(self, a):
+        return ((a[0] + 1) % self.q,) + a[1:]
 
     def _neg(self, a):
         q = self.q
@@ -775,6 +783,9 @@ class ProductRing(Ring):
 
     def _add(self, a, b):
         return tuple([f._add(x, y) for f, x, y in zip(self.factors, a, b)])
+
+    def _plus_one(self, a):
+        return tuple([f._plus_one(x) for f, x in zip(self.factors, a)])
 
     def _neg(self, a):
         return tuple([f._neg(x) for f, x in zip(self.factors, a)])

@@ -289,8 +289,8 @@ def _has_unit_sums(ring: Ring) -> bool:
     no two units sum to a unit, which is when some residue field of R is
     F_2.
     """
-    index, add, one = ring.unit_index_by_coords(), ring._add, ring.one.coords
-    return any(add(one, c) in index for c in index)
+    index, plus_one = ring.unit_index_by_coords(), ring._plus_one
+    return any(plus_one(c) in index for c in index)
 
 
 def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int, list[tuple]]:

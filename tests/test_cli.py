@@ -172,6 +172,20 @@ TOP_LEVEL_ERRORS = {
 }
 
 
+def _record_builds(monkeypatch, full=False):
+    """Empty main's parser table and record the command of each parser
+    built; with ``full``, each parser built is the parser of all seven."""
+    build, built = cli.build_parser, []
+
+    def recorded(command=None):
+        built.append(command)
+        return build(None if full else command)
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    return built
+
+
 @pytest.mark.parametrize("argv", ["--help", "--version", "-h gw", "gw --ring Z/5 extra"]
                          + [f"{name} --help" for name in SUBCOMMANDS] + USAGE_ERRORS)
 def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
@@ -183,9 +197,10 @@ def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypa
     if argv in TOP_LEVEL_ERRORS:
         assert "{" + ",".join(SUBCOMMANDS) + "} ..." in err
         assert err.endswith(TOP_LEVEL_ERRORS[argv] + "\n")
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    # the second run goes through a new parser of all seven
+    built = _record_builds(monkeypatch, full=True)
     assert run_cli(capsys, *argv.split()) == (code, out, err)
+    assert len(built) == 1
 
 
 def test_ring_error_exit_one(capsys):
@@ -247,7 +262,7 @@ def test_each_typed_error_exits_one(argv, raised, tmp_path, capsys):
     argv = [str(path) if arg == "NON_UTF8" else arg for arg in argv.split()]
     args = build_parser().parse_args(argv)
     with pytest.raises(raised):
-        args.func(args)
+        cli._subcommands()[args.command][1](args)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
@@ -261,6 +276,74 @@ def test_a_bare_value_error_is_not_caught(monkeypatch):
     monkeypatch.setattr(cli, "cmd_gw", fail)
     with pytest.raises(ValueError, match="not an input error"):
         main(["gw", "--ring", "Z/5"])
+
+
+def test_main_builds_one_parser_per_subcommand(capsys, monkeypatch):
+    # twelve calls, each with arguments of its own, build three parsers
+    built = _record_builds(monkeypatch)
+    argvs = [[cmd, "--ring", spec] + out
+             for spec in ("Z/5", "Z/7")
+             for out in ([], ["--out", "csv"])
+             for cmd in ("gw", "compare", "sumsq")]
+    assert len(argvs) == 12
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert sorted(built) == ["compare", "gw", "sumsq"]
+    assert sorted(cli._PARSERS) == ["compare", "gw", "sumsq"]
+
+
+def test_a_reused_parser_keeps_no_arguments(capsys, monkeypatch):
+    # the defaults of the second call (kind reduced, json) are not those the
+    # first call typed
+    argv = ["gw", "--ring", "Z/5"]
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    fresh = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    first = run_cli(capsys, "gw", "--ring", "Z/5", "--kind", "hopf", "--out", "markdown")
+    assert first[0] == 0 and first[1] != fresh[1]
+    assert run_cli(capsys, *argv) == fresh
+    assert json.loads(fresh[1])["kind"] == "reduced"
+
+
+def test_a_reused_parser_calls_the_current_handler(capsys, monkeypatch):
+    assert run_cli(capsys, "gw", "--ring", "Z/5")[0] == 0
+    assert "gw" in cli._PARSERS
+
+    def fail(args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "cmd_gw", fail)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["gw", "--ring", "Z/5"])
+
+
+def test_a_reused_parser_prints_what_a_new_one_prints(capsys, monkeypatch):
+    # each argv alone in a new table, then all of them twice in one table:
+    # every call prints what its first call in a new table printed, and the
+    # table holds one parser per subcommand named and one for the rest
+    argvs = list(TOP_LEVEL_ERRORS) + USAGE_ERRORS + ["--help", "--version", "-h gw"]
+    fresh = {}
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        fresh[argv] = run_cli(capsys, *argv.split())
+        assert fresh[argv][0] in (0, 1) and (fresh[argv][1] or fresh[argv][2])
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for _ in range(2):
+        for argv in argvs:
+            assert run_cli(capsys, *argv.split()) == fresh[argv], argv
+    assert set(cli._PARSERS) == {None, "gw", "prove"}
+
+
+def test_a_reused_parser_reads_the_terminal_width_per_call(capsys, monkeypatch):
+    # help is wrapped to COLUMNS when printed, not when the parser is built
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run_cli(capsys, "gw", "--help")
+    monkeypatch.setenv("COLUMNS", "30")
+    narrow = run_cli(capsys, "gw", "--help")
+    assert narrow != wide
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    assert run_cli(capsys, "gw", "--help") == narrow
 
 
 def test_compare_and_validate(capsys):

@@ -516,6 +516,22 @@ def test_square_tables_take_few_products(spec, monkeypatch):
     assert not product_muls
 
 
+@pytest.mark.parametrize("spec", ["GF(2^8)", "GR(4,3)"])
+def test_unit_sums_take_no_coordinate_sums(spec, monkeypatch):
+    # a count, not a time: 1 + u changes the constant coefficient alone, so
+    # the unit sum table takes one _plus_one per unit and no _add, which
+    # sums all k coefficients
+    ring = parse_ring_spec(spec)
+    ring.square_classes()
+    adds = []
+    add = GaloisRing._add
+    monkeypatch.setattr(GaloisRing, "_add", lambda self, a, b: adds.append(1) or add(self, a, b))
+    sums = ring.unit_sum_classes()
+    assert not adds
+    monkeypatch.undo()
+    assert sums == oracle.unit_sum_classes(ring)
+
+
 def test_unit_index_checks_the_ring_before_the_coordinates():
     z7 = Zmod(7)
     assert z7.unit_index(z7.coerce(3)) == 2
@@ -747,6 +763,7 @@ def test_arithmetic_matches_oracle_on_all_pairs(spec):
     one = oracle.one(ring)
     for x in els:
         assert -x == oracle.neg(x)
+        assert ring._plus_one(x.coords) == oracle.add(one, x).coords
         inverse = None
         for y in els:
             assert x + y == oracle.add(x, y)

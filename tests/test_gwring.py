@@ -212,7 +212,8 @@ def test_compare_builds_no_lattice_on_f2_residue_rings(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["Z/127", "Z/257", "Z/128"])
 def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     # a count, not a time: the seeds take one sum per unit for the unit-sum
-    # table and at most one more for the test for unit sums, |U| + 1 in all,
+    # table and at most one more for the test for unit sums, |U| + 1 in all
+    # (a sum 1 + u is a _plus_one, any other an _add),
     # where the first unit of each class summed with every unit took
     # (C + 1) |U| and the pair scan |U|^2 / 2; Z/128, with residue field
     # F_2, is held to the same bound.  The products are those of the square
@@ -222,8 +223,9 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     units = ring.units()
     classes = len(units) // len(ring.unit_squares())
     adds, muls = [], []
-    add, mul = ring._add, ring._mul
+    add, plus_one, mul = ring._add, ring._plus_one, ring._mul
     monkeypatch.setattr(ring, "_add", lambda a, b: adds.append(1) or add(a, b))
+    monkeypatch.setattr(ring, "_plus_one", lambda a: adds.append(1) or plus_one(a))
     monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
     relation_lattice(ring, kind)
     assert 0 < len(adds) <= len(units) + 1
