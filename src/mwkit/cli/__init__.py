@@ -4,14 +4,13 @@ Subcommands: ringinfo, gw, sumsq, prove, compare, validate, table.
 Reports are deterministic byte-for-byte across runs: fixed enumeration
 orders, no timestamps, and the version string only appears under
 --version.  Exit codes: 0 success, 1 input or usage error (diagnostics on
-stderr), 2 the prover returned Unknown.  ``main`` keeps one parser per
-subcommand per process, built on the first call whose first argument
-names it, and one parser of all seven for calls whose first argument
-names none; it reads the handler of the parsed subcommand at call time.
-Only ``prove`` imports the prover modules ``kmwterm`` and
-``termparse``, and only ``validate`` imports ``qform``; every typed input
-error derives from ``mwkit.errors.InputError``, so ``main`` catches them
-without loading any of the three.
+stderr), 2 the prover returned Unknown.  ``main`` parses every call with
+one parser of all seven subcommands, built when the module loads, and
+reads the handler of the parsed subcommand at call time.  Only ``prove``
+imports the prover modules ``kmwterm`` and ``termparse``, and only
+``validate`` imports ``qform``; every typed input error derives from
+``mwkit.errors.InputError``, so ``main`` catches them without loading any
+of the three.
 """
 
 from __future__ import annotations
@@ -296,9 +295,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     """The mwkit parser, with the subparser of ``command`` alone when it
     names a subcommand and with every subparser otherwise.
 
-    A call parses with the subparser its first argument names, so ``main``
-    builds only that one.  The usage line then names every subcommand, as
-    the full parser's does.  Each call returns a new parser.
+    A parser of one subcommand prints the help, usage and errors the full
+    parser prints for an argv that names that subcommand: its usage line
+    names every subcommand too.  Each call returns a new parser.
     """
     commands = _subcommands()
     parser = argparse.ArgumentParser(
@@ -322,25 +321,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
-# subcommand name, or None for a call whose first argument names none ->
-# the parser main built for it; parse_args leaves a parser as it was, and
-# help and usage are formatted when printed, so one serves every call
-_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+# the parser of every call of main, built here so that no call pays for it
+# and the first call of a subcommand in a process costs what later ones do;
+# parse_args leaves a parser as it was, and help and usage are formatted
+# when printed, so one serves every call
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    commands = _subcommands()
-    key = argv[0] if argv and argv[0] in commands else None
-    parser = _PARSERS.get(key)
-    if parser is None:
-        parser = _PARSERS[key] = build_parser(key)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help or --version
         return 1 if exc.code else 0
     try:
-        code, text = commands[args.command][1](args)
+        code, text = _subcommands()[args.command][1](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

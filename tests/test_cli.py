@@ -172,35 +172,35 @@ TOP_LEVEL_ERRORS = {
 }
 
 
-def _record_builds(monkeypatch, full=False):
-    """Empty main's parser table and record the command of each parser
-    built; with ``full``, each parser built is the parser of all seven."""
-    build, built = cli.build_parser, []
+def _subcommand_names(parser) -> list:
+    return list(parser._subparsers._group_actions[0].choices)
 
-    def recorded(command=None):
-        built.append(command)
-        return build(None if full else command)
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    monkeypatch.setattr(cli, "build_parser", recorded)
-    return built
+def _new_parser(monkeypatch, command=None):
+    """Make main parse with a new parser, of ``command`` alone when it names
+    a subcommand and of all seven otherwise; returns its subcommand names."""
+    parser = cli.build_parser(command)
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    return _subcommand_names(parser)
 
 
 @pytest.mark.parametrize("argv", ["--help", "--version", "-h gw", "gw --ring Z/5 extra"]
                          + [f"{name} --help" for name in SUBCOMMANDS] + USAGE_ERRORS)
 def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
-    # main builds only the subparser its first argument names; the exit
-    # code, help, usage lines and errors are those of the parser of all seven
+    # a parser of only the subcommand the first argument names gives the
+    # exit code, help, usage lines and errors of main's parser of all seven
     # (the usage line of an extra argument named only {gw} at first)
-    code, out, err = run_cli(capsys, *argv.split())
+    words = argv.split()
+    full = run_cli(capsys, *words)
+    first = words[0] if words else None
+    names = _new_parser(monkeypatch, first)
+    assert names == ([first] if first in SUBCOMMANDS else SUBCOMMANDS)
+    code, out, err = run_cli(capsys, *words)
     assert out or err
     if argv in TOP_LEVEL_ERRORS:
         assert "{" + ",".join(SUBCOMMANDS) + "} ..." in err
         assert err.endswith(TOP_LEVEL_ERRORS[argv] + "\n")
-    # the second run goes through a new parser of all seven
-    built = _record_builds(monkeypatch, full=True)
-    assert run_cli(capsys, *argv.split()) == (code, out, err)
-    assert len(built) == 1
+    assert (code, out, err) == full
 
 
 def test_ring_error_exit_one(capsys):
@@ -278,9 +278,11 @@ def test_a_bare_value_error_is_not_caught(monkeypatch):
         main(["gw", "--ring", "Z/5"])
 
 
-def test_main_builds_one_parser_per_subcommand(capsys, monkeypatch):
-    # twelve calls, each with arguments of its own, build three parsers
-    built = _record_builds(monkeypatch)
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # twelve calls, each with arguments of its own, parse with the parser
+    # built when cli loaded
+    built, parser = [], cli._PARSER
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command))
     argvs = [[cmd, "--ring", spec] + out
              for spec in ("Z/5", "Z/7")
              for out in ([], ["--out", "csv"])
@@ -288,17 +290,17 @@ def test_main_builds_one_parser_per_subcommand(capsys, monkeypatch):
     assert len(argvs) == 12
     for argv in argvs:
         assert run_cli(capsys, *argv)[0] == 0
-    assert sorted(built) == ["compare", "gw", "sumsq"]
-    assert sorted(cli._PARSERS) == ["compare", "gw", "sumsq"]
+    assert built == [] and cli._PARSER is parser
+    assert _subcommand_names(parser) == SUBCOMMANDS
 
 
 def test_a_reused_parser_keeps_no_arguments(capsys, monkeypatch):
     # the defaults of the second call (kind reduced, json) are not those the
     # first call typed
     argv = ["gw", "--ring", "Z/5"]
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _new_parser(monkeypatch)
     fresh = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _new_parser(monkeypatch)
     first = run_cli(capsys, "gw", "--ring", "Z/5", "--kind", "hopf", "--out", "markdown")
     assert first[0] == 0 and first[1] != fresh[1]
     assert run_cli(capsys, *argv) == fresh
@@ -306,8 +308,8 @@ def test_a_reused_parser_keeps_no_arguments(capsys, monkeypatch):
 
 
 def test_a_reused_parser_calls_the_current_handler(capsys, monkeypatch):
+    parser = cli._PARSER
     assert run_cli(capsys, "gw", "--ring", "Z/5")[0] == 0
-    assert "gw" in cli._PARSERS
 
     def fail(args):
         raise ValueError("not an input error")
@@ -315,34 +317,33 @@ def test_a_reused_parser_calls_the_current_handler(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_gw", fail)
     with pytest.raises(ValueError, match="not an input error"):
         main(["gw", "--ring", "Z/5"])
+    assert cli._PARSER is parser
 
 
 def test_a_reused_parser_prints_what_a_new_one_prints(capsys, monkeypatch):
-    # each argv alone in a new table, then all of them twice in one table:
-    # every call prints what its first call in a new table printed, and the
-    # table holds one parser per subcommand named and one for the rest
+    # each argv alone on a new parser, then all of them twice on one parser:
+    # every call prints what its call on a new parser printed
     argvs = list(TOP_LEVEL_ERRORS) + USAGE_ERRORS + ["--help", "--version", "-h gw"]
     fresh = {}
     for argv in argvs:
-        monkeypatch.setattr(cli, "_PARSERS", {})
+        _new_parser(monkeypatch)
         fresh[argv] = run_cli(capsys, *argv.split())
         assert fresh[argv][0] in (0, 1) and (fresh[argv][1] or fresh[argv][2])
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _new_parser(monkeypatch)
     for _ in range(2):
         for argv in argvs:
             assert run_cli(capsys, *argv.split()) == fresh[argv], argv
-    assert set(cli._PARSERS) == {None, "gw", "prove"}
 
 
 def test_a_reused_parser_reads_the_terminal_width_per_call(capsys, monkeypatch):
     # help is wrapped to COLUMNS when printed, not when the parser is built
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _new_parser(monkeypatch)
     monkeypatch.setenv("COLUMNS", "200")
     wide = run_cli(capsys, "gw", "--help")
     monkeypatch.setenv("COLUMNS", "30")
     narrow = run_cli(capsys, "gw", "--help")
     assert narrow != wide
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _new_parser(monkeypatch)
     assert run_cli(capsys, "gw", "--help") == narrow
 
 
