@@ -5,8 +5,11 @@ Reports are deterministic byte-for-byte across runs: fixed enumeration
 orders, no timestamps, and the version string only appears under
 --version.  Exit codes: 0 success, 1 input or usage error (diagnostics on
 stderr), 2 the prover returned Unknown.  ``main`` parses every call with
-one parser of all seven subcommands, built when the module loads, and
-reads the handler of the parsed subcommand at call time.  Only ``prove``
+one parser of all seven subcommands (``build_parser``), built when the
+module loads, and reads the handler of the parsed subcommand at call time.
+Each report is json, or a table that one writer (``_table``) prints as csv
+or markdown: a scalar report as one row of columns in csv and as key and
+value rows in markdown, a ``table`` report as one row per ring.  Only ``prove``
 imports the prover modules ``kmwterm`` and ``termparse``, and only
 ``validate`` imports ``qform``; every typed input error derives from
 ``mwkit.errors.InputError``, so ``main`` catches them without loading any
@@ -48,50 +51,40 @@ def _flatten(value):
     return str(value)
 
 
-def _cell(value) -> str:
-    """A markdown table cell: the flattened value with its ``|`` escaped."""
-    return _flatten(value).replace("|", "\\|")
+def _table(header: list, rows: list, fmt: str) -> str:
+    """``rows``, each a list of values under ``header``, as csv or else as a
+    markdown table, whose cells escape ``|``."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_flatten(v) for v in row] for row in rows)
+        return buf.getvalue()
+    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+    for row in rows:
+        lines.append("| " + " | ".join(_flatten(v).replace("|", "\\|") for v in row) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def _emit_scalar(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
+    # a nested dict's entries are named key.entry; csv lists them after the
+    # plain entries, markdown where the dict stands
+    keys = sorted(report, key=lambda k: isinstance(report[k], dict)) if fmt == "csv" else report
+    flat = []
+    for k in keys:
+        v = report[k]
+        flat.extend([(f"{k}.{kk}", vv) for kk, vv in v.items()] if isinstance(v, dict) else [(k, v)])
     if fmt == "csv":
-        flat = {k: _flatten(v) for k, v in report.items() if not isinstance(v, dict)}
-        for k, v in report.items():
-            if isinstance(v, dict):
-                for kk, vv in v.items():
-                    flat[f"{k}.{kk}"] = _flatten(vv)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
-        return buf.getvalue()
-    lines = ["| key | value |", "| --- | --- |"]
-    for k, v in report.items():
-        if isinstance(v, dict):
-            for kk, vv in v.items():
-                lines.append(f"| {k}.{kk} | {_cell(vv)} |")
-        else:
-            lines.append(f"| {k} | {_cell(v)} |")
-    return "\n".join(lines) + "\n"
+        return _table([k for k, _ in flat], [[v for _, v in flat]], fmt)
+    return _table(["key", "value"], flat, fmt)
 
 
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_flatten(row.get(c)) for c in columns])
-        return buf.getvalue()
-    lines = ["| " + " | ".join(columns) + " |",
-             "| " + " | ".join("---" for _ in columns) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(row.get(c)) for c in columns) + " |")
-    return "\n".join(lines) + "\n"
+    return _table(columns, [[row.get(c) for c in columns] for row in rows], fmt)
 
 
 def cmd_ringinfo(args) -> tuple[int, str]:
@@ -291,30 +284,15 @@ def _subcommands() -> dict:
     }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The mwkit parser, with the subparser of ``command`` alone when it
-    names a subcommand and with every subparser otherwise.
-
-    A parser of one subcommand prints the help, usage and errors the full
-    parser prints for an argv that names that subcommand: its usage line
-    names every subcommand too.  Each call returns a new parser.
-    """
-    commands = _subcommands()
+def build_parser() -> argparse.ArgumentParser:
+    """The mwkit parser of all seven subcommands; each call returns a new one."""
     parser = argparse.ArgumentParser(
         prog="mwkit",
         description="Symbol relations, presented rings and unit sums of squares over finite rings.",
     )
     parser.add_argument("--version", action="version", version=f"mwkit {__version__}")
-    if command in commands:
-        # the default metavar would list the one choice built; naming all is
-        # kept to this case, because a metavar also rewrites the messages
-        # for an unknown or a missing subcommand
-        metavar = "{" + ",".join(commands) + "}"
-        commands = {command: commands[command]}
-    else:
-        metavar = None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, _, add_arguments) in commands.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _, add_arguments) in _subcommands().items():
         p = sub.add_parser(name, help=text)
         add_arguments(p)
         p.add_argument("--out", choices=["json", "csv", "markdown"], default="json")

@@ -447,13 +447,18 @@ class GwPresentedRing:
     def __init__(self, ring: Ring, kind: PresentationKind):
         self.ring = ring
         self.kind = kind
-        self.units = ring.units()
         self.classes, m, rows = _presented_rows(ring, kind)
         self._presented = ZLattice(m)
         for key in rows:
             self._presented._insert(dict(key))
         self.presentation: SnfPresentation = self._presented.quotient()
         self._lattice: Optional[ZLattice] = None
+
+    @property
+    def units(self) -> list:
+        """The ring's units as elements, in the order of ``classes``; built
+        on first read, not by the presentation."""
+        return self.ring.units()
 
     @property
     def lattice(self) -> ZLattice:
@@ -554,7 +559,7 @@ class GwPresentedRing:
         return {
             "ring": self.ring.spec_string(),
             "kind": self.kind.value,
-            "n_units": len(self.units),
+            "n_units": len(self.classes),
             "rank": self.rank,
             "torsion": list(self.torsion),
             "minus_one_is_one": self.minus_one_is_one(),
@@ -615,13 +620,13 @@ def compare_presentations(ring) -> ComparisonReport:
     read.
     """
     ring = make_ring(ring)
-    units = ring.units()
-    witness = None
+    witness, units = None, ()
     if not _has_unit_sums(ring):
         index, mul = ring.unit_index_by_coords(), ring._mul
         one = index[ring.one.coords]
         square = next((s for s in ring.unit_square_map() if s != one), None)
         if square is not None:
+            units = ring.units()  # only a witness names units
             key = _sparse_key(((1, index[mul(units[0].coords, units[square].coords)]), (-1, 0)))
             witness = _dense(len(units), key)
     return ComparisonReport(ring.spec_string(), witness is None, witness, tuple(units))

@@ -221,5 +221,5 @@ def cross_validate(field) -> CrossValidation:
     """Mutual containment of the oracle lattice and the reduced relations."""
     field = _check_field(make_ring(field))
     pres = present(field, PresentationKind.REDUCED)
-    equal = ZLattice(len(pres.units), oracle_lattice(field)).spans_same(pres.lattice)
+    equal = ZLattice(len(pres.classes), oracle_lattice(field)).spans_same(pres.lattice)
     return CrossValidation(field.spec_string(), equal, (pres.rank, pres.torsion))

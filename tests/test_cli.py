@@ -67,6 +67,21 @@ def test_ringinfo_builds_no_unit_list(spec, capsys, monkeypatch):
     assert len(built) <= 3
 
 
+@pytest.mark.parametrize("spec", ["GF(2^16)", "Z/65521"])
+@pytest.mark.parametrize("command", ["gw", "compare"])
+def test_gw_and_compare_build_no_unit_list(command, spec, capsys, monkeypatch):
+    # a count, not a time: the presentation and the comparison read the
+    # units on coordinates, and gw builds only 1 and -1 as elements (for
+    # <-1> = <1>), where the unit list would build 65,535 or 65,520
+    built = []
+    init = RingElement.__init__
+    monkeypatch.setattr(RingElement, "__init__",
+                        lambda self, ring, coords: built.append(1) or init(self, ring, coords))
+    code, out, _ = run_cli(capsys, command, "--ring", spec)
+    assert code == 0 and json.loads(out)["ring"] == spec
+    assert len(built) <= 3
+
+
 def test_prove_success_exit_zero(capsys):
     code, out, err = run_cli(
         capsys, "prove", "--mode", "hopf-steinberg",
@@ -176,10 +191,9 @@ def _subcommand_names(parser) -> list:
     return list(parser._subparsers._group_actions[0].choices)
 
 
-def _new_parser(monkeypatch, command=None):
-    """Make main parse with a new parser, of ``command`` alone when it names
-    a subcommand and of all seven otherwise; returns its subcommand names."""
-    parser = cli.build_parser(command)
+def _new_parser(monkeypatch):
+    """Make main parse with a new parser; returns its subcommand names."""
+    parser = cli.build_parser()
     monkeypatch.setattr(cli, "_PARSER", parser)
     return _subcommand_names(parser)
 
@@ -187,20 +201,27 @@ def _new_parser(monkeypatch, command=None):
 @pytest.mark.parametrize("argv", ["--help", "--version", "-h gw", "gw --ring Z/5 extra"]
                          + [f"{name} --help" for name in SUBCOMMANDS] + USAGE_ERRORS)
 def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
-    # a parser of only the subcommand the first argument names gives the
-    # exit code, help, usage lines and errors of main's parser of all seven
-    # (the usage line of an extra argument named only {gw} at first)
+    # each argv prints on main's parser what it prints on a new one, and a
+    # top-level error names every subcommand in its usage line
     words = argv.split()
-    full = run_cli(capsys, *words)
-    first = words[0] if words else None
-    names = _new_parser(monkeypatch, first)
-    assert names == ([first] if first in SUBCOMMANDS else SUBCOMMANDS)
     code, out, err = run_cli(capsys, *words)
     assert out or err
     if argv in TOP_LEVEL_ERRORS:
         assert "{" + ",".join(SUBCOMMANDS) + "} ..." in err
         assert err.endswith(TOP_LEVEL_ERRORS[argv] + "\n")
-    assert (code, out, err) == full
+    assert _new_parser(monkeypatch) == SUBCOMMANDS
+    assert run_cli(capsys, *words) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("gw --ring GR(4)", "GR spec needs two arguments in 'GR(4)'"),
+    ("gw --ring GR(4,x)", "bad degree 'x' in 'GR(4,x)'"),
+    ("table --ring Z/5 --metrics bogus",
+     "unknown metric 'bogus'; choose from ['compare', 'gw', 'split', 'sumsq', 'units']"),
+    ("prove", "no identity given (positional argument or --file) at line 1, column 1"),
+])
+def test_refusal_prints_one_error_line(argv, message, capsys):
+    assert run_cli(capsys, *argv.split()) == (1, "", f"error: {message}\n")
 
 
 def test_ring_error_exit_one(capsys):
@@ -224,19 +245,29 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
+def _fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports this mwkit."""
+    src = str(Path(mwkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_only_prove_and_validate_load_their_modules():
     ring_argvs = [["gw", "--ring", "Z/5"], ["compare", "--ring", "Z/5"],
                   ["table", "--ring", "Z/5"], ["sumsq", "--ring", "Z/5"],
                   ["ringinfo", "--ring", "Z/5"]]
-    src = str(Path(mwkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argvs = ring_argvs + [["validate", "--ring", "Z/5"], ["prove", "eta h = 0"]]
-    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, check=True)
+    run = _fresh_python("-c", _IMPORT_PROBE, json.dumps(argvs))
+    run.check_returncode()
     seen = json.loads(run.stdout)
     assert seen == [[0, []]] * len(ring_argvs) + [
         [0, ["mwkit.qform"]], [0, ["mwkit.kmwterm", "mwkit.qform", "mwkit.termparse"]]]
+
+
+def test_python_m_prints_the_version():
+    run = _fresh_python("-m", "mwkit.cli", "--version")
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"mwkit {mwkit.__version__}\n", "")
 
 
 TYPED_ERRORS = [RingError, RingSpecError, QformError, ParseError, kmwterm.UnitExprError,
@@ -282,7 +313,7 @@ def test_main_builds_no_parser(capsys, monkeypatch):
     # twelve calls, each with arguments of its own, parse with the parser
     # built when cli loaded
     built, parser = [], cli._PARSER
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
     argvs = [[cmd, "--ring", spec] + out
              for spec in ("Z/5", "Z/7")
              for out in ([], ["--out", "csv"])

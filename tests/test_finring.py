@@ -36,6 +36,7 @@ from mwkit.finring import (
     _parse_prime_power,
     _slot_bytes,
     elementary_factorization,
+    make_ring,
     mat2_mul,
     parse_ring_spec,
     smallest_irreducible,
@@ -202,6 +203,13 @@ def test_parse_ring_spec():
     assert parse_ring_spec("GR(2^2,2)").card == 16
     assert parse_ring_spec("prod(Z/4,Z/3)").card == 12
     assert parse_ring_spec(" Z/7 ").card == 7
+
+
+def test_make_ring_refuses_a_non_spec_and_an_empty_product():
+    with pytest.raises(RingError, match="cannot build a ring from 42"):
+        make_ring(42)
+    with pytest.raises(RingError, match="product ring needs at least one factor"):
+        ProductRing([])
 
 
 def test_parse_ring_spec_errors_carry_token():

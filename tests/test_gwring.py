@@ -368,6 +368,13 @@ def test_mul_examples():
     assert mul(a + b, c) == mul(a, c) + mul(b, c)
 
 
+def test_vector_text():
+    f5 = Zmod(5)
+    x = GroupRingVector(f5, {f5.coerce(1): 2, f5.coerce(3): -1})
+    assert str(x) == "2<1> - 1<3>"
+    assert str(GroupRingVector(f5, {})) == "0"
+
+
 def test_mul_ring_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         mul(angle(Zmod(7), 3), angle(Zmod(5), 3))

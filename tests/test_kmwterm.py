@@ -261,6 +261,11 @@ def test_term_stores_a_bool_coefficient_as_its_int():
     assert [type(c) for c in t.words.values()] == [int]
 
 
+def test_term_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="negative powers of terms are not defined"):
+        km.integer(2) ** -1
+
+
 def test_normalize_examples():
     # [a] eta [b] and eta [a][b] agree: eta commutes past symbols
     t1 = km.bracket(A) * km.eta() * km.bracket(B)
@@ -549,6 +554,35 @@ def test_apply_matches_the_sum_with_the_embedded_core():
             cancelled += any(w not in child for w in words)
             appended += any(w not in words for w in child)
     assert cancelled and appended
+
+
+def _forge_first(**fields):
+    return lambda proof: replace(proof, steps=(replace(proof.steps[0], **fields),)
+                                 + proof.steps[1:])
+
+
+# each forged from the two steps (R1, then R2) that prove
+# <a> + <1-a> = 1 + <a*(1-a)>; the refusals no search certificate reaches
+@pytest.mark.parametrize("forge,failed_step,message", [
+    (lambda proof: replace(proof, mode="bogus"), None, "unknown mode 'bogus'"),
+    (_forge_first(axiom="R9"), 0, "unknown axiom R9"),
+    (_forge_first(direction="sideways"), 0, "bad direction 'sideways'"),
+    (lambda proof: replace(proof, steps=proof.steps[1:]), 0,
+     "step does not chain from the previous term"),
+    (lambda proof: replace(proof, steps=proof.steps[:-1]), None,
+     "proof does not end at the right-hand side"),
+    (_forge_first(binding={"a": parse_unit("1")}), 0,
+     "bad instance: unit expression sums to zero"),
+    (_forge_first(axiom="R2", binding={"a": A, "b": parse_unit("1-c")}), 0,
+     "instance unit (1-c) has an undeclared sum"),
+], ids=["mode", "axiom", "direction", "first-dropped", "last-dropped", "r1-at-one",
+        "undeclared-sum"])
+def test_check_proof_refuses_a_forged_certificate(forge, failed_step, message):
+    ident = parse_identity("<a> + <1-a> = 1 + <a*(1-a)>", "unit(a),unit(1-a)")
+    proof = km.prove(ident, "hopf-steinberg")
+    assert [s.axiom for s in proof.steps] == ["R1", "R2"] and bool(km.check_proof(proof))
+    report = km.check_proof(forge(proof))
+    assert (report.ok, report.failed_step, report.message) == (False, failed_step, message)
 
 
 def test_check_proof_rejects_wrong_mode():

@@ -432,6 +432,22 @@ def test_search_names_an_exhausted_frontier():
     assert (result.proof, result.reason, result.states) == (None, "frontier_exhausted", 2)
 
 
+@pytest.mark.parametrize("n_brackets,applied", [(17, 34), (21, 0)])
+def test_search_refuses_every_child_of_a_start_over_the_word_bound(n_brackets, applied,
+                                                                   monkeypatch):
+    # max_term_words is 16: each child of 17 brackets is built and then
+    # refused, and a core too short to bring 21 brackets to 16 words is
+    # refused before the child is built
+    calls = []
+    apply = km._apply
+    monkeypatch.setattr(km, "_apply", lambda *args: calls.append(1) or apply(*args))
+    text = " + ".join(f"[{c}]" for c in "abcdefghijklmnopqrstu"[:n_brackets]) + " = 0"
+    result = km.search(parse_identity(text), "hopf")
+    assert km.ProveConfig().max_term_words == 16
+    assert (result.proof, result.reason, result.states) == (None, "frontier_exhausted", 2)
+    assert len(calls) == applied
+
+
 def test_search_proof_has_no_reason():
     ident = parse_identity("<a*b> = <a><b>")
     result = km.search(ident, "hopf")
