@@ -27,7 +27,7 @@ import sys
 from .. import __version__
 from ..errors import InputError
 from ..finring import RingError, make_ring
-from ..gwring import PresentationKind, compare_presentations, present
+from ..gwring import PresentationKind, compare_presentations, present, present_both
 from ..sumsq import unit_square_closure
 
 TABLE_METRICS = {
@@ -140,14 +140,11 @@ def _read_text(path: str, option: str) -> str:
 
 
 def cmd_prove(args) -> tuple[int, str]:
+    text = _read_text(args.file, "--file") if args.file else args.identity
+    if text is None:  # no text, so no position in it to name
+        raise InputError("no identity given (positional argument or --file)")
     from .. import kmwterm, termparse
 
-    if args.file:
-        text = _read_text(args.file, "--file")
-    else:
-        text = args.identity
-    if text is None:
-        raise termparse.ParseError("no identity given (positional argument or --file)", 1, 1)
     hints = tuple(termparse.parse_unit(h) for h in _split_list(args.hints))
     identity = termparse.parse_identity(text, args.hyp or "")
     # ProveConfig.validate would name its fields; name the flags typed
@@ -196,11 +193,12 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
             closure = unit_square_closure(ring)
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())
         if set(TABLE_METRICS["gw"] + TABLE_METRICS["split"]) & set(metrics):
-            reduced = present(ring, PresentationKind.REDUCED)
             if "hopf_rank" in metrics or "hopf_torsion" in metrics:
-                hopf = present(ring, PresentationKind.HOPF)
+                hopf, reduced = present_both(ring)
                 row["hopf_rank"] = hopf.rank
                 row["hopf_torsion"] = list(hopf.torsion)
+            else:
+                reduced = present(ring, PresentationKind.REDUCED)
             row["reduced_rank"] = reduced.rank
             row["reduced_torsion"] = list(reduced.torsion)
             if "plus_rank" in metrics or "minus_rank" in metrics:

@@ -298,10 +298,30 @@ _set_hash = RingElement._hash.__set__
 # per-ring caches: they hold elements, which rebuild through their
 # constructor and so need a complete ring, hashes, which differ between
 # processes, a Galois ring's product kernel, a closure, which does not
-# pickle, and the unit index, square map, square classes and unit sums,
-# which are rebuilt when first asked; a pickled or copied ring leaves them behind
+# pickle, and the unit index, square map, square classes, unit sums and
+# table of unit products, which are rebuilt when first asked; a pickled or
+# copied ring leaves them behind
 _RING_CACHES = ("_units", "_unit_index", "_zero", "_one", "_hash_cache", "_mul_kernel",
-                "_square_map", "_square_classes", "_unit_sums")
+                "_square_map", "_square_classes", "_unit_sums", "_unit_products")
+
+
+class _UnitProducts(dict):
+    """A ring's table of unit products on unit indices: row i maps j to the
+    index of u_i u_j.
+
+    A row is an empty dict, made on its first read.  ``coords`` lists the
+    unit coordinates in unit order, for the products a row is missing.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: list):
+        super().__init__()
+        self.coords = coords
+
+    def __missing__(self, i):
+        row = self[i] = {}
+        return row
 
 
 class Ring:
@@ -318,6 +338,7 @@ class Ring:
         self._square_map: Optional[list[int]] = None
         self._square_classes: Optional[tuple[list[int], int]] = None
         self._unit_sums: Optional[list[list[int]]] = None
+        self._unit_products: Optional[_UnitProducts] = None
 
     # subclasses implement, on coordinates: _add, _plus_one (one added to
     # the constant coordinate alone), _neg, _mul, _is_unit,
@@ -490,6 +511,21 @@ class Ring:
             self._unit_sums = [list(d) for d in sums]
         return self._unit_sums
 
+    def unit_products(self) -> _UnitProducts:
+        """The ring's table of unit products: ``unit_products()[i][j]`` is
+        the position of ``units()[i] * units()[j]`` in ``units()``, where
+        row i holds j.
+
+        The table starts empty and holds only the pairs that
+        ``GroupRingVector.__mul__``, its one reader, has multiplied: that
+        product fills each missing entry with one coordinate product on its
+        first read.  So it holds at most |U|^2 entries, each paid for by one
+        coordinate product.  Shared; nothing else writes it.
+        """
+        if self._unit_products is None:
+            self._unit_products = _UnitProducts(list(self.unit_index_by_coords()))
+        return self._unit_products
+
     def unit_squares(self) -> frozenset[RingElement]:
         """The squares of the units, as elements of ``units()``; read from the square map."""
         units = self.units()
@@ -621,14 +657,16 @@ class GaloisRing(Ring):
         self.q = p**e
         self._canonical_modulus = modulus is None
         if modulus is None:
-            modulus = smallest_irreducible(p, k)  # lift is coefficientwise
-        modulus = _poly_trim([c % self.q for c in modulus])
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise RingError(f"{label}: modulus must be monic of degree {k}")
-        reduced = tuple(c % p for c in modulus)
-        if not _poly_is_irreducible(reduced, p):
-            raise RingError(f"{label}: reducible modulus {_poly_str(modulus)}"
-                            + self._reducible_suffix.format(p=p))
+            # irreducible by construction, with entries below p; the lift is
+            # coefficientwise
+            modulus = smallest_irreducible(p, k)
+        else:
+            modulus = _poly_trim([c % self.q for c in modulus])
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise RingError(f"{label}: modulus must be monic of degree {k}")
+            if not _poly_is_irreducible(tuple(c % p for c in modulus), p):
+                raise RingError(f"{label}: reducible modulus {_poly_str(modulus)}"
+                                + self._reducible_suffix.format(p=p))
         self.modulus = modulus
         self.card = self.q**k
         self._mul_kernel = None

@@ -42,6 +42,7 @@ for the output format.
 
 from __future__ import annotations
 
+import copy
 import enum
 import operator
 from collections import defaultdict
@@ -219,17 +220,24 @@ class GroupRingVector:
         if not isinstance(other, GroupRingVector):
             return NotImplemented
         self._check(other)
-        # multiply coordinates and accumulate on unit indices, in
-        # first-occurrence order
+        # read each product of units from the ring's table, multiplying
+        # coordinates for an entry it is missing, and accumulate on unit
+        # indices, in first-occurrence order; a miss is filled here rather
+        # than by a __missing__ row, which costs a Python call per entry
+        # (README, "Group-ring arithmetic on unit indices")
         ring = self.ring
-        units, index, coord_mul = ring.units(), ring.unit_index_by_coords(), ring._mul
-        ys = [(units[j].coords, cv) for j, cv in zip(other._keys, other._vals)]
+        table = ring.unit_products()
+        coords, index, coord_mul = table.coords, ring.unit_index_by_coords(), ring._mul
+        ys = list(zip(other._keys, other._vals))
         acc: dict = {}
         get = acc.get
         for i, cu in zip(self._keys, self._vals):
-            uc = units[i].coords
-            for vc, cv in ys:
-                k = index[coord_mul(uc, vc)]
+            row = table[i]
+            product = row.get
+            for j, cv in ys:
+                k = product(j)
+                if k is None:
+                    k = row[j] = index[coord_mul(coords[i], coords[j])]
                 acc[k] = get(k, 0) + cu * cv
         return GroupRingVector._of_sums(ring, acc)
 
@@ -571,6 +579,22 @@ class GwPresentedRing:
 def present(ring, kind) -> GwPresentedRing:
     """Quotient Z^{R^x} by the chosen relation lattice."""
     return GwPresentedRing(make_ring(ring), PresentationKind.coerce(kind))
+
+
+def present_both(ring) -> tuple[GwPresentedRing, GwPresentedRing]:
+    """(hopf, reduced): both presentations of ring, as ``present`` gives them.
+
+    When family (iii) has an instance, :func:`_presented_rows` gives the
+    hopf kind the reduced rows, so the hopf presentation is a copy of the
+    reduced one under its own kind, and one lattice is built, not two.
+    """
+    ring = make_ring(ring)
+    reduced = GwPresentedRing(ring, PresentationKind.REDUCED)
+    if not _has_unit_sums(ring):
+        return GwPresentedRing(ring, PresentationKind.HOPF), reduced
+    hopf = copy.copy(reduced)
+    hopf.kind = PresentationKind.HOPF
+    return hopf, reduced
 
 
 def mul(x: GroupRingVector, y: GroupRingVector) -> GroupRingVector:

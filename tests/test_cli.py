@@ -218,7 +218,7 @@ def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypa
     ("gw --ring GR(4,x)", "bad degree 'x' in 'GR(4,x)'"),
     ("table --ring Z/5 --metrics bogus",
      "unknown metric 'bogus'; choose from ['compare', 'gw', 'split', 'sumsq', 'units']"),
-    ("prove", "no identity given (positional argument or --file) at line 1, column 1"),
+    ("prove", "no identity given (positional argument or --file)"),
 ])
 def test_refusal_prints_one_error_line(argv, message, capsys):
     assert run_cli(capsys, *argv.split()) == (1, "", f"error: {message}\n")
@@ -265,6 +265,13 @@ def test_only_prove_and_validate_load_their_modules():
         [0, ["mwkit.qform"]], [0, ["mwkit.kmwterm", "mwkit.qform", "mwkit.termparse"]]]
 
 
+def test_prove_without_identity_loads_no_prover_module():
+    run = _fresh_python("-c", _IMPORT_PROBE, json.dumps([["prove"]]))
+    run.check_returncode()
+    assert json.loads(run.stdout) == [[1, []]]
+    assert run.stderr == "error: no identity given (positional argument or --file)\n"
+
+
 def test_python_m_prints_the_version():
     run = _fresh_python("-m", "mwkit.cli", "--version")
     assert (run.returncode, run.stdout, run.stderr) == (0, f"mwkit {mwkit.__version__}\n", "")
@@ -286,6 +293,7 @@ def test_typed_errors_derive_from_input_error(cls):
     ("prove <a>=<a> --hints 1-a", kmwterm.IdentityError),
     ("prove <a>=<a> --depth 0", kmwterm.ConfigError),
     ("prove --file NON_UTF8", InputFileError),
+    ("prove", InputError),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_each_typed_error_exits_one(argv, raised, tmp_path, capsys):
     path = tmp_path / "input.txt"
@@ -500,6 +508,36 @@ def test_gw_full_table_for_small_family(tmp_path, capsys):
     assert rows[1]["reduced_rank"] == 2
     assert rows[1]["plus_rank"] == 1 and rows[1]["minus_rank"] == 1
     assert rows[0]["comparison"] is True
+
+
+def test_table_builds_each_lattice_once(tmp_path, capsys, monkeypatch):
+    # a ring with unit sums presents both kinds by the reduced rows, so its
+    # row builds one presentation; Z/12, with residue field F_2, builds two
+    from mwkit import gwring
+
+    built = []
+    rows_of = gwring._presented_rows
+
+    def counted(ring, kind):
+        built.append(ring.spec_string())
+        return rows_of(ring, kind)
+
+    monkeypatch.setattr(gwring, "_presented_rows", counted)
+    family = tmp_path / "family.txt"
+    family.write_text("Z/9\nZ/12\nGF(2^3)\nZ/19\nGR(8,2)\n")
+    once = ["Z/9", "Z/12", "GF(2^3)", "Z/19", "GR(2^3,2)"]
+    tables = {}
+    for metrics, want in (("gw", once + ["Z/12"]), ("", once + ["Z/12"]), ("split", once),
+                          ("units", [])):
+        built.clear()
+        code, out, _ = run_cli(capsys, "table", "--family", str(family), "--metrics", metrics)
+        assert code == 0 and sorted(built) == sorted(want), metrics
+        tables[metrics] = json.loads(out)
+    monkeypatch.undo()
+    for row in tables["gw"]:
+        hopf, reduced = gwring.present(row["ring"], "hopf"), gwring.present(row["ring"], "reduced")
+        assert row == {"ring": row["ring"], "hopf_rank": hopf.rank, "hopf_torsion": list(hopf.torsion),
+                       "reduced_rank": reduced.rank, "reduced_torsion": list(reduced.torsion)}
 
 
 # stdout of each command, recorded from the all-pairs builders these replaced;

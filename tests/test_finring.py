@@ -75,6 +75,36 @@ def test_galois_field_explicit_modulus_checked():
         GaloisField(3, 2, (1, 1))
 
 
+def test_galois_ring_tests_only_a_given_modulus(monkeypatch):
+    # the canonical modulus is irreducible as found, so only a modulus the
+    # caller gives is tested again; the refusals keep their texts
+    calls = []
+    irreducible = finring._poly_is_irreducible
+
+    def counted(mod, p):
+        calls.append(tuple(mod))
+        return irreducible(mod, p)
+
+    monkeypatch.setattr(finring, "_poly_is_irreducible", counted)
+    for cls, args in ((GaloisField, (2, 12)), (GaloisRing, (3, 2, 3)), (GaloisField, (5, 1))):
+        calls.clear()
+        ring = cls(*args)
+        found = calls[:]
+        calls.clear()
+        assert ring.modulus == smallest_irreducible(args[0], args[-1])
+        assert found == calls and found[-1] == ring.modulus
+        calls.clear()
+        assert cls(*args, ring.modulus) == ring and calls == [ring.modulus]
+    for cls, args, text in (
+            (GaloisField, (3, 2, (2, 0, 1)), "GF(3^2): reducible modulus x^2+2"),
+            (GaloisField, (3, 2, (1, 1)), "GF(3^2): modulus must be monic of degree 2"),
+            (GaloisRing, (3, 2, 2, (2, 0, 1)), "GR(3^2,2): reducible modulus x^2+2 mod 3"),
+            (GaloisRing, (2, 2, 2, (1, 0, 1)), "GR(2^2,2): reducible modulus x^2+1 mod 2")):
+        with pytest.raises(RingError) as info:
+            cls(*args)
+        assert str(info.value) == text
+
+
 def test_construction_errors():
     with pytest.raises(RingError, match="at least 2"):
         Zmod(1)
@@ -407,23 +437,30 @@ def test_deeply_nested_product_refused(capsys):
 
 def test_unit_index_survives_copies():
     # a GaloisField is its own residue field, so its copies hold a cycle; the
-    # square map, the square classes and the unit sums are left behind with
-    # the units and rebuilt equal, also on a q = 2 field and on a product
+    # square map, the square classes, the unit sums and the table of unit
+    # products are left behind with the units and rebuilt equal, also on a
+    # q = 2 field and on a product
     for spec in ("GR(4,2)", "GF(3^2)", "GF(2^4)", "prod(Z/4,GF(2^2))"):
         ring = parse_ring_spec(spec)
         units = ring.units()
         squares, classes = ring.unit_square_map(), ring.square_classes()
         sums = ring.unit_sum_classes()
+        every = GroupRingVector(ring, dict.fromkeys(units, 1))
+        square = every * every
+        assert sum(map(len, ring.unit_products().values())) == len(units) ** 2
         assert [ring.unit_index(u) for u in units] == list(range(len(units)))
         for clone in (copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
             assert clone == ring
             assert clone._square_map is None and clone._square_classes is None
-            assert clone._unit_sums is None
+            assert clone._unit_sums is None and clone._unit_products is None
             assert clone.unit_index_by_coords() == ring.unit_index_by_coords()
             assert [clone.unit_index(u) for u in units] == list(range(len(units)))
             assert clone.unit_square_map() == squares
             assert clone.square_classes() == classes
             assert clone.unit_sum_classes() == sums
+            again = GroupRingVector(clone, dict.fromkeys(clone.units(), 1))
+            assert list((again * again).coeffs.items()) == list(square.coeffs.items())
+            assert clone.unit_products() == ring.unit_products()
 
 
 # the test rings, the gw full-scan rings, every q = 2 Galois ring up to 2^12

@@ -647,13 +647,93 @@ def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_product_matches_element_oracle(spec):
+    # each product on a cold table, on the table it warmed, and on a
+    # pickled and a copied clone, whose rings hold no table
     ring = parse_ring_spec(spec)
     units = ring.units()
     rng = random.Random(f"product {spec}")
     for _ in range(30):
         x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
-        got, want = x * y, oracle_product(x, y)
-        assert list(got.coeffs.items()) == list(want.coeffs.items()), (x, y)
+        want = list(oracle_product(x, y).coeffs.items())
+        ring._unit_products = None
+        for side in ("cold", "warm"):
+            assert list((x * y).coeffs.items()) == want, (side, x, y)
+        for clone in (pickle.loads(pickle.dumps((x, y))), copy.deepcopy((x, y))):
+            assert clone[0].ring._unit_products is None
+            assert list((clone[0] * clone[1]).coeffs.items()) == want, ("clone", x, y)
+
+
+def test_present_both_is_present_of_each_kind(gw_family):
+    # with unit sums the hopf presentation shares the reduced one's lattice
+    for ring in gw_family:
+        hopf, reduced = gwring.present_both(ring)
+        for p, kind in ((hopf, "hopf"), (reduced, "reduced")):
+            q = gwring.present(ring, kind)
+            assert (p.kind, p.classes, p.rank, p.torsion, p.report()) == (
+                q.kind, q.classes, q.rank, q.torsion, q.report())
+            assert p.lattice.basis() == q.lattice.basis()
+        assert (hopf.presentation is reduced.presentation) == _has_unit_sums(ring)
+
+
+def _table_pairs(ring) -> set:
+    return {(i, j) for i, row in ring.unit_products().items() for j in row}
+
+
+@pytest.mark.parametrize("spec", ["Z/29", "GR(4,2)", "GF(2^4)", "prod(Z/5,Z/7)"])
+def test_product_multiplies_each_pair_of_units_once(spec, monkeypatch):
+    # the first product of a pair of units is one coordinate product, read
+    # from the table by every later product; the table holds the pairs
+    # multiplied, each once, with the index of their product
+    ring = parse_ring_spec(spec)
+    units = ring.units()
+    calls = []
+    coord_mul = type(ring)._mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return coord_mul(self, a, b)
+
+    monkeypatch.setattr(type(ring), "_mul", counted)
+    rng = random.Random(f"table {spec}")
+    seen: set = set()
+    for _ in range(12):
+        x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
+        pairs = set(product(x._keys, y._keys))
+        calls.clear()
+        first = x * y
+        assert len(calls) == len(pairs - seen)
+        seen |= pairs
+        assert _table_pairs(ring) == seen
+        calls.clear()
+        assert list((x * y).coeffs.items()) == list(first.coeffs.items())
+        assert calls == [] and _table_pairs(ring) == seen
+    table = ring.unit_products()
+    assert all(units[k] == units[i] * units[j] for i, row in table.items() for j, k in row.items())
+
+
+@pytest.mark.parametrize("spec", ["Z/7", "GF(3^2)", "GR(4,2)", "prod(Z/3,Z/5)"])
+def test_reports_leave_the_product_table_empty(spec, monkeypatch, capsys):
+    # every report reads presentations, classes and unit maps; none
+    # multiplies vectors, so no ring of theirs makes a product table
+    from mwkit import cli
+
+    made = []
+
+    def recorded(arg):
+        made.append(parse_ring_spec(arg))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_ring", recorded)
+    for command in ("gw", "compare", "sumsq", "ringinfo", "validate"):
+        cli.main([command, "--ring", spec])
+    cli.main(["gw", "--ring", spec, "--kind", "hopf"])
+    capsys.readouterr()
+    assert len(made) == 6
+    ring = parse_ring_spec(spec)
+    for kind in ("hopf", "reduced"):
+        gwring.present(ring, kind).report()
+    for ring in made + [ring]:
+        assert ring._unit_products is None, ring
 
 
 def _oracle_rings(gw_family):
