@@ -27,7 +27,7 @@ import sys
 from .. import __version__
 from ..errors import InputError
 from ..finring import RingError, make_ring
-from ..gwring import PresentationKind, compare_presentations, present, present_both
+from ..gwring import PresentationKind, compare_presentations, present
 from ..sumsq import unit_square_closure
 
 TABLE_METRICS = {
@@ -130,13 +130,26 @@ class InputFileError(InputError):
 
 
 def _read_text(path: str, option: str) -> str:
-    """The text of the UTF-8 file given to ``option``."""
+    """The text of the UTF-8 file given to ``option``, less a leading byte-order mark."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            # a leading byte-order mark is not text; utf-8-sig would drop
+            # it too, but would count a decode error's offset without it
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputFileError(
             f"{option} {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parsed(parse, text: str, source: str):
+    """parse(text), with a ``ParseError`` raised again under the name of
+    ``source``, the option that ``text`` came from."""
+    from ..termparse import ParseError
+
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{source}: {exc.message}", exc.line, exc.col) from None
 
 
 def cmd_prove(args) -> tuple[int, str]:
@@ -145,8 +158,12 @@ def cmd_prove(args) -> tuple[int, str]:
         raise InputError("no identity given (positional argument or --file)")
     from .. import kmwterm, termparse
 
-    hints = tuple(termparse.parse_unit(h) for h in _split_list(args.hints))
-    identity = termparse.parse_identity(text, args.hyp or "")
+    hints = tuple(_parsed(termparse.parse_unit, h, f"--hints {h!r}") for h in _split_list(args.hints))
+    # parse_identity reads the hypotheses too, and its errors would not say
+    # which text their positions are in, so --hyp is checked first
+    hyp = args.hyp or ""
+    _parsed(termparse.parse_hypotheses, hyp, "--hyp")
+    identity = termparse.parse_identity(text, hyp)
     # ProveConfig.validate would name its fields; name the flags typed
     for flag, value in (("--depth", args.depth), ("--max-words", args.max_words)):
         if value <= 0:
@@ -192,13 +209,16 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
         if "minus_one_exponent" in metrics:
             closure = unit_square_closure(ring)
             row["minus_one_exponent"] = closure.exponent(ring.minus_one())
+        if "comparison" in metrics or "hopf_rank" in metrics:
+            implied = compare_presentations(ring).extra_relations_implied
         if set(TABLE_METRICS["gw"] + TABLE_METRICS["split"]) & set(metrics):
-            if "hopf_rank" in metrics or "hopf_torsion" in metrics:
-                hopf, reduced = present_both(ring)
+            reduced = present(ring, PresentationKind.REDUCED)
+            if "hopf_rank" in metrics:
+                # the comparison holds exactly when the two lattices are
+                # equal, and then the reduced presentation is the hopf one
+                hopf = reduced if implied else present(ring, PresentationKind.HOPF)
                 row["hopf_rank"] = hopf.rank
                 row["hopf_torsion"] = list(hopf.torsion)
-            else:
-                reduced = present(ring, PresentationKind.REDUCED)
             row["reduced_rank"] = reduced.rank
             row["reduced_torsion"] = list(reduced.torsion)
             if "plus_rank" in metrics or "minus_rank" in metrics:
@@ -206,7 +226,7 @@ def _table_row(spec: str, metrics: list[str]) -> dict:
                 row["plus_rank"] = split.plus_rank
                 row["minus_rank"] = split.minus_rank
         if "comparison" in metrics:
-            row["comparison"] = compare_presentations(ring).extra_relations_implied
+            row["comparison"] = implied
     except ValueError as exc:
         row["error"] = str(exc)
     return row

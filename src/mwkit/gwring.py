@@ -25,9 +25,10 @@ presented in the dimension of the invariants, not of the units:
   If some residue field is F_2, family (iii) is empty and the hopf lattice
   is spanned by the |U| family (ii) rows, with no unit translates.
 
-The lattice in Z^{units} (``relation_lattice``, ``build_relations``,
-``GwPresentedRing.lattice``) is lifted from L' through the class map only
-when it is asked for.  :func:`relation_lattice` proves the two cases.
+:func:`present` is the one builder of a presented ring, and
+``GwPresentedRing.lattice`` the one lattice in Z^{units}: it is lifted
+from L' through the class map only when it is read.  README ("Presented
+rings") proves both cases above.
 
 :func:`compare_presentations` builds no lattice: the two kinds agree when
 family (iii) is non-empty, and otherwise exactly when every unit squares
@@ -42,7 +43,6 @@ for the output format.
 
 from __future__ import annotations
 
-import copy
 import enum
 import operator
 from collections import defaultdict
@@ -51,7 +51,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import itemgetter, neg
 from operator import mul as _times  # gwring.mul is the group ring product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .finring import Ring, RingElement, make_ring
 from .presab import SnfPresentation, ZLattice
@@ -311,7 +311,8 @@ def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int,
     With a residue field F_2 the hopf kind keeps one coordinate per unit
     and its rows are the distinct family (ii) rows.  Every other
     presentation is the reduced one, on the C square classes, spanned by
-    the rows [g](1 + [t])(1 - [h]) of :func:`relation_lattice`: for each
+    the rows [g](1 + [t])(1 - [h]), which README ("Presented rings")
+    derives from families (ii) and (iii) read through the classes: for each
     class t, h runs over the classes of D[t] that are independent over F_2
     of t and of the h before them, and g over the least class of each coset
     of <t, h>, whose other classes give the same row up to sign.  Classes
@@ -345,82 +346,6 @@ def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int,
     return classes, count, rows
 
 
-def _lift(classes: Sequence[int], rows: Iterable[dict]) -> ZLattice:
-    """The vectors of Z^n whose class sums lie in the span L' of ``rows``.
-
-    n = len(classes), and each row maps coordinates to nonzero ints.  The
-    lattice is the kernel of the class sum, spanned by e_u - e_last(u) for
-    each unit u other than the last unit last(u) of its class, plus the
-    rows of L' placed on the last units.  Those go in first: then a kernel
-    row meets no basis entry at its pivot u, which no other row touches.
-    """
-    last = {c: i for i, c in enumerate(classes)}
-    lattice = ZLattice(len(classes))
-    for row in rows:
-        lattice._insert({last[c]: x for c, x in row.items()})
-    for i, c in enumerate(classes):
-        if last[c] != i:
-            lattice._insert({i: 1, last[c]: -1})
-    return lattice
-
-
-def relation_lattice(ring, kind) -> ZLattice:
-    """The relation lattice of the chosen kind in Z^{units}.
-
-    reduced: the family (i) span is the kernel of the sum over square
-    classes, so Z^{units} / L is Z^C / L' for the C square classes, and L'
-    is spanned by the family (ii) and (iii) rows with every unit replaced by
-    its class, in Z[G] for G = R^x / (R^x)^2.  Classes are their own
-    inverses, so with a of class c and b = au, u of class t and 1 + u a
-    unit of class d, the family (iii) row is [c](1 + [t])(1 - [d]), and
-    the family (ii) row of a of class c is -(1 + [m])(1 - [c]), m the
-    class of -1.  For each t the 1 - [d], d in D[t] of
-    ``Ring.unit_sum_classes``, generate the kernel of Z[G] -> Z[G / H_t],
-    H_t = <D[t]>, since 1 - [hh'] = (1 - [h]) + [h](1 - [h']); family (ii)
-    is the case t = m, H = G.  As (1 + [t])(1 - [t]) = 0, L' is spanned by
-    the rows [g](1 + [t])(1 - [h]) for g in G and h in a basis of
-    <t> + H_t beyond t.
-
-    hopf: with r(a,b) = <a> + <b> - <a+b> - <(a+b)ab> the family (iii) row,
-
-        r(a,b) = <a> r(1, b/a) + <(a+b)b/a> (1 - <a^2>).
-
-    If no residue field of R is F_2, the hopf ideal J holds every
-    1 - <c^2> with 1 + c a unit: r(c,1) = r(1,c) and 1 + 1/c is a unit, so
-
-        <(c+1)/c> (1 - <c^2>) = r(1,c) - <c> r(1, 1/c).
-
-    Every unit a is c1 c2 z with 1 + c1 and 1 + c2 units and z^2 = 1 (in
-    each local factor, c1 with residue away from -1 and -a if the residue
-    field has 4 or more elements, c1 = 1 and z = +-1 if it is F_3), so J holds
-    1 - <a^2> = (1 - <c1^2>) + <c1^2> (1 - <c2^2>) for every unit a, hence
-    every family (i) row <b>(<a^2> - 1): J is the reduced lattice.  If some
-    residue field is F_2, no sum of two units is a unit, family (iii) is
-    empty, and J is spanned by the rows f(a) = <a> + <-a> - <1> - <-1>
-    alone, because <b> f(a) = f(ab) - f(b).  From that span
-    :func:`compare_presentations` reads that J holds no nonzero family (i)
-    row.
-
-    The lattice is lifted from L' (see :func:`_lift`) each time this is
-    called; ``present`` builds only L', in dimension C, except for the hopf
-    kind with a residue field F_2, whose L' is this lattice.
-    """
-    ring = make_ring(ring)
-    classes, _, rows = _presented_rows(ring, PresentationKind.coerce(kind))
-    return _lift(classes, map(dict, rows))
-
-
-def build_relations(ring, kind) -> list[tuple[int, ...]]:
-    """Reduced Hermite basis of the relation lattice of the chosen kind in Z^{units}.
-
-    See :func:`relation_lattice`, which this lifts to the units on each
-    call; the basis rows are listed by increasing pivot, and the empty list
-    means the lattice is zero.  The basis depends only on the lattice, so
-    equal lattices give equal lists.
-    """
-    return relation_lattice(ring, kind).basis()
-
-
 @dataclass(frozen=True)
 class SplitReport:
     """Invariants of the two eigenpieces after inverting 2.
@@ -448,8 +373,7 @@ class GwPresentedRing:
 
     The quotient is presented as Z^m / L' (see :func:`_presented_rows`):
     ``classes[i]`` is the coordinate of Z^m that unit i is read through, and
-    ``presentation`` presents Z^m / L'.  ``lattice``, the relation lattice
-    in Z^{units}, is lifted from L' on first read.
+    ``presentation`` presents Z^m / L'.  Build one with :func:`present`.
     """
 
     def __init__(self, ring: Ring, kind: PresentationKind):
@@ -470,9 +394,24 @@ class GwPresentedRing:
 
     @property
     def lattice(self) -> ZLattice:
+        """The relation lattice in Z^{units}, lifted from L' on first read.
+
+        It is the vectors whose class sums lie in L': the kernel of the
+        class sum, spanned by e_u - e_last(u) for each unit u other than the
+        last unit last(u) of its class, plus the basis rows of L' placed on
+        the last units.  Those go in first: then a kernel row meets no basis
+        entry at its pivot u, which no other row touches.
+        """
         if self._lattice is None:
-            rows = ({k: x for k, x in enumerate(row) if x} for row in self._presented.basis())
-            self._lattice = _lift(self.classes, rows)
+            classes = self.classes
+            last = {c: i for i, c in enumerate(classes)}
+            lattice = ZLattice(len(classes))
+            for row in self._presented.basis():
+                lattice._insert({last[c]: x for c, x in enumerate(row) if x})
+            for i, c in enumerate(classes):
+                if last[c] != i:
+                    lattice._insert({i: 1, last[c]: -1})
+            self._lattice = lattice
         return self._lattice
 
     @property
@@ -581,20 +520,14 @@ def present(ring, kind) -> GwPresentedRing:
     return GwPresentedRing(make_ring(ring), PresentationKind.coerce(kind))
 
 
-def present_both(ring) -> tuple[GwPresentedRing, GwPresentedRing]:
-    """(hopf, reduced): both presentations of ring, as ``present`` gives them.
+def build_relations(ring, kind) -> list[tuple[int, ...]]:
+    """Reduced Hermite basis of the relation lattice of the chosen kind in Z^{units}.
 
-    When family (iii) has an instance, :func:`_presented_rows` gives the
-    hopf kind the reduced rows, so the hopf presentation is a copy of the
-    reduced one under its own kind, and one lattice is built, not two.
+    The rows of ``present(ring, kind).lattice``, listed by increasing pivot;
+    the empty list means the lattice is zero.  The basis depends only on
+    the lattice, so equal lattices give equal lists.
     """
-    ring = make_ring(ring)
-    reduced = GwPresentedRing(ring, PresentationKind.REDUCED)
-    if not _has_unit_sums(ring):
-        return GwPresentedRing(ring, PresentationKind.HOPF), reduced
-    hopf = copy.copy(reduced)
-    hopf.kind = PresentationKind.HOPF
-    return hopf, reduced
+    return present(ring, kind).lattice.basis()
 
 
 def mul(x: GroupRingVector, y: GroupRingVector) -> GroupRingVector:
@@ -629,7 +562,7 @@ def compare_presentations(ring) -> ComparisonReport:
 
     The reduced lattice is the hopf lattice H plus the family (i) rows
     <a b^2> - <a>.  When no residue field of R is F_2 the two lattices are
-    equal (see :func:`relation_lattice`), and the answer is True.
+    equal (README, "Presented rings", proves it), and the answer is True.
 
     Otherwise H is spanned by the rows f(a) = <a> + <-a> - <1> - <-1>, so
     every vector of H has equal coefficients at u and -u, and even ones

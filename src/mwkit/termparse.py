@@ -50,6 +50,7 @@ from .errors import InputError
 class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -151,6 +151,27 @@ def test_non_utf8_input_file_exit_one(flag, tmp_path, capsys):
     assert f"{flag.split()[1]} {path}" in err
 
 
+@pytest.mark.parametrize("flag,text", [("prove --file", "<a> + <-a> = <1> + <-1>\n"),
+                                       ("table --family", "Z/9\n")])
+def test_byte_order_mark_is_not_input(flag, text, tmp_path, capsys):
+    # a UTF-8 byte-order mark before the first line made it unreadable
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = run_cli(capsys, *flag.split(), str(plain))
+    assert want[0] == 0 and not want[2]
+    assert run_cli(capsys, *flag.split(), str(marked)) == want
+
+
+@pytest.mark.parametrize("flag", ["prove --file", "table --family"])
+def test_decode_error_offset_counts_the_byte_order_mark(flag, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xef\xbb\xbfZ/3\n\xffZ/5\n")  # the bad byte is at offset 7
+    code, out, err = run_cli(capsys, *flag.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag.split()[1]} {path}: not UTF-8 text (invalid start byte at byte 7)\n"
+
+
 USAGE_ERRORS = [
     "gw",  # a missing --ring
     "frobnicate --ring Z/7",  # an unknown subcommand
@@ -219,6 +240,9 @@ def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypa
     ("table --ring Z/5 --metrics bogus",
      "unknown metric 'bogus'; choose from ['compare', 'gw', 'split', 'sumsq', 'units']"),
     ("prove", "no identity given (positional argument or --file)"),
+    # a position in --hyp or --hints text names the option, and a hint's text
+    ("prove <a>=<a> --hyp unit(1-a),unit(0)", "--hyp: 0 is not a unit at line 1, column 16"),
+    ("prove <a>=<a> --hints a*b,1/0", "--hints '1/0': 0 is not a unit at line 1, column 3"),
 ])
 def test_refusal_prints_one_error_line(argv, message, capsys):
     assert run_cli(capsys, *argv.split()) == (1, "", f"error: {message}\n")
@@ -511,8 +535,10 @@ def test_gw_full_table_for_small_family(tmp_path, capsys):
 
 
 def test_table_builds_each_lattice_once(tmp_path, capsys, monkeypatch):
-    # a ring with unit sums presents both kinds by the reduced rows, so its
-    # row builds one presentation; Z/12, with residue field F_2, builds two
+    # a row that reads both kinds builds the hopf presentation only when the
+    # comparison fails, i.e. when the two lattices differ: Z/16, whose unit
+    # 3 squares to 9, builds two; Z/12 has residue field F_2 too, but its
+    # units square to 1, so it builds one
     from mwkit import gwring
 
     built = []
@@ -524,10 +550,10 @@ def test_table_builds_each_lattice_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(gwring, "_presented_rows", counted)
     family = tmp_path / "family.txt"
-    family.write_text("Z/9\nZ/12\nGF(2^3)\nZ/19\nGR(8,2)\n")
-    once = ["Z/9", "Z/12", "GF(2^3)", "Z/19", "GR(2^3,2)"]
+    family.write_text("Z/9\nZ/12\nGF(2^3)\nZ/19\nGR(8,2)\nZ/16\n")
+    once = ["Z/9", "Z/12", "GF(2^3)", "Z/19", "GR(2^3,2)", "Z/16"]
     tables = {}
-    for metrics, want in (("gw", once + ["Z/12"]), ("", once + ["Z/12"]), ("split", once),
+    for metrics, want in (("gw", once + ["Z/16"]), ("", once + ["Z/16"]), ("split", once),
                           ("units", [])):
         built.clear()
         code, out, _ = run_cli(capsys, "table", "--family", str(family), "--metrics", metrics)

@@ -48,7 +48,6 @@ from mwkit.gwring import (
     build_relations,
     compare_presentations,
     mul,
-    relation_lattice,
 )
 from mwkit.presab import ZLattice
 from mwkit.sumsq import unit_square_closure
@@ -97,19 +96,10 @@ def test_build_relations_f2_empty():
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_relation_lattice_matches_oracle(spec, kind):
     ring = parse_ring_spec(spec)
-    lattice = relation_lattice(ring, kind)
+    lattice = gwring.present(ring, kind).lattice
     oracle = ZLattice(len(ring.units()), oracle_relations(ring, kind))
     assert lattice.spans_same(oracle)
     assert build_relations(ring, kind) == lattice.basis()
-
-
-@pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_equal_lattices_have_equal_bases(spec):
-    # the reduced lattice contains the hopf one, so they are equal exactly
-    # when the comparison holds, and then their reduced Hermite bases agree
-    ring = parse_ring_spec(spec)
-    same = build_relations(ring, "hopf") == build_relations(ring, "reduced")
-    assert same == compare_presentations(ring).extra_relations_implied
 
 
 # the oracle family, three more rings with residue field F_2, where family
@@ -118,10 +108,24 @@ FULL_SCAN_SPECS = ORACLE_SPECS + ["Z/32", "Z/64", "prod(Z/16,Z/5)", "Z/61", "GF(
                                   "GF(3^4)", "GR(16,2)", "Z/127"]
 
 
+@pytest.mark.parametrize("spec", FULL_SCAN_SPECS + ["GF(2^3)", "Z/19", "GR(8,2)"])
+def test_equal_lattices_have_equal_bases(spec):
+    # the reduced lattice contains the hopf one, so they are equal exactly
+    # when the comparison holds, and then their reduced Hermite bases and
+    # their presentations agree: `table` reads the hopf columns off the
+    # reduced presentation whenever the comparison holds
+    ring = parse_ring_spec(spec)
+    same = build_relations(ring, "hopf") == build_relations(ring, "reduced")
+    assert same == compare_presentations(ring).extra_relations_implied
+    hopf, reduced = gwring.present(ring, "hopf"), gwring.present(ring, "reduced")
+    if same:
+        assert (hopf.rank, hopf.torsion) == (reduced.rank, reduced.torsion)
+
+
 @pytest.mark.parametrize("kind", ["hopf", "reduced"])
 @pytest.mark.parametrize("spec", FULL_SCAN_SPECS)
 def test_relation_lattice_matches_full_scan(spec, kind):
-    lattice = relation_lattice(parse_ring_spec(spec), kind)
+    lattice = gwring.present(parse_ring_spec(spec), kind).lattice
     oracle = oracle_relation_lattice(parse_ring_spec(spec), kind)
     assert lattice.basis() == oracle.basis()
     assert lattice.spans_same(oracle)
@@ -141,7 +145,7 @@ def test_hopf_lattice_dichotomy(spec):
     # (i) has a nonzero row, i.e. when some unit square is not 1
     ring = parse_ring_spec(spec)
     units = ring.units()
-    hopf, reduced = relation_lattice(ring, "hopf"), relation_lattice(ring, "reduced")
+    hopf, reduced = gwring.present(ring, "hopf").lattice, gwring.present(ring, "reduced").lattice
     assert hopf.spans_same(oracle_spin_up_lattice(parse_ring_spec(spec), "hopf"))
     assert reduced.spans_same(oracle_spin_up_lattice(parse_ring_spec(spec), "reduced"))
     if _units_sum_to_a_unit(ring):
@@ -227,7 +231,7 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     monkeypatch.setattr(ring, "_add", lambda a, b: adds.append(1) or add(a, b))
     monkeypatch.setattr(ring, "_plus_one", lambda a: adds.append(1) or plus_one(a))
     monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
-    relation_lattice(ring, kind)
+    gwring.present(ring, kind).lattice
     assert 0 < len(adds) <= len(units) + 1
     assert len(muls) <= 2 * len(units) + classes
 
@@ -335,8 +339,8 @@ def test_unit_loops_build_almost_no_ring_elements(spec, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(RingElement, "__init__", counting)
-    calls = [("hopf", lambda: relation_lattice(ring, "hopf")),
-             ("reduced", lambda: relation_lattice(ring, "reduced")),
+    calls = [("hopf", lambda: gwring.present(ring, "hopf").lattice),
+             ("reduced", lambda: gwring.present(ring, "reduced").lattice),
              ("sumsq", lambda: unit_square_closure(ring)),
              ("report", lambda: GwPresentedRing(ring, PresentationKind.REDUCED).report())]
     for name, call in calls:
@@ -661,18 +665,6 @@ def test_product_matches_element_oracle(spec):
         for clone in (pickle.loads(pickle.dumps((x, y))), copy.deepcopy((x, y))):
             assert clone[0].ring._unit_products is None
             assert list((clone[0] * clone[1]).coeffs.items()) == want, ("clone", x, y)
-
-
-def test_present_both_is_present_of_each_kind(gw_family):
-    # with unit sums the hopf presentation shares the reduced one's lattice
-    for ring in gw_family:
-        hopf, reduced = gwring.present_both(ring)
-        for p, kind in ((hopf, "hopf"), (reduced, "reduced")):
-            q = gwring.present(ring, kind)
-            assert (p.kind, p.classes, p.rank, p.torsion, p.report()) == (
-                q.kind, q.classes, q.rank, q.torsion, q.report())
-            assert p.lattice.basis() == q.lattice.basis()
-        assert (hopf.presentation is reduced.presentation) == _has_unit_sums(ring)
 
 
 def _table_pairs(ring) -> set:

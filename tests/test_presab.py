@@ -310,8 +310,9 @@ def test_present_builds_one_lattice(spec, kind, monkeypatch):
     # relation rows enter through ZLattice._insert, which ZLattice.add also
     # calls, so counting there sees every row either way.  No residue field
     # of these rings is F_2, so both kinds present on the C square classes,
-    # and relation_lattice lifts the same rows to Z^{units} in one lattice,
-    # adding one kernel row per unit that is not the last of its class.
+    # and the lattice property lifts the basis of L' to Z^{units} in one
+    # lattice, adding one kernel row per unit that is not the last of its
+    # class.
     built, inserts = [], []
     init, insert = ZLattice.__init__, ZLattice._insert
 
@@ -328,14 +329,14 @@ def test_present_builds_one_lattice(spec, kind, monkeypatch):
     ring = parse_ring_spec(spec)
     n = len(ring.units())
     classes = n // len(ring.unit_squares())
-    gwring.relation_lattice(ring, kind)
-    alone = list(built), list(inserts)
+    p = gwring.present(ring, kind)
+    presented = list(built), list(inserts)
     built.clear()
     inserts.clear()
-    gwring.present(ring, kind)
-    assert alone[0] == [n] and built == [classes] < [n]
-    assert inserts == [classes] * len(inserts)  # none on GF(2^2), where C = 1
-    assert alone[1] and alone[1] == [n] * (len(inserts) + n - classes)
+    p.lattice
+    assert presented[0] == [classes] < [n] and built == [n]
+    assert presented[1] == [classes] * len(presented[1])  # none on GF(2^2), where C = 1
+    assert inserts and inserts == [n] * (len(p._presented.basis()) + n - classes)
 
 
 def random_unimodular(rng, n, steps=12):
@@ -495,7 +496,7 @@ def test_lattice_matches_echelon_oracle_on_random_rows():
 @pytest.mark.parametrize("kind", ["hopf", "reduced"])
 @pytest.mark.parametrize("spec", GW_SPECS)
 def test_lattice_matches_echelon_oracle_on_relation_rows(spec, kind, monkeypatch):
-    rows = []  # the rows relation_lattice inserts, in order, densified
+    rows = []  # the rows the lift to Z^{units} inserts, in order, densified
 
     class Recording(ZLattice):
         # relation rows enter sparse through _insert, which add also calls
@@ -508,7 +509,9 @@ def test_lattice_matches_echelon_oracle_on_relation_rows(spec, kind, monkeypatch
 
     monkeypatch.setattr(gwring, "ZLattice", Recording)
     ring = parse_ring_spec(spec)
-    lattice = gwring.relation_lattice(ring, kind)
+    p = gwring.present(ring, kind)
+    rows.clear()  # those of L', in the dimension of the presentation
+    lattice = p.lattice
     # the rows span the lattice, so a row that skipped _insert shows here
     assert len(rows) >= lattice.rank(), "relation rows went in unrecorded"
     _check_against_echelon(len(ring.units()), rows, random.Random(spec + kind))
@@ -548,7 +551,7 @@ def test_basis_is_the_unique_reduced_hermite_form():
 
 def test_hopf_basis_of_gf64_is_reduced():
     # the dense echelon basis of this lattice had 300-digit entries
-    basis = gwring.relation_lattice("GF(2^6)", "hopf").basis()
+    basis = gwring.present("GF(2^6)", "hopf").lattice.basis()
     assert basis
     _assert_reduced_hermite(basis)
 
