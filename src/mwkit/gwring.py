@@ -39,17 +39,20 @@ inverting 2 every presentation splits as (1, rank - 1), with no odd
 torsion, which README ("Presented rings") proves for both kinds.  The
 odd-torsion fields of :class:`SplitReport` are always empty and stay only
 for the output format.
+
+:meth:`GwPresentedRing.class_equal` and :meth:`GwPresentedRing.torsion_exponent`
+check the ring and pass a vector's unit indices and coefficients, read
+through ``classes``, to ``SnfPresentation.class_order``, the one reader of
+a presented class; a query runs in those two frames.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import gcd, lcm
-from operator import itemgetter, neg
+from operator import neg
 from operator import mul as _times  # gwring.mul is the group ring product
 from typing import Iterable, Mapping, Optional
 
@@ -373,7 +376,8 @@ class GwPresentedRing:
 
     The quotient is presented as Z^m / L' (see :func:`_presented_rows`):
     ``classes[i]`` is the coordinate of Z^m that unit i is read through, and
-    ``presentation`` presents Z^m / L'.  Build one with :func:`present`.
+    ``presentation`` presents Z^m / L', and reads the order of each class.
+    Build one with :func:`present`.
     """
 
     def __init__(self, ring: Ring, kind: PresentationKind):
@@ -425,69 +429,22 @@ class GwPresentedRing:
     def angle(self, u) -> GroupRingVector:
         return GroupRingVector.angle(self.ring, u)
 
-    def _order(self, x: GroupRingVector, y: Optional[GroupRingVector] = None) -> Optional[int]:
-        """Additive order of the class of x, or of x - y; None means infinite.
-
-        One frame serves the query.  x is summed with += and y with -= into
-        the coordinates of Z^m, unit k read through ``classes[k]``.  When the
-        supports hold at least m keys, the sum goes into a dense list of m
-        entries and each projection is dotted with all of it; otherwise it
-        goes into a dict of the coordinates met and each projection is read
-        at those coordinates only, by one ``itemgetter``.  Either dot runs in
-        C, and costs no more steps than the supports hold keys.  The free
-        projections are read first, and the first nonzero one ends the
-        reading; then the (torsion projection, invariant factor) pairs give
-        the order.
-        """
-        pres, ring, classes = self.presentation, self.ring, self.classes
-        if x.ring is not ring and x.ring != ring:
-            raise ValueError("ring mismatch")
-        support = len(x._keys)
-        if y is not None:
-            if y.ring is not ring and y.ring != ring:
-                raise ValueError("ring mismatch")
-            support += len(y._keys)
-        dense = pres.ambient <= support
-        acc = [0] * pres.ambient if dense else defaultdict(int)
-        # a running index into the coefficients costs less per query than
-        # a zip of the two tuples
-        i, vals = 0, x._vals
-        for k in x._keys:
-            acc[classes[k]] += vals[i]
-            i += 1
-        if y is not None:
-            i, vals = 0, y._vals
-            for k in y._keys:
-                acc[classes[k]] -= vals[i]
-                i += 1
-        free, torsion = pres._columns
-        if dense:
-            for col in free:
-                if sum(map(_times, col, acc)):
-                    return None
-            order = 1
-            for col, d in torsion:
-                order = lcm(order, d // gcd(d, sum(map(_times, col, acc))))
-            return order
-        coords, vals = tuple(acc), tuple(acc.values())
-        if len(coords) < 2:  # itemgetter of one coordinate returns a bare entry
-            coords, vals = coords + (0, 0), vals + (0, 0)
-        read = itemgetter(*coords)
-        for col in free:
-            if sum(map(_times, read(col), vals)):
-                return None
-        order = 1
-        for col, d in torsion:
-            order = lcm(order, d // gcd(d, sum(map(_times, read(col), vals))))
-        return order
-
     def class_equal(self, x: GroupRingVector, y: GroupRingVector) -> bool:
-        """Whether x and y have one class: the class of x - y has order 1."""
-        return self._order(x, y) == 1
+        """Whether x and y have one class: the class of x - y has order 1.
+
+        Unit k is read through coordinate ``classes[k]`` by
+        ``SnfPresentation.class_order``, the one reader of a class.
+        """
+        ring = self.ring
+        if (x.ring is not ring and x.ring != ring) or (y.ring is not ring and y.ring != ring):
+            raise ValueError("ring mismatch")
+        return self.presentation.class_order(self.classes, x._keys, x._vals, y._keys, y._vals) == 1
 
     def torsion_exponent(self, x: GroupRingVector) -> Optional[int]:
         """Additive order of the class of x; None means infinite order."""
-        return self._order(x)
+        if x.ring is not self.ring and x.ring != self.ring:
+            raise ValueError("ring mismatch")
+        return self.presentation.class_order(self.classes, x._keys, x._vals)
 
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))
@@ -537,17 +494,21 @@ def mul(x: GroupRingVector, y: GroupRingVector) -> GroupRingVector:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Does the hopf lattice already contain every reduced-only relation?"""
+    """Does the hopf lattice already contain every reduced-only relation?
+
+    ``names`` are the texts of the units at the nonzero entries of
+    ``witness``, in unit order.
+    """
 
     ring_spec: str
     extra_relations_implied: bool
     witness: Optional[tuple[int, ...]]
-    units: tuple
+    names: tuple[str, ...]
 
     def witness_sparse(self) -> Optional[dict]:
         if self.witness is None:
             return None
-        return {str(u): c for u, c in zip(self.units, self.witness) if c}
+        return dict(zip(self.names, filter(None, self.witness)))
 
     def to_json(self) -> dict:
         return {
@@ -577,13 +538,14 @@ def compare_presentations(ring) -> ComparisonReport:
     read.
     """
     ring = make_ring(ring)
-    witness, units = None, ()
+    witness, names = None, ()
     if not _has_unit_sums(ring):
         index, mul = ring.unit_index_by_coords(), ring._mul
         one = index[ring.one.coords]
         square = next((s for s in ring.unit_square_map() if s != one), None)
         if square is not None:
-            units = ring.units()  # only a witness names units
-            key = _sparse_key(((1, index[mul(units[0].coords, units[square].coords)]), (-1, 0)))
-            witness = _dense(len(units), key)
-    return ComparisonReport(ring.spec_string(), witness is None, witness, tuple(units))
+            coords = list(index)  # the witness's two units are named, not built
+            key = _sparse_key(((1, index[mul(coords[0], coords[square])]), (-1, 0)))
+            witness = _dense(len(coords), key)
+            names = tuple(ring._format(coords[i]) for i, _ in key)
+    return ComparisonReport(ring.spec_string(), witness is None, witness, names)

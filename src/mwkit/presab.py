@@ -6,6 +6,8 @@ modulo it: the pivot-1 rows of that basis are eliminated first, and the
 Smith normal form D = U C V of the small block C that remains gives the
 invariant factors, and its column transform V the canonical coordinates
 of the quotient.  Only D and V are computed; no reader needs U or V^-1.
+:meth:`SnfPresentation.class_order` is the one reader of the order of a
+class in those coordinates.
 
 All arithmetic is exact; matrices are plain lists of Python ints so that
 pivot growth during elimination can never overflow.
@@ -14,11 +16,12 @@ pivot growth during elimination can never overflow.
 from __future__ import annotations
 
 from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -338,8 +341,15 @@ class SnfPresentation:
     vector whose dot product with v is that coordinate of v's class, before
     the torsion residue is taken.  A vector lies in the relation lattice
     exactly when each torsion projection is divisible by its invariant
-    factor and each free projection is zero.  Every reader here takes a
-    dense length-n vector and dots each projection with all of it in C.
+    factor and each free projection is zero.
+
+    :meth:`class_order` is the one reader of a class's order: it takes a
+    sparse vector, read through a map of its keys to coordinates.
+    ``element_order`` and ``class_is_zero`` pass it a dense length-n vector
+    through the identity map, and ``GwPresentedRing.class_equal`` and
+    ``torsion_exponent`` pass it group-ring vectors through the unit
+    classes.  ``to_canonical`` dots each projection with all of a dense
+    vector.
     """
 
     ambient: int
@@ -371,21 +381,62 @@ class SnfPresentation:
         return self.element_order(vec) == 1
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
-        """Additive order of the class of ``vec``, a length-``ambient`` list; None means infinite.
-
-        The free coordinates are read first, and the first nonzero one ends
-        the reading.
-        """
+        """Additive order of the class of ``vec``, a length-``ambient`` list; None means infinite."""
         self._check(vec)
+        identity = range(self.ambient)
+        return self.class_order(identity, identity, vec)
+
+    def class_order(self, coordinate: Sequence[int], keys: Sequence[int], vals: Sequence[int],
+                    keys2: Sequence[int] = (), vals2: Sequence[int] = ()) -> Optional[int]:
+        """Additive order of the class of the sparse vector x - y; None means infinite.
+
+        x is sum vals[i] e_{coordinate[keys[i]]} and y is
+        sum vals2[i] e_{coordinate[keys2[i]]}: key k is read through
+        coordinate ``coordinate[k]`` of Z^ambient, and a coordinate may be
+        met more than once.  Every order of a class is read here.
+
+        x is summed with += and y with -= into the coordinates.  When the
+        keys number at least ``ambient``, the sum goes into a dense list of
+        ``ambient`` entries and each projection is dotted with all of it;
+        otherwise it goes into a dict of the coordinates met and each
+        projection is read at those coordinates only, by one ``itemgetter``.
+        Either dot runs in C, and costs no more steps than there are keys.
+        The free projections are read first, and the first nonzero one ends
+        the reading; then the (torsion projection, invariant factor) pairs
+        give the order.
+        """
+        dense = self.ambient <= len(keys) + len(keys2)
+        acc = [0] * self.ambient if dense else defaultdict(int)
+        # a running index into the coefficients costs less per query than
+        # a zip of the two sequences
+        i = 0
+        for k in keys:
+            acc[coordinate[k]] += vals[i]
+            i += 1
+        i = 0
+        for k in keys2:
+            acc[coordinate[k]] -= vals2[i]
+            i += 1
         free, torsion = self._columns
+        if dense:
+            for col in free:
+                if sum(map(mul, col, acc)):
+                    return None
+            order = 1
+            for col, d in torsion:
+                order = lcm(order, d // gcd(d, sum(map(mul, col, acc))))
+            return order
+        coords, vals = tuple(acc), tuple(acc.values())
+        if len(coords) < 2:  # itemgetter of one coordinate returns a bare entry
+            coords, vals = coords + (0, 0), vals + (0, 0)
+        read = itemgetter(*coords)
         for col in free:
-            if sum(map(mul, col, vec)):
+            if sum(map(mul, read(col), vals)):
                 return None
         order = 1
         for col, d in torsion:
-            order = lcm(order, d // gcd(d, sum(map(mul, col, vec))))
+            order = lcm(order, d // gcd(d, sum(map(mul, read(col), vals))))
         return order
-
 
 def quotient(ambient_rank: int, relations: IntMatrix) -> SnfPresentation:
     """Present Z^ambient_rank modulo the row span of ``relations``.

@@ -17,7 +17,9 @@ juxtaposition, products inside unit expressions with * and /):
 Compared to the strictest reading of the grammar this accepts sums directly
 inside [..], <..> and unit(..) without extra parentheses, a leading minus
 sign, and ^ exponents on unit atoms; rendered unit expressions round-trip.
-Parse errors carry 1-based line and column numbers.
+Parse errors carry 1-based line and column numbers, except a fault of the
+whole identity (sides of different degrees, a sum without its unit
+hypothesis), which has no position.
 
 What an identity may build is bounded, so that no input makes the parser
 build huge integers or terms, and every integer renders (``str`` refuses
@@ -42,14 +44,18 @@ built; a breach is a ``ParseError`` at the offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import kmwterm as km
 from .errors import InputError
 
 
 class ParseError(InputError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} at line {line}, column {col}")
+    """A refused text; ``line`` and ``col`` are None for a fault of the
+    whole identity, which has no position."""
+
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        super().__init__(message if line is None else f"{message} at line {line}, column {col}")
         self.message = message
         self.line = line
         self.col = col
@@ -376,4 +382,4 @@ def parse_identity(text: str, hypotheses: str = "") -> km.Identity:
     try:
         return km.Identity(lhs, rhs, hyps)
     except km.IdentityError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        raise ParseError(str(exc)) from None  # a fault of both sides, at no one position

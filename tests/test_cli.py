@@ -67,12 +67,14 @@ def test_ringinfo_builds_no_unit_list(spec, capsys, monkeypatch):
     assert len(built) <= 3
 
 
-@pytest.mark.parametrize("spec", ["GF(2^16)", "Z/65521"])
+@pytest.mark.parametrize("spec", ["GF(2^16)", "Z/65521", "Z/65536", "prod(Z/2,GF(2^15))"])
 @pytest.mark.parametrize("command", ["gw", "compare"])
 def test_gw_and_compare_build_no_unit_list(command, spec, capsys, monkeypatch):
     # a count, not a time: the presentation and the comparison read the
     # units on coordinates, and gw builds only 1 and -1 as elements (for
-    # <-1> = <1>), where the unit list would build 65,535 or 65,520
+    # <-1> = <1>), where the unit list would build 65,535, 65,520, 32,768
+    # or 32,767; the last two have a residue field F_2 and a square other
+    # than 1, so the comparison names the two units of its witness
     built = []
     init = RingElement.__init__
     monkeypatch.setattr(RingElement, "__init__",
@@ -243,6 +245,9 @@ def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys, monkeypa
     # a position in --hyp or --hints text names the option, and a hint's text
     ("prove <a>=<a> --hyp unit(1-a),unit(0)", "--hyp: 0 is not a unit at line 1, column 16"),
     ("prove <a>=<a> --hints a*b,1/0", "--hints '1/0': 0 is not a unit at line 1, column 3"),
+    # a fault of the whole identity has no position
+    ("prove <a>=[a]", "sides have different degrees (0 vs 1)"),
+    ("prove [1-a]=0", "sum expressions need a unit(...) hypothesis: (1-a)"),
 ])
 def test_refusal_prints_one_error_line(argv, message, capsys):
     assert run_cli(capsys, *argv.split()) == (1, "", f"error: {message}\n")

@@ -649,6 +649,57 @@ def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented
         assert sides == {side}, (name, args)
 
 
+def _sparse_cases(rng, n, m):
+    """(keys, vals, keys2, vals2) over n unit indices, m the presentation's ambient.
+
+    Keys are drawn with repeats, so a coordinate is met more than once even
+    on one key per coordinate; the sizes reach either side of m, so that
+    both the sparse and the dense read run.
+    """
+    def side(size):
+        keys = tuple(rng.randrange(n) for _ in range(size))
+        return keys, tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in keys)
+
+    k = rng.randrange(n)
+    cases = [
+        ((), (), (), ()),
+        ((k,), (2,), (), ()),  # one coordinate, the padded read
+        ((k, k), (1, 1), (k,), (5,)),  # one coordinate met three times
+        ((), ()) + side(1),  # y alone
+        ((), ()) + side(3),
+    ]
+    for size in (1, 2, 3, max(m - 1, 0), m, m + 2):
+        cases += [side(size) + side(rng.randrange(3)), side(rng.randrange(4)) + side(size)]
+    return cases
+
+
+@pytest.mark.parametrize("spec,kind", [(s, k) for s in GW_SPECS for k in ("hopf", "reduced")]
+                         + [("Z/1024", "hopf")])
+def test_class_order_matches_dense_readers_on_sparse_vectors(presented, spec, kind):
+    # x - y, given on unit indices, has the order that the dense element_order
+    # reads off its class sums, and that the dense Smith oracle reads off its
+    # vector on the units; hopf Z/1024 keeps one coordinate per unit, 512
+    p = presented(parse_ring_spec(spec), kind)
+    pres, classes, n = p.presentation, p.classes, len(p.classes)
+    dense = oracle_presentation(p)
+    rng = random.Random(f"class_order {spec} {kind}")
+    orders = set()
+    for keys, vals, keys2, vals2 in _sparse_cases(rng, n, pres.ambient) * 4:
+        on_units = [0] * n
+        for k, c in zip(keys, vals):
+            on_units[k] += c
+        for k, c in zip(keys2, vals2):
+            on_units[k] -= c
+        sums = [0] * pres.ambient
+        for c, x in zip(classes, on_units):
+            sums[c] += x
+        want = dense.element_order(on_units)
+        assert pres.class_order(classes, keys, vals, keys2, vals2) == want, (keys, vals, keys2, vals2)
+        assert pres.element_order(sums) == want
+        orders.add(want)
+    assert 1 in orders and (pres.rank == 0 or None in orders)
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_product_matches_element_oracle(spec):
     # each product on a cold table, on the table it warmed, and on a
@@ -1181,7 +1232,7 @@ def test_compare_presentations_deterministic_on_z16_and_z4():
         assert first.witness == second.witness
         if not first.extra_relations_implied:
             assert first.witness is not None
-            hopf = ZLattice(len(first.units), build_relations(parse_ring_spec(spec), "hopf"))
+            hopf = ZLattice(len(first.witness), build_relations(parse_ring_spec(spec), "hopf"))
             assert not hopf.contains(first.witness)
 
 

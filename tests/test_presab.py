@@ -1,5 +1,7 @@
+import ast
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +241,17 @@ def test_presentation_stores_only_kept_coordinates():
     p = quotient(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert (p.rank, p.torsion, p._projections) == (0, (), ())
     assert p.class_is_zero([4, -1, 7])
+
+
+def test_only_presab_reads_the_projections():
+    # a class is read by SnfPresentation.class_order, and no other module
+    # reaches into the stored projections or their split
+    src = Path(presab.__file__).parent
+    readers = {(path.relative_to(src).as_posix(), node.attr)
+               for path in sorted(src.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("_columns", "_projections")}
+    assert readers == {("presab.py", "_columns"), ("presab.py", "_projections")}
 
 
 @pytest.mark.parametrize("spec", ["Z/127", "Z/257", "GF(2^8)"])
