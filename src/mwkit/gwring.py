@@ -56,7 +56,7 @@ from operator import neg
 from operator import mul as _times  # gwring.mul is the group ring product
 from typing import Iterable, Mapping, Optional
 
-from .finring import Ring, RingElement, make_ring
+from .finring import GaloisRing, ProductRing, Ring, RingElement, make_ring
 from .presab import SnfPresentation, ZLattice
 
 
@@ -298,10 +298,15 @@ def _has_unit_sums(ring: Ring) -> bool:
 
     a + b is a unit exactly when 1 + b/a is, so this is false exactly when
     no two units sum to a unit, which is when some residue field of R is
-    F_2.
+    F_2.  That is read off the ring's kind, with no ring operation: the
+    residue fields of Z/m are the Z/p with p | m, that of GR(p^e, k) (GF(p^k)
+    included) is GF(p^k), and those of a product are its factors'.
     """
-    index, plus_one = ring.unit_index_by_coords(), ring._plus_one
-    return any(plus_one(c) in index for c in index)
+    if isinstance(ring, ProductRing):
+        return all(map(_has_unit_sums, ring.factors))
+    if isinstance(ring, GaloisRing):
+        return not (ring.p == 2 and ring.k == 1)
+    return ring.m % 2 == 1  # Z/m, the remaining kind
 
 
 def _presented_rows(ring: Ring, kind: PresentationKind) -> tuple[list[int], int, list[tuple]]:

@@ -40,13 +40,14 @@ builds each axiom instance once, and works out R2's candidate splits, R1's
 ``1 - a``, R4's ``-1`` and R5's square root once per letter.  An
 instance's core is written down on the letters the move already knows,
 with no ``Term`` arithmetic; R2 backward takes one unit product, for the
-letter of ``ab``.  Each state is
-keyed by a hash that is a sum over its (word id, coefficient) pairs, which
-a move updates for the words it changes only, and by its words only when
-another state has the same hash; a child is built from its parent's words
-in one pass (``_apply``).  Each frontier is ordered by the rendered
-text of its terms, by the renderer ``Term.__str__`` uses, from text pieces
-that the letter table renders once per word and search.  Only the
+letter of ``ab``.  Each state is keyed by a hash that is a sum over its
+(word id, coefficient) pairs, which a move updates for the words it changes
+only (``_hash_count``), and by its words only when another state has the
+same hash.  A child is kept as its parent, its move and that hash; its
+words are built from its parent's in one pass (``_apply``) only when the
+search reads them.  Each frontier is ordered by the rendered text of its
+terms, by the renderer ``Term.__str__`` uses, from text pieces that the
+letter table renders once per word and search.  Only the
 certificate is decoded back to units and terms.  These memos live in the
 call, not in the module, and ``check_proof`` shares none of them: it
 rebuilds every instance from the certificate through
@@ -734,31 +735,28 @@ def _words_hash(words: dict) -> int:
     words.  In the search the words are word ids, so the summands hash ints.
 
     A sum does not depend on the order of the words, and a change to one
-    word changes one summand, so ``_apply`` keeps it up to date.
+    word changes one summand, so ``_hash_count`` keeps it up to date.
     """
     return sum(map(hash, words.items()))
 
 
-def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
-           right: tuple, coeff: int, letters: "_Letters") -> tuple[dict, int]:
-    """The words of ``words`` plus ``coeff * eta^pos_eta * left core right``,
-    built in one pass, and their ``_words_hash`` given that of ``words``.
+def _hash_count(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
+                right: tuple, coeff: int, letters: "_Letters") -> tuple[int, int]:
+    """The ``_words_hash`` and the word count of ``words`` plus
+    ``coeff * eta^pos_eta * left core right``, given the hash of ``words``,
+    in one pass over the core and without building the sum.
 
-    ``words`` and the result are words dicts on the word ids of the letter
-    table ``letters``; ``core`` is an instance's core, on its letters.  The
-    parent's dict is copied once and the embedded words are added in place.
-    Each embedded word is built once and interned, which hashes it once;
-    the lookups and the summands of the hash then work on its id, and only
-    the changed words' summands change: the old item's is subtracted and
-    the new one's added.  Words and their order are those of the two-step
-    sum ``term + _embed(...)``: existing words update in place, a word
-    whose coefficient reaches 0 drops out, and new words follow in the
-    core's order.  Distinct core words embed to distinct words, and
-    ``coeff`` and the core's coefficients are nonzero, so a word that
-    reaches 0 is one of the parent's.
+    ``words`` is a words dict on the word ids of the letter table
+    ``letters``; ``core`` is an instance's core, on its letters.  Each
+    embedded word is built once and interned, which hashes it once; the
+    lookup and the summands of the hash then work on its id, and only the
+    changed words' summands change: the old item's is subtracted and the
+    new one's added.  Distinct core words embed to distinct words, and
+    ``coeff`` and the core's coefficients are nonzero, so a word is added
+    when it is not in ``words`` and dropped when its coefficient reaches 0.
     """
-    out = dict(words)
-    h = words_hash
+    h, n_words = words_hash, len(words)
+    get = words.get
     # interned inline, as _Letters.word does, without a method call per word
     table = letters.word_list
     intern = letters.word_ids.setdefault
@@ -769,16 +767,42 @@ def _apply(words: dict, words_hash: int, core: dict, pos_eta: int, left: tuple,
         if w == n:
             table.append(word)
             n += 1
-        c1 = out.get(w, 0)
+        c1 = get(w, 0)
         c2 = c1 + c * coeff
         if c1:
             h -= hash((w, c1))
+            if not c2:
+                n_words -= 1
+        else:
+            n_words += 1
+        if c2:
+            h += hash((w, c2))
+    return h, n_words
+
+
+def _apply(words: dict, core: dict, pos_eta: int, left: tuple, right: tuple, coeff: int,
+           letters: "_Letters") -> dict:
+    """The words of ``words`` plus ``coeff * eta^pos_eta * left core right``,
+    built in one pass.
+
+    ``words`` and the result are words dicts on the word ids of the letter
+    table ``letters``; ``core`` is an instance's core, on its letters, and
+    ``_hash_count`` has interned each word it embeds.  The parent's dict is
+    copied once and the embedded words are added in place.  Words and their
+    order are those of the two-step sum ``term + _embed(...)``: existing
+    words update in place, a word whose coefficient reaches 0 drops out,
+    and new words follow in the core's order.
+    """
+    out = dict(words)
+    ids = letters.word_ids
+    for (e, brs), c in core.items():
+        w = ids[(e + pos_eta, left + brs + right)]
+        c2 = out.get(w, 0) + c * coeff
         if c2:
             out[w] = c2
-            h += hash((w, c2))
         else:
             del out[w]
-    return out, h
+    return out
 
 
 def _step_delta(step: ProofStep) -> Term:
@@ -788,11 +812,13 @@ def _step_delta(step: ProofStep) -> Term:
     return _embed(core, step.pos_eta, step.pos_left, step.pos_right, step.coeff)
 
 
-# A search node is a plain tuple (words, parent, move): the state, on the
-# search's word ids, the node it was reached from (None for the start and
-# the goal), and the move that made it, (instance, coeff, pos_eta, left,
-# right).  The search builds each node through this name, so a test can log
-# the states a search creates by patching it.
+# A search node is a plain tuple (parent, move, hash): the node it was
+# reached from (None for the start and the goal), the move that made it,
+# (instance, coeff, pos_eta, left, right), or None, and the state's
+# ``_words_hash``.  It holds no words: the search builds a node's words dict
+# from its parent's and its move when it needs them, and keeps those of a
+# node it expands or meets.  The search builds each node through this name,
+# so a test can log the states a search creates by patching it.
 _Node = tuple
 
 
@@ -1059,18 +1085,20 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
     return out
 
 
-def _path(node: tuple) -> list:
-    """The steps ``(before, move, after)`` from the root of ``node`` to it."""
+def _path(node: tuple, node_words) -> list:
+    """The steps ``(before, move, after)`` from the root of ``node`` to it,
+    ``node_words`` giving each node's words dict (built on demand)."""
     out = []
-    words, parent, move = node
+    parent, move, _ = node
     while parent is not None:
-        out.append((parent[0], move, words))
-        words, parent, move = parent
+        out.append((node_words(parent), move, node_words(node)))
+        node = parent
+        parent, move, _ = node
     out.reverse()
     return out
 
 
-def _stitch(identity, mode, letters: _Letters, left_node, right_node) -> Proof:
+def _stitch(identity, mode, letters: _Letters, node_words, left_node, right_node) -> Proof:
     """The certificate of the path through two meeting nodes: the moves'
     letters decoded back to units and their states back to terms."""
     unit = letters.units.__getitem__
@@ -1081,8 +1109,9 @@ def _stitch(identity, mode, letters: _Letters, left_node, right_node) -> Proof:
                          coeff, pe, tuple(map(unit, pl)), tuple(map(unit, pr)),
                          letters.term(before), letters.term(after))
 
-    steps = [step(move, move[0][1], before, after) for before, move, after in _path(left_node)]
-    for before, move, after in reversed(_path(right_node)):
+    steps = [step(move, move[0][1], before, after)
+             for before, move, after in _path(left_node, node_words)]
+    for before, move, after in reversed(_path(right_node, node_words)):
         flipped = "backward" if move[0][1] == "forward" else "forward"
         steps.append(step(move, flipped, after, before))
     return Proof(identity, mode, tuple(steps))
@@ -1114,12 +1143,20 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
 
     A hint whose sums the hypotheses do not declare is refused with
     ``IdentityError``.  Each state is a words dict on the word ids of the
-    search's letter table (``_Letters``), kept beside its ``_words_hash``
-    in the frontier.  The left and right maps key each node by that hash;
-    a state whose hash another state of the map already holds is keyed by
-    ``frozenset`` of its words instead, so two different states are never
-    merged.  Each frontier is expanded in the order of its terms' word
-    counts, then their text.
+    search's letter table (``_Letters``).  A child is kept as a ``_Node``:
+    its parent, its move and its ``_words_hash``, which ``_hash_count``
+    works out with the child's word count, for the word bound, without
+    building its words.  Its words are built (``_apply`` on its parent's)
+    only when its frontier is sorted for expansion, when its hash meets a
+    state of either map, or when it lies on the certificate's path; they
+    are kept once it is expanded or met, and a budget search builds them
+    for about a quarter of its states.  Word ids are interned in the order
+    children are reached, so the states, their order and the certificate
+    are those of a search that built every child's words.  The left
+    and right maps key each node by its hash; a state whose hash another
+    state of the map already holds is keyed by ``frozenset`` of its words
+    instead, so two different states are never merged.  Each frontier is
+    expanded in the order of its terms' word counts, then their text.
     """
     cfg = config or ProveConfig()
     cfg.validate()
@@ -1139,16 +1176,32 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
     letters = _Letters(cands, declared)
     start, goal = letters.words(start), letters.words(goal)
     text = letters.text
+    # id of a node -> its words dict, for the nodes whose words are kept;
+    # only nodes that stay in a map enter it, so no id is reused
+    built: dict = {}
 
-    def frontier_order(entry):
-        words = entry[0][0]
+    def node_words(node, keep=True) -> dict:
+        """The words of ``node``: kept ones, or built from its parent's
+        (kept, as the parent was expanded) and kept when ``keep``."""
+        words = built.get(id(node))
+        if words is None:
+            parent, (inst, coeff, pe, pl, pr), _ = node
+            words = _apply(built[id(parent)], inst[3], pe, pl, pr, coeff, letters)
+            if keep:
+                built[id(node)] = words
+        return words
+
+    def frontier_order(node):
+        # not kept: a budget can end a frontier's expansion after a few of
+        # its nodes, and an expanded node builds its words again
+        words = node_words(node, keep=False)
         return (len(words), text(words))
 
-    start_node, goal_node = _Node((start, None, None)), _Node((goal, None, None))
-    start_hash, goal_hash = _words_hash(start), _words_hash(goal)
-    left, right = {start_hash: start_node}, {goal_hash: goal_node}
-    frontier_l = [(start_node, start_hash)]
-    frontier_r = [(goal_node, goal_hash)]
+    start_node = _Node((None, None, _words_hash(start)))
+    goal_node = _Node((None, None, _words_hash(goal)))
+    built[id(start_node)], built[id(goal_node)] = start, goal
+    left, right = {start_node[2]: start_node}, {goal_node[2]: goal_node}
+    frontier_l, frontier_r = [start_node], [goal_node]
     max_words = cfg.max_term_words
     depth_total = 0
     states = 2
@@ -1159,8 +1212,9 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
         else:
             own, other, frontier, from_left = right, left, frontier_r, False
         next_frontier = []
-        for node, words_hash in sorted(frontier, key=frontier_order):
-            words = node[0]
+        for node in sorted(frontier, key=frontier_order):
+            words = node_words(node)
+            words_hash = node[2]
             n_words = len(words)
             for move in _moves(words, schema_names, letters):
                 inst, coeff, pe, pl, pr = move
@@ -1168,23 +1222,33 @@ def search(identity: Identity, mode, config: Optional[ProveConfig] = None) -> Se
                 # each word of the core cancels at most one word of the term
                 if n_words - len(core) > max_words:
                     continue
-                w2, h2 = _apply(words, words_hash, core, pe, pl, pr, coeff, letters)
-                if len(w2) > max_words:
+                h2, n2 = _hash_count(words, words_hash, core, pe, pl, pr, coeff, letters)
+                if n2 > max_words:
                     continue
-                # a node under h2 with other words means a collision: then
-                # the state is keyed by its words
+                # the child's words are built only when its hash meets a
+                # node of either map; a node under h2 with other words
+                # means a collision: then the state is keyed by its words
+                w2 = None
                 known = own.get(h2)
-                if known is not None and (known[0] == w2 or frozenset(w2.items()) in own):
-                    continue
-                child = _Node((w2, node, move))
+                if known is not None:
+                    w2 = _apply(words, core, pe, pl, pr, coeff, letters)
+                    if node_words(known) == w2 or frozenset(w2.items()) in own:
+                        continue
+                child = _Node((node, move, h2))
                 meet = other.get(h2)
-                if meet is not None and meet[0] != w2:
-                    meet = other.get(frozenset(w2.items()))
+                if meet is not None:
+                    if w2 is None:
+                        w2 = _apply(words, core, pe, pl, pr, coeff, letters)
+                    if node_words(meet) != w2:
+                        meet = other.get(frozenset(w2.items()))
+                if w2 is not None:
+                    built[id(child)] = w2
                 if meet is not None:
                     pair = (child, meet) if from_left else (meet, child)
-                    return SearchResult(_stitch(identity, mode, letters, *pair), None, states)
+                    return SearchResult(_stitch(identity, mode, letters, node_words, *pair),
+                                        None, states)
                 own[h2 if known is None else frozenset(w2.items())] = child
-                next_frontier.append((child, h2))
+                next_frontier.append(child)
                 states += 1
                 if states > cfg.max_states:
                     return SearchResult(None, "max_states", states)

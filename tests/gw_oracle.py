@@ -43,6 +43,9 @@ spin-up builders above read it.  ``oracle_sum`` is the vector sum that
 rebuilds its dict, which ``gwring`` replaced with a sum that drops zeroed
 keys in place; with ``oracle_scale`` it sums and scales on dicts keyed by
 ``RingElement``, where ``GroupRingVector`` works on unit indices.
+``oracle_has_unit_sums`` is the scan that ``gwring._has_unit_sums``
+replaced with a reading of the ring's kind: one added to every unit until
+a sum is a unit.
 """
 
 from functools import lru_cache
@@ -320,6 +323,12 @@ def oracle_sum(x, y):
 def oracle_scale(n, x):
     """n x, scaled on x's dict of ``RingElement`` keys and rebuilt."""
     return GroupRingVector(x.ring, {u: n * c for u, c in x.coeffs.items()})
+
+
+def oracle_has_unit_sums(ring: Ring) -> bool:
+    """Whether some 1 + c with c a unit is a unit, by trying every unit."""
+    index, plus_one = ring.unit_index_by_coords(), ring._plus_one
+    return any(plus_one(c) in index for c in index)
 
 
 def oracle_compare(ring):

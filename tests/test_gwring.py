@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from gw_oracle import (
     oracle_compare,
     oracle_eval_in_ring,
     oracle_eval_unit,
+    oracle_has_unit_sums,
     oracle_invert_two_split,
     oracle_orderings,
     oracle_pair_rows,
@@ -36,7 +38,7 @@ except ImportError:  # hypothesis comes with the `test` extra
     st = None
 
 from mwkit import gwring, kmwterm as km
-from mwkit.finring import ProductRing, RingElement, Zmod, parse_ring_spec
+from mwkit.finring import GaloisRing, ProductRing, Ring, RingElement, Zmod, parse_ring_spec
 from mwkit.gwring import (
     GroupRingVector,
     GwPresentedRing,
@@ -216,11 +218,11 @@ def test_compare_builds_no_lattice_on_f2_residue_rings(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["Z/127", "Z/257", "Z/128"])
 def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     # a count, not a time: the seeds take one sum per unit for the unit-sum
-    # table and at most one more for the test for unit sums, |U| + 1 in all
+    # table, and the test for unit sums none, as it reads the ring's kind
     # (a sum 1 + u is a _plus_one, any other an _add),
     # where the first unit of each class summed with every unit took
-    # (C + 1) |U| and the pair scan |U|^2 / 2; Z/128, with residue field
-    # F_2, is held to the same bound.  The products are those of the square
+    # (C + 1) |U| and the pair scan |U|^2 / 2; the hopf kind of Z/128, with
+    # residue field F_2, builds no unit-sum table.  The products are those of the square
     # map and the class map, at most 2 |U| + C, where a C x C class table
     # took C^2 more (689 on Z/127 with two products per family (iii) pair)
     ring = parse_ring_spec(spec)
@@ -232,7 +234,7 @@ def test_family_rows_make_linearly_many_additions(spec, kind, monkeypatch):
     monkeypatch.setattr(ring, "_plus_one", lambda a: adds.append(1) or plus_one(a))
     monkeypatch.setattr(ring, "_mul", lambda a, b: muls.append(1) or mul(a, b))
     gwring.present(ring, kind).lattice
-    assert 0 < len(adds) <= len(units) + 1
+    assert len(adds) == (0 if (spec, kind) == ("Z/128", "hopf") else len(units))
     assert len(muls) <= 2 * len(units) + classes
 
 
@@ -1245,6 +1247,59 @@ def test_compare_matches_oracle_scan(spec):
     ring = parse_ring_spec(spec)
     report = compare_presentations(ring)
     assert (report.extra_relations_implied, report.witness) == oracle_compare(ring)
+
+
+_SMALL_FACTORS = ["Z/2", "Z/3", "Z/4", "Z/6", "GF(2^1)", "GF(2^2)", "GR(4,1)", "GR(4,2)", "Z/5",
+                  "GF(3^2)"]
+# the presentation family, every Z/m up to 100, Galois fields and rings of up
+# to 256 elements (GR(q,1) and GF(p^1) included), every product of two small
+# factors, and products of three, nested; each spec once
+_UNIT_SUM_SPECS = list(dict.fromkeys(
+    GW_SPECS + [f"Z/{m}" for m in range(2, 101)]
+    + [f"GF({p}^{k})" for p, top in ((2, 8), (3, 5), (5, 3), (7, 2), (11, 2), (13, 2))
+       for k in range(1, top + 1)]
+    + ["GR(4,1)", "GR(4,4)", "GR(8,1)", "GR(8,2)", "GR(16,1)", "GR(16,2)", "GR(9,1)", "GR(9,2)",
+       "GR(27,1)", "GR(25,1)", "GR(49,1)", "GR(32,1)", "GR(64,1)", "GR(128,1)", "GR(256,1)"]
+    + [f"prod({x},{y})" for x in _SMALL_FACTORS for y in _SMALL_FACTORS]
+    + ["prod(Z/3,prod(GF(2^2),Z/2))", "prod(Z/5,Z/3,GR(4,2))", "prod(Z/3,Z/3,Z/3)",
+       "prod(GF(2^2),prod(Z/9,GR(4,1)))"]
+))
+
+
+def test_unit_sums_read_off_the_ring_kind_match_the_scan():
+    # some residue field is F_2 exactly for Z/m with m even, GR(2^e,1) and
+    # a product with such a factor; the scan adds one to every unit
+    kinds = set()
+    for spec in _UNIT_SUM_SPECS:
+        ring = parse_ring_spec(spec)
+        assert _has_unit_sums(ring) == oracle_has_unit_sums(ring), spec
+        kinds.add((type(ring).__name__, _has_unit_sums(ring)))
+    assert len(_UNIT_SUM_SPECS) == 242
+    # both answers on every ring kind
+    assert kinds == {(kind, answer) for answer in (True, False)
+                     for kind in ("Zmod", "GaloisRing", "GaloisField", "ProductRing")}
+
+
+@pytest.mark.parametrize("spec,unit_tables", [("prod(Z/2,GF(2^15))", 3), ("GR(4,8)", 0)])
+def test_compare_adds_one_to_no_unit(spec, unit_tables, monkeypatch):
+    # whether family (iii) is empty is read off the ring's kind, with no
+    # sum: GR(4,8) has unit sums and reads no unit; prod(Z/2,GF(2^15)) has
+    # none, and builds its unit table (from the two factors' tables) only
+    # for the witness, which names two units
+    calls = Counter()
+    for cls in (Zmod, GaloisRing, ProductRing):
+        monkeypatch.setattr(cls, "_plus_one", lambda self, a, plus_one=cls._plus_one:
+                            calls.update(["plus_one"]) or plus_one(self, a))
+    index = Ring.unit_index_by_coords
+
+    def counted_index(self):
+        calls["unit_tables"] += self._unit_index is None
+        return index(self)
+
+    monkeypatch.setattr(Ring, "unit_index_by_coords", counted_index)
+    report = compare_presentations(parse_ring_spec(spec))
+    assert report.extra_relations_implied == (unit_tables == 0)
+    assert (calls["plus_one"], calls["unit_tables"]) == (0, unit_tables), calls
 
 
 def test_multiplication_descends(presented, gw_family):

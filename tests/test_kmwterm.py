@@ -537,8 +537,9 @@ def test_apply_matches_the_sum_with_the_embedded_core():
         assert seen
         for words, move, letters in seen:
             (axiom, direction, binding, core), coeff, pe, pl, pr = move
-            child, child_hash = km._apply(words, _hash_from_scratch(words), core, pe, pl, pr,
-                                          coeff, letters)
+            child_hash, n_words = km._hash_count(words, _hash_from_scratch(words), core, pe, pl,
+                                                 pr, coeff, letters)
+            child = km._apply(words, core, pe, pl, pr, coeff, letters)
             # the core is the schema's instance on the decoded binding
             schema = km.AXIOMS[axiom]
             lhs, rhs, _ = schema.build(dict(zip(schema.params, (letters.units[i] for i in binding))))
@@ -549,8 +550,10 @@ def test_apply_matches_the_sum_with_the_embedded_core():
             expected = letters.term(words) + km._embed(core_term, pe, tuple(map(unit, pl)),
                                                        tuple(map(unit, pr)), coeff)
             assert list(letters.term(child).words.items()) == list(expected.words.items())
-            # the hash updated from the parent's is the child's, from scratch
+            # the hash updated from the parent's is the child's, from scratch,
+            # and the count is its number of words
             assert child_hash == _hash_from_scratch(child)
+            assert n_words == len(child)
             cancelled += any(w not in child for w in words)
             appended += any(w not in words for w in child)
     assert cancelled and appended

@@ -20,21 +20,19 @@ import pytest
 
 import prove_oracle
 from mwkit import kmwterm as km
-from mwkit.termparse import parse_identity
+from mwkit.termparse import parse_identity, parse_unit
 
 from prove_oracle import oracle_candidate_units, oracle_instance, oracle_prove
 from test_kmwterm import BUDGET, CORPUS
 
 
-def search_states(ident, mode, cfg):
-    """What ``kmwterm.search`` returns, the words dict (on word ids) of each
-    state it creates, in order, and its letter table (None when the search
-    made none)."""
-    created, tables = [], []
+def search_nodes(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, each node it creates, in order, and
+    its letter table (None when the search made none)."""
+    nodes, tables = [], []
 
     def logged_node(node):
-        words, parent, move = node
-        created.append(words)
+        nodes.append(node)
         return node
 
     class LoggedLetters(km._Letters):
@@ -46,7 +44,48 @@ def search_states(ident, mode, cfg):
         mp.setattr(km, "_Node", logged_node)
         mp.setattr(km, "_Letters", LoggedLetters)
         result = km.search(ident, mode, cfg)
-    return result, created, (tables[0] if tables else None)
+    return result, nodes, (tables[0] if tables else None)
+
+
+def replay_states(ident, nodes, letters):
+    """The words dict (on word ids) of each of a search's nodes.
+
+    A node holds its parent, its move and its hash, not its words, so each
+    state is rebuilt by a replay on ``Term``s that shares no code with the
+    search's ``_hash_count`` and ``_apply``: the start and the goal are the
+    identity's sides, and a child is its parent's term plus its move's
+    core, decoded to units and embedded by ``_embed``.  Each replayed state
+    is then looked up in the letter table, which fails unless the search
+    interned every word of it, and its hash from scratch must be the hash
+    the search kept for it.
+    """
+    roots = iter([km.normalize(ident.lhs), km.normalize(ident.rhs)])
+    terms, created = {}, []
+    for node in nodes:
+        parent, move, node_hash = node
+        if parent is None:
+            term = next(roots)
+        else:
+            (_, _, _, core), coeff, pe, pl, pr = move
+            unit = letters.units.__getitem__
+            core_term = km.Term({(e, tuple(map(unit, brs))): c for (e, brs), c in core.items()})
+            term = terms[id(parent)] + km._embed(core_term, pe, tuple(map(unit, pl)),
+                                                 tuple(map(unit, pr)), coeff)
+        terms[id(node)] = term
+        letter = letters.ids.__getitem__
+        words = {letters.word_ids[(e, tuple(map(letter, brs)))]: c
+                 for (e, brs), c in term.words.items()}
+        assert node_hash == km._words_hash(words)
+        created.append(words)
+    return created
+
+
+def search_states(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, the words dict (on word ids) of each
+    state it creates, in order (``replay_states``), and its letter table
+    (None when the search made none)."""
+    result, nodes, letters = search_nodes(ident, mode, cfg)
+    return result, replay_states(ident, nodes, letters), letters
 
 
 def logged_search(ident, mode, cfg):
@@ -163,7 +202,7 @@ def test_search_matches_the_oracle_on_random_identities():
 def test_search_with_every_state_hash_equal_matches_the_oracle(text, mode, hyp, max_states):
     """Every state hashes to 0, so each lookup after the first finds another
     state under its hash and falls back to the key of its words."""
-    apply = km._apply
+    hash_count = km._hash_count
     exact_keys = Counter()
 
     def counted_frozenset(items):
@@ -172,7 +211,7 @@ def test_search_with_every_state_hash_equal_matches_the_oracle(text, mode, hyp, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km, "_words_hash", lambda words: 0)
-        mp.setattr(km, "_apply", lambda *args: (apply(*args)[0], 0))
+        mp.setattr(km, "_hash_count", lambda *args: (0, hash_count(*args)[1]))
         mp.setattr(km, "frozenset", counted_frozenset, raising=False)
         result, states = _assert_same_search(parse_identity(text, hyp), mode,
                                              km.ProveConfig(max_states=max_states))
@@ -208,6 +247,48 @@ def test_candidate_units_match_the_oracle():
             assert cands == want_set
             compared += 1
     assert compared == 3 * len(idents)
+
+
+def _golden_identities():
+    """(text, mode, hypotheses) of each ``prove`` case of ``prove_golden.json``."""
+    cases = json.loads((Path(__file__).parent / "prove_golden.json").read_text())["cases"]
+    out = []
+    for argv in (case["argv"] for case in cases):
+        options = dict(zip(argv[2::2], argv[3::2]))
+        out.append((argv[1], options["--mode"], options.get("--hyp", "")))
+    return out
+
+
+def test_rational_letters_are_the_constants_candidate_units_can_form():
+    # the constants a search forms, as read off candidate_units: a rational
+    # letter is +-1, a constant of the identity, its hypotheses or hints (the
+    # contents of their units and of the sums nested in them), a product or
+    # quotient of two of those, or 1 - u for a rational candidate u (R1's
+    # partner, so 2 from u = -1).  Budget searches run to 10k states.  A
+    # counter-model in a ring where all of these are units rules out every
+    # proof the search can find.
+    cases = [(t, m, h, (), 50000) for t, m, h in CORPUS + _golden_identities()]
+    cases += [(t, m, h, (), 10000) for t, m, h in BUDGET]
+    # hints with constants of their own
+    cases += [("[a][a] = [a][-1]", "hopf-steinberg", "unit(a),unit(1-a)", ("3", "1/2"), 10000),
+              ("<a*b> = <a><b>", "hopf", "", ("3",), 10000)]
+    formed = set()
+    for text, mode, hyp, hints, max_states in cases:
+        ident, hints = parse_identity(text, hyp), tuple(map(parse_unit, hints))
+        _, _, letters = search_nodes(ident, mode, km.ProveConfig(max_states=max_states,
+                                                                 hint_units=hints))
+        units = ident.lhs.letters() | ident.rhs.letters() | set(ident.hypotheses) | set(hints)
+        base = {content for u in units for content, _ in km.unit_parts(u)} | {1, -1}
+        rational_cands = [letters.units[x].content for x in letters.cands
+                          if not letters.units[x].factors]
+        allowed = (base | {x * y for x in base for y in base} | {x / y for x in base for y in base}
+                   | {1 - u for u in rational_cands})
+        rational = {u.content for u in letters.units if not u.factors}
+        assert rational <= allowed, (text, hints, rational - allowed)
+        if not hints:
+            formed |= rational
+    # so a hint-free search on these identities forms only the constants +-1 and 2
+    assert formed == {1, -1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +431,9 @@ def test_budget_search_compares_letters_by_identity(text, mode, hyp):
         mp.setattr(km.Unit, "__hash__", counted("hash", unit_hash))
         mp.setattr(km, "one_minus", counted("one_minus", one_minus))
         mp.setattr(km.Term, "key", counted("key", term_key))
-        result, states, table = search_states(ident, mode, km.ProveConfig(max_states=10000))
+        result, nodes, table = search_nodes(ident, mode, km.ProveConfig(max_states=10000))
+    # the states are replayed after the count, which covers the search only
+    states = replay_states(ident, nodes, table)
     assert result.proof is None and result.reason == "max_states"
     letters = {i for words in states for w in words for i in table.word_list[w][1]}
     # states hold integer letters, so only the letter table hashes a unit
@@ -377,6 +460,20 @@ def test_budget_search_states_are_on_word_ids(text, mode, hyp):
     assert len(letters.word_ids) == len(table)
     assert all(type(e) is int and type(brs) is tuple and all(type(x) is int for x in brs)
                for e, brs in table)
+
+
+@pytest.mark.parametrize("text,mode,hyp", BUDGET)
+def test_budget_search_builds_the_words_of_few_states(text, mode, hyp, monkeypatch):
+    # a child is kept as its parent, move and hash; its words are built when
+    # its frontier is sorted, when it is expanded and when its hash meets a
+    # state of either map (2,211-2,671 builds; each child was built once
+    # when a node held its words)
+    calls = []
+    apply = km._apply
+    monkeypatch.setattr(km, "_apply", lambda *args: calls.append(1) or apply(*args))
+    result = km.search(parse_identity(text, hyp), mode, km.ProveConfig(max_states=10000))
+    assert result.reason == "max_states" and result.states == 10001
+    assert len(calls) < result.states / 3, len(calls)
 
 
 _DIGESTS = """
@@ -435,12 +532,12 @@ def test_search_names_an_exhausted_frontier():
 @pytest.mark.parametrize("n_brackets,applied", [(17, 34), (21, 0)])
 def test_search_refuses_every_child_of_a_start_over_the_word_bound(n_brackets, applied,
                                                                    monkeypatch):
-    # max_term_words is 16: each child of 17 brackets is built and then
+    # max_term_words is 16: each child of 17 brackets is counted and then
     # refused, and a core too short to bring 21 brackets to 16 words is
-    # refused before the child is built
+    # refused before the child is counted
     calls = []
-    apply = km._apply
-    monkeypatch.setattr(km, "_apply", lambda *args: calls.append(1) or apply(*args))
+    hash_count = km._hash_count
+    monkeypatch.setattr(km, "_hash_count", lambda *args: calls.append(1) or hash_count(*args))
     text = " + ".join(f"[{c}]" for c in "abcdefghijklmnopqrstu"[:n_brackets]) + " = 0"
     result = km.search(parse_identity(text), "hopf")
     assert km.ProveConfig().max_term_words == 16

@@ -1,14 +1,18 @@
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.code_lines
+    return _tool("code_lines").code_lines
 
 
 def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):
@@ -18,3 +22,14 @@ def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):
     module.write_text('"""Module\ndocstring."""\n\n# a comment\nx = 1  # one\n\n\n'
                       'def f():\n    """Doc\n    string."""\n    return """two\nlines"""\n')
     assert _code_lines()(module) == 4
+
+
+def test_search_footprint_prints_each_budget_search(capsys):
+    assert _tool("search_footprint").main(["--max-states", "500"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["identity", "mode", "states", "seconds", "states/s", "bytes/state"]
+    assert len(rows) == 3
+    for row in rows:
+        states, seconds, per_second, per_state = row.split()[-4:]
+        assert int(states) == 501 and float(seconds) > 0
+        assert int(per_second) > 0 and int(per_state) > 0
