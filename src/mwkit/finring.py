@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
@@ -47,23 +47,8 @@ class RingSpecError(RingError):
         self.token = token
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, in increasing order."""
+    """The distinct prime factors of n >= 0, in increasing order: none for 0 and 1."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -72,6 +57,10 @@ def _prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -1052,17 +1041,13 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
         if not _is_prime(q):
             raise RingSpecError(f"{q} is not prime in {text!r}", base_s)
         return q, _spec_int(k_s)
-    # the smallest divisor d >= 2 with d * d <= q is prime; without one q is
-    # 0, 1 or a prime
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    if p < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise RingSpecError(f"{text!r} is not a prime power", text)
-    k = 0
-    while q % p == 0:
+    p, k = primes[0], 0
+    while q > 1:
         q //= p
         k += 1
-    if q != 1:
-        raise RingSpecError(f"{text!r} is not a prime power", text)
     return p, k
 
 

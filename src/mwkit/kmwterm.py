@@ -37,8 +37,11 @@ coefficients, and the start, the goal and every state are plain dicts from
 word ids to coefficients, so hashing a word never calls back into Python,
 and a child hashes each word it embeds once, to intern it.  One search
 builds each axiom instance once, and works out R2's candidate splits, R1's
-``1 - a``, R4's ``-1`` and R5's square root once per letter.  An
-instance's core is written down on the letters the move already knows,
+``1 - a``, R4's ``-1`` and R5's square root once per letter: each of the
+letter table's per-search tables is a ``_Memo``, a dict that builds a
+key's value on its first lookup and stores it, so the move loop reads
+every table with no miss branch of its own.  An instance's core is
+written down on the letters the move already knows,
 with no ``Term`` arithmetic; R2 backward takes one unit product, for the
 letter of ``ab``.  Each state is keyed by a hash that is a sum over its
 (word id, coefficient) pairs, which a move updates for the words it changes
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -860,20 +864,23 @@ def candidate_units(identity: Identity, hints: Sequence[Unit], depth: int, cap: 
     return ordered, set(ordered)
 
 
-_UNSET = object()
+class _Memo(dict):
+    """A dict that fills a missing key on its first lookup: it stores
+    ``build(key)`` under the key and returns it.
 
+    ``build`` is a method of the object that holds the memo, and the memo
+    refers to it weakly, so the two form no reference cycle: a search's
+    tables are freed when the search returns, not at a later collection.
+    """
 
-class _Pieces(dict):
-    """A letter table's ``_word_pieces`` of each word id, rendered on first lookup."""
+    __slots__ = ("build",)
 
-    __slots__ = ("word_list", "texts")
-
-    def __init__(self, word_list: list, texts: list):
+    def __init__(self, build):
         super().__init__()
-        self.word_list, self.texts = word_list, texts
+        self.build = weakref.WeakMethod(build)
 
-    def __missing__(self, word):
-        out = self[word] = _word_pieces(self.word_list[word], self.texts.__getitem__)
+    def __missing__(self, key):
+        out = self[key] = self.build()(key)
         return out
 
 
@@ -891,8 +898,7 @@ class _Letters:
     are words dicts from word ids to coefficients, so looking a word up in
     a term, and hashing or comparing a term, work on ints and never call
     into ``Unit``; ``term`` decodes one back to a ``Term`` for the
-    certificate.  ``pieces`` holds the text pieces of each word id the
-    search renders, so a word is rendered once per search.
+    certificate.
 
     An axiom instance is ``(axiom, direction, binding, core)``: the
     binding's letters in the schema's parameter order, and the difference
@@ -900,41 +906,48 @@ class _Letters:
     embeds them in a context first) to coefficients.  Each core is
     written down on the letters the move already knows, with its words in
     the order of the schema's ``Term``-built difference (``_apply`` appends
-    new words in that order); no ``AxiomSchema.build`` runs.  The memos
-    map letters to the instances of their moves.  The table and the memos
-    belong to one ``search`` call and go with it; ``Unit`` is unchanged,
-    and ``check_proof`` reads none of this.
+    new words in that order); no ``AxiomSchema.build`` runs.
+
+    Every per-search table is a ``_Memo``, filled by its builder on a key's
+    first lookup: the letter of each unit (``ids``), the text pieces of
+    each word id the search renders (``pieces``, so a word is rendered once
+    per search), and the memos that map letters to the instances of their
+    moves (``splits``, ``merges``, ``r1``, ``roots``).  A builder returns
+    its value and stores nothing; its memo stores it, so each key is built
+    once, at its first lookup.  The table and the memos belong to one
+    ``search`` call and go with it; ``Unit`` is unchanged, and
+    ``check_proof`` reads none of this.
     """
 
     def __init__(self, cands: Sequence[Unit], declared_sums: frozenset):
-        self.ids: dict = {}  # unit -> its letter
         self.units: list = []  # letter -> the first equal unit seen
         self.texts: list = []  # letter -> render_unit of that unit
+        self.ids = _Memo(self._new_letter)  # unit -> its letter
+        # the int of a unit, given to it the first time an equal unit comes
+        self.letter = self.ids.__getitem__
         self.word_ids: dict = {}  # word (eta_count, letters) -> its word id
         self.word_list: list = []  # word id -> its word
-        self.pieces = _Pieces(self.word_list, self.texts)  # word id -> its _word_pieces
+        self.pieces = _Memo(self._pieces)  # word id -> its _word_pieces
         self.declared = declared_sums
         cands = [self.letter(u) for u in cands]
         self.cands = set(cands)
         # the candidates other than 1 with their inverses, for R2's splits
         self.inverses = [(x, self.units[x].inverse()) for x in cands if not self.units[x].is_one]
-        self.splits: dict = {}  # letter m -> R2 forward instances splitting m
-        self.merges: dict = {}  # letters (a, b) -> the R2 backward instance on them
-        self.steinberg: dict = {}  # letter a -> 1 - a for R1, or None
-        self.r1: dict = {}  # letter a -> the R1 instance on a
-        self.roots: dict = {}  # letter m -> R5 instance on the square root of m, or None
+        self.splits = _Memo(self.r2_splits)  # letter m -> R2 forward instances splitting m
+        self.merges = _Memo(self.r2_merge)  # letters (a, b) -> the R2 backward instance on them
+        self.r1 = _Memo(self.r1_partner)  # letter a -> (1 - a, the R1 instance on a), or None
+        self.roots = _Memo(self.r5_root)  # letter m -> R5 instance on the square root of m, or None
         self.minus_one = self.letter(UNIT_MINUS_ONE)
         # R4 forward: -eta^2[-1] - 2 eta
         self.r4 = ("R4", "forward", (), {(2, (self.minus_one,)): -1, (1, ()): -2})
 
-    def letter(self, u: Unit) -> int:
-        """The int of ``u``, given to it the first time an equal unit comes."""
-        i = self.ids.get(u)
-        if i is None:
-            i = self.ids[u] = len(self.units)
-            self.units.append(u)
-            self.texts.append(render_unit(u))
-        return i
+    def _new_letter(self, u: Unit) -> int:
+        self.units.append(u)
+        self.texts.append(render_unit(u))
+        return len(self.units) - 1
+
+    def _pieces(self, word: int) -> tuple:
+        return _word_pieces(self.word_list[word], self.texts.__getitem__)
 
     def word(self, word: tuple) -> int:
         """The id of ``word``, on the table's letters, given to it the first
@@ -972,6 +985,7 @@ class _Letters:
             y = u * x_inv
             if y.is_one:
                 continue
+            # looked up, not interned: a split needs a candidate y
             y = ids.get(y)
             if y is not None and y in cands:
                 # [x] + [y] + eta[x][y] - [m]; m is neither x nor y
@@ -979,7 +993,6 @@ class _Letters:
                 core[(1, (x, y))] = 1
                 core[(0, (m,))] = -1
                 out.append(("R2", "forward", (x, y), core))
-        self.splits[m] = out
         return out
 
     def r2_merge(self, pair: tuple) -> tuple:
@@ -995,31 +1008,29 @@ class _Letters:
             core[(0, (a,))] = -1
             core[(0, (b,))] = -1
         core[(1, pair)] = -1
-        out = self.merges[pair] = ("R2", "backward", pair, core)
-        return out
+        return ("R2", "backward", pair, core)
 
-    def steinberg_partner(self, a: int) -> Optional[int]:
-        """1 - a when [a][1-a] is an R1 instance whose sums the identity
-        declares, else None."""
+    def r1_partner(self, a: int) -> Optional[tuple]:
+        """``(1 - a, the R1 instance on a)`` when [a][1-a] is an R1 instance
+        whose sums the identity declares, else None."""
         u = self.units[a]
         try:
             m = one_minus(u)
         except UnitExprError:
-            m = None
-        else:
-            m = self.letter(m) if (m.sum_atoms() | u.sum_atoms()) <= self.declared else None
-        self.steinberg[a] = m
-        return m
+            return None
+        if not (m.sum_atoms() | u.sum_atoms()) <= self.declared:
+            return None
+        m = self.letter(m)
+        # -[a][1-a]
+        return m, ("R1", "forward", (a,), {(0, (a, m)): -1})
 
     def r5_root(self, m: int) -> Optional[tuple]:
         """The R5 instance on the literal square root of m, when it is not 1."""
         r = self.units[m].sqrt_or_none()
-        out = None
-        if r is not None and not r.is_one:
-            # -eta[r^2], and r^2 is m
-            out = ("R5", "forward", (self.letter(r),), {(1, (m,)): -1})
-        self.roots[m] = out
-        return out
+        if r is None or r.is_one:
+            return None
+        # -eta[r^2], and r^2 is m
+        return ("R5", "forward", (self.letter(r),), {(1, (m,)): -1})
 
 
 def _moves(words: dict, schema_names, letters: _Letters) -> list:
@@ -1028,33 +1039,27 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
     A move is ``(instance, coeff, pos_eta, left, right)``: it adds ``coeff``
     times the instance's core at eta power ``pos_eta`` between the letters
     ``left`` and ``right``.  ``words`` is on ``letters``' word ids.  Each
-    instance comes from ``letters``' memos, so it is built once per search.
+    instance is read from ``letters``' memos, which build it on its first
+    lookup, so it is built once per search.
     """
     out = []
     append = out.append
     table = letters.word_list
     r1, r2, r4, r5 = (name in schema_names for name in ("R1", "R2", "R4", "R5"))
-    splits, merges = letters.splits, letters.merges
-    steinberg, r1_instances, roots = letters.steinberg, letters.r1, letters.roots
+    splits, merges, partners, roots = letters.splits, letters.merges, letters.r1, letters.roots
     minus_one, r4_instance = letters.minus_one, letters.r4
     for w, coeff in words.items():
         s, brs = table[w]
         if r2:
             for i, m in enumerate(brs):
-                split = splits.get(m)
-                if split is None:
-                    split = letters.r2_splits(m)
+                split = splits[m]
                 if split:
                     left, right = brs[:i], brs[i + 1 :]
                     for inst in split:
                         append((inst, coeff, s, left, right))
             if s >= 1:
                 for i in range(len(brs) - 1):
-                    pair = brs[i : i + 2]
-                    inst = merges.get(pair)
-                    if inst is None:
-                        inst = letters.r2_merge(pair)
-                    append((inst, coeff, s - 1, brs[:i], brs[i + 2 :]))
+                    append((merges[brs[i : i + 2]], coeff, s - 1, brs[:i], brs[i + 2 :]))
         if r4:
             if s >= 2:
                 for i, m in enumerate(brs):
@@ -1065,21 +1070,12 @@ def _moves(words: dict, schema_names, letters: _Letters) -> list:
                     append((r4_instance, coeff // 2, s - 1, brs[:cut], brs[cut:]))
         if r1:
             for i in range(len(brs) - 1):
-                a = brs[i]
-                m = steinberg.get(a, _UNSET)
-                if m is _UNSET:
-                    m = letters.steinberg_partner(a)
-                if m is not None and brs[i + 1] == m:
-                    inst = r1_instances.get(a)
-                    if inst is None:
-                        # -[a][1-a]
-                        inst = r1_instances[a] = ("R1", "forward", (a,), {(0, (a, m)): -1})
-                    append((inst, coeff, s, brs[:i], brs[i + 2 :]))
+                partner = partners[brs[i]]
+                if partner is not None and brs[i + 1] == partner[0]:
+                    append((partner[1], coeff, s, brs[:i], brs[i + 2 :]))
         if r5 and s >= 1:
             for i, m in enumerate(brs):
-                inst = roots.get(m, _UNSET)
-                if inst is _UNSET:
-                    inst = letters.r5_root(m)
+                inst = roots[m]
                 if inst is not None:
                     append((inst, coeff, s - 1, brs[:i], brs[i + 1 :]))
     return out
@@ -1295,9 +1291,16 @@ def _malformed(step: ProofStep) -> Optional[str]:
 def check_proof(proof: Proof) -> CheckReport:
     """Replay a certificate independently of the search that produced it.
 
-    A step whose fields cannot form a rewrite is refused, never replayed.
+    A certificate without an identity or a sequence of steps, or a step
+    whose fields cannot form a rewrite, is refused, never replayed.
     """
     identity = proof.identity
+    if not isinstance(identity, Identity):
+        return CheckReport(False, None, f"malformed certificate: {type(identity).__name__} "
+                                        "is not an identity")
+    if not isinstance(proof.steps, (tuple, list)):
+        return CheckReport(False, None, f"malformed certificate: steps are a "
+                                        f"{type(proof.steps).__name__}, not a tuple or list")
     try:
         mode = ProverMode.coerce(proof.mode)
     except ValueError:

@@ -33,6 +33,7 @@ from mwkit.finring import (
     RingError,
     RingSpecError,
     Zmod,
+    _is_prime,
     _parse_prime_power,
     _slot_bytes,
     elementary_factorization,
@@ -396,6 +397,28 @@ def test_parse_prime_power_matches_trial_division():
                 _parse_prime_power(str(q))
         else:
             assert _parse_prime_power(str(q)) == expected, q
+
+
+def _parsed_or_refused(text):
+    try:
+        return _parse_prime_power(text)
+    except RingSpecError as exc:
+        return str(exc)
+
+
+def test_prime_power_parsing_and_primality_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for q in range(ELEMENT_BOUND + 2):
+        assert _is_prime(q) == sympy.isprime(q), q
+        factors = sympy.factorint(q)
+        if q > ELEMENT_BOUND:
+            # above the bound q comes back untested
+            expected = (q, 1)
+        elif q >= 2 and len(factors) == 1:
+            expected = next(iter(factors.items()))
+        else:
+            expected = f"'{q}' is not a prime power"
+        assert _parsed_or_refused(str(q)) == expected, q
 
 
 @pytest.mark.parametrize("spec", [

@@ -578,8 +578,12 @@ def _forge_first(**fields):
      "bad instance: unit expression sums to zero"),
     (_forge_first(axiom="R2", binding={"a": A, "b": parse_unit("1-c")}), 0,
      "instance unit (1-c) has an undeclared sum"),
+    (lambda proof: replace(proof, identity=None), None,
+     "malformed certificate: NoneType is not an identity"),
+    (lambda proof: replace(proof, steps=None), None,
+     "malformed certificate: steps are a NoneType, not a tuple or list"),
 ], ids=["mode", "axiom", "direction", "first-dropped", "last-dropped", "r1-at-one",
-        "undeclared-sum"])
+        "undeclared-sum", "no-identity", "no-steps"])
 def test_check_proof_refuses_a_forged_certificate(forge, failed_step, message):
     ident = parse_identity("<a> + <1-a> = 1 + <a*(1-a)>", "unit(a),unit(1-a)")
     proof = km.prove(ident, "hopf-steinberg")

@@ -7,12 +7,14 @@ at every adjacent pair.  ``kmwterm.search`` must create the same states in
 the same order and return the same certificate.
 """
 
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -295,13 +297,83 @@ def test_rational_letters_are_the_constants_candidate_units_can_form():
 # axiom cores written down on letters
 
 
+def _r1_instances(letters):
+    """The R1 instances a letter table's memo of R1 partners holds."""
+    return [partner[1] for partner in letters.r1.values() if partner is not None]
+
+
 def _built_instances(letters):
     """Every axiom instance a letter table's memos hold."""
     out = [letters.r4]
     out += [inst for split in letters.splits.values() for inst in split]
-    out += list(letters.merges.values()) + list(letters.r1.values())
+    out += list(letters.merges.values()) + _r1_instances(letters)
     out += [inst for inst in letters.roots.values() if inst is not None]
     return out
+
+
+# each memo of a letter table, with the name of its builder
+_MEMOS = {"ids": "_new_letter", "pieces": "_pieces", "splits": "r2_splits",
+          "merges": "r2_merge", "r1": "r1_partner", "roots": "r5_root"}
+
+
+def counted_search(ident, mode, cfg):
+    """What ``kmwterm.search`` returns, and for each memo of its letter
+    table, the memo and the keys its builder was called with, in order."""
+    built = {name: [] for name in _MEMOS}
+
+    def counted(name, build):
+        def wrapper(self, key):
+            built[name].append(key)
+            return build(self, key)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, builder in _MEMOS.items():
+            mp.setattr(km._Letters, builder, counted(name, getattr(km._Letters, builder)))
+        result, _, letters = search_nodes(ident, mode, cfg)
+    return result, {name: (getattr(letters, name), keys) for name, keys in built.items()}
+
+
+def test_each_memo_key_is_built_once_and_afresh_per_search():
+    sizes = Counter()
+    for text, mode, hyp in CORPUS + BUDGET:
+        ident, cfg = parse_identity(text, hyp), km.ProveConfig(max_states=2000)
+        result, first = counted_search(ident, mode, cfg)
+        # the same search again, in the same process, builds every table again
+        again, second = counted_search(ident, mode, cfg)
+        assert again == result
+        for name in _MEMOS:
+            memo, keys = first[name]
+            # each key is built once, at its first lookup: the builder's
+            # calls are the table's keys, in the order the table holds them
+            assert keys == list(memo), (text, name)
+            memo2, keys2 = second[name]
+            assert memo2 is not memo and keys2 == keys, (text, name)
+            sizes[name] += len(memo)
+    # every table is filled by some search
+    assert all(sizes[name] for name in _MEMOS), sizes
+
+
+def test_a_search_frees_its_letter_table_when_it_returns():
+    # the memos refer to their builders weakly, so the table is in no
+    # reference cycle and goes when the search returns, with no collection
+    tables = []
+
+    class WatchedLetters(km._Letters):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    ident = parse_identity("[a][-a] = 0", "unit(a),unit(1-a)")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_Letters", WatchedLetters)
+        gc.disable()
+        try:
+            result = km.search(ident, "hopf-steinberg", km.ProveConfig(max_states=2000))
+            alive = [ref() is not None for ref in tables]
+        finally:
+            gc.enable()
+    assert result.reason == "max_states" and alive == [False]
 
 
 def _assert_oracle_cores(letters, instances):
@@ -349,8 +421,8 @@ def test_letter_cores_on_hand_cases():
     ident = parse_identity("[a][1-a] = 0", "unit(a),unit(1-a)")
     result, _, letters = search_states(ident, "hopf-steinberg", km.ProveConfig())
     assert [s.axiom for s in result.proof.steps] == ["R1"] and km.check_proof(result.proof)
-    assert letters.r1
-    _assert_oracle_cores(letters, list(letters.r1.values()))
+    assert _r1_instances(letters)
+    _assert_oracle_cores(letters, _r1_instances(letters))
 
     # R5 in reduced mode
     result, _, letters = search_states(parse_identity("eta [a^2] = 0"), "reduced",

@@ -1,5 +1,9 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -22,6 +26,16 @@ def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):
     module.write_text('"""Module\ndocstring."""\n\n# a comment\nx = 1  # one\n\n\n'
                       'def f():\n    """Doc\n    string."""\n    return """two\nlines"""\n')
     assert _code_lines()(module) == 4
+
+
+@pytest.mark.parametrize("name", ["missing.py", "--help"])
+def test_code_lines_refuses_a_missing_path(name, tmp_path):
+    # an existing path first: nothing is counted when one path is missing
+    (tmp_path / "m.py").write_text("x = 1\n")
+    run = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"), "m.py", name],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == f"error: {name}: no such file or directory\n"
 
 
 def test_search_footprint_prints_each_budget_search(capsys):

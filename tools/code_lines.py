@@ -8,7 +8,9 @@ class or function.  Usage::
     python tools/code_lines.py [PATH ...]
 
 Each PATH is a module or a directory searched for ``*.py``; the default is
-``src/mwkit``.  One line is printed per module, then the total.
+``src/mwkit``.  One line is printed per module, then the total.  A PATH
+that does not exist is reported on stderr, with exit status 1, before
+anything is counted.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def modules(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    paths = argv or ["src/mwkit"]
+    missing = next((name for name in paths if not Path(name).exists()), None)
+    if missing is not None:
+        print(f"error: {missing}: no such file or directory", file=sys.stderr)
+        return 1
     total = 0
-    for path in modules(argv or ["src/mwkit"]):
+    for path in modules(paths):
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path}")
