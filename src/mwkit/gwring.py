@@ -41,9 +41,9 @@ odd-torsion fields of :class:`SplitReport` are always empty and stay only
 for the output format.
 
 :meth:`GwPresentedRing.class_equal` and :meth:`GwPresentedRing.torsion_exponent`
-check the ring and pass a vector's unit indices and coefficients, read
-through ``classes``, to ``SnfPresentation.class_order``, the one reader of
-a presented class; a query runs in those two frames.
+check the ring and pass a vector's flat tuple of unit indices and
+coefficients, read through ``classes``, to ``SnfPresentation.class_order``,
+the one reader of a presented class; a query runs in those two frames.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ import enum
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import neg
+from operator import itemgetter
 from operator import mul as _times  # gwring.mul is the group ring product
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from .finring import GaloisRing, ProductRing, Ring, RingElement, make_ring
 from .presab import SnfPresentation, ZLattice
@@ -75,19 +75,13 @@ def _non_unit(ring: Ring, u) -> ValueError:
     return ValueError(f"<{u}> requires a unit, got a non-unit of {ring.spec_string()}")
 
 
-def _nonzero(keys: tuple, vals: tuple) -> tuple[tuple, tuple]:
-    """keys and vals without the pairs whose coefficient is zero, in their order."""
-    if all(vals):
-        return keys, vals
-    return tuple(compress(keys, vals)), tuple(filter(None, vals))
-
-
-def _checked_indices(ring: Ring, coeffs: Mapping) -> tuple[tuple, tuple]:
-    """(unit indices, coefficients) of the nonzero coefficients of a {unit: c} dict, in its order.
+def _checked_items(ring: Ring, coeffs: Mapping) -> tuple:
+    """The flat (index, coefficient, ...) tuple of a {unit: c} dict, in its order, zeros dropped.
 
     This is the one key check of a vector: a ValueError unless every key is
-    a unit of ring.  A key of a structurally equal ring handle is accepted,
-    as ``RingElement`` equality accepts it.  Each coefficient passes through
+    a unit of ring.  Every key is checked before any coefficient.  A key of
+    a structurally equal ring handle is accepted, as ``RingElement``
+    equality accepts it.  Each coefficient passes through
     ``operator.index``, so a float, a string or None raises TypeError and a
     bool is kept as the int it equals.
     """
@@ -104,50 +98,58 @@ def _checked_indices(ring: Ring, coeffs: Mapping) -> tuple[tuple, tuple]:
         if k is None:
             raise _non_unit(ring, u)
         append(k)
-    return _nonzero(tuple(keys), tuple(map(operator.index, coeffs.values())))
+    return _flat(keys, list(map(operator.index, coeffs.values())))
+
+
+def _flat(keys: Collection, vals: Collection) -> tuple:
+    """The flat tuple (k0, c0, k1, c1, ...) of keys and coefficients, zeros dropped."""
+    if not all(vals):
+        keys, vals = list(compress(keys, vals)), list(filter(None, vals))
+    items = [0] * (2 * len(keys))
+    items[::2] = keys
+    items[1::2] = vals
+    return tuple(items)
 
 
 class GroupRingVector:
     """Finitely supported integer combination of unit basis vectors <u>.
 
-    A vector is immutable, and stored as two tuples: ``_keys``, the indices
-    of its units in ``ring.units()``, and ``_vals``, their nonzero integer
-    coefficients, in the same order.  Vectors share tuples: -x and k x
-    reuse the keys of x, x + y and x - y reuse them when y adds no key and
-    cancels none, and a sum or difference with the zero vector is the other
-    operand (or its negation).  The constructor takes {unit: integer} and
-    refuses a key that is not a unit of ring; ``coeffs`` gives the same dict
-    back, keyed by the ring's own units, without zero coefficients.
+    A vector is immutable, and stored as one flat tuple ``_items`` =
+    (k0, c0, k1, c1, ...): the index k of each unit of its support in
+    ``ring.units()``, followed by its nonzero integer coefficient c.  Every
+    operation builds the one tuple of its result and shares none; a sum or
+    difference with the zero vector is the other operand (or its
+    negation).  The constructor takes {unit: integer} and refuses a key
+    that is not a unit of ring; ``coeffs`` gives the same dict back, keyed
+    by the ring's own units, without zero coefficients.
     """
 
-    __slots__ = ("ring", "_keys", "_vals")
+    __slots__ = ("ring", "_items")
 
     def __init__(self, ring: Ring, coeffs: Optional[dict] = None):
         self.ring = ring
-        self._keys, self._vals = _checked_indices(ring, coeffs) if coeffs else ((), ())
+        self._items = _checked_items(ring, coeffs) if coeffs else ()
 
     @classmethod
-    def _of(cls, ring: Ring, keys: tuple, vals: tuple) -> "GroupRingVector":
-        """The vector with coefficients ``vals`` at the distinct unit indices ``keys``.
-
-        The pairs with a zero coefficient are dropped.  When there is none,
-        both tuples are kept as given, and may be shared with other vectors.
-        """
+    def _of(cls, ring: Ring, items: tuple) -> "GroupRingVector":
+        """The vector of the flat tuple ``items``: distinct unit indices, each
+        followed by its nonzero coefficient."""
         x = cls.__new__(cls)
         x.ring = ring
-        x._keys, x._vals = _nonzero(keys, vals)
+        x._items = items
         return x
 
     @classmethod
     def _of_sums(cls, ring: Ring, acc: dict) -> "GroupRingVector":
         """The vector of an {index: coefficient} accumulator, in its order, zeros dropped."""
-        return cls._of(ring, tuple(acc), tuple(acc.values()))
+        return cls._of(ring, _flat(acc, acc.values()))
 
     @property
     def coeffs(self) -> dict:
         """{unit: coefficient}, a new dict in the vector's key order."""
         units = self.ring.units()
-        return {units[k]: c for k, c in zip(self._keys, self._vals)}
+        it = iter(self._items)
+        return {units[k]: next(it) for k in it}
 
     @classmethod
     def angle(cls, ring: Ring, u: RingElement) -> "GroupRingVector":
@@ -155,67 +157,66 @@ class GroupRingVector:
         k = ring.unit_index_by_coords().get(u.coords)
         if k is None:
             raise _non_unit(ring, u)
-        return cls._of(ring, (k,), (1,))
+        return cls._of(ring, (k, 1))
 
     @classmethod
     def zero(cls, ring: Ring) -> "GroupRingVector":
-        return cls._of(ring, (), ())
+        return cls._of(ring, ())
 
     @classmethod
     def one(cls, ring: Ring) -> "GroupRingVector":
-        return cls._of(ring, (ring.unit_index_by_coords()[ring.one.coords],), (1,))
+        return cls._of(ring, (ring.unit_index_by_coords()[ring.one.coords], 1))
 
     def _check(self, other: "GroupRingVector"):
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
-    def _plus(self, other: "GroupRingVector", vals: Iterable[int]) -> "GroupRingVector":
-        """x plus ``vals`` at the keys of y, in one pass over y.
+    def _plus(self, ys: tuple) -> "GroupRingVector":
+        """x plus the flat tuple ``ys``, in one pass over ys.
 
         The keys of x come first in their order, less those that cancel,
-        then the new keys of y in theirs.  When no key of y is a key of x,
-        that is the two tuples of each side joined; otherwise x is indexed
-        in a dict and y added into it.
+        then the new keys of ys in theirs.  When no key of ys is a key of x,
+        that is the two flat tuples joined; otherwise x is indexed in a
+        dict and ys added into it.
         """
-        keys, ys = self._keys, other._keys
-        if frozenset(ys).isdisjoint(keys):
-            return GroupRingVector._of(self.ring, keys + ys, self._vals + tuple(vals))
-        acc = dict(zip(keys, self._vals))
+        xs = self._items
+        if frozenset(ys[::2]).isdisjoint(xs[::2]):
+            return GroupRingVector._of(self.ring, xs + ys)
+        it = iter(xs)
+        acc = dict(zip(it, it))
         get = acc.get
-        for k, c in zip(ys, vals):
-            acc[k] = get(k, 0) + c
-        if len(acc) != len(keys):
-            keys = tuple(acc)
-        return GroupRingVector._of(self.ring, keys, tuple(acc.values()))
+        it = iter(ys)
+        for k in it:
+            acc[k] = get(k, 0) + next(it)
+        return GroupRingVector._of_sums(self.ring, acc)
 
     def __add__(self, other: "GroupRingVector") -> "GroupRingVector":
         if not isinstance(other, GroupRingVector):
             return NotImplemented
         self._check(other)
-        if not other._keys:
+        if not other._items:
             return self
-        if not self._keys:
+        if not self._items:
             return other
-        return self._plus(other, other._vals)
+        return self._plus(other._items)
 
     def __sub__(self, other: "GroupRingVector") -> "GroupRingVector":
         if not isinstance(other, GroupRingVector):
             return NotImplemented
         self._check(other)
-        if not other._keys:
+        if not other._items:
             return self
-        if not self._keys:
+        if not self._items:
             return -other
-        return self._plus(other, map(neg, other._vals))
+        return self._plus(_scaled(other._items, -1))
 
     def __neg__(self) -> "GroupRingVector":
-        return GroupRingVector._of(self.ring, self._keys, tuple(map(neg, self._vals)))
+        return GroupRingVector._of(self.ring, _scaled(self._items, -1))
 
     def __rmul__(self, scalar: int) -> "GroupRingVector":
         if not isinstance(scalar, int):
             return NotImplemented
-        return GroupRingVector._of(self.ring, self._keys,
-                                   tuple(map(_times, repeat(scalar), self._vals)))
+        return GroupRingVector._of(self.ring, _scaled(self._items, scalar) if scalar else ())
 
     def __mul__(self, other) -> "GroupRingVector":
         if isinstance(other, int):
@@ -231,10 +232,12 @@ class GroupRingVector:
         ring = self.ring
         table = ring.unit_products()
         coords, index, coord_mul = table.coords, ring.unit_index_by_coords(), ring._mul
-        ys = list(zip(other._keys, other._vals))
+        it = iter(other._items)
+        ys = list(zip(it, it))
         acc: dict = {}
         get = acc.get
-        for i, cu in zip(self._keys, self._vals):
+        it = iter(self._items)
+        for i, cu in zip(it, it):
             row = table[i]
             product = row.get
             for j, cv in ys:
@@ -247,35 +250,49 @@ class GroupRingVector:
     def __eq__(self, other):
         if not isinstance(other, GroupRingVector):
             return NotImplemented
-        return (self.ring == other.ring and len(self._keys) == len(other._keys)
-                and dict(zip(self._keys, self._vals)) == dict(zip(other._keys, other._vals)))
+        if len(self._items) != len(other._items) or self.ring != other.ring:
+            return False
+        xs, ys = iter(self._items), iter(other._items)
+        return dict(zip(xs, xs)) == dict(zip(ys, ys))
 
     def __hash__(self):
-        return hash((self.ring, frozenset(zip(self._keys, self._vals))))
+        it = iter(self._items)
+        return hash((self.ring, frozenset(zip(it, it))))
 
     def is_zero(self) -> bool:
-        return not self._keys
+        return not self._items
 
     def augmentation(self) -> int:
-        return sum(self._vals)
+        return sum(self._items[1::2])
 
     def to_dense(self) -> tuple[int, ...]:
         """Coefficients in the unit order of the ring."""
-        row = [0] * len(self.ring.units())
-        for k, c in zip(self._keys, self._vals):
-            row[k] = c
+        row = [0] * len(self.ring.unit_index_by_coords())
+        it = iter(self._items)
+        for k in it:
+            row[k] = next(it)
         return tuple(row)
 
     def __str__(self):
-        if not self._keys:
+        """The terms sorted by the text of their units; only the vector's own units are built."""
+        if not self._items:
             return "0"
-        parts = []
-        for u, c in sorted(self.coeffs.items(), key=lambda t: str(t[0])):
-            parts.append(f"{'+' if c >= 0 else '-'} {abs(c)}<{u}>")
-        text = " ".join(parts)
+        ring = self.ring
+        coords = list(ring.unit_index_by_coords())
+        it = iter(self._items)
+        terms = sorted(((str(RingElement(ring, coords[k])), next(it)) for k in it),
+                       key=itemgetter(0))
+        text = " ".join(f"{'+' if c >= 0 else '-'} {abs(c)}<{u}>" for u, c in terms)
         return text[2:] if text.startswith("+ ") else text
 
     __repr__ = __str__
+
+
+def _scaled(items: tuple, scalar: int) -> tuple:
+    """The flat tuple ``items`` with every coefficient times a nonzero ``scalar``."""
+    scaled = list(items)
+    scaled[1::2] = map(_times, items[1::2], repeat(scalar))
+    return tuple(scaled)
 
 
 def _sparse_key(signed) -> tuple:
@@ -443,13 +460,13 @@ class GwPresentedRing:
         ring = self.ring
         if (x.ring is not ring and x.ring != ring) or (y.ring is not ring and y.ring != ring):
             raise ValueError("ring mismatch")
-        return self.presentation.class_order(self.classes, x._keys, x._vals, y._keys, y._vals) == 1
+        return self.presentation.class_order(self.classes, x._items, y._items) == 1
 
     def torsion_exponent(self, x: GroupRingVector) -> Optional[int]:
         """Additive order of the class of x; None means infinite order."""
         if x.ring is not self.ring and x.ring != self.ring:
             raise ValueError("ring mismatch")
-        return self.presentation.class_order(self.classes, x._keys, x._vals)
+        return self.presentation.class_order(self.classes, x._items)
 
     def minus_one_is_one(self) -> bool:
         return self.class_equal(self.angle(self.ring.minus_one()), self.angle(self.ring.one))

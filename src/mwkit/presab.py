@@ -343,13 +343,14 @@ class SnfPresentation:
     exactly when each torsion projection is divisible by its invariant
     factor and each free projection is zero.
 
-    :meth:`class_order` is the one reader of a class's order: it takes a
-    sparse vector, read through a map of its keys to coordinates.
-    ``element_order`` and ``class_is_zero`` pass it a dense length-n vector
-    through the identity map, and ``GwPresentedRing.class_equal`` and
-    ``torsion_exponent`` pass it group-ring vectors through the unit
-    classes.  ``to_canonical`` dots each projection with all of a dense
-    vector.
+    :meth:`class_order` is the one reader of a class's order: it takes
+    sparse vectors as flat (key, coefficient, ...) tuples, read through a
+    map of their keys to coordinates.  ``element_order`` and
+    ``class_is_zero`` pass it a dense length-n vector, flattened, through
+    the identity map, and ``GwPresentedRing.class_equal`` and
+    ``torsion_exponent`` pass it the tuples of group-ring vectors through
+    the unit classes.  ``to_canonical`` dots each projection with all of a
+    dense vector.
     """
 
     ambient: int
@@ -384,16 +385,19 @@ class SnfPresentation:
         """Additive order of the class of ``vec``, a length-``ambient`` list; None means infinite."""
         self._check(vec)
         identity = range(self.ambient)
-        return self.class_order(identity, identity, vec)
+        flat = [0] * (2 * self.ambient)
+        flat[::2], flat[1::2] = identity, vec
+        return self.class_order(identity, flat)
 
-    def class_order(self, coordinate: Sequence[int], keys: Sequence[int], vals: Sequence[int],
-                    keys2: Sequence[int] = (), vals2: Sequence[int] = ()) -> Optional[int]:
+    def class_order(self, coordinate: Sequence[int], x: Sequence[int],
+                    y: Sequence[int] = ()) -> Optional[int]:
         """Additive order of the class of the sparse vector x - y; None means infinite.
 
-        x is sum vals[i] e_{coordinate[keys[i]]} and y is
-        sum vals2[i] e_{coordinate[keys2[i]]}: key k is read through
-        coordinate ``coordinate[k]`` of Z^ambient, and a coordinate may be
-        met more than once.  Every order of a class is read here.
+        x and y are flat (key, coefficient, key, coefficient, ...) sequences,
+        the layout of ``GroupRingVector``: x is the sum of c e_{coordinate[k]}
+        over its pairs (k, c), and so is y.  Key k is read through coordinate
+        ``coordinate[k]`` of Z^ambient, and a coordinate may be met more than
+        once.  Every order of a class is read here.
 
         x is summed with += and y with -= into the coordinates.  When the
         keys number at least ``ambient``, the sum goes into a dense list of
@@ -405,18 +409,16 @@ class SnfPresentation:
         the reading; then the (torsion projection, invariant factor) pairs
         give the order.
         """
-        dense = self.ambient <= len(keys) + len(keys2)
+        dense = 2 * self.ambient <= len(x) + len(y)
         acc = [0] * self.ambient if dense else defaultdict(int)
-        # a running index into the coefficients costs less per query than
-        # a zip of the two sequences
-        i = 0
-        for k in keys:
-            acc[coordinate[k]] += vals[i]
-            i += 1
-        i = 0
-        for k in keys2:
-            acc[coordinate[k]] -= vals2[i]
-            i += 1
+        # each coefficient is the next item after its key: one iterator
+        # read in the loop costs less per query than a zip of it with itself
+        it = iter(x)
+        for k in it:
+            acc[coordinate[k]] += next(it)
+        it = iter(y)
+        for k in it:
+            acc[coordinate[k]] -= next(it)
         free, torsion = self._columns
         if dense:
             for col in free:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import operator
 import os
 import pickle
@@ -651,6 +652,11 @@ def test_class_queries_read_dense_only_when_the_supports_cover_ambient(presented
         assert sides == {side}, (name, args)
 
 
+def _flat(keys, vals) -> tuple:
+    """The flat (key, coefficient, ...) tuple of a vector given as keys and values."""
+    return tuple(item for pair in zip(keys, vals) for item in pair)
+
+
 def _sparse_cases(rng, n, m):
     """(keys, vals, keys2, vals2) over n unit indices, m the presentation's ambient.
 
@@ -696,7 +702,8 @@ def test_class_order_matches_dense_readers_on_sparse_vectors(presented, spec, ki
         for c, x in zip(classes, on_units):
             sums[c] += x
         want = dense.element_order(on_units)
-        assert pres.class_order(classes, keys, vals, keys2, vals2) == want, (keys, vals, keys2, vals2)
+        x, y = _flat(keys, vals), _flat(keys2, vals2)
+        assert pres.class_order(classes, x, y) == want, (keys, vals, keys2, vals2)
         assert pres.element_order(sums) == want
         orders.add(want)
     assert 1 in orders and (pres.rank == 0 or None in orders)
@@ -743,7 +750,7 @@ def test_product_multiplies_each_pair_of_units_once(spec, monkeypatch):
     seen: set = set()
     for _ in range(12):
         x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
-        pairs = set(product(x._keys, y._keys))
+        pairs = set(product(x._items[::2], y._items[::2]))
         calls.clear()
         first = x * y
         assert len(calls) == len(pairs - seen)
@@ -901,15 +908,30 @@ def test_vector_arithmetic_hashes_no_element(presented, monkeypatch):
         calls.clear()
 
 
-def test_vectors_share_key_tuples():
-    # -x, k x and x k change the coefficients only, so they keep the keys
-    # of x; so does a sum that adds no key and cancels none
+def test_a_vector_holds_one_flat_tuple():
+    # every way to make a vector gives it the ring, its class and one tuple
+    # (k0, c0, k1, c1, ...) of distinct unit indices, each with a nonzero
+    # int coefficient, and nothing else
     ring = parse_ring_spec("GR(4,2)")
-    rng = random.Random("shared keys")
+    units = ring.units()
+    rng = random.Random("one flat tuple")
+    a = km.uvar("a")
+    term = km.angle(a) * km.angle(-a) - 2 * km.angle(a) + km.integer(1)
     for _ in range(20):
-        x = _random_vector(rng, ring, ring.units())
-        for y in (-x, 3 * x, x * -2, x + x, x - 2 * x, x + (-x + x)):
-            assert y._keys is x._keys, y
+        x, y = _random_vector(rng, ring, units), _random_vector(rng, ring, units)
+        evaluated = km.eval_in_ring(term, ring, {"a": rng.choice(units)})
+        vectors = (x, -x, 3 * x, x * -2, x + x, x - 2 * x, x * y, evaluated,
+                   GroupRingVector.zero(ring), GroupRingVector.one(ring),
+                   GroupRingVector.angle(ring, rng.choice(units)))
+        for v in vectors:
+            referents = gc.get_referents(v)
+            assert len(referents) == 3 and any(r is ring for r in referents), v
+            items, = (r for r in referents if r is not ring and r is not GroupRingVector)
+            assert type(items) is tuple, v
+            keys, vals = items[::2], items[1::2]
+            assert len(keys) == len(vals) == len(set(keys)), v
+            assert all(type(k) is int and 0 <= k < len(units) for k in keys), v
+            assert all(type(c) is int and c for c in vals), v
         zero = GroupRingVector.zero(ring)
         assert x + zero is x and zero + x is x and x - zero is x
         assert (x - x).is_zero() and (0 * x).is_zero()
@@ -929,16 +951,44 @@ def test_sums_commute_with_equal_hashes():
                 assert x - y == -(y - x) and hash(x - y) == hash(-(y - x)), (x, y)
 
 
-def test_a_full_vector_takes_two_small_tuples():
-    # the instance and its two tuples of 8-byte slots: 584 bytes on 64-bit
-    # CPython 3.11 for the 28 units of Z/29; a {unit index: c} dict of the
-    # same 28 keys takes 1,168 bytes on its own
+def test_a_full_vector_takes_one_small_tuple():
+    # the instance and its one flat tuple of 8-byte slots: 536 bytes on
+    # 64-bit CPython 3.11 for the 28 units of Z/29; a {unit index: c} dict
+    # of the same 28 keys takes 1,168 bytes on its own
     ring = parse_ring_spec("Z/29")
     units = ring.units()
     x = GroupRingVector(ring, {u: i % 5 - 2 or 3 for i, u in enumerate(units)})
     assert len(x.coeffs) == len(units) == 28
-    size = sys.getsizeof(x) + sys.getsizeof(x._keys) + sys.getsizeof(x._vals)
-    assert size <= 16 * len(units) + 256
+    size = sys.getsizeof(x) + sys.getsizeof(x._items)
+    assert size <= 16 * len(units) + 96
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_str_and_to_dense_read_the_coefficients_by_unit(spec):
+    # the text sorts the terms by the text of their units, and the dense
+    # row lists the coefficients in unit order, as read off ``coeffs``
+    ring = parse_ring_spec(spec)
+    units = ring.units()
+    rng = random.Random(f"text {spec}")
+    for x in [GroupRingVector.zero(ring)] + [_random_vector(rng, ring, units) for _ in range(20)]:
+        terms = sorted(x.coeffs.items(), key=lambda t: str(t[0]))
+        text = " ".join(f"{'+' if c >= 0 else '-'} {abs(c)}<{u}>" for u, c in terms) or "0"
+        assert str(x) == repr(x) == text.removeprefix("+ ")
+        assert x.to_dense() == tuple(x.coeffs.get(u, 0) for u in units)
+
+
+@pytest.mark.parametrize("spec", ["Z/65521", "GF(2^16)"])
+def test_str_and_to_dense_build_no_unit_list(spec):
+    # a vector on a ring at the element bound prints and densifies without
+    # building the ring's 65,520 or 65,535 unit elements
+    ring = parse_ring_spec(spec)
+    index = ring.unit_index_by_coords()
+    u = RingElement(ring, list(index)[5])
+    x = GroupRingVector.angle(ring, u) - 2 * GroupRingVector.one(ring)
+    row = x.to_dense()
+    assert len(row) == len(index) and (row[5], row[index[ring.one.coords]]) == (1, -2)
+    assert str(x) == (f"1<{u}> - 2<1>" if str(u) < "1" else f"- 2<1> + 1<{u}>")
+    assert ring._units is None
 
 
 _VECTOR_IN_FRESH_PROCESS = """

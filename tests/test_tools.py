@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,26 @@ def test_search_footprint_prints_each_budget_search(capsys):
         states, seconds, per_second, per_state = row.split()[-4:]
         assert int(states) == 501 and float(seconds) > 0
         assert int(per_second) > 0 and int(per_state) > 0
+
+
+def test_vector_footprint_prints_bytes_and_collections(capsys):
+    assert _tool("vector_footprint").main(["--ring", "Z/29", "--count", "300"]) == 0
+    title, keys, size, traced, collections = capsys.readouterr().out.splitlines()
+    assert title == "ring Z/29, 300 vectors, seed 1"
+    assert 1 <= float(keys.split()[-1]) <= 28
+    # the instance and its tuples take at least 8 bytes a key
+    assert int(size.split()[-1]) >= 8 * float(keys.split()[-1]) and int(traced.split()[-1]) > 0
+    assert collections.startswith("collections (gen 0/1/2) ")
+    assert all(n.isdigit() for n in collections.split()[-1].split("/"))
+
+
+@pytest.mark.parametrize("args,error", [
+    ([], "error: no ring given (--ring SPEC)"),
+    (["--ring", "Z/x"], "error: bad modulus 'x' in 'Z/x'"),
+    (["--ring", "Z/29", "--count", "0"], "error: --count must be at least 1"),
+])
+def test_vector_footprint_refuses_a_missing_or_malformed_ring(args, error):
+    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    run = subprocess.run([sys.executable, str(TOOLS / "vector_footprint.py"), *args],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", error + "\n")
