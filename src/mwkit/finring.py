@@ -299,7 +299,8 @@ class _UnitProducts(dict):
     index of u_i u_j.
 
     A row is an empty dict, made on its first read.  ``coords`` lists the
-    unit coordinates in unit order, for the products a row is missing.
+    unit coordinates in unit order, for the products a row is missing and
+    for ``GroupRingVector.__str__``, which builds the units of its keys.
     """
 
     __slots__ = ("coords",)
@@ -506,10 +507,11 @@ class Ring:
         row i holds j.
 
         The table starts empty and holds only the pairs that
-        ``GroupRingVector.__mul__``, its one reader, has multiplied: that
-        product fills each missing entry with one coordinate product on its
-        first read.  So it holds at most |U|^2 entries, each paid for by one
-        coordinate product.  Shared; nothing else writes it.
+        ``GroupRingVector.__mul__``, the one reader of its rows, has
+        multiplied: that product fills each missing entry with one
+        coordinate product on its first read.  So it holds at most |U|^2
+        entries, each paid for by one coordinate product.  Shared; nothing
+        else writes it.  ``GroupRingVector.__str__`` reads its ``coords``.
         """
         if self._unit_products is None:
             self._unit_products = _UnitProducts(list(self.unit_index_by_coords()))

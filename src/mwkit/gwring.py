@@ -278,7 +278,7 @@ class GroupRingVector:
         if not self._items:
             return "0"
         ring = self.ring
-        coords = list(ring.unit_index_by_coords())
+        coords = ring.unit_products().coords
         it = iter(self._items)
         terms = sorted(((str(RingElement(ring, coords[k])), next(it)) for k in it),
                        key=itemgetter(0))

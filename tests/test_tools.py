@@ -53,7 +53,7 @@ def test_search_footprint_prints_each_budget_search(capsys):
 def test_vector_footprint_prints_bytes_and_collections(capsys):
     assert _tool("vector_footprint").main(["--ring", "Z/29", "--count", "300"]) == 0
     title, keys, size, traced, collections = capsys.readouterr().out.splitlines()
-    assert title == "ring Z/29, 300 vectors, seed 1"
+    assert title == "ring Z/29, 300 vectors"
     assert 1 <= float(keys.split()[-1]) <= 28
     # the instance and its tuples take at least 8 bytes a key
     assert int(size.split()[-1]) >= 8 * float(keys.split()[-1]) and int(traced.split()[-1]) > 0

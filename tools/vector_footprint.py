@@ -1,12 +1,12 @@
 """Measure what a group-ring vector costs in memory.
 
-    PYTHONPATH=src python3 tools/vector_footprint.py --ring Z/29 [--count 20000] [--seed 1]
+    PYTHONPATH=src python3 tools/vector_footprint.py --ring Z/29 [--count 20000]
 
-Run from the root of an mwkit checkout.  It builds ``--count`` seeded
-random vectors on ``--ring`` as the benchmark's ``query`` inputs are made:
-each is a vector on a random support of 1 to |U| units, plus zero to two
-vectors on random supports of 1 to 4 units, with coefficients drawn from
--3..3 without 0.  It prints the keys per vector, the bytes per vector
+Run from the root of an mwkit checkout.  It builds ``--count`` random
+vectors on ``--ring`` from the seed ``SEED``, as the benchmark's ``query``
+inputs are made: each is a vector on a random support of 1 to |U| units,
+plus zero to two vectors on random supports of 1 to 4 units, with
+coefficients drawn from -3..3 without 0.  It prints the keys per vector, the bytes per vector
 counted by ``sys.getsizeof`` over each distinct instance and referent of
 an instance other than its ring and its class, the bytes per vector that
 ``tracemalloc`` traces while they are built and still held after, and the
@@ -31,12 +31,13 @@ from mwkit.finring import parse_ring_spec
 from mwkit.gwring import GroupRingVector
 
 COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+SEED = 1
 
 
-def build(ring, count: int, seed: int) -> list:
+def build(ring, count: int) -> list:
     """``count`` seeded vectors on ring, each a sum of vectors on random supports."""
     units = ring.units()
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
 
     def on_support(size: int) -> GroupRingVector:
         return GroupRingVector(ring, {u: rng.choice(COEFFICIENTS) for u in rng.sample(units, size)})
@@ -50,7 +51,7 @@ def build(ring, count: int, seed: int) -> list:
     return vectors
 
 
-def footprint(ring, count: int, seed: int) -> tuple[float, float, float, list[int]]:
+def footprint(ring, count: int) -> tuple[float, float, float, list[int]]:
     """(keys, getsizeof bytes, traced bytes) per vector, and collections per generation."""
     ring.units()  # the unit list and index are the ring's, not the vectors'
     gc.collect()
@@ -58,7 +59,7 @@ def footprint(ring, count: int, seed: int) -> tuple[float, float, float, list[in
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        vectors = build(ring, count, seed)
+        vectors = build(ring, count)
         traced = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -79,7 +80,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--ring", help="the ring spec, such as Z/29")
     parser.add_argument("--count", type=int, default=20000,
                         help="the number of vectors (default 20000)")
-    parser.add_argument("--seed", type=int, default=1, help="the random seed (default 1)")
     args = parser.parse_args(argv)
     if args.ring is None:
         print("error: no ring given (--ring SPEC)", file=sys.stderr)
@@ -92,8 +92,8 @@ def main(argv: list[str]) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    keys, size, traced, collections = footprint(ring, args.count, args.seed)
-    print(f"ring {ring.spec_string()}, {args.count} vectors, seed {args.seed}")
+    keys, size, traced, collections = footprint(ring, args.count)
+    print(f"ring {ring.spec_string()}, {args.count} vectors")
     print(f"keys/vector {keys:.1f}")
     print(f"bytes/vector (getsizeof) {size:.0f}")
     print(f"bytes/vector (tracemalloc) {traced:.0f}")
